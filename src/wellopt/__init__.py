@@ -4,17 +4,18 @@ from .benchmarks import rosenbrock, sphere
 from .cma import (Diagnostics, EvaluationSource, Individual,
                   SearchDistribution, StrategyParams, TerminationDecision,
                   check_termination, default_strategy_params, rank_population,
-                  sample_population, update_mean, update_strategy_state)
+                  sample_individual, sampling_transform, update_mean,
+                  update_strategy_state)
 from .constraints import (PenaltyState, SumConstraint, constraint_violation,
-                          maybe_increase_gammas, maybe_set_gammas, penalize,
+                          maybe_increase_gammas, maybe_set_gammas,
                           sample_with_rejection, should_reject)
-from .ga import GaOptimizer, GaParams, crossover, ga_generation, mutate, repair, select_parent
+from .ga import GaOptimizer, GaParams
 from .harness import (BatchResult, ComparisonResult, Evaluator, RunConfig,
-                      RunRecord, build_problem, compare_optimizers, run_batch,
-                      run_single)
-from .metamodel import (LocalQuadraticModel, SurrogateSettings,
-                        TrainingArchive, approximate_ranking_step,
-                        default_surrogate_settings, fit_local_model,
-                        mahalanobis_distance, predict, select_neighbors)
+                      RunRecord, build_problem, compare_optimizers, penalized,
+                      run_batch, run_single)
+from .metamodel import (LocalQuadraticModel, MahalanobisMetric,
+                        SurrogateSettings, TrainingArchive,
+                        approximate_ranking_step, default_surrogate_settings,
+                        fit_local_model, predict, select_neighbors)
 
 __version__ = "0.1.0"

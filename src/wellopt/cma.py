@@ -4,13 +4,15 @@ The search distribution is a multivariate normal N(m, sigma^2 C). Each
 generation draws lambda candidates, ranks them by (penalized) objective,
 recombines the mu best into a new mean, and adapts sigma and C through
 cumulative step-size adaptation plus rank-one / rank-mu covariance updates.
-Everything is written against a minimization convention; maximization
-problems are negated at the problem boundary.
+C is eigendecomposed once per distribution (eigenvalues floored to keep
+it SPD); termination, sampling and the update read that one
+eigensystem. Everything is written against a minimization convention;
+maximization problems are negated at the problem boundary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -117,6 +119,8 @@ class SearchDistribution:
     path_sigma: np.ndarray
     path_c: np.ndarray
     generation: int = 0
+    _eigen: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float)
@@ -142,6 +146,19 @@ class SearchDistribution:
         return cls(mean=mean, step_size=step_size, covariance=np.eye(n),
                    path_sigma=np.zeros(n), path_c=np.zeros(n), generation=0)
 
+    def eigensystem(self, diagnostics: Diagnostics | None = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """Floored eigenvalues and eigenvectors of C, decomposed once.
+
+        Termination, sampling and the strategy update of one generation
+        all read this one decomposition, and a repair is counted once,
+        when it is made. C is never changed after construction: the
+        update returns a fresh distribution.
+        """
+        if self._eigen is None:
+            self._eigen = _floored_eigh(self.covariance, diagnostics)
+        return self._eigen
+
 
 @dataclass
 class Diagnostics:
@@ -166,10 +183,10 @@ def _floored_eigh(C: np.ndarray, diagnostics: Diagnostics | None = None):
     return values, vectors
 
 
-def sampling_transform(C: np.ndarray,
+def sampling_transform(dist: SearchDistribution,
                        diagnostics: Diagnostics | None = None) -> np.ndarray:
     """Matrix A with A A^T = C (after eigenvalue flooring)."""
-    values, vectors = _floored_eigh(C, diagnostics)
+    values, vectors = dist.eigensystem(diagnostics)
     return vectors * np.sqrt(values)
 
 
@@ -178,15 +195,6 @@ def sample_individual(dist: SearchDistribution, transform: np.ndarray,
     """One draw m + sigma * A z with z ~ N(0, I)."""
     z = rng.standard_normal(dist.dim)
     return dist.mean + dist.step_size * (transform @ z)
-
-
-def sample_population(dist: SearchDistribution, params: StrategyParams,
-                      rng: np.random.Generator,
-                      diagnostics: Diagnostics | None = None) -> list[Individual]:
-    """Draw lambda independent candidates from the current distribution."""
-    transform = sampling_transform(dist.covariance, diagnostics)
-    return [Individual(genome=sample_individual(dist, transform, rng))
-            for _ in range(params.lam)]
 
 
 def rank_population(population: list[Individual]) -> list[int]:
@@ -220,7 +228,7 @@ def update_strategy_state(dist: SearchDistribution, params: StrategyParams,
     """
     n = dist.dim
     sigma = dist.step_size
-    values, vectors = _floored_eigh(dist.covariance, diagnostics)
+    values, vectors = dist.eigensystem(diagnostics)
     inv_sqrt = (vectors / np.sqrt(values)) @ vectors.T
 
     y_w = (dist.mean - old_mean) / sigma
@@ -264,7 +272,9 @@ class TerminationDecision:
 
 def check_termination(dist: SearchDistribution, params: StrategyParams,
                       best_history: list[float],
-                      objective_stationary: bool = True) -> TerminationDecision:
+                      objective_stationary: bool = True,
+                      diagnostics: Diagnostics | None = None
+                      ) -> TerminationDecision:
     """Stop on the generation cap, stagnation, or an ill-conditioned C.
 
     `best_history` is the per-generation best-so-far objective, oldest
@@ -272,11 +282,13 @@ def check_termination(dist: SearchDistribution, params: StrategyParams,
     STAGNATION_RTOL (relatively) over the last STAGNATION_WINDOW
     generations; it is only trusted while `objective_stationary` is true
     (adaptive penalty weights change the effective objective, so callers
-    clear the flag while those are moving).
+    clear the flag while those are moving). The condition number comes
+    from the floored eigensystem of C, decomposed only after the
+    generation cap has been checked.
     """
     if dist.generation >= params.max_generations:
         return TerminationDecision(True, "max_generations")
-    values = np.linalg.eigvalsh(0.5 * (dist.covariance + dist.covariance.T))
+    values, _ = dist.eigensystem(diagnostics)
     smallest = max(values[0], np.finfo(float).tiny)
     if values[-1] / smallest > CONDITION_CAP:
         return TerminationDecision(True, "ill-conditioned")

@@ -190,21 +190,6 @@ def penalty_amount(x: np.ndarray, gammas: np.ndarray,
     return total / len(constraints) if total else 0.0
 
 
-def penalize(x: np.ndarray, raw: float, state: PenaltyState,
-             constraints: list[SumConstraint],
-             dist: SearchDistribution) -> float:
-    """raw + mean over constraints of gamma_j * distance_j^2 / xi_j.
-
-    Returns raw exactly when every distance is zero. Non-finite raw
-    values propagate unchanged.
-    """
-    if not constraints or not np.isfinite(raw):
-        return raw
-    amount = penalty_amount(np.asarray(x, dtype=float), state.gammas,
-                            constraints, xi_factors(dist, constraints))
-    return raw if amount == 0.0 else raw + amount
-
-
 def sample_with_rejection(draw, constraints: list[SumConstraint],
                           rejection_fraction: float) -> tuple[np.ndarray, int]:
     """Draw a genome, redrawing while any constraint rejects it.

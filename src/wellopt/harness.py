@@ -13,10 +13,11 @@ sampling), so identical configs and seeds give byte-identical CSVs.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
 import numpy as np
@@ -50,30 +51,42 @@ def fmt(value) -> str:
 
 
 class Evaluator:
-    """Counting, memoizing wrapper around the true objective.
+    """Counting wrapper around the true objective, memoized by the archive.
 
-    Every cache-missing call increments the shared counter and inserts
-    one archive entry, which keeps reported totals reconcilable with
-    archive growth.
+    The archive remembers every true evaluation, finite or not, so a
+    genome is evaluated and counted at most once. Each finite counted
+    value becomes one regression entry, which keeps reported totals
+    reconcilable with archive growth.
     """
 
-    def __init__(self, fn, archive: TrainingArchive | None = None):
+    def __init__(self, fn, archive: TrainingArchive):
         self._fn = fn
         self.archive = archive
         self.count = 0
-        self._cache: dict[bytes, float] = {}
 
     def __call__(self, genome: np.ndarray) -> float:
         genome = np.asarray(genome, dtype=float)
-        key = genome.tobytes()
-        if key in self._cache:
-            return self._cache[key]
-        value = float(self._fn(genome))
-        self.count += 1
-        self._cache[key] = value
-        if self.archive is not None:
+        value = self.archive.lookup(genome)
+        if value is None:
+            value = float(self._fn(genome))
+            self.count += 1
             self.archive.add(genome, value)
         return value
+
+
+def penalized(constraints: list[SumConstraint], gammas: np.ndarray,
+              xis: np.ndarray | None, genome: np.ndarray, raw: float) -> float:
+    """raw + mean over constraints of gamma_j * distance_j^2 / xi_j.
+
+    Returns raw exactly when there are no constraints, when every
+    distance is zero, and when raw is not finite. The run loop binds the
+    first three arguments once per generation, while gamma and xi are
+    frozen.
+    """
+    if not constraints or not np.isfinite(raw):
+        return raw
+    amount = penalty_amount(genome, gammas, constraints, xis)
+    return raw if amount == 0.0 else raw + amount
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +165,9 @@ class RunConfig:
                 k=int(entry["k"]),
                 min_archive_size=int(entry["min_archive_size"]),
                 max_cycle_fraction=float(entry.get("max_cycle_fraction", 0.25)))
+            if not 0.0 < surrogate.max_cycle_fraction <= 1.0:
+                raise ValueError("surrogate.max_cycle_fraction must lie in "
+                                 "(0, 1]")
 
         ga = dict(data.get("ga") or {})
         _check_keys(ga, {"crossprob", "mutprob"}, "ga")
@@ -166,18 +182,24 @@ class RunConfig:
         population_size = data.get("population_size")
         if population_size is None:
             population_size = 40 if kind == "well_placement" else 8
+        population_size = int(population_size)
+        if population_size < 2:
+            raise ValueError("population_size must be >= 2")
+        rejection_fraction = float(data.get("rejection_fraction", 0.2))
+        if not rejection_fraction > 0.0:
+            raise ValueError("rejection_fraction must be positive")
 
         return cls(
             problem=problem,
             optimizer=optimizer,
             optimizers=optimizers,
-            population_size=int(population_size),
+            population_size=population_size,
             max_generations=max_generations,
             seeds=seeds,
             sigma0=(None if data.get("sigma0") is None
                     else float(data["sigma0"])),
             constraints=constraints,
-            rejection_fraction=float(data.get("rejection_fraction", 0.2)),
+            rejection_fraction=rejection_fraction,
             surrogate=surrogate,
             crossprob=float(ga.get("crossprob", 0.7)),
             mutprob=float(ga.get("mutprob", 0.1)),
@@ -383,12 +405,13 @@ def run_cma(problem: BuiltProblem, config: RunConfig, seed: int,
     while True:
         stationary = (dist.generation - last_gamma_change
                       > STAGNATION_WINDOW)
-        decision = check_termination(dist, params, best_history, stationary)
+        decision = check_termination(dist, params, best_history, stationary,
+                                     diagnostics)
         if decision.stop:
             reason = decision.reason
             break
         diagnostics.reset_generation()
-        transform = sampling_transform(dist.covariance, diagnostics)
+        transform = sampling_transform(dist, diagnostics)
 
         def draw():
             return sample_individual(dist, transform, rng)
@@ -400,6 +423,7 @@ def run_cma(problem: BuiltProblem, config: RunConfig, seed: int,
             diagnostics.resampled += resamples
             population.append(Individual(genome=genome))
 
+        xis = None
         if constraints:
             gammas_before = state.gammas.copy()
             maybe_set_gammas(state, dist, constraints)
@@ -410,29 +434,19 @@ def run_cma(problem: BuiltProblem, config: RunConfig, seed: int,
             maybe_increase_gammas(state, dist, constraints, params, q_means)
             if not np.array_equal(state.gammas, gammas_before):
                 last_gamma_change = dist.generation
-            # gamma and xi are frozen for the rest of the generation, so
-            # precompute them once for the evaluation fan-out.
             xis = xi_factors(dist, constraints)
-            gammas = state.gammas
-
-            def penalized(genome, raw, _xis=xis, _gammas=gammas):
-                if not np.isfinite(raw):
-                    return raw
-                amount = penalty_amount(genome, _gammas, constraints, _xis)
-                return raw if amount == 0.0 else raw + amount
-        else:
-            def penalized(genome, raw):
-                return raw
+        penalize = functools.partial(penalized, constraints, state.gammas,
+                                     xis)
 
         if use_surrogate and len(archive) >= settings.min_archive_size:
             order, n_ic, _ = approximate_ranking_step(
                 population, archive, dist, params, settings, evaluator,
-                penalized)
+                penalize)
         else:
             for ind in population:
                 ind.raw_objective = evaluator(ind.genome)
-                ind.penalized_objective = penalized(ind.genome,
-                                                    ind.raw_objective)
+                ind.penalized_objective = penalize(ind.genome,
+                                                   ind.raw_objective)
                 ind.evaluated_by = EvaluationSource.TRUE_FUNCTION
             order = rank_population(population)
             n_ic = 0
@@ -529,21 +543,13 @@ class BatchResult:
     records: list[RunRecord]
     targets: list[float]
 
-    def aligned_best(self) -> np.ndarray:
-        """(n_runs, max_generations) best-so-far, padded with final values."""
+    def aligned(self, series) -> np.ndarray:
+        """(n_runs, max_generations) of `series(record)`, each run padded
+        with its final value (e.g. `RunRecord.best_so_far`)."""
         width = max(len(r.rows) for r in self.records)
         out = np.empty((len(self.records), width))
         for i, record in enumerate(self.records):
-            values = record.best_so_far()
-            out[i, :len(values)] = values
-            out[i, len(values):] = values[-1]
-        return out
-
-    def aligned_evaluations(self) -> np.ndarray:
-        width = max(len(r.rows) for r in self.records)
-        out = np.empty((len(self.records), width))
-        for i, record in enumerate(self.records):
-            values = record.true_evaluations()
+            values = series(record)
             out[i, :len(values)] = values
             out[i, len(values):] = values[-1]
         return out
@@ -578,8 +584,8 @@ def run_batch(config: RunConfig, out_dir=None) -> BatchResult:
 
 def _write_batch_outputs(result: BatchResult, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    best = result.aligned_best()
-    evals = result.aligned_evaluations()
+    best = result.aligned(RunRecord.best_so_far)
+    evals = result.aligned(RunRecord.true_evaluations)
     lines = ["schema_version,generation,mean_true_evaluations,"
              "mean_best_objective,std_best_objective"]
     for g in range(best.shape[1]):
@@ -660,7 +666,7 @@ def compare_optimizers(config: RunConfig, out_dir=None) -> ComparisonResult:
     labels = [first, second if second != first else f"{second}#2"]
     batches = {}
     for label, name in zip(labels, config.optimizers):
-        sub_config = _with_optimizer(config, name)
+        sub_config = replace(config, optimizer=name)
         sub_dir = (os.path.join(out_dir,
                                 label.replace("+", "_").replace("#", "_"))
                    if out_dir is not None else None)
@@ -675,11 +681,6 @@ def compare_optimizers(config: RunConfig, out_dir=None) -> ComparisonResult:
         _atomic_write(os.path.join(out_dir, "report.txt"),
                       comparison_report_text(result))
     return result
-
-
-def _with_optimizer(config: RunConfig, name: str) -> RunConfig:
-    from dataclasses import replace
-    return replace(config, optimizer=name)
 
 
 def _comparison_csv(result: ComparisonResult) -> str:

@@ -56,7 +56,7 @@ def quadratic_basis_matrix(points: np.ndarray) -> np.ndarray:
                            points, np.ones((k, 1))], axis=1)
 
 
-def kernel(zeta: float) -> float:
+def kernel(zeta: float | np.ndarray) -> float | np.ndarray:
     """Biquadratic weighting kernel K(zeta) = (1 - zeta^2)^2."""
     return (1.0 - zeta ** 2) ** 2
 
@@ -64,38 +64,41 @@ def kernel(zeta: float) -> float:
 class TrainingArchive:
     """Append-only store of (genome, true objective) pairs.
 
-    Exact-duplicate genomes are skipped and non-finite objectives are
-    refused, so the archive always provides clean regression data. The
-    store is unbounded; nearest-neighbor queries are linear scans.
+    The archive is also the memo of true evaluations: `lookup` answers
+    for every genome ever added, finite or not. Only finite pairs become
+    regression data (`len`, `as_arrays`), and exact-duplicate genomes are
+    skipped, so the regression data stay clean. The store is unbounded;
+    nearest-neighbor queries are linear scans.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
         self._genomes: list[np.ndarray] = []
         self._values: list[float] = []
-        self._index: dict[bytes, int] = {}
+        self._index: dict[bytes, float] = {}
         self._matrix: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self._genomes)
 
     def add(self, genome: np.ndarray, value: float) -> bool:
-        """Insert one evaluation; returns False for duplicates/non-finite."""
-        if not np.isfinite(value):
-            return False
+        """Record one evaluation; returns True when it became regression
+        data (False for duplicates and non-finite values)."""
         genome = np.asarray(genome, dtype=float)
         key = genome.tobytes()
         if key in self._index:
             return False
-        self._index[key] = len(self._genomes)
+        self._index[key] = float(value)
+        if not np.isfinite(value):
+            return False
         self._genomes.append(genome.copy())
         self._values.append(float(value))
         self._matrix = None
         return True
 
     def lookup(self, genome: np.ndarray) -> float | None:
-        idx = self._index.get(np.asarray(genome, dtype=float).tobytes())
-        return self._values[idx] if idx is not None else None
+        """The recorded value of `genome`, or None if it was never added."""
+        return self._index.get(np.asarray(genome, dtype=float).tobytes())
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         if self._matrix is None:
@@ -155,7 +158,7 @@ class LocalQuadraticModel:
 
 
 class MahalanobisMetric:
-    """Distance d(z, q) = sqrt((z-q)^T C^{-1} (z-q)) for a fixed SPD C."""
+    """Distances d(z, q) = sqrt((z-q)^T C^{-1} (z-q)) for a fixed SPD C."""
 
     def __init__(self, covariance: np.ndarray):
         C = np.asarray(covariance, dtype=float)
@@ -164,23 +167,14 @@ class MahalanobisMetric:
         # these sizes; C is floored SPD upstream so L is well-conditioned.
         self._inv_chol_t = np.linalg.inv(chol).T
 
-    def distance(self, z: np.ndarray, q: np.ndarray) -> float:
-        v = (np.asarray(z, float) - np.asarray(q, float)) @ self._inv_chol_t
-        return float(np.linalg.norm(v))
-
     def distances_to(self, points: np.ndarray, q: np.ndarray) -> np.ndarray:
         diff = np.asarray(points, dtype=float) - np.asarray(q, dtype=float)
         v = diff @ self._inv_chol_t
         return np.sqrt(np.sum(v * v, axis=1))
 
 
-def mahalanobis_distance(z: np.ndarray, q: np.ndarray,
-                         covariance: np.ndarray) -> float:
-    return MahalanobisMetric(covariance).distance(z, q)
-
-
 def select_neighbors(archive: TrainingArchive, q: np.ndarray,
-                     covariance: np.ndarray | MahalanobisMetric, k: int
+                     metric: MahalanobisMetric, k: int
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The k archive entries nearest to q; ties keep insertion order.
 
@@ -189,8 +183,6 @@ def select_neighbors(archive: TrainingArchive, q: np.ndarray,
     if len(archive) < k:
         raise SurrogateUnavailable(
             f"archive holds {len(archive)} points, need {k}")
-    metric = (covariance if isinstance(covariance, MahalanobisMetric)
-              else MahalanobisMetric(covariance))
     points, values = archive.as_arrays()
     distances = metric.distances_to(points, q)
     chosen = np.argsort(distances, kind="stable")[:k]
@@ -231,7 +223,7 @@ def fit_local_model(neighbor_genomes: np.ndarray, neighbor_values: np.ndarray,
     h = float(d[-1])
     if not h > 0:
         raise SurrogateUnavailable("zero bandwidth: neighbors coincide with q")
-    weights = (1.0 - np.minimum(d / h, 1.0) ** 2) ** 2
+    weights = kernel(np.minimum(d / h, 1.0))
 
     diff = X - q
     scale = math.sqrt(float(np.mean(diff ** 2)))
@@ -278,14 +270,6 @@ def _solve_normal_equations(A: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 def predict(model: LocalQuadraticModel, z: np.ndarray) -> float:
     return float(model.beta @ quadratic_basis(z))
-
-
-def predict_at(archive: TrainingArchive, q: np.ndarray,
-               metric: MahalanobisMetric, k: int) -> float:
-    """Fit a local model centered at q and evaluate it there."""
-    genomes, values, distances = select_neighbors(archive, q, metric, k)
-    model = fit_local_model(genomes, values, distances, q)
-    return predict(model, q)
 
 
 def ranking_continues(cycle: int, lam: int, max_cycle_fraction: float,
@@ -361,11 +345,13 @@ def approximate_ranking_step(population: list[Individual],
         evaluated[i] = True
         cached.pop(i, None)
         n_true += 1
-        new_point = population[i].genome
-        for j in list(cached):
-            raw_hat, radius = cached[j]
-            if metric.distance(new_point, population[j].genome) < radius:
-                del cached[j]
+        if cached:
+            held = list(cached)
+            distances = metric.distances_to(
+                [population[j].genome for j in held], population[i].genome)
+            for j, distance in zip(held, distances):
+                if distance < cached[j][1]:
+                    del cached[j]
 
     def predict_unevaluated():
         for i, ind in enumerate(population):

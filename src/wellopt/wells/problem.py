@@ -18,8 +18,8 @@ import numpy as np
 
 from ..constraints import SumConstraint
 from .economics import EconomicParams, drilling_cost, npv
-from .geometry import (GeometryVerdict, WellGeometry, check_geometry,
-                       decode_well, genome_dimension)
+from .geometry import (WellGeometry, check_geometry, decode_well,
+                       genome_dimension)
 from .grid import ReservoirGrid
 from .proxy import INJECTOR, PRODUCER, ProxyParams, simulate
 
@@ -136,11 +136,6 @@ class WellPlacementProblem:
             offset += well.dim
         return wells
 
-    def geometry_verdicts(self, genome: np.ndarray) -> list[GeometryVerdict]:
-        return [check_geometry(geometry, self.grid.extent,
-                               self.econ.max_well_length_m)
-                for geometry, _ in self.decode(genome)]
-
     def raw_objective(self, genome: np.ndarray) -> float:
         """-NPV for in-grid wells; a sloped large penalty otherwise.
 
@@ -148,31 +143,34 @@ class WellPlacementProblem:
         sum constraints and handled by the configured constraint
         machinery (adaptive penalization for CMA-ES, repair for the GA).
         """
-        wells = self.decode(genome)
-        out_of_bounds = sum(
-            check_geometry(geometry, self.grid.extent,
-                           self.econ.max_well_length_m).out_of_bounds_distance
-            for geometry, _ in wells)
+        return self._score(self.decode(genome))[0]
+
+    def _score(self, wells: list[tuple[WellGeometry, str]]):
+        """(objective, verdicts, profile, drilling cost) of decoded wells;
+        profile and cost are None unless the proxy ran successfully."""
+        verdicts = [check_geometry(geometry, self.grid.extent,
+                                   self.econ.max_well_length_m)
+                    for geometry, _ in wells]
+        out_of_bounds = sum(v.out_of_bounds_distance for v in verdicts)
         if out_of_bounds > 0.0:
-            return GEOMETRY_PENALTY_BASE + GEOMETRY_PENALTY_SLOPE * out_of_bounds
+            return (GEOMETRY_PENALTY_BASE
+                    + GEOMETRY_PENALTY_SLOPE * out_of_bounds,
+                    verdicts, None, None)
         try:
             profile = simulate(wells, self.grid, self.econ, self.proxy)
             cost = drilling_cost([g for g, _ in wells], self.econ)
-            return -npv(profile, self.econ, cost)
+            return -npv(profile, self.econ, cost), verdicts, profile, cost
         except (ValueError, FloatingPointError, ZeroDivisionError):
             # worst-case sentinel: never preferable to any scored candidate
             self.simulation_failures += 1
-            return 10.0 * GEOMETRY_PENALTY_BASE
-
-    def npv_of(self, genome: np.ndarray) -> float:
-        return -self.raw_objective(genome)
+            return 10.0 * GEOMETRY_PENALTY_BASE, verdicts, None, None
 
     def evaluate_detail(self, genome: np.ndarray) -> dict:
         """Full breakdown used by the CLI `evaluate` subcommand."""
         from .proxy import productivity_index
 
         wells = self.decode(genome)
-        verdicts = self.geometry_verdicts(genome)
+        objective, verdicts, profile, cost = self._score(wells)
         detail = {
             "wells": [
                 {
@@ -188,12 +186,9 @@ class WellPlacementProblem:
                 }
                 for (geometry, role), verdict in zip(wells, verdicts)
             ],
-            "objective": self.raw_objective(genome),
+            "objective": objective,
         }
-        in_grid = all(v.out_of_bounds_distance == 0.0 for v in verdicts)
-        if in_grid:
-            profile = simulate(wells, self.grid, self.econ, self.proxy)
-            cost = drilling_cost([g for g, _ in wells], self.econ)
+        if profile is not None:
             detail["production"] = {
                 "oil_bbl": profile.oil.tolist(),
                 "gas_bbl": profile.gas.tolist(),
@@ -201,5 +196,5 @@ class WellPlacementProblem:
                 "cumulative_oil_bbl": profile.cumulative_oil,
             }
             detail["drilling_cost"] = cost
-            detail["npv"] = npv(profile, self.econ, cost)
+            detail["npv"] = -objective
         return detail

@@ -13,13 +13,13 @@ import pytest
 
 from wellopt.benchmarks import rosenbrock
 from wellopt.cma import Individual, SearchDistribution, default_strategy_params
-from wellopt.constraints import PenaltyState, SumConstraint, penalize
+from wellopt.constraints import PenaltyState, SumConstraint, xi_factors
 from wellopt.harness import (RunConfig, build_problem, evaluations_to_target,
-                             run_cma, run_ga, run_single)
-from wellopt.metamodel import (TrainingArchive, approximate_ranking_step,
-                               basis_size, default_surrogate_settings,
-                               fit_local_model, predict, quadratic_basis,
-                               select_neighbors)
+                             penalized, run_cma, run_ga, run_single)
+from wellopt.metamodel import (MahalanobisMetric, TrainingArchive,
+                               approximate_ranking_step, basis_size,
+                               default_surrogate_settings, fit_local_model,
+                               predict, quadratic_basis, select_neighbors)
 from wellopt.wells import (FEET_PER_METER, EconomicParams, ProductionProfile,
                            genome_dimension, npv)
 
@@ -152,7 +152,8 @@ class TestCriterion3PenaltyIdentities:
                     - sum(log_diag) / n))
                 total += state.gammas[j] * (q_feas - q) ** 2 / xi
             expected = raw + total / m
-            got = penalize(x, raw, state, constraints, dist)
+            got = penalized(constraints, state.gammas,
+                            xi_factors(dist, constraints), x, raw)
             if feasible:
                 assert got == raw
                 checked_feasible += 1
@@ -183,7 +184,9 @@ class TestCriterion4MetamodelExactness:
             for point in rng.uniform(-2, 2, (basis_size(n) + 5, n)):
                 archive.add(point, fn(point))
             q = rng.uniform(-1, 1, n)
-            neighbors = select_neighbors(archive, q, np.eye(n), len(archive))
+            neighbors = select_neighbors(archive, q,
+                                         MahalanobisMetric(np.eye(n)),
+                                         len(archive))
             model = fit_local_model(*neighbors, q)
             for z in rng.uniform(-1.5, 1.5, (100, n)):
                 expected = fn(z)

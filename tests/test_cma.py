@@ -4,8 +4,16 @@ import pytest
 from wellopt.cma import (CONDITION_CAP, Diagnostics, EvaluationSource,
                          Individual, SearchDistribution, StrategyParams,
                          check_termination, default_strategy_params,
-                         rank_population, sample_population, update_mean,
+                         rank_population, sample_individual,
+                         sampling_transform, update_mean,
                          update_strategy_state)
+
+
+def draw_population(dist, params, rng, diagnostics=None):
+    """lambda draws through the run loop's sampling path."""
+    transform = sampling_transform(dist, diagnostics)
+    return [Individual(genome=sample_individual(dist, transform, rng))
+            for _ in range(params.lam)]
 
 
 def make_population(values):
@@ -41,7 +49,7 @@ class TestSampling:
         n = 3
         params = default_strategy_params(n, 2000, max_generations=10)
         dist = SearchDistribution.initial(np.zeros(n), 1.0)
-        pop = sample_population(dist, params, np.random.default_rng(1))
+        pop = draw_population(dist, params, np.random.default_rng(1))
         assert len(pop) == 2000
         assert all(ind.penalized_objective is None for ind in pop)
         assert all(ind.evaluated_by is EvaluationSource.UNSET for ind in pop)
@@ -60,7 +68,7 @@ class TestSampling:
                                   covariance=np.diag([1.0, 4.0]),
                                   path_sigma=np.zeros(2), path_c=np.zeros(2))
         params = default_strategy_params(2, 100_000, max_generations=1)
-        pop = sample_population(dist, params, np.random.default_rng(7))
+        pop = draw_population(dist, params, np.random.default_rng(7))
         genomes = np.array([ind.genome for ind in pop])
         variances = genomes.var(axis=0)
         expected = sigma ** 2 * np.array([1.0, 4.0])
@@ -73,11 +81,32 @@ class TestSampling:
                                   path_sigma=np.zeros(2), path_c=np.zeros(2))
         params = default_strategy_params(2, 4)
         diagnostics = Diagnostics()
-        pop = sample_population(dist, params, np.random.default_rng(0),
-                                diagnostics)
+        pop = draw_population(dist, params, np.random.default_rng(0),
+                              diagnostics)
         assert len(pop) == 4
         assert diagnostics.covariance_repairs == 1
         assert all(np.all(np.isfinite(ind.genome)) for ind in pop)
+
+    def test_each_floored_matrix_counted_once(self):
+        # The singular C is floored once although termination, sampling
+        # and the update all read it; the updated C is floored again.
+        dist = SearchDistribution(mean=np.zeros(2), step_size=1.0,
+                                  covariance=np.array([[1.0, 1.0],
+                                                       [1.0, 1.0]]),
+                                  path_sigma=np.zeros(2), path_c=np.zeros(2))
+        params = default_strategy_params(2, 4)
+        diagnostics = Diagnostics()
+        check_termination(dist, params, [], diagnostics=diagnostics)
+        pop = draw_population(dist, params, np.random.default_rng(0),
+                              diagnostics)
+        assert diagnostics.covariance_repairs == 1
+        for i, ind in enumerate(pop):
+            ind.penalized_objective = float(i)
+        order = rank_population(pop)
+        old_mean = dist.mean
+        dist.mean = update_mean(dist, params, pop, order)
+        update_strategy_state(dist, params, pop, order, old_mean, diagnostics)
+        assert diagnostics.covariance_repairs == 2
 
 
 class TestRanking:
@@ -169,7 +198,7 @@ class TestMeanUpdate:
 
 
 def evolve_once(dist, params, rng, objective):
-    pop = sample_population(dist, params, rng)
+    pop = draw_population(dist, params, rng)
     for ind in pop:
         ind.raw_objective = objective(ind.genome)
         ind.penalized_objective = ind.raw_objective

@@ -6,8 +6,10 @@ import pytest
 from wellopt.cma import SearchDistribution, StrategyParams
 from wellopt.constraints import (MAX_RESAMPLES, PenaltyState, SumConstraint,
                                  constraint_violation, maybe_increase_gammas,
-                                 maybe_set_gammas, mean_is_feasible, penalize,
-                                 sample_with_rejection, should_reject)
+                                 maybe_set_gammas, mean_is_feasible,
+                                 sample_with_rejection, should_reject,
+                                 xi_factors)
+from wellopt.harness import penalized
 
 
 def make_dist(n, sigma=1.0, covariance=None, generation=0):
@@ -258,7 +260,8 @@ class TestPenalize:
         state = PenaltyState(n_constraints=1, dim=2, lam=4)
         state.gammas[:] = 123.0
         raw = 0.7071067811865476
-        out = penalize(np.array([0.2, 0.3]), raw, state, [c], make_dist(2))
+        out = penalized([c], state.gammas, xi_factors(make_dist(2), [c]),
+                        np.array([0.2, 0.3]), raw)
         assert out == raw
 
     def test_identity_covariance_arithmetic(self):
@@ -266,8 +269,8 @@ class TestPenalize:
         c = SumConstraint(indices=(0,), lower=-1.0, upper=1.0)
         state = PenaltyState(n_constraints=1, dim=3, lam=4)
         state.gammas[:] = 5.0
-        out = penalize(np.array([3.0, 0.0, 0.0]), 1.5, state, [c],
-                       make_dist(3))
+        out = penalized([c], state.gammas, xi_factors(make_dist(3), [c]),
+                        np.array([3.0, 0.0, 0.0]), 1.5)
         assert out == pytest.approx(1.5 + 20.0, rel=1e-14)
 
     def test_matches_eq8_oracle_on_random_inputs(self):
@@ -289,25 +292,30 @@ class TestPenalize:
             x = rng.uniform(-4, 4, n)
             raw = float(rng.standard_normal())
             expected = eq8_oracle(x, raw, state.gammas, constraints, C)
-            got = penalize(x, raw, state, constraints, dist)
+            got = penalized(constraints, state.gammas,
+                            xi_factors(dist, constraints), x, raw)
             assert got == pytest.approx(expected, rel=1e-12)
 
     def test_nonfinite_raw_propagates(self):
         c = SumConstraint(indices=(0,), lower=-1.0, upper=1.0)
         state = PenaltyState(n_constraints=1, dim=1, lam=4)
-        assert math.isnan(penalize(np.array([5.0]), float("nan"), state, [c],
-                                   make_dist(1)))
-        assert penalize(np.array([5.0]), float("inf"), state, [c],
-                        make_dist(1)) == float("inf")
+        xis = xi_factors(make_dist(1), [c])
+        assert math.isnan(penalized([c], state.gammas, xis, np.array([5.0]),
+                                    float("nan")))
+        assert penalized([c], state.gammas, xis, np.array([5.0]),
+                         float("inf")) == float("inf")
+
+    def test_unconstrained_returns_raw_exactly(self):
+        assert penalized([], np.zeros(0), None, np.array([5.0]), 2.5) == 2.5
 
     def test_penalty_positive_outside_and_monotone_in_distance(self):
         c = SumConstraint(indices=(0,), lower=-1.0, upper=1.0)
         state = PenaltyState(n_constraints=1, dim=1, lam=4)
         state.gammas[:] = 2.0
-        dist = make_dist(1)
+        xis = xi_factors(make_dist(1), [c])
         previous = 0.0
         for q in np.linspace(1.01, 6.0, 25):
-            penalty = penalize(np.array([q]), 0.0, state, [c], dist)
+            penalty = penalized([c], state.gammas, xis, np.array([q]), 0.0)
             assert penalty > previous
             previous = penalty
 

@@ -5,7 +5,7 @@ import pytest
 
 from wellopt.harness import (Evaluator, RunConfig, build_problem,
                              compare_optimizers, evaluations_to_target,
-                             run_batch, run_single)
+                             run_batch, run_cma, run_single)
 from wellopt.metamodel import TrainingArchive
 
 
@@ -70,6 +70,21 @@ class TestConfig:
             RunConfig.from_dict({"problem": {"kind": "sphere", "dimension": 2},
                                  "seeds": []})
 
+    @pytest.mark.parametrize("overrides, key", [
+        ({"rejection_fraction": 0.0}, "rejection_fraction"),
+        ({"rejection_fraction": -1.0}, "rejection_fraction"),
+        ({"surrogate": {"k": 30, "min_archive_size": 50,
+                        "max_cycle_fraction": 7.0}}, "max_cycle_fraction"),
+        ({"surrogate": {"k": 30, "min_archive_size": 50,
+                        "max_cycle_fraction": 0.0}}, "max_cycle_fraction"),
+        ({"population_size": 1}, "population_size"),
+    ])
+    def test_out_of_range_values_rejected_at_load(self, overrides, key):
+        data = {"problem": {"kind": "sphere", "dimension": 2}}
+        data.update(overrides)
+        with pytest.raises(ValueError, match=key):
+            RunConfig.from_dict(data)
+
     def test_optimizers_pair_validated(self):
         with pytest.raises(ValueError, match="optimizers"):
             RunConfig.from_dict({"problem": {"kind": "sphere", "dimension": 2},
@@ -94,10 +109,26 @@ class TestEvaluator:
             calls.append(1)
             return float(x.sum())
 
-        evaluator = Evaluator(fn)
+        evaluator = Evaluator(fn, TrainingArchive(2))
         x = np.array([1.0, 2.0])
         assert evaluator(x) == evaluator(x) == 3.0
         assert len(calls) == 1
+
+    def test_nonfinite_value_memoized_but_not_archived(self):
+        calls = []
+
+        def fn(x):
+            calls.append(1)
+            return float("nan")
+
+        archive = TrainingArchive(2)
+        evaluator = Evaluator(fn, archive)
+        x = np.array([1.0, 2.0])
+        assert np.isnan(evaluator(x))
+        assert np.isnan(evaluator(x))
+        assert len(calls) == 1
+        assert evaluator.count == 1
+        assert len(archive) == 0
 
 
 class TestRunSingle:
@@ -190,6 +221,28 @@ class TestRunSingle:
         gammas = np.array([row.gammas for row in record.rows])
         assert np.all(np.diff(gammas, axis=0) >= 0)
         assert gammas[-1, 0] > 0   # the run actually engaged the penalty
+
+
+@pytest.mark.parametrize("optimizer", ["cma", "cma+surrogate"])
+def test_one_eigendecomposition_per_covariance(monkeypatch, optimizer):
+    # one floored eigh of the stored C (shared by termination, sampling
+    # and the update) plus one of the updated C, per generation
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def counted(*args, _solver=solver, **kwargs):
+            calls.append(1)
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    config = sphere_config(optimizer=optimizer, max_generations=30,
+                           constraints=[{"indices": [0, 1], "lower": -1.0,
+                                         "upper": 1.0}])
+    record = run_cma(build_problem(config), config, 1,
+                     use_surrogate=optimizer == "cma+surrogate")
+    assert record.termination_reason == "max_generations"
+    assert len(calls) == 2 * len(record.rows)
 
 
 class TestRunBatch:

@@ -5,11 +5,11 @@ import pytest
 
 import wellopt.metamodel as mm
 from wellopt.cma import Individual, SearchDistribution, default_strategy_params
-from wellopt.metamodel import (LocalQuadraticModel, SurrogateSettings,
-                               SurrogateUnavailable, TrainingArchive,
-                               approximate_ranking_step, basis_size,
-                               default_surrogate_settings, fit_local_model,
-                               kernel, mahalanobis_distance, predict,
+from wellopt.metamodel import (LocalQuadraticModel, MahalanobisMetric,
+                               SurrogateSettings, SurrogateUnavailable,
+                               TrainingArchive, approximate_ranking_step,
+                               basis_size, default_surrogate_settings,
+                               fit_local_model, kernel, predict,
                                quadratic_basis, select_neighbors)
 
 
@@ -17,6 +17,14 @@ def make_dist(n, covariance=None):
     C = np.eye(n) if covariance is None else np.asarray(covariance, float)
     return SearchDistribution(mean=np.zeros(n), step_size=1.0, covariance=C,
                               path_sigma=np.zeros(n), path_c=np.zeros(n))
+
+
+def mahalanobis(z, q, covariance):
+    return MahalanobisMetric(covariance).distances_to(np.atleast_2d(z), q)[0]
+
+
+def euclidean(n):
+    return MahalanobisMetric(np.eye(n))
 
 
 def fill_archive(archive, points, fn):
@@ -44,6 +52,17 @@ class TestArchive:
         assert not archive.add(np.array([0.0]), float("nan"))
         assert not archive.add(np.array([0.0]), float("inf"))
         assert len(archive) == 0
+
+    def test_nonfinite_values_are_remembered(self):
+        # the archive is the evaluation memo: a non-finite value is looked
+        # up like any other, but never becomes regression data
+        archive = TrainingArchive(1)
+        archive.add(np.array([0.0]), float("nan"))
+        assert math.isnan(archive.lookup(np.array([0.0])))
+        assert not archive.add(np.array([0.0]), 1.0)
+        assert archive.lookup(np.array([1.0])) is None
+        assert len(archive) == 0
+        assert archive.as_arrays()[0].shape == (0, 1)
 
     def test_csv_round_trip(self, tmp_path):
         archive = TrainingArchive(3)
@@ -76,12 +95,12 @@ class TestSettings:
 
 class TestMahalanobis:
     def test_identity_is_euclidean(self):
-        d = mahalanobis_distance(np.array([3.0, 4.0]), np.zeros(2), np.eye(2))
+        d = mahalanobis(np.array([3.0, 4.0]), np.zeros(2), np.eye(2))
         assert d == pytest.approx(5.0, rel=1e-14)
 
     def test_zero_iff_same_point(self):
         z = np.array([1.0, -2.0, 0.5])
-        assert mahalanobis_distance(z, z, np.eye(3)) == 0.0
+        assert mahalanobis(z, z, np.eye(3)) == 0.0
 
     def test_matches_dense_inverse_oracle(self):
         rng = np.random.default_rng(1)
@@ -91,7 +110,7 @@ class TestMahalanobis:
             C = A.T @ A + 0.1 * np.eye(n)
             z, q = rng.standard_normal(n), rng.standard_normal(n)
             expected = math.sqrt((z - q) @ np.linalg.inv(C) @ (z - q))
-            assert mahalanobis_distance(z, q, C) == pytest.approx(
+            assert mahalanobis(z, q, C) == pytest.approx(
                 expected, rel=1e-9)
 
 
@@ -102,7 +121,7 @@ class TestSelectNeighbors:
         points = rng.standard_normal((7, 2))
         fill_archive(archive, points, lambda p: float(p @ p))
         genomes, values, distances = select_neighbors(
-            archive, np.zeros(2), np.eye(2), 7)
+            archive, np.zeros(2), euclidean(2), 7)
         assert genomes.shape == (7, 2)
         assert np.all(np.diff(distances) >= 0)
 
@@ -113,7 +132,7 @@ class TestSelectNeighbors:
                      lambda p: float(p @ p))
         target, _ = archive.as_arrays()
         q = target[13]
-        genomes, _, distances = select_neighbors(archive, q, np.eye(2), 5)
+        genomes, _, distances = select_neighbors(archive, q, euclidean(2), 5)
         assert np.array_equal(genomes[0], q)
         assert distances[0] == 0.0
 
@@ -121,7 +140,7 @@ class TestSelectNeighbors:
         archive = TrainingArchive(1)
         archive.add(np.array([0.0]), 1.0)
         with pytest.raises(SurrogateUnavailable):
-            select_neighbors(archive, np.zeros(1), np.eye(1), 5)
+            select_neighbors(archive, np.zeros(1), euclidean(1), 5)
 
     def test_matches_full_sort_oracle(self):
         rng = np.random.default_rng(4)
@@ -131,7 +150,8 @@ class TestSelectNeighbors:
         A = rng.standard_normal((3, 3))
         C = A.T @ A + 0.2 * np.eye(3)
         q = rng.standard_normal(3)
-        genomes, _, _ = select_neighbors(archive, q, C, 50)
+        genomes, _, _ = select_neighbors(archive, q, MahalanobisMetric(C),
+                                         50)
         inv = np.linalg.inv(C)
         scored = sorted(
             range(len(points)),
@@ -145,7 +165,7 @@ class TestSelectNeighbors:
         points = rng.standard_normal((200, 4))
         fill_archive(archive, points, lambda p: 0.5)
         q = rng.standard_normal(4)
-        genomes, _, _ = select_neighbors(archive, q, np.eye(4), 20)
+        genomes, _, _ = select_neighbors(archive, q, euclidean(4), 20)
         order = np.argsort(np.linalg.norm(points - q, axis=1), kind="stable")
         expected = points[order[:20]]
         assert np.array_equal(genomes, expected)
@@ -163,7 +183,7 @@ class TestKernelAndFit:
         archive = TrainingArchive(n)
         fill_archive(archive, rng.uniform(-2, 2, (basis_size(n) + 5, n)), fn)
         q = rng.uniform(-1, 1, n)
-        neighbors = select_neighbors(archive, q, np.eye(n), len(archive))
+        neighbors = select_neighbors(archive, q, euclidean(n), len(archive))
         model = fit_local_model(*neighbors, q)
         for z in rng.uniform(-1.5, 1.5, (100, n)):
             expected = fn(z)
@@ -176,7 +196,7 @@ class TestKernelAndFit:
         archive = TrainingArchive(n)
         fill_archive(archive, rng.uniform(-1, 1, (12, n)), lambda p: 4.25)
         q = np.zeros(n)
-        neighbors = select_neighbors(archive, q, np.eye(n), 12)
+        neighbors = select_neighbors(archive, q, euclidean(n), 12)
         model = fit_local_model(*neighbors, q)
         for z in rng.uniform(-1, 1, (20, n)):
             assert predict(model, z) == pytest.approx(4.25, rel=1e-6)

@@ -443,10 +443,24 @@ class TestWellPlacementProblem:
         assert v_out > v_in
 
     def test_npv_sign_convention(self, problem):
-        assert problem.npv_of(GOOD_GENOME) == -problem.raw_objective(GOOD_GENOME)
-
-    def test_evaluate_detail_reports_feasible_wells(self, problem):
         detail = problem.evaluate_detail(GOOD_GENOME)
+        assert detail["npv"] == -problem.raw_objective(GOOD_GENOME)
+
+    def test_evaluate_detail_reports_feasible_wells(self, problem,
+                                                    monkeypatch):
+        import wellopt.wells.problem as problem_module
+
+        calls = {"simulate": 0, "check_geometry": 0}
+        for name in calls:
+            original = getattr(problem_module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(problem_module, name, counted)
+        detail = problem.evaluate_detail(GOOD_GENOME)
+        assert calls == {"simulate": 1, "check_geometry": 2}
         assert len(detail["wells"]) == 2
         assert detail["wells"][0]["role"] == INJECTOR
         assert all(w["feasible"] for w in detail["wells"])
@@ -478,3 +492,7 @@ class TestWellPlacementProblem:
         assert value == 10.0 * GEOMETRY_PENALTY_BASE
         assert value > GEOMETRY_PENALTY_BASE   # worse than any scored point
         assert fresh.simulation_failures == 1
+        detail = fresh.evaluate_detail(GOOD_GENOME)
+        assert detail["objective"] == value
+        assert "npv" not in detail and "production" not in detail
+        assert fresh.simulation_failures == 2
