@@ -12,6 +12,8 @@ maximization problems are negated at the problem boundary.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -197,13 +199,19 @@ def sample_individual(dist: SearchDistribution, transform: np.ndarray,
     return dist.mean + dist.step_size * (transform @ z)
 
 
+def ranking_key(values: Sequence[float]):
+    """Sort key over indices into `values`: ascending value, ties by index,
+    and every non-finite value (NaN, +-inf) after all finite ones."""
+    return lambda i: ((0, values[i], i) if math.isfinite(values[i])
+                      else (1, 0.0, i))
+
+
 def rank_population(population: list[Individual]) -> list[int]:
-    """Indices ordered by ascending penalized objective, ties by index."""
-    for ind in population:
-        if ind.penalized_objective is None:
-            raise ValueError("cannot rank: unset penalized objective")
-    return sorted(range(len(population)),
-                  key=lambda i: (population[i].penalized_objective, i))
+    """Indices ordered by `ranking_key` of the penalized objectives."""
+    values = [ind.penalized_objective for ind in population]
+    if None in values:
+        raise ValueError("cannot rank: unset penalized objective")
+    return sorted(range(len(values)), key=ranking_key(values))
 
 
 def update_mean(dist: SearchDistribution, params: StrategyParams,

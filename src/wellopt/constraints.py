@@ -43,9 +43,6 @@ class SumConstraint:
         object.__setattr__(self, "index_array",
                            np.array(self.indices, dtype=np.intp))
 
-    def coordinate_sum(self, x: np.ndarray) -> float:
-        return float(x[self.index_array].sum())
-
 
 def constraint_violation(x: np.ndarray, constraint: SumConstraint
                          ) -> tuple[float, float, float]:
@@ -55,7 +52,7 @@ def constraint_violation(x: np.ndarray, constraint: SumConstraint
     [lower, upper], and distance = |q - q_feas| (zero iff feasible;
     interval endpoints count as feasible).
     """
-    q = constraint.coordinate_sum(np.asarray(x, dtype=float))
+    q = float(np.asarray(x, dtype=float)[constraint.index_array].sum())
     q_feas = min(max(q, constraint.lower), constraint.upper)
     return q, q_feas, abs(q - q_feas)
 
@@ -179,10 +176,13 @@ def xi_factors(dist: SearchDistribution,
 def penalty_amount(x: np.ndarray, gammas: np.ndarray,
                    constraints: list[SumConstraint],
                    xis: np.ndarray) -> float:
-    """Mean over constraints of gamma_j * distance_j^2 / xi_j."""
+    """Mean over constraints of gamma_j * distance_j^2 / xi_j; a
+    single-coordinate sum is read exactly from one `x.tolist()`."""
+    coords = x.tolist()
     total = 0.0
     for j, constraint in enumerate(constraints):
-        q = constraint.coordinate_sum(x)
+        q = (coords[constraint.indices[0]] if len(constraint.indices) == 1
+             else float(x[constraint.index_array].sum()))
         q_feas = min(max(q, constraint.lower), constraint.upper)
         distance = abs(q - q_feas)
         if distance > 0.0:

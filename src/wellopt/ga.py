@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cma import ranking_key
 from .constraints import SumConstraint, constraint_violation
 
 BISECTION_STEPS = 30
@@ -52,8 +53,8 @@ class GaParams:
 
 
 def rank_by_fitness(fitnesses: np.ndarray) -> list[int]:
-    """Indices ordered by ascending fitness (minimization), ties by index."""
-    return sorted(range(len(fitnesses)), key=lambda i: (fitnesses[i], i))
+    """Indices ordered by `ranking_key` (minimization; non-finite last)."""
+    return sorted(range(len(fitnesses)), key=ranking_key(fitnesses))
 
 
 def select_parent(order: list[int], rng: np.random.Generator) -> int:

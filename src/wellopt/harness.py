@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import os
+import tempfile
 from dataclasses import dataclass, field, replace
 from importlib import resources
 
@@ -347,10 +348,19 @@ class RunRecord:
 
 
 def _atomic_write(path, text: str):
-    tmp = str(path) + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Replace `path` through a unique temporary file in its directory,
+    removed on failure, with the mode a plain `open` would give."""
+    umask = os.umask(0)
+    os.umask(umask)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def evaluations_to_target(record: RunRecord, target: float) -> int | None:

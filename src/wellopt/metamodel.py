@@ -18,9 +18,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .cma import EvaluationSource, Individual, SearchDistribution, StrategyParams
+from .cma import (EvaluationSource, Individual, SearchDistribution,
+                  StrategyParams, ranking_key)
 
 RIDGE_SCALE = 1e-8
 
@@ -44,16 +45,6 @@ def quadratic_basis(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     i_idx, j_idx = _cross_indices(z.shape[0])
     return np.concatenate([z * z, z[i_idx] * z[j_idx], z, [1.0]])
-
-
-def quadratic_basis_matrix(points: np.ndarray) -> np.ndarray:
-    """Row-wise `quadratic_basis` for a (k, n) matrix of points."""
-    points = np.asarray(points, dtype=float)
-    k, n = points.shape
-    i_idx, j_idx = _cross_indices(n)
-    return np.concatenate([points * points,
-                           points[:, i_idx] * points[:, j_idx],
-                           points, np.ones((k, 1))], axis=1)
 
 
 def kernel(zeta: float | np.ndarray) -> float | np.ndarray:
@@ -149,12 +140,14 @@ def default_surrogate_settings(dim: int) -> SurrogateSettings:
 
 @dataclass
 class LocalQuadraticModel:
-    """Fitted quadratic; beta is in the raw `quadratic_basis` ordering."""
+    """Fitted quadratic, beta in `quadratic_basis` ordering over the centred,
+    scaled u = (z - center) / scale: beta[-1] is the value at the centre."""
 
     beta: np.ndarray
     center: np.ndarray
     bandwidth: float
     neighbors_used: int
+    scale: float = 1.0
 
 
 class MahalanobisMetric:
@@ -189,34 +182,19 @@ def select_neighbors(archive: TrainingArchive, q: np.ndarray,
     return points[chosen], values[chosen], distances[chosen]
 
 
-def _unshift_coefficients(quad: np.ndarray, lin: np.ndarray, const: float,
-                          q: np.ndarray, scale: float) -> np.ndarray:
-    """Convert a fit in u = (z - q)/s coordinates to raw-basis beta."""
-    n = q.shape[0]
-    Q = quad / scale ** 2
-    c = lin / scale
-    i_idx, j_idx = _cross_indices(n)
-    squares = np.diag(Q)
-    cross = 2.0 * Q[i_idx, j_idx]
-    linear = -2.0 * (Q @ q) + c
-    constant = float(q @ Q @ q - c @ q + const)
-    return np.concatenate([squares, cross, linear, [constant]])
-
-
 def fit_local_model(neighbor_genomes: np.ndarray, neighbor_values: np.ndarray,
                     neighbor_distances: np.ndarray, q: np.ndarray
                     ) -> LocalQuadraticModel:
     """Kernel-weighted least-squares fit of a full quadratic around q.
 
     The bandwidth is the distance of the k-th (farthest) neighbor, which
-    therefore receives weight exactly zero. The system is solved via the
-    weighted normal equations; a trace-scaled ridge term (intercept
-    excluded) is added if the design is rank-deficient. Coordinates are
-    centered and scaled internally for conditioning; the returned beta is
-    expressed in the raw basis.
+    therefore receives weight exactly zero. The model lives in centred,
+    scaled coordinates u = (z - q) / s (s the RMS neighbor offset). The
+    design is written basis-row-major with y as its last row, so one
+    product gives the weighted normal equations A beta = b, solved by
+    Cholesky with a trace-scaled ridge (intercept excluded) as fallback.
     """
     X = np.asarray(neighbor_genomes, dtype=float)
-    y = np.asarray(neighbor_values, dtype=float)
     d = np.asarray(neighbor_distances, dtype=float)
     k, n = X.shape
     p = basis_size(n)
@@ -225,51 +203,50 @@ def fit_local_model(neighbor_genomes: np.ndarray, neighbor_values: np.ndarray,
         raise SurrogateUnavailable("zero bandwidth: neighbors coincide with q")
     weights = kernel(np.minimum(d / h, 1.0))
 
-    diff = X - q
-    scale = math.sqrt(float(np.mean(diff ** 2)))
+    center = np.array(q, dtype=float)
+    i_idx, j_idx = _cross_indices(n)
+    cross = n + len(i_idx)
+    rows = np.empty((p + 1, k))
+    U = rows[cross:p - 1]
+    np.subtract(X.T, center[:, None], out=U)
+    scale = math.sqrt(float((U * U).sum()) / U.size)
     if not scale > 0:
         scale = 1.0
-    U = diff / scale
-    design = quadratic_basis_matrix(U)
+    U /= scale
+    np.multiply(U, U, out=rows[:n])
+    np.multiply(U[i_idx], U[j_idx], out=rows[n:cross])
+    rows[p - 1] = 1.0
+    rows[p] = neighbor_values
 
-    A = design.T @ (weights[:, None] * design)
-    b = design.T @ (weights * y)
-    beta_u = _solve_normal_equations(A, b, p)
+    normal = (rows[:p] * weights) @ rows.T
+    beta = _solve_normal_equations(normal[:, :p], normal[:, p], p)
+    return LocalQuadraticModel(beta=beta, center=center, bandwidth=h,
+                               neighbors_used=k, scale=scale)
 
-    quad = np.zeros((n, n))
-    i_idx, j_idx = _cross_indices(n)
-    np.fill_diagonal(quad, beta_u[:n])
-    quad[i_idx, j_idx] = beta_u[n:n + len(i_idx)] / 2.0
-    quad[j_idx, i_idx] = quad[i_idx, j_idx]
-    lin = beta_u[n + len(i_idx):p - 1]
-    const = float(beta_u[p - 1])
-    beta = _unshift_coefficients(quad, lin, const, np.asarray(q, float), scale)
-    return LocalQuadraticModel(beta=beta, center=np.asarray(q, float).copy(),
-                               bandwidth=h, neighbors_used=k)
+
+def _cholesky_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """x with A x = b by LAPACK potrf/potrs; None unless A is SPD, x finite."""
+    factor, info = dpotrf(A, lower=1, clean=0)
+    if info == 0:
+        x, info = dpotrs(factor, b, lower=1)
+        if info == 0 and np.isfinite(x).all():
+            return x
+    return None
 
 
 def _solve_normal_equations(A: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    try:
-        beta = cho_solve(cho_factor(A, lower=True, check_finite=False), b,
-                         check_finite=False)
-        if np.all(np.isfinite(beta)):
-            return beta
-    except np.linalg.LinAlgError:
-        pass
-    ridge = RIDGE_SCALE * max(np.trace(A), np.finfo(float).tiny) / p
-    damped = A + ridge * np.diag([1.0] * (p - 1) + [0.0])
-    try:
-        beta = cho_solve(cho_factor(damped, lower=True, check_finite=False), b,
-                         check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SurrogateUnavailable("degenerate local design matrix") from exc
-    if not np.all(np.isfinite(beta)):
+    beta = _cholesky_solve(A, b)
+    if beta is None:
+        ridge = RIDGE_SCALE * max(np.trace(A), np.finfo(float).tiny) / p
+        beta = _cholesky_solve(A + ridge * np.diag([1.0] * (p - 1) + [0.0]), b)
+    if beta is None:
         raise SurrogateUnavailable("degenerate local design matrix")
     return beta
 
 
 def predict(model: LocalQuadraticModel, z: np.ndarray) -> float:
-    return float(model.beta @ quadratic_basis(z))
+    u = (np.asarray(z, dtype=float) - model.center) / model.scale
+    return float(model.beta @ quadratic_basis(u))
 
 
 def ranking_continues(cycle: int, lam: int, max_cycle_fraction: float,
@@ -372,7 +349,7 @@ def approximate_ranking_step(population: list[Individual],
             values[i] = ind.penalized_objective
 
     def current_order() -> list[int]:
-        return sorted(range(lam), key=lambda i: (values[i], i))
+        return sorted(range(lam), key=ranking_key(values))
 
     n_ic = 0
     try:

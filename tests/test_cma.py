@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wellopt.cma import (CONDITION_CAP, Diagnostics, EvaluationSource,
                          Individual, SearchDistribution, StrategyParams,
                          check_termination, default_strategy_params,
-                         rank_population, sample_individual,
+                         rank_population, ranking_key, sample_individual,
                          sampling_transform, update_mean,
                          update_strategy_state)
 
@@ -142,6 +146,31 @@ class TestRanking:
         pop[1].penalized_objective = None
         with pytest.raises(ValueError):
             rank_population(pop)
+
+    def test_nan_ranks_last(self):
+        values = [3.0, math.nan, 1.0, 2.0, 0.5]
+        assert rank_population(make_population(values)) == [4, 2, 3, 0, 1]
+
+    def test_infinities_rank_after_finite_values_by_index(self):
+        values = [math.inf, 1.0, -math.inf, math.nan, 0.0]
+        assert rank_population(make_population(values)) == [4, 1, 0, 2, 3]
+
+    @settings(deadline=None)
+    @given(st.lists(st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([math.nan, math.inf, -math.inf])), max_size=30))
+    def test_ranking_key_is_total_order_under_nonfinite(self, values):
+        order = sorted(range(len(values)), key=ranking_key(values))
+        assert sorted(order) == list(range(len(values)))
+        finite = [i for i in order if math.isfinite(values[i])]
+        nonfinite = [i for i in order if not math.isfinite(values[i])]
+        assert order == finite + nonfinite
+        assert nonfinite == sorted(nonfinite)
+        ranked = [values[i] for i in finite]
+        assert ranked == sorted(ranked)
+        # equal finite values keep index order
+        assert all(a < b for a, b in zip(finite, finite[1:])
+                   if values[a] == values[b])
 
 
 class TestMeanUpdate:

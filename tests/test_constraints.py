@@ -7,8 +7,8 @@ from wellopt.cma import SearchDistribution, StrategyParams
 from wellopt.constraints import (MAX_RESAMPLES, PenaltyState, SumConstraint,
                                  constraint_violation, maybe_increase_gammas,
                                  maybe_set_gammas, mean_is_feasible,
-                                 sample_with_rejection, should_reject,
-                                 xi_factors)
+                                 penalty_amount, sample_with_rejection,
+                                 should_reject, xi_factors)
 from wellopt.harness import penalized
 
 
@@ -318,6 +318,25 @@ class TestPenalize:
             penalty = penalized([c], state.gammas, xis, np.array([q]), 0.0)
             assert penalty > previous
             previous = penalty
+
+    @pytest.mark.parametrize("sizes", [(1, 1, 1), (2, 3), (1, 3, 1, 2)])
+    def test_penalty_amount_equals_per_constraint_violation_sum(self, sizes):
+        # single-coordinate constraints take the x.tolist() path, the
+        # others the indexed sum; both must give the oracle's float exactly
+        rng = np.random.default_rng(sum(sizes))
+        n = 6
+        constraints = [SumConstraint(
+            indices=tuple(rng.choice(n, size=size, replace=False)),
+            lower=-0.5 * size, upper=0.5 * size) for size in sizes]
+        gammas = rng.uniform(0.1, 50.0, len(sizes))
+        xis = rng.uniform(0.2, 5.0, len(sizes))
+        for _ in range(200):
+            x = rng.uniform(-2.0, 2.0, n)
+            distances = [constraint_violation(x, c)[2] for c in constraints]
+            terms = [gammas[j] * d * d / xis[j]
+                     for j, d in enumerate(distances)]
+            assert penalty_amount(x, gammas, constraints, xis) == \
+                sum(terms) / len(constraints)
 
     def test_mean_feasibility_helper(self):
         c = SumConstraint(indices=(0, 1), lower=-1.0, upper=1.0)

@@ -54,6 +54,10 @@ class TestSelection:
         hits = sum(select_parent(order, rng) == 1 for _ in range(draws))
         assert hits / draws == pytest.approx(2.0 / 3.0, abs=0.01)
 
+    def test_nan_fitness_ranks_last(self):
+        order = rank_by_fitness(np.array([3.0, np.nan, 1.0, 2.0, 0.5]))
+        assert order == [4, 2, 3, 0, 1]
+
     def test_equal_fitness_frequencies_follow_rank_after_tiebreak(self):
         rng = np.random.default_rng(2)
         n = 4

@@ -1,8 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
+import wellopt.harness as harness
 from wellopt.harness import (Evaluator, RunConfig, build_problem,
                              compare_optimizers, evaluations_to_target,
                              run_batch, run_cma, run_single)
@@ -243,6 +245,45 @@ def test_one_eigendecomposition_per_covariance(monkeypatch, optimizer):
                      use_surrogate=optimizer == "cma+surrogate")
     assert record.termination_reason == "max_generations"
     assert len(calls) == 2 * len(record.rows)
+
+
+class TestAtomicWrite:
+    def test_replaces_target_and_leaves_no_temporary(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+        harness._atomic_write(path, "new\n")
+        assert path.read_text() == "new\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_mode_matches_plain_open(self, tmp_path):
+        reference = tmp_path / "reference.csv"
+        reference.write_text("")
+        path = tmp_path / "out.csv"
+        harness._atomic_write(path, "new\n")
+        assert path.stat().st_mode == reference.stat().st_mode
+
+    def test_fixed_tmp_name_is_not_used(self, tmp_path):
+        # a stale or foreign "<path>.tmp" is neither reused nor clobbered
+        path = tmp_path / "out.csv"
+        stale = tmp_path / "out.csv.tmp"
+        stale.write_text("someone else's\n")
+        harness._atomic_write(path, "new\n")
+        assert stale.read_text() == "someone else's\n"
+        assert path.read_text() == "new\n"
+
+    def test_failed_write_removes_temporary_and_keeps_target(
+            self, tmp_path, monkeypatch):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(harness.os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            harness._atomic_write(path, "new\n")
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
 
 
 class TestRunBatch:

@@ -243,8 +243,83 @@ class TestKernelAndFit:
         with pytest.raises(SurrogateUnavailable):
             fit_local_model(points, values, distances, np.zeros(2))
 
+    def test_prediction_at_centre_is_the_intercept(self):
+        rng = np.random.default_rng(14)
+        n = 4
+        archive = TrainingArchive(n)
+        fill_archive(archive, rng.uniform(-1, 1, (40, n)),
+                     lambda p: float(np.sum(np.sin(3 * p))))
+        q = rng.uniform(-0.5, 0.5, n)
+        model = fit_local_model(
+            *select_neighbors(archive, q, euclidean(n), 30), q)
+        assert predict(model, q) == model.beta[-1]
+        assert np.array_equal(model.center, q)
+        assert model.scale > 0
+
+    def test_matches_weighted_lstsq_in_12_dimensions(self):
+        # independent oracle: weighted least squares in raw coordinates,
+        # solved by np.linalg.lstsq (SVD) instead of normal equations
+        rng = np.random.default_rng(15)
+        n = 12
+        k = default_surrogate_settings(n).k
+        archive = TrainingArchive(n)
+        fill_archive(archive, rng.uniform(-1, 1, (300, n)),
+                     lambda p: float(p @ p + np.sum(np.sin(2 * p))))
+        metric = MahalanobisMetric(np.diag(rng.uniform(0.5, 2.0, n)))
+        q = rng.uniform(-0.5, 0.5, n)
+        genomes, values, distances = select_neighbors(archive, q, metric, k)
+        model = fit_local_model(genomes, values, distances, q)
+
+        root_w = np.sqrt(kernel(distances / distances[-1]))
+        design = np.array([quadratic_basis(g) for g in genomes])
+        beta, *_ = np.linalg.lstsq(root_w[:, None] * design, root_w * values,
+                                   rcond=None)
+        for z in [q, *(q + 0.1 * rng.standard_normal((10, n)))]:
+            expected = float(beta @ quadratic_basis(z))
+            assert predict(model, z) == pytest.approx(expected, rel=1e-8)
+
+    def test_rank_deficient_neighbourhood_takes_ridge_path(self, monkeypatch):
+        # every neighbor shares q's second coordinate, so the z2 terms of
+        # the design vanish and the plain Cholesky factorization fails
+        factorizations = []
+        real_dpotrf = mm.dpotrf
+
+        def counting_dpotrf(*args, **kwargs):
+            factor, info = real_dpotrf(*args, **kwargs)
+            factorizations.append(info)
+            return factor, info
+
+        monkeypatch.setattr(mm, "dpotrf", counting_dpotrf)
+        rng = np.random.default_rng(16)
+        q = np.array([0.1, 0.4])
+        points = np.column_stack([rng.uniform(-1, 1, 12), np.full(12, 0.4)])
+        distances = np.abs(points[:, 0] - q[0])
+        order = np.argsort(distances, kind="stable")
+        points, distances = points[order], distances[order]
+        model = fit_local_model(points, points[:, 0] ** 2, distances, q)
+        assert len(factorizations) == 2
+        assert factorizations[0] != 0 and factorizations[1] == 0
+        assert math.isfinite(predict(model, q))
+        assert predict(model, q) == pytest.approx(q[0] ** 2, abs=1e-6)
+
+    def test_fully_degenerate_neighbourhood_unavailable(self):
+        # all neighbors coincide away from q: every kernel weight is zero
+        points = np.ones((8, 2))
+        distances = np.full(8, math.sqrt(2.0))
+        with pytest.raises(SurrogateUnavailable):
+            fit_local_model(points, np.arange(8.0), distances, np.zeros(2))
+
 
 class TestPredict:
+    def test_centred_scaled_coordinates(self):
+        # f(u) = u1^2 + 3 with u = (z - (1, 2)) / 2: at z = (3, 2), u = (1, 0)
+        beta = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 3.0])
+        model = LocalQuadraticModel(beta=beta, center=np.array([1.0, 2.0]),
+                                    bandwidth=1.0, neighbors_used=6,
+                                    scale=2.0)
+        assert predict(model, np.array([3.0, 2.0])) == 4.0
+        assert predict(model, np.array([1.0, 2.0])) == 3.0
+
     def test_constant_only_beta(self):
         model = LocalQuadraticModel(
             beta=np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0]),
@@ -323,6 +398,28 @@ class TestApproximateRanking:
         truth = sorted(range(lam),
                        key=lambda i: (fn(population[i].genome), i))
         assert order == truth
+
+    def test_nan_objective_ranks_last(self):
+        # a NaN ranking objective must not scramble the finite order
+        fn = lambda z: float((z[0] - 0.2) ** 2)
+        lam = 8
+        population, archive, params, settings = seeded_setup(lam, fn)
+        poisoned = population[3].genome
+
+        def true_eval(genome):
+            value = fn(genome)
+            archive.add(genome, value)
+            return value
+
+        def penalize(genome, raw):
+            return math.nan if genome is poisoned else raw
+
+        order, _, _ = approximate_ranking_step(
+            population, archive, make_dist(1), params, settings, true_eval,
+            penalize)
+        assert order[-1] == 3
+        ranked = [population[i].penalized_objective for i in order[:-1]]
+        assert ranked == sorted(ranked)
 
     def test_first_evaluation_is_predicted_best(self):
         fn = lambda z: float((z[0] - 0.2) ** 2)
