@@ -30,6 +30,9 @@ def _cmd_optimize(args) -> int:
         if record.covariance_repairs:
             print(f"note: {record.covariance_repairs} covariance "
                   f"eigenvalue repairs applied")
+        if record.simulation_failures:
+            print(f"note: {record.simulation_failures} proxy simulation "
+                  f"failures scored with the worst-case objective")
     else:
         result = run_batch(config, out_dir)
         print(batch_summary_text(result), end="")

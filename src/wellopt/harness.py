@@ -317,6 +317,7 @@ class RunRecord:
     final_mean: np.ndarray | None = None
     archive: TrainingArchive | None = None
     covariance_repairs: int = 0
+    simulation_failures: int = 0   # proxy runs scored with the sentinel
 
     @property
     def final(self) -> RunRow:
@@ -533,6 +534,8 @@ def run_single(config: RunConfig, seed: int,
     else:
         record = run_cma(problem, config, seed,
                          use_surrogate=config.optimizer == "cma+surrogate")
+    if problem.well_problem is not None:
+        record.simulation_failures = problem.well_problem.simulation_failures
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         record.write_csv(os.path.join(out_dir, f"run_{seed}.csv"))

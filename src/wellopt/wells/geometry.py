@@ -166,7 +166,8 @@ def check_geometry(geometry: WellGeometry, extent: np.ndarray,
     clamped = np.clip(points, 0.0, extent)
     distances = np.linalg.norm(points - clamped, axis=1)
     out_of_bounds = float(np.sum(distances))
-    excess = max(0.0, geometry.total_length - max_length)
-    feasible = out_of_bounds == 0.0 and geometry.total_length < max_length
+    total_length = geometry.total_length
+    excess = max(0.0, total_length - max_length)
+    feasible = out_of_bounds == 0.0 and total_length < max_length
     return GeometryVerdict(feasible=feasible, length_excess=excess,
                            out_of_bounds_distance=out_of_bounds)

@@ -3,12 +3,17 @@
 The bundled demonstration grid mirrors a 19 x 28 x 5 block layout and is
 generated from a fixed seed with two high-porosity, high-oil-saturation
 lobes, so repository runs are reproducible from the data file alone.
+
+A grid is immutable: its fields cannot be rebound and its arrays are
+read-only copies, so the values derived from it once (`extent`,
+`invariants`) cannot go stale.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -17,7 +22,38 @@ DEFAULT_CELL_SIZE = (180.0, 180.0, 24.0)
 GRID_SCHEMA_VERSION = 1
 
 
-@dataclass
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+class GridInvariants:
+    """Values the flow proxy reads on every evaluation, derived once from
+    a grid. Every array is read-only."""
+
+    __slots__ = ("centers", "center_columns", "oil_in_place", "permeability",
+                 "cell_size", "max_index", "strides", "extent", "planes")
+
+    def __init__(self, grid: "ReservoirGrid"):
+        cell = _read_only(np.array(grid.cell_size))
+        _, ny, nz = grid.dims
+        self.centers = _read_only(grid.cell_centers())   # (n_cells, 3)
+        self.center_columns = tuple(
+            _read_only(np.ascontiguousarray(self.centers[:, axis]))
+            for axis in range(3))
+        self.oil_in_place = _read_only(grid.oil_in_place_per_cell())
+        self.permeability = grid.permeability.ravel()    # C-order
+        self.cell_size = cell
+        self.max_index = _read_only(np.array(grid.dims) - 1)
+        self.strides = _read_only(np.array([ny * nz, nz, 1]))  # flat index
+        self.extent = tuple(grid.extent.tolist())
+        # interior grid planes per axis
+        self.planes = tuple(_read_only(np.arange(1, grid.dims[axis])
+                                       * cell[axis])
+                            for axis in range(3))
+
+
+@dataclass(frozen=True)
 class ReservoirGrid:
     dims: tuple[int, int, int]
     cell_size: tuple[float, float, float]
@@ -27,17 +63,21 @@ class ReservoirGrid:
     top_elevation: np.ndarray     # (nx, ny) depth of the top surface
 
     def __post_init__(self):
-        self.dims = tuple(int(d) for d in self.dims)
-        self.cell_size = tuple(float(s) for s in self.cell_size)
+        def store(name, value):
+            object.__setattr__(self, name, value)
+
+        store("dims", tuple(int(d) for d in self.dims))
+        store("cell_size", tuple(float(s) for s in self.cell_size))
         shape = self.dims
         for name in ("porosity", "oil_saturation", "permeability"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            setattr(self, name, arr)
+            arr = _read_only(np.array(getattr(self, name), dtype=float))
+            store(name, arr)
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite values")
-        self.top_elevation = np.asarray(self.top_elevation, dtype=float)
+        store("top_elevation",
+              _read_only(np.array(self.top_elevation, dtype=float)))
         if self.top_elevation.shape != shape[:2]:
             raise ValueError("top_elevation must have shape (nx, ny)")
         if np.any(self.porosity <= 0) or np.any(self.porosity >= 1):
@@ -47,10 +87,16 @@ class ReservoirGrid:
         if np.any(self.permeability <= 0):
             raise ValueError("permeability must be positive")
 
-    @property
+    @cached_property
     def extent(self) -> np.ndarray:
         """Physical box size (Lx, Ly, Lz) in length units."""
-        return np.array(self.dims, dtype=float) * np.array(self.cell_size)
+        return _read_only(np.array(self.dims, dtype=float)
+                          * np.array(self.cell_size))
+
+    @cached_property
+    def invariants(self) -> GridInvariants:
+        """The proxy's per-grid values, computed on first use."""
+        return GridInvariants(self)
 
     @property
     def cell_volume(self) -> float:

@@ -39,6 +39,41 @@ class TestOptimize:
             assert (out_dir / name).exists()
         assert "final best objective" in capsys.readouterr().out
 
+    def test_reports_simulation_failures(self, tmp_path, capsys,
+                                         monkeypatch):
+        import wellopt.wells.problem as problem_module
+
+        original = problem_module.simulate
+        calls = []
+
+        def fails_once(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                raise FloatingPointError("forced")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(problem_module, "simulate", fails_once)
+        path = tmp_path / "well.json"
+        path.write_text(json.dumps({
+            "problem": {"kind": "well_placement"},
+            "optimizer": "cma",
+            "population_size": 8,
+            "max_generations": 3,
+            "seeds": [1],
+        }))
+        code = main(["optimize", "--config", str(path), "--seed", "1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert len(calls) > 1
+        assert "note: 1 proxy simulation failures" in capsys.readouterr().out
+
+    def test_no_note_without_simulation_failures(self, sphere_config_file,
+                                                 tmp_path, capsys):
+        code = main(["optimize", "--config", str(sphere_config_file),
+                     "--seed", "1", "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert "simulation failures" not in capsys.readouterr().out
+
     def test_bad_config_is_nonzero_exit(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"problem": {"kind": "sphere",
