@@ -33,6 +33,9 @@ def _cmd_optimize(args) -> int:
         if record.simulation_failures:
             print(f"note: {record.simulation_failures} proxy simulation "
                   f"failures scored with the worst-case objective")
+        if record.nonfinite_evaluations:
+            print(f"note: {record.nonfinite_evaluations} true evaluations "
+                  f"returned a non-finite objective")
     else:
         result = run_batch(config, out_dir)
         print(batch_summary_text(result), end="")

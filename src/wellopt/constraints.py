@@ -44,6 +44,24 @@ class SumConstraint:
                            np.array(self.indices, dtype=np.intp))
 
 
+def _violation(x: np.ndarray, constraint: SumConstraint
+               ) -> tuple[float, float, float]:
+    """constraint_violation of a float array, with the bits of the numpy
+    form `q = x[index_array].sum()`, `q_feas = min(max(q, lower), upper)`.
+
+    A single coordinate is read directly; adding 0.0 turns -0.0 into 0.0,
+    as the sum's zero start does. The clamp returns q itself when q is
+    NaN or equals a bound, as min and max do (lower < upper holds).
+    """
+    if len(constraint.indices) == 1:
+        q = x.item(constraint.indices[0]) + 0.0
+    else:
+        q = float(x[constraint.index_array].sum())
+    lower, upper = constraint.lower, constraint.upper
+    q_feas = lower if q < lower else upper if q > upper else q
+    return q, q_feas, abs(q - q_feas)
+
+
 def constraint_violation(x: np.ndarray, constraint: SumConstraint
                          ) -> tuple[float, float, float]:
     """Return (q, q_feas, distance) for one genome and constraint.
@@ -52,9 +70,7 @@ def constraint_violation(x: np.ndarray, constraint: SumConstraint
     [lower, upper], and distance = |q - q_feas| (zero iff feasible;
     interval endpoints count as feasible).
     """
-    q = float(np.asarray(x, dtype=float)[constraint.index_array].sum())
-    q_feas = min(max(q, constraint.lower), constraint.upper)
-    return q, q_feas, abs(q - q_feas)
+    return _violation(np.asarray(x, dtype=float), constraint)
 
 
 def should_reject(q: float, q_feas: float, rejection_fraction: float) -> bool:
@@ -176,15 +192,10 @@ def xi_factors(dist: SearchDistribution,
 def penalty_amount(x: np.ndarray, gammas: np.ndarray,
                    constraints: list[SumConstraint],
                    xis: np.ndarray) -> float:
-    """Mean over constraints of gamma_j * distance_j^2 / xi_j; a
-    single-coordinate sum is read exactly from one `x.tolist()`."""
-    coords = x.tolist()
+    """Mean over constraints of gamma_j * distance_j^2 / xi_j."""
     total = 0.0
     for j, constraint in enumerate(constraints):
-        q = (coords[constraint.indices[0]] if len(constraint.indices) == 1
-             else float(x[constraint.index_array].sum()))
-        q_feas = min(max(q, constraint.lower), constraint.upper)
-        distance = abs(q - q_feas)
+        distance = _violation(x, constraint)[2]
         if distance > 0.0:
             total += gammas[j] * distance * distance / xis[j]
     return total / len(constraints) if total else 0.0

@@ -212,9 +212,13 @@ class GaOptimizer:
             self.best_genome = x.copy()
 
     def _track_best(self):
-        idx = int(np.argmin(self.fitnesses))
-        if self.fitnesses[idx] < self.best_fitness:
-            self.best_fitness = float(self.fitnesses[idx])
+        # non-finite values never become the best (np.argmin would pick
+        # the first NaN)
+        values = np.where(np.isfinite(self.fitnesses), self.fitnesses,
+                          np.inf)
+        idx = int(np.argmin(values))
+        if values[idx] < self.best_fitness:
+            self.best_fitness = float(values[idx])
             self.best_genome = self.genomes[idx].copy()
 
     def step(self):

@@ -57,13 +57,14 @@ class Evaluator:
     The archive remembers every true evaluation, finite or not, so a
     genome is evaluated and counted at most once. Each finite counted
     value becomes one regression entry, which keeps reported totals
-    reconcilable with archive growth.
+    reconcilable with archive growth; `nonfinite` counts the others.
     """
 
     def __init__(self, fn, archive: TrainingArchive):
         self._fn = fn
         self.archive = archive
         self.count = 0
+        self.nonfinite = 0
 
     def __call__(self, genome: np.ndarray) -> float:
         genome = np.asarray(genome, dtype=float)
@@ -71,6 +72,8 @@ class Evaluator:
         if value is None:
             value = float(self._fn(genome))
             self.count += 1
+            if not math.isfinite(value):
+                self.nonfinite += 1
             self.archive.add(genome, value)
         return value
 
@@ -318,6 +321,7 @@ class RunRecord:
     archive: TrainingArchive | None = None
     covariance_repairs: int = 0
     simulation_failures: int = 0   # proxy runs scored with the sentinel
+    nonfinite_evaluations: int = 0   # true evaluations that were NaN or inf
 
     @property
     def final(self) -> RunRow:
@@ -491,7 +495,8 @@ def run_cma(problem: BuiltProblem, config: RunConfig, seed: int,
                      dim=dim, n_constraints=len(constraints), rows=rows,
                      termination_reason=reason, final_mean=dist.mean.copy(),
                      archive=archive,
-                     covariance_repairs=diagnostics.covariance_repairs)
+                     covariance_repairs=diagnostics.covariance_repairs,
+                     nonfinite_evaluations=evaluator.nonfinite)
 
 
 def run_ga(problem: BuiltProblem, config: RunConfig, seed: int) -> RunRecord:
@@ -520,7 +525,8 @@ def run_ga(problem: BuiltProblem, config: RunConfig, seed: int) -> RunRecord:
         rows.append(snapshot(generation))
     return RunRecord(seed=seed, optimizer="ga", problem=problem.name,
                      dim=problem.dim, n_constraints=len(problem.constraints),
-                     rows=rows, termination_reason="max_generations")
+                     rows=rows, termination_reason="max_generations",
+                     nonfinite_evaluations=evaluator.nonfinite)
 
 
 def run_single(config: RunConfig, seed: int,
@@ -639,9 +645,14 @@ def batch_summary_text(result: BatchResult) -> str:
         lines.append(f"final best NPV: median {fmt(np.median(npvs))}, "
                      f"mean {fmt(np.mean(npvs))}")
     for record in result.records:
-        lines.append(f"  seed {record.seed}: best {fmt(record.final.best_objective)} "
-                     f"after {record.final.true_evaluations} evaluations "
-                     f"({record.termination_reason})")
+        line = (f"  seed {record.seed}: "
+                f"best {fmt(record.final.best_objective)} "
+                f"after {record.final.true_evaluations} evaluations "
+                f"({record.termination_reason})")
+        if record.covariance_repairs or record.simulation_failures:
+            line += (f", covariance_repairs {record.covariance_repairs}, "
+                     f"simulation_failures {record.simulation_failures}")
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 

@@ -10,6 +10,8 @@ azimuth from +x; each step is expressed in the global Cartesian frame.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +24,27 @@ def genome_dimension(n_deviations: int, n_branches: int, n_wells: int = 1) -> in
     return n_wells * (3 * (1 + n_deviations) + 4 * n_branches)
 
 
-def spherical_step(r: float, theta: float, phi: float) -> np.ndarray:
-    return r * np.array([np.sin(theta) * np.cos(phi),
-                         np.sin(theta) * np.sin(phi),
-                         np.cos(theta)])
+def _sum(values: list[float]) -> float:
+    """np.sum of the values, with its bits: np.sum adds fewer than 8 terms
+    left to right from 0.0; longer sums go to np.sum (pairwise order)."""
+    if len(values) >= 8:
+        return float(np.sum(values))
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _norm(dx: float, dy: float, dz: float) -> float:
+    """One row of np.linalg.norm(rows, axis=1), with its bits: the squares
+    are added as (dx^2 + dy^2) + dz^2."""
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
+
+
+def _steps(points: list[list[float]]) -> list[list[float]]:
+    """np.diff of the polyline points along the rows."""
+    return [[b[0] - a[0], b[1] - a[1], b[2] - a[2]]
+            for a, b in zip(points, points[1:])]
 
 
 @dataclass
@@ -56,8 +75,8 @@ class WellGeometry:
 
     @property
     def mainbore_length(self) -> float:
-        steps = np.diff(self.mainbore, axis=0)
-        return float(np.sum(np.linalg.norm(steps, axis=1)))
+        steps = _steps(self.mainbore.tolist())
+        return _sum([_norm(*step) for step in steps])
 
     @property
     def total_length(self) -> float:
@@ -84,16 +103,21 @@ def point_at_arclength(mainbore: np.ndarray, arclength: float) -> np.ndarray:
     The arc length is clamped to [0, total length]; values landing on a
     vertex interpolate trivially within the containing segment.
     """
-    steps = np.diff(mainbore, axis=0)
-    lengths = np.linalg.norm(steps, axis=1)
-    total = float(np.sum(lengths))
-    s = min(max(arclength, 0.0), total)
+    points = np.asarray(mainbore, dtype=float).tolist()
+    return np.array(_point_at_arclength(points, arclength))
+
+
+def _point_at_arclength(points: list[list[float]],
+                        arclength: float) -> list[float]:
+    steps = _steps(points)
+    lengths = [_norm(*step) for step in steps]
+    s = min(max(arclength, 0.0), _sum(lengths))
     for i, seg_len in enumerate(lengths):
         if s <= seg_len or i == len(lengths) - 1:
             t = s / seg_len if seg_len > 0 else 0.0
-            return mainbore[i] + t * steps[i]
+            return [p + t * d for p, d in zip(points[i], steps[i])]
         s -= seg_len
-    return mainbore[-1]
+    return list(points[-1])
 
 
 def decode_well(genome_slice: np.ndarray, n_deviations: int,
@@ -104,21 +128,33 @@ def decode_well(genome_slice: np.ndarray, n_deviations: int,
     if g.shape != (expected,):
         raise ValueError(f"expected genome slice of length {expected}, "
                          f"got {g.shape}")
-    points = np.empty((n_deviations + 1, 3))
-    points[0] = g[:3]
+    coords = g.tolist()
+    # numpy's float64 trig, not the math module's: numpy may use its own
+    # SIMD routines, whose bits can differ from the C library's
+    sines = np.sin(g).tolist()
+    cosines = np.cos(g).tolist()
+
+    def step(at: int) -> tuple[float, float, float]:
+        """The Cartesian step of the (r, theta, phi) at coords[at]."""
+        r, sin_theta = coords[at], sines[at + 1]
+        return (r * (sin_theta * cosines[at + 2]),
+                r * (sin_theta * sines[at + 2]),
+                r * cosines[at + 1])
+
+    points = [coords[:3]]
     offset = 3
-    for i in range(n_deviations):
-        r, theta, phi = g[offset:offset + 3]
-        points[i + 1] = points[i] + spherical_step(r, theta, phi)
+    for _ in range(n_deviations):
+        (x, y, z), (dx, dy, dz) = points[-1], step(offset)
+        points.append([x + dx, y + dy, z + dz])
         offset += 3
     branches = []
     for _ in range(n_branches):
-        l, r, theta, phi = g[offset:offset + 4]
-        start = point_at_arclength(points, l)
-        branches.append(Branch(start_arclength=float(l), start=start,
-                               end=start + spherical_step(r, theta, phi)))
+        start = _point_at_arclength(points, coords[offset])
+        end = [p + d for p, d in zip(start, step(offset + 1))]
+        branches.append(Branch(start_arclength=coords[offset],
+                               start=np.array(start), end=np.array(end)))
         offset += 4
-    return WellGeometry(mainbore=points, branches=branches)
+    return WellGeometry(mainbore=np.array(points), branches=branches)
 
 
 def encode_well(geometry: WellGeometry) -> np.ndarray:
@@ -153,7 +189,7 @@ class GeometryVerdict:
     out_of_bounds_distance: float
 
 
-def check_geometry(geometry: WellGeometry, extent: np.ndarray,
+def check_geometry(geometry: WellGeometry, extent: Sequence[float],
                    max_length: float) -> GeometryVerdict:
     """Feasibility of one well against the grid box and length cap.
 
@@ -161,11 +197,18 @@ def check_geometry(geometry: WellGeometry, extent: np.ndarray,
     out-of-bounds measure is the summed Euclidean distance of offending
     points to the box [0, extent]. Length excess is max(0, total - L_max).
     """
-    extent = np.asarray(extent, dtype=float)
-    points = geometry.defining_points()
-    clamped = np.clip(points, 0.0, extent)
-    distances = np.linalg.norm(points - clamped, axis=1)
-    out_of_bounds = float(np.sum(distances))
+    lx, ly, lz = map(float, extent)
+    # defining_points(), as floats
+    points = (geometry.mainbore.tolist()
+              + [branch.end.tolist() for branch in geometry.branches])
+    distances = []
+    for x, y, z in points:
+        # point minus its clamp onto the box; a NaN stays NaN, as in
+        # np.clip, and the sign of a zero is squared away
+        distances.append(_norm(x - (0.0 if x < 0.0 else lx if x > lx else x),
+                               y - (0.0 if y < 0.0 else ly if y > ly else y),
+                               z - (0.0 if z < 0.0 else lz if z > lz else z)))
+    out_of_bounds = _sum(distances)
     total_length = geometry.total_length
     excess = max(0.0, total_length - max_length)
     feasible = out_of_bounds == 0.0 and total_length < max_length

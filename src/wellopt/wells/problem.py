@@ -148,7 +148,8 @@ class WellPlacementProblem:
     def _score(self, wells: list[tuple[WellGeometry, str]]):
         """(objective, verdicts, profile, drilling cost) of decoded wells;
         profile and cost are None unless the proxy ran successfully."""
-        verdicts = [check_geometry(geometry, self.grid.extent,
+        extent = self.grid.invariants.extent   # Python floats
+        verdicts = [check_geometry(geometry, extent,
                                    self.econ.max_well_length_m)
                     for geometry, _ in wells]
         out_of_bounds = sum(v.out_of_bounds_distance for v in verdicts)

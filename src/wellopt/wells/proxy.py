@@ -24,11 +24,13 @@ Cost: the grid is read-only and the values the proxy reads on every call
 (cell centres, oil in place, grid planes, extent) are computed once per
 grid (`ReservoirGrid.invariants`). Cell intersections and drainage
 distances are numpy passes whose bits must match a per-piece loop and a
-row-wise norm; tests/test_wells.py keeps those loops as the reference.
+row-wise norm; decoding and the geometry check (`wells/geometry.py`)
+work on Python floats whose bits must match their numpy forms;
+tests/test_wells.py keeps the loop and numpy versions as the reference.
 Traced `well_cma` benchmark run (seed 1, 2-core x86-64 host, one BLAS
-thread): 194 us median per objective evaluation; per evaluation, 14 us
-decoding, 44 us geometry checks, 41 us productivity indices (both
-wells), 34 us drainable oil and 6 us NPV.
+thread): 142 us median per objective evaluation; per evaluation, 9 us
+decoding, 8 us geometry checks, 38 us productivity indices (both
+wells), 31 us drainable oil and 6 us NPV.
 """
 
 from __future__ import annotations

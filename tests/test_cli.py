@@ -74,6 +74,31 @@ class TestOptimize:
         assert code == 0
         assert "simulation failures" not in capsys.readouterr().out
 
+    def test_reports_nonfinite_evaluations(self, sphere_config_file,
+                                           tmp_path, capsys, monkeypatch):
+        import wellopt.harness as harness
+
+        original = harness.sphere
+        calls = []
+
+        def nan_once(x, center):
+            calls.append(None)
+            return float("nan") if len(calls) == 2 else original(x, center)
+
+        monkeypatch.setattr(harness, "sphere", nan_once)
+        code = main(["optimize", "--config", str(sphere_config_file),
+                     "--seed", "1", "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert ("note: 1 true evaluations returned a non-finite objective"
+                in capsys.readouterr().out)
+
+    def test_no_note_without_nonfinite_evaluations(self, sphere_config_file,
+                                                   tmp_path, capsys):
+        code = main(["optimize", "--config", str(sphere_config_file),
+                     "--seed", "1", "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert "non-finite" not in capsys.readouterr().out
+
     def test_bad_config_is_nonzero_exit(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"problem": {"kind": "sphere",

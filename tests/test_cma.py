@@ -289,6 +289,31 @@ class TestStrategyUpdate:
             values = np.linalg.eigvalsh(C)
             assert values[0] >= floor_scale * np.trace(C) / n * (1 - 1e-9)
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 8), lam=st.integers(4, 16),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_covariance_stays_spd_under_arbitrary_rankings(self, n, lam,
+                                                            seed, data):
+        """C stays symmetric positive definite whatever order the update
+        is told, here random permutations of the population."""
+        params = default_strategy_params(n, lam)
+        rng = np.random.default_rng(seed)
+        dist = SearchDistribution.initial(rng.uniform(-5, 5, n),
+                                          data.draw(st.floats(1e-3, 10.0)))
+        for _ in range(data.draw(st.integers(1, 12))):
+            population = draw_population(dist, params, rng)
+            order = data.draw(st.permutations(range(lam)))
+            old_mean = dist.mean
+            dist.mean = update_mean(dist, params, population, order)
+            dist = update_strategy_state(dist, params, population, order,
+                                         old_mean)
+            C = dist.covariance
+            assert np.array_equal(C, C.T)
+            assert np.all(np.isfinite(C))
+            np.linalg.cholesky(C)          # raises unless positive definite
+            assert np.linalg.eigvalsh(C)[0] > 0.0
+            assert dist.step_size > 0.0
+
     def test_generation_increments(self):
         params = default_strategy_params(2, 4)
         rng = np.random.default_rng(0)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wellopt.cma import SearchDistribution, StrategyParams
 from wellopt.constraints import (MAX_RESAMPLES, PenaltyState, SumConstraint,
@@ -25,6 +27,47 @@ def make_params(lam, mu, weights):
                           mu_eff=1.0 / np.sum(weights ** 2), c_sigma=0.3,
                           d_sigma=1.0, c_c=0.3, c_1=0.01, c_mu=0.01,
                           chi_n=1.0, max_generations=100)
+
+
+def numpy_constraint_violation(x, constraint):
+    """The numpy version of constraint_violation, kept verbatim as the
+    reference the direct single-coordinate read must match bit for bit."""
+    q = float(np.asarray(x, dtype=float)[constraint.index_array].sum())
+    q_feas = min(max(q, constraint.lower), constraint.upper)
+    return q, q_feas, abs(q - q_feas)
+
+
+def bits(values):
+    """Byte image of floats: stricter than ==, it also tells -0.0 from
+    0.0. Every NaN maps to one NaN: which NaN an operation on two NaNs
+    returns depends on the hardware's operand order."""
+    values = np.array(values, dtype=float)
+    values[np.isnan(values)] = np.nan
+    return values.tobytes()
+
+
+coordinate = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0]),
+                       st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def constrained_genomes(draw):
+    """A genome and single- and multi-coordinate constraints on it, with
+    bounds that are often exactly 0.0 or a coordinate's value."""
+    n = draw(st.integers(1, 12))
+    x = np.array([draw(coordinate) for _ in range(n)])
+    constraints = []
+    for _ in range(draw(st.integers(1, 6))):
+        indices = draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                max_size=min(n, 5), unique=True))
+        anchors = [v for v in x.tolist() if abs(v) <= 1e6] + [0.0]
+        bound = st.one_of(st.floats(-1e6, 1e6), st.sampled_from(anchors))
+        lower, upper = sorted([draw(bound), draw(bound)])
+        if lower == upper:
+            upper = lower + 1.0
+        constraints.append(SumConstraint(indices=tuple(indices), lower=lower,
+                                         upper=upper))
+    return x, constraints
 
 
 class TestSumConstraint:
@@ -67,6 +110,22 @@ class TestSumConstraint:
             assert got[1] == pytest.approx(q_feas, rel=1e-14)
             assert got[2] == pytest.approx(abs(q - q_feas), abs=1e-14)
 
+    @settings(max_examples=500, deadline=None)
+    @given(case=constrained_genomes())
+    def test_violation_matches_numpy_version(self, case):
+        x, constraints = case
+        for c in constraints:
+            assert bits(constraint_violation(x, c)) == bits(
+                numpy_constraint_violation(x, c))
+        assert mean_is_feasible(x, constraints) == all(
+            numpy_constraint_violation(x, c)[2] == 0.0 for c in constraints)
+
+    def test_single_coordinate_negative_zero_reads_as_zero(self):
+        # the numpy sum starts from 0.0, so -0.0 comes out as 0.0
+        c = SumConstraint(indices=(1,), lower=-1.0, upper=1.0)
+        assert bits(constraint_violation(np.array([5.0, -0.0]), c)[0]) == \
+            bits(0.0)
+
 
 class TestRejection:
     def test_far_violation_rejects(self):
@@ -92,6 +151,49 @@ class TestRejection:
         always_bad = lambda: np.array([50.0])
         x, resamples = sample_with_rejection(always_bad, [c], 0.2)
         assert resamples == MAX_RESAMPLES and x[0] == 50.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=constrained_genomes(), fraction=st.floats(0.01, 0.99),
+           stream=st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    def test_sampler_stops_within_max_resamples(self, case, fraction, stream):
+        """Any stream of draws: at most MAX_RESAMPLES redraws, every draw
+        but the last rejected, and the last accepted unless the cap hit."""
+        x, constraints = case
+        candidates = [x, -x, np.zeros(x.shape), np.full(x.shape, 1e12)]
+        draws = []
+
+        def draw():
+            draws.append(candidates[stream[len(draws) % len(stream)]])
+            return draws[-1]
+
+        def rejected(genome):
+            return any(should_reject(*constraint_violation(genome, c)[:2],
+                                     fraction) for c in constraints)
+
+        genome, resamples = sample_with_rejection(draw, constraints, fraction)
+        assert len(draws) == resamples + 1 <= MAX_RESAMPLES + 1
+        assert genome is draws[-1]
+        assert all(rejected(g) for g in draws[:-1])
+        if resamples < MAX_RESAMPLES:
+            assert not rejected(genome)
+        if all(rejected(candidates[i]) for i in stream):
+            assert resamples == MAX_RESAMPLES
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=constrained_genomes(), fraction=st.floats(0.01, 0.99))
+    def test_sampler_always_violating_draw_hits_the_cap(self, case, fraction):
+        _, constraints = case
+        far = np.full(case[0].shape, 1e12)   # beyond every upper bound
+        calls = []
+
+        def draw():
+            calls.append(None)
+            return far.copy()
+
+        genome, resamples = sample_with_rejection(draw, constraints, fraction)
+        assert resamples == MAX_RESAMPLES
+        assert len(calls) == MAX_RESAMPLES + 1
+        assert np.array_equal(genome, far)
 
     def test_no_constraints_single_draw(self):
         x, resamples = sample_with_rejection(lambda: np.array([9.9]), [], 0.2)
@@ -321,8 +423,9 @@ class TestPenalize:
 
     @pytest.mark.parametrize("sizes", [(1, 1, 1), (2, 3), (1, 3, 1, 2)])
     def test_penalty_amount_equals_per_constraint_violation_sum(self, sizes):
-        # single-coordinate constraints take the x.tolist() path, the
-        # others the indexed sum; both must give the oracle's float exactly
+        # single-coordinate constraints read the coordinate directly, the
+        # others take the indexed sum; both must give the oracle's float
+        # exactly
         rng = np.random.default_rng(sum(sizes))
         n = 6
         constraints = [SumConstraint(

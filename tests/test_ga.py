@@ -255,6 +255,20 @@ class TestGaGeneration:
         assert finals[0][0] == finals[1][0]
         assert np.array_equal(finals[0][1], finals[1][1])
 
+    @pytest.mark.parametrize("spike", [float("nan"), float("-inf"),
+                                       float("inf")])
+    def test_nonfinite_fitness_never_tracked_as_best(self, spike):
+        values = iter([spike, 3.0, 1.0, 2.0])
+
+        def objective(x):
+            return next(values, 5.0)
+
+        opt = GaOptimizer(self._params(pop=4), objective, [],
+                          np.random.default_rng(18))
+        opt.initialize()
+        assert opt.best_fitness == 1.0
+        assert np.array_equal(opt.best_genome, opt.genomes[2])
+
     def test_converges_on_sphere(self):
         rng = np.random.default_rng(17)
         opt = GaOptimizer(self._params(pop=30), sphere, [], rng)

@@ -133,6 +133,43 @@ class TestEvaluator:
         assert len(archive) == 0
 
 
+class TestNonfiniteEvaluations:
+    @staticmethod
+    def run_with(monkeypatch, tmp_path, optimizer, spikes):
+        """One seeded sphere run whose objective returns spikes[k] on its
+        k-th true evaluation; returns the record and the run CSV."""
+        original = harness.sphere
+        calls = []
+
+        def spiked(x, center):
+            calls.append(None)
+            return spikes.get(len(calls), original(x, center))
+
+        monkeypatch.setattr(harness, "sphere", spiked)
+        out_dir = tmp_path / f"{optimizer}-{len(list(tmp_path.iterdir()))}"
+        record = run_single(sphere_config(optimizer=optimizer,
+                                          max_generations=12), 1, out_dir)
+        return record, (out_dir / "run_1.csv").read_bytes()
+
+    @pytest.mark.parametrize("optimizer", ["cma", "ga"])
+    def test_counted_and_kept_out_of_the_csv(self, monkeypatch, tmp_path,
+                                             optimizer):
+        nan, inf = float("nan"), float("inf")
+        plain, _ = self.run_with(monkeypatch, tmp_path, optimizer, {})
+        assert plain.nonfinite_evaluations == 0
+        first, first_csv = self.run_with(monkeypatch, tmp_path, optimizer,
+                                         {3: nan, 17: inf})
+        again, again_csv = self.run_with(monkeypatch, tmp_path, optimizer,
+                                         {3: nan, 17: inf})
+        swapped, swapped_csv = self.run_with(monkeypatch, tmp_path, optimizer,
+                                             {3: inf, 17: nan})
+        assert first.nonfinite_evaluations == 2
+        assert again.nonfinite_evaluations == 2
+        assert swapped.nonfinite_evaluations == 2
+        # the count is not a CSV column, and NaN and +inf rank alike
+        assert first_csv == again_csv == swapped_csv
+
+
 class TestRunSingle:
     def test_best_so_far_non_increasing_and_csv_written(self, tmp_path):
         record = run_single(sphere_config(), 1, tmp_path)
@@ -320,6 +357,32 @@ class TestRunBatch:
         evals = evaluations_to_target(record, target)
         assert evals is not None
         assert evals <= record.rows[10].true_evaluations
+
+    def test_summary_reports_repairs_and_failures(self, monkeypatch):
+        import wellopt.wells.problem as problem_module
+
+        original = problem_module.simulate
+        calls = []
+
+        def fails_once(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                raise FloatingPointError("forced")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(problem_module, "simulate", fails_once)
+        config = RunConfig.from_dict({
+            "problem": {"kind": "well_placement"}, "optimizer": "cma",
+            "population_size": 8, "max_generations": 3, "seeds": [1, 2]})
+        result = run_batch(config)
+        assert [r.simulation_failures for r in result.records] == [1, 0]
+        assert [r.covariance_repairs for r in result.records] == [0, 0]
+        lines = harness.batch_summary_text(result).splitlines()
+        seed_1 = next(line for line in lines if "seed 1:" in line)
+        seed_2 = next(line for line in lines if "seed 2:" in line)
+        assert seed_1.endswith(
+            "(max_generations), covariance_repairs 0, simulation_failures 1")
+        assert seed_2.endswith("(max_generations)")
 
     def test_needs_two_seeds(self):
         with pytest.raises(ValueError, match="seeds"):

@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 
 from wellopt.harness import load_bundled_grid
 from wellopt.wells import (FEET_PER_METER, INJECTOR, PRODUCER, Branch,
-                           EconomicParams, ProductionProfile, ProxyParams,
-                           ReservoirGrid, WellGeometry, WellLayout,
-                           WellPlacementProblem, check_geometry, decode_well,
-                           drainable_oil_barrels, drilling_cost, encode_well,
-                           generate_synthetic_grid, genome_dimension, npv,
-                           point_at_arclength, productivity_index,
-                           segment_cell_intersections, simulate)
+                           EconomicParams, GeometryVerdict, ProductionProfile,
+                           ProxyParams, ReservoirGrid, WellGeometry,
+                           WellLayout, WellPlacementProblem, check_geometry,
+                           decode_well, drainable_oil_barrels, drilling_cost,
+                           encode_well, generate_synthetic_grid,
+                           genome_dimension, npv, point_at_arclength,
+                           productivity_index, segment_cell_intersections,
+                           simulate)
+from wellopt.wells.economics import _bore_cost
 from wellopt.wells.problem import GEOMETRY_PENALTY_BASE
 from wellopt.wells.proxy import BARRELS_PER_M3
 
@@ -563,6 +565,201 @@ class TestKernelsMatchLoopVersions:
         assert productivity_index(well, BUNDLED) == 0.0
 
 
+# The numpy versions of the geometry routines, kept verbatim as the
+# reference the Python-float ones must match bit for bit.
+def numpy_mainbore_length(well):
+    steps = np.diff(well.mainbore, axis=0)
+    return float(np.sum(np.linalg.norm(steps, axis=1)))
+
+
+def numpy_total_length(well):
+    return numpy_mainbore_length(well) + sum(b.length for b in well.branches)
+
+
+def numpy_drilling_cost(wells, econ):
+    total = 0.0
+    for well in wells:
+        total += _bore_cost(numpy_mainbore_length(well), econ)
+        for branch in well.branches:
+            total += _bore_cost(branch.length, econ)
+            total += econ.junction_cost
+    return total
+
+
+def numpy_spherical_step(r, theta, phi):
+    return r * np.array([np.sin(theta) * np.cos(phi),
+                         np.sin(theta) * np.sin(phi),
+                         np.cos(theta)])
+
+
+def numpy_point_at_arclength(mainbore, arclength):
+    steps = np.diff(mainbore, axis=0)
+    lengths = np.linalg.norm(steps, axis=1)
+    total = float(np.sum(lengths))
+    s = min(max(arclength, 0.0), total)
+    for i, seg_len in enumerate(lengths):
+        if s <= seg_len or i == len(lengths) - 1:
+            t = s / seg_len if seg_len > 0 else 0.0
+            return mainbore[i] + t * steps[i]
+        s -= seg_len
+    return mainbore[-1]
+
+
+def numpy_decode_well(genome_slice, n_deviations, n_branches):
+    g = np.asarray(genome_slice, dtype=float)
+    points = np.empty((n_deviations + 1, 3))
+    points[0] = g[:3]
+    offset = 3
+    for i in range(n_deviations):
+        r, theta, phi = g[offset:offset + 3]
+        points[i + 1] = points[i] + numpy_spherical_step(r, theta, phi)
+        offset += 3
+    branches = []
+    for _ in range(n_branches):
+        l, r, theta, phi = g[offset:offset + 4]
+        start = numpy_point_at_arclength(points, l)
+        branches.append(Branch(start_arclength=float(l), start=start,
+                               end=start + numpy_spherical_step(r, theta,
+                                                                phi)))
+        offset += 4
+    return WellGeometry(mainbore=points, branches=branches)
+
+
+def numpy_check_geometry(geometry, extent, max_length):
+    extent = np.asarray(extent, dtype=float)
+    points = geometry.defining_points()
+    clamped = np.clip(points, 0.0, extent)
+    distances = np.linalg.norm(points - clamped, axis=1)
+    out_of_bounds = float(np.sum(distances))
+    total_length = numpy_total_length(geometry)
+    excess = max(0.0, total_length - max_length)
+    feasible = out_of_bounds == 0.0 and total_length < max_length
+    return GeometryVerdict(feasible=feasible, length_excess=excess,
+                           out_of_bounds_distance=out_of_bounds)
+
+
+def bits(value):
+    """Byte image of a float or an array: stricter than ==, it also tells
+    -0.0 from 0.0. Every NaN maps to one NaN: which NaN an operation on
+    two NaNs (or inf - inf) returns depends on the hardware's operand
+    order, and any NaN means the same to every caller."""
+    value = np.array(value, dtype=float)
+    value[np.isnan(value)] = np.nan
+    return value.tobytes()
+
+
+def assert_same_well(got, want):
+    assert bits(got.mainbore) == bits(want.mainbore)
+    assert len(got.branches) == len(want.branches)
+    for a, b in zip(got.branches, want.branches):
+        assert bits(a.start_arclength) == bits(b.start_arclength)
+        assert bits(a.start) == bits(b.start)
+        assert bits(a.end) == bits(b.end)
+
+
+def box_coordinate(axis):
+    """A coordinate inside, outside either face of, or exactly on a face
+    of the bundled grid's box, or -0.0."""
+    extent = float(BUNDLED.extent[axis])
+    return st.one_of(st.floats(-0.5 * extent, 1.5 * extent),
+                     st.sampled_from([0.0, -0.0, extent]),
+                     st.floats(-1e-9, 1e-9),
+                     st.floats(extent - 1e-9, extent + 1e-9))
+
+
+@st.composite
+def well_genomes(draw):
+    """(genome slice, n_deviations, n_branches): up to 9 deviations and 3
+    branches, so up to 13 defining points; zero-length steps, angles on and
+    off the axes, branch offsets before, inside and past the mainbore."""
+    n_dev = draw(st.integers(0, 9))
+    n_br = draw(st.integers(0, 3))
+    radius = st.one_of(st.just(0.0), st.floats(0.0, 2000.0))
+    theta = st.one_of(st.sampled_from([0.0, math.pi / 2, math.pi]),
+                      st.floats(0.0, math.pi))
+    phi = st.one_of(st.sampled_from([-math.pi, 0.0, math.pi / 2, math.pi]),
+                    st.floats(-math.pi, math.pi))
+    genome = [draw(box_coordinate(axis)) for axis in range(3)]
+    for _ in range(n_dev):
+        genome += [draw(radius), draw(theta), draw(phi)]
+    for _ in range(n_br):
+        genome += [draw(st.floats(-100.0, 20000.0)), draw(radius),
+                   draw(theta), draw(phi)]
+    return np.array(genome), n_dev, n_br
+
+
+@st.composite
+def point_wells(draw):
+    """Wells built from free points around the box, so that defining points
+    sit exactly on faces, at -0.0 or at NaN and +-inf; repeated points give
+    zero-length steps and branches."""
+    coordinate = [st.one_of(box_coordinate(axis),
+                            st.sampled_from([math.nan, math.inf, -math.inf]))
+                  for axis in range(3)]
+    point = st.tuples(*coordinate)
+    n_points = draw(st.integers(1, 10))
+    mainbore = [draw(point) for _ in range(n_points)]
+    if n_points > 1 and draw(st.booleans()):
+        mainbore[1] = mainbore[0]
+    branches = []
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(point)
+        end = start if draw(st.booleans()) else draw(point)
+        branches.append(Branch(start_arclength=draw(st.floats(0.0, 100.0)),
+                               start=np.array(start, dtype=float),
+                               end=np.array(end, dtype=float)))
+    return WellGeometry(mainbore=np.array(mainbore, dtype=float),
+                        branches=branches)
+
+
+class TestGeometryMatchesNumpyVersions:
+    @settings(max_examples=400, deadline=None)
+    @given(case=well_genomes(), max_length=st.floats(0.0, 5000.0))
+    def test_decoded_wells(self, case, max_length):
+        genome, n_dev, n_br = case
+        well = decode_well(genome, n_dev, n_br)
+        assert_same_well(well, numpy_decode_well(genome, n_dev, n_br))
+        self.assert_same_checks(well, max_length)
+
+    @settings(max_examples=400, deadline=None)
+    @given(well=point_wells(), max_length=st.floats(0.0, 5000.0))
+    def test_wells_from_points(self, well, max_length):
+        with np.errstate(invalid="ignore", over="ignore"):   # inf - inf
+            self.assert_same_checks(well, max_length)
+            arclength = float(np.linalg.norm(well.mainbore[-1]))
+            assert bits(point_at_arclength(well.mainbore, arclength)) == bits(
+                numpy_point_at_arclength(well.mainbore, arclength))
+
+    @staticmethod
+    def assert_same_checks(well, max_length):
+        assert bits(well.mainbore_length) == bits(numpy_mainbore_length(well))
+        assert bits(well.total_length) == bits(numpy_total_length(well))
+        econ = EconomicParams()
+        assert bits(drilling_cost([well], econ)) == bits(
+            numpy_drilling_cost([well], econ))
+        for extent in (BUNDLED.extent, BUNDLED.invariants.extent):
+            got = check_geometry(well, extent, max_length)
+            want = numpy_check_geometry(well, BUNDLED.extent, max_length)
+            assert got.feasible == want.feasible
+            assert bits(got.length_excess) == bits(want.length_excess)
+            assert bits(got.out_of_bounds_distance) == bits(
+                want.out_of_bounds_distance)
+
+    def test_long_sums_keep_the_pairwise_order(self):
+        """Eight or more terms: np.sum adds pairwise, and a left-to-right
+        sum of these values would differ in the last bit."""
+        lengths = [1.0, 1e-16, 1e-16, 1e-16, 1e-16, 1e-16, 1e-16, 1e-16,
+                   1e-16]
+        ordered = 0.0
+        for value in lengths:
+            ordered += value
+        assert float(np.sum(lengths)) != ordered
+        mainbore = np.zeros((len(lengths) + 1, 3))
+        mainbore[1:, 0] = np.cumsum(lengths)
+        well = WellGeometry(mainbore=mainbore, branches=[])
+        assert bits(well.mainbore_length) == bits(numpy_mainbore_length(well))
+
+
 class TestProxy:
     def test_zero_pi_producer_yields_zero_profile(self, grid):
         econ = EconomicParams()
@@ -711,7 +908,9 @@ class TestWellPlacementProblem:
         calls = {}
         for module, name in ((proxy_module, "productivity_index"),
                              (proxy_module, "drainable_oil_barrels"),
-                             (problem_module, "check_geometry")):
+                             (problem_module, "decode_well"),
+                             (problem_module, "check_geometry"),
+                             (problem_module, "simulate")):
             original = getattr(module, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
@@ -721,7 +920,12 @@ class TestWellPlacementProblem:
             monkeypatch.setattr(module, name, counted)
         assert problem.raw_objective(GOOD_GENOME) < 0.0   # feasible, scored
         assert calls == {"productivity_index": 2, "drainable_oil_barrels": 1,
-                         "check_geometry": 2}
+                         "decode_well": 2, "check_geometry": 2, "simulate": 1}
+        calls.clear()
+        outside = GOOD_GENOME.copy()
+        outside[0] = -500.0                 # the injector's heel
+        assert problem.raw_objective(outside) > GEOMETRY_PENALTY_BASE
+        assert calls == {"decode_well": 2, "check_geometry": 2}
 
     def test_bounds_cover_genome(self, problem):
         bounds = problem.bounds()
