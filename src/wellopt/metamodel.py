@@ -8,6 +8,11 @@ kernel-weighted and a full quadratic is fit by weighted least squares.
 True evaluations are spent one at a time until the surrogate-induced
 ranking of the elite stabilizes, so a generation costs 1 + n_ic true
 evaluations instead of lambda.
+
+A generation scans the archive once per candidate, in its first
+prediction pass. After that, each true evaluation that grows the archive
+is folded into the held neighbour sets in place (`admit_newest`), and
+only the candidates whose set it joined are refitted.
 """
 
 from __future__ import annotations
@@ -58,8 +63,9 @@ class TrainingArchive:
     The archive is also the memo of true evaluations: `lookup` answers
     for every genome ever added, finite or not. Only finite pairs become
     regression data (`len`, `as_arrays`), and exact-duplicate genomes are
-    skipped, so the regression data stay clean. The store is unbounded;
-    nearest-neighbor queries are linear scans.
+    skipped, so the regression data stay clean. The store is unbounded.
+    `select_neighbors` scans it; the ranking step does so once per
+    candidate and generation and then follows growth through `newest`.
     """
 
     def __init__(self, dim: int):
@@ -86,6 +92,10 @@ class TrainingArchive:
         self._values.append(float(value))
         self._matrix = None
         return True
+
+    def newest(self) -> tuple[np.ndarray, float]:
+        """The regression entry added last (the highest index)."""
+        return self._genomes[-1], self._values[-1]
 
     def lookup(self, genome: np.ndarray) -> float | None:
         """The recorded value of `genome`, or None if it was never added."""
@@ -180,6 +190,40 @@ def select_neighbors(archive: TrainingArchive, q: np.ndarray,
     distances = metric.distances_to(points, q)
     chosen = np.argsort(distances, kind="stable")[:k]
     return points[chosen], values[chosen], distances[chosen]
+
+
+def admit_newest(archive: TrainingArchive, metric: MahalanobisMetric,
+                 queries: np.ndarray,
+                 neighbor_sets: dict[int, tuple[np.ndarray, np.ndarray,
+                                                np.ndarray]]) -> list[int]:
+    """Fold the archive's newest entry into held k-NN sets, in place.
+
+    `neighbor_sets[j]` is the (genomes, objectives, distances) triple that
+    `select_neighbors` returned for `queries[j]` on the archive without
+    that entry. The entry joins a set only when it lies strictly inside
+    the set's k-th distance. It then displaces the farthest member and
+    goes after every member at a distance <= its own: the place a stable
+    sort of the grown archive gives it, since it has the highest index.
+    Each updated set equals a fresh `select_neighbors` scan, bit for bit.
+    Returns the indices of the sets it joined.
+    """
+    genome, objective = archive.newest()
+    # Subtracting the queries from the entry runs in the scan's direction,
+    # and the product has all the queries' rows: one row would go through
+    # gemv, whose rounding differs from the scan's gemm.
+    distances = metric.distances_to(genome, queries)
+    joined = []
+    for j, (genomes, objectives, held) in neighbor_sets.items():
+        distance = distances[j]
+        if not distance < held[-1]:
+            continue
+        pos = int(np.searchsorted(held[:-1], distance, side="right"))
+        for column, value in ((genomes, genome), (objectives, objective),
+                              (held, distance)):
+            column[pos + 1:] = column[pos:-1]
+            column[pos] = value
+        joined.append(j)
+    return joined
 
 
 def fit_local_model(neighbor_genomes: np.ndarray, neighbor_values: np.ndarray,
@@ -288,7 +332,9 @@ def approximate_ranking_step(population: list[Individual],
     truly evaluates the best not-yet-evaluated candidate.
 
     `true_eval(genome) -> raw objective` must insert into `archive` as a
-    side effect (the shared evaluation wrapper does). `penalize_fn(genome,
+    side effect, at most one entry per call (the shared evaluation wrapper
+    adds the genome unless it is known or its value is not finite); the
+    step reads the new entry from the archive. `penalize_fn(genome,
     raw) -> value` maps raw objectives (true or predicted) to the ranking
     objective; default is the identity.
 
@@ -303,46 +349,46 @@ def approximate_ranking_step(population: list[Individual],
         raise ValueError("archive below min_archive_size; evaluate truly")
     metric = MahalanobisMetric(dist.covariance)
 
+    queries = np.array([ind.genome for ind in population], dtype=float)
     values = np.full(lam, np.nan)
     evaluated = [False] * lam
     n_true = 0
-    # Memoized (prediction, k-th neighbor distance) per individual. A new
-    # archive point changes a local model only when it lands strictly
-    # inside that individual's current k-NN radius, so anything farther
-    # keeps its cached fit (bit-identical to recomputing).
-    cached: dict[int, tuple[float, float]] = {}
+    # Per unevaluated individual: its k-NN set, scanned once in the first
+    # prediction pass and then kept current by `admit_newest`, and its
+    # prediction, dropped when a new archive point joins the set. Refitting
+    # on an unchanged set would give the same bits.
+    neighbor_sets: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    predictions: dict[int, float] = {}
 
     def eval_true(i: int):
         nonlocal n_true
+        size = len(archive)
         raw = true_eval(population[i].genome)
         population[i].raw_objective = raw
         population[i].penalized_objective = penalize_fn(population[i].genome, raw)
         population[i].evaluated_by = EvaluationSource.TRUE_FUNCTION
         values[i] = population[i].penalized_objective
         evaluated[i] = True
-        cached.pop(i, None)
+        neighbor_sets.pop(i, None)
+        predictions.pop(i, None)
         n_true += 1
-        if cached:
-            held = list(cached)
-            distances = metric.distances_to(
-                [population[j].genome for j in held], population[i].genome)
-            for j, distance in zip(held, distances):
-                if distance < cached[j][1]:
-                    del cached[j]
+        # A duplicate or non-finite value leaves the archive, and so every
+        # set and prediction, as it was.
+        if neighbor_sets and len(archive) > size:
+            for j in admit_newest(archive, metric, queries, neighbor_sets):
+                predictions.pop(j, None)
 
     def predict_unevaluated():
         for i, ind in enumerate(population):
             if evaluated[i]:
                 continue
-            if i in cached:
-                raw_hat = cached[i][0]
-            else:
-                genomes, objectives, distances = select_neighbors(
-                    archive, ind.genome, metric, settings.k)
-                model = fit_local_model(genomes, objectives, distances,
-                                        ind.genome)
-                raw_hat = predict(model, ind.genome)
-                cached[i] = (raw_hat, model.bandwidth)
+            if i not in predictions:
+                if i not in neighbor_sets:
+                    neighbor_sets[i] = select_neighbors(
+                        archive, ind.genome, metric, settings.k)
+                model = fit_local_model(*neighbor_sets[i], ind.genome)
+                predictions[i] = float(model.beta[-1])
+            raw_hat = predictions[i]
             ind.raw_objective = raw_hat
             ind.penalized_objective = penalize_fn(ind.genome, raw_hat)
             ind.evaluated_by = EvaluationSource.SURROGATE

@@ -1,16 +1,23 @@
+import copy
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import settings as hypothesis_settings
+from hypothesis import strategies as st
 
+import wellopt.harness as harness
 import wellopt.metamodel as mm
-from wellopt.cma import Individual, SearchDistribution, default_strategy_params
+from wellopt.cma import (EvaluationSource, Individual, SearchDistribution,
+                         default_strategy_params, ranking_key)
 from wellopt.metamodel import (LocalQuadraticModel, MahalanobisMetric,
                                SurrogateSettings, SurrogateUnavailable,
-                               TrainingArchive, approximate_ranking_step,
-                               basis_size, default_surrogate_settings,
-                               fit_local_model, kernel, predict,
-                               quadratic_basis, select_neighbors)
+                               TrainingArchive, admit_newest,
+                               approximate_ranking_step, basis_size,
+                               default_surrogate_settings, fit_local_model,
+                               kernel, predict, quadratic_basis,
+                               ranking_continues, select_neighbors)
 
 
 def make_dist(n, covariance=None):
@@ -568,3 +575,265 @@ class TestApproximateRanking:
         truth = sorted(range(lam),
                        key=lambda i: (fn(population[i].genome), i))
         assert order == truth
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and bytes, array by array."""
+    return all(x.shape == y.shape and x.tobytes() == y.tobytes()
+               for x, y in zip(a, b))
+
+
+class TestAdmitNewest:
+    def line_archive(self):
+        # 1-D, identity metric: every distance is an exact small integer
+        archive = TrainingArchive(1)
+        fill_archive(archive, [[1.0], [-2.0], [3.0], [4.0]], lambda p: p[0])
+        queries = np.array([[0.0], [10.0]])
+        metric = euclidean(1)
+        sets = {0: select_neighbors(archive, queries[0], metric, 2)}
+        return archive, queries, metric, sets
+
+    def test_entry_at_the_kth_distance_leaves_the_set(self):
+        archive, queries, metric, sets = self.line_archive()
+        archive.add(np.array([2.0]), 7.0)
+        assert admit_newest(archive, metric, queries, sets) == []
+        assert same_bits(sets[0], select_neighbors(archive, queries[0],
+                                                   metric, 2))
+        assert list(sets[0][0][:, 0]) == [1.0, -2.0]
+
+    def test_tie_goes_after_the_equal_members(self):
+        archive, queries, metric, sets = self.line_archive()
+        archive.add(np.array([-1.0]), 7.0)
+        assert admit_newest(archive, metric, queries, sets) == [0]
+        assert same_bits(sets[0], select_neighbors(archive, queries[0],
+                                                   metric, 2))
+        assert list(sets[0][0][:, 0]) == [1.0, -1.0]
+        assert list(sets[0][1]) == [1.0, 7.0]
+        assert list(sets[0][2]) == [1.0, 1.0]
+
+    @hypothesis_settings(max_examples=300, deadline=None)
+    @given(data=st.data(), lattice=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_sets_equal_a_fresh_scan_after_every_growth(self, data, lattice,
+                                                        seed):
+        rng = np.random.default_rng(seed)
+        if lattice:
+            # integer points under a power-of-four diagonal covariance give
+            # exact distances, so ties and entries exactly at a set's k-th
+            # distance are common
+            n = data.draw(st.integers(1, 3))
+            covariance = np.diag(4.0 ** rng.integers(-1, 2, n))
+
+            def point():
+                return rng.integers(-2, 3, n).astype(float)
+        else:
+            n = data.draw(st.sampled_from([2, 5, 12]))
+            A = rng.standard_normal((n, n))
+            covariance = A @ A.T + 0.1 * np.eye(n)
+
+            def point():
+                return rng.uniform(-1.0, 1.0, n)
+        metric = MahalanobisMetric(covariance)
+        k = data.draw(st.integers(2, 8))
+        archive = TrainingArchive(n)
+        for _ in range(k + data.draw(st.integers(0, 20))):
+            archive.add(point(), float(rng.standard_normal()))
+        if len(archive) < k:
+            return
+        queries = np.array([point() for _ in range(data.draw(
+            st.integers(2, 6)))])
+        sets = {j: select_neighbors(archive, q, metric, k)
+                for j, q in enumerate(queries)}
+        for _ in range(data.draw(st.integers(1, 12))):
+            kind = data.draw(st.sampled_from(
+                ["fresh", "mirror", "duplicate", "nonfinite", "drop"]))
+            value = float(rng.standard_normal())
+            if kind == "drop":
+                # an evaluated candidate leaves the held sets
+                if len(sets) > 1:
+                    del sets[data.draw(st.sampled_from(sorted(sets)))]
+                continue
+            if kind == "duplicate":
+                genome = archive.as_arrays()[0][rng.integers(len(archive))]
+            elif kind == "mirror":
+                # a member reflected through its query: with exact distances
+                # a tie inside the set, or an entry at its k-th distance
+                j = data.draw(st.sampled_from(sorted(sets)))
+                genome = 2.0 * queries[j] - sets[j][0][rng.integers(k)]
+            else:
+                genome = point()
+            if kind == "nonfinite":
+                value = data.draw(st.sampled_from([math.nan, math.inf,
+                                                   -math.inf]))
+            before = {j: tuple(a.copy() for a in held)
+                      for j, held in sets.items()}
+            size = len(archive)
+            archive.add(genome, value)
+            joined = (admit_newest(archive, metric, queries, sets)
+                      if len(archive) > size else [])
+            if kind in ("duplicate", "nonfinite"):
+                assert len(archive) == size
+            for j, held in sets.items():
+                fresh = select_neighbors(archive, queries[j], metric, k)
+                assert same_bits(held, fresh)
+                assert (j in joined) == (not same_bits(before[j], fresh))
+
+
+def rescanning_ranking_step(population, archive, dist, params, settings,
+                            true_eval, penalize_fn):
+    """The ranking step as it was with a full archive scan per refit: the
+    reference the incremental step must match bit for bit."""
+    lam = len(population)
+    metric = MahalanobisMetric(dist.covariance)
+    values = np.full(lam, np.nan)
+    evaluated = [False] * lam
+    n_true = 0
+    cached = {}
+
+    def eval_true(i):
+        nonlocal n_true
+        raw = true_eval(population[i].genome)
+        population[i].raw_objective = raw
+        population[i].penalized_objective = penalize_fn(
+            population[i].genome, raw)
+        population[i].evaluated_by = EvaluationSource.TRUE_FUNCTION
+        values[i] = population[i].penalized_objective
+        evaluated[i] = True
+        cached.pop(i, None)
+        n_true += 1
+        if cached:
+            held = list(cached)
+            distances = metric.distances_to(
+                [population[j].genome for j in held], population[i].genome)
+            for j, distance in zip(held, distances):
+                if distance < cached[j][1]:
+                    del cached[j]
+
+    def predict_unevaluated():
+        for i, ind in enumerate(population):
+            if evaluated[i]:
+                continue
+            if i in cached:
+                raw_hat = cached[i][0]
+            else:
+                genomes, objectives, distances = select_neighbors(
+                    archive, ind.genome, metric, settings.k)
+                model = fit_local_model(genomes, objectives, distances,
+                                        ind.genome)
+                raw_hat = predict(model, ind.genome)
+                cached[i] = (raw_hat, model.bandwidth)
+            ind.raw_objective = raw_hat
+            ind.penalized_objective = penalize_fn(ind.genome, raw_hat)
+            ind.evaluated_by = EvaluationSource.SURROGATE
+            values[i] = ind.penalized_objective
+
+    def current_order():
+        return sorted(range(lam), key=ranking_key(values))
+
+    n_ic = 0
+    try:
+        predict_unevaluated()
+        order = current_order()
+        set_prev = frozenset(order[:params.mu])
+        elt_prev = order[0]
+        eval_true(elt_prev)
+        for cycle in range(1, lam):
+            predict_unevaluated()
+            order = current_order()
+            set_cur = frozenset(order[:params.mu])
+            elt_cur = order[0]
+            if not ranking_continues(cycle, lam, settings.max_cycle_fraction,
+                                     set_cur != set_prev,
+                                     elt_cur != elt_prev):
+                break
+            target = next((i for i in order if not evaluated[i]), None)
+            if target is None:
+                break
+            eval_true(target)
+            n_ic = cycle
+            set_prev, elt_prev = set_cur, elt_cur
+    except SurrogateUnavailable:
+        for i in range(lam):
+            if not evaluated[i]:
+                eval_true(i)
+    return current_order(), n_ic, n_true
+
+
+def float_bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+class TestIncrementalStep:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_the_rescanning_step_on_well_generations(
+            self, monkeypatch, seed):
+        config = harness.RunConfig.from_dict({
+            "problem": {"kind": "well_placement"},
+            "optimizer": "cma+surrogate", "population_size": 40,
+            "max_generations": 8})
+        problem = harness.build_problem(config)
+        steps = []
+
+        def both(population, archive, dist, params, settings, evaluator,
+                 penalize):
+            twin = copy.deepcopy(population)
+            twin_archive = copy.deepcopy(archive)
+            expected = rescanning_ranking_step(
+                twin, twin_archive, dist, params, settings,
+                harness.Evaluator(problem.raw_objective, twin_archive),
+                penalize)
+            got = approximate_ranking_step(population, archive, dist, params,
+                                           settings, evaluator, penalize)
+            assert got == expected
+            for ind, ref in zip(population, twin):
+                assert float_bits(ind.raw_objective) == float_bits(
+                    ref.raw_objective)
+                assert float_bits(ind.penalized_objective) == float_bits(
+                    ref.penalized_objective)
+                assert ind.evaluated_by == ref.evaluated_by
+            assert same_bits(archive.as_arrays(), twin_archive.as_arrays())
+            steps.append(got[2])
+            return got
+
+        monkeypatch.setattr(harness, "approximate_ranking_step", both)
+        harness.run_cma(problem, config, seed, use_surrogate=True)
+        assert len(steps) >= 4
+        assert max(steps) >= 3
+
+    def test_unchanged_archive_refits_nothing(self, monkeypatch):
+        # a genome the archive already holds and a non-finite value add no
+        # regression entry, so the next prediction pass reuses every fit
+        fn = lambda z: float(z @ z)
+        n, lam = 2, 8
+        rng = np.random.default_rng(7)
+        settings = default_surrogate_settings(n)
+        archive = TrainingArchive(n)
+        known = np.zeros(n)
+        archive.add(known, fn(known))
+        fill_archive(archive, rng.uniform(-3, 3, (settings.min_archive_size,
+                                                  n)), fn)
+        poisoned = np.array([0.1, 0.0])
+        population = ([Individual(genome=known.copy()),
+                       Individual(genome=poisoned.copy())]
+                      + [Individual(genome=rng.uniform(1.0, 2.0, n))
+                         for _ in range(lam - 2)])
+        evaluator = harness.Evaluator(
+            lambda z: math.nan if z[0] == 0.1 else fn(z), archive)
+        events = []
+
+        def true_eval(genome):
+            events.append("true")
+            return evaluator(genome)
+
+        def counted_fit(*args):
+            events.append("fit")
+            return fit_local_model(*args)
+
+        monkeypatch.setattr(mm, "fit_local_model", counted_fit)
+        size = len(archive)
+        _, _, n_true = approximate_ranking_step(
+            population, archive, make_dist(n), default_strategy_params(n, lam),
+            settings, true_eval)
+        assert len(archive) == size
+        assert n_true == 2
+        assert events == ["fit"] * lam + ["true", "true"]

@@ -1,13 +1,21 @@
 """The benchmark's span tracing (perfbench/tracing.py) wraps the names in
 its `WRAPPED_CALLS` where the caller looks them up. A renamed or dropped
 name makes a traced benchmark run raise, so each one must stay a callable
-attribute of its module."""
+attribute of its module. The per-layer counts it reports (fits and
+neighbour scans per generation) rest on how often those names are
+reached."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import wellopt.metamodel as mm
+from wellopt.cma import (Individual, SearchDistribution,
+                         default_strategy_params)
+from wellopt.harness import Evaluator
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -27,3 +35,70 @@ def test_wrapped_name_is_a_callable_attribute(module_name, name):
     module = importlib.import_module(module_name)
     assert hasattr(module, name)
     assert callable(getattr(module, name))
+
+
+def test_surrogate_generation_scans_once_per_candidate_and_fits_stale_sets(
+        monkeypatch):
+    # One ranking step reaches `select_neighbors` at most once per candidate
+    # and `fit_local_model` exactly when a candidate's k-NN set (a fresh
+    # scan of the current archive) differs from the one of its last
+    # prediction, both through the `wellopt.metamodel` names.
+    n, lam = 3, 24
+    rng = np.random.default_rng(15)
+    fn = lambda z: float(np.sum(np.sin(3.0 * z)) + z @ z)
+    settings = mm.default_surrogate_settings(n)
+    archive = mm.TrainingArchive(n)
+    for z in rng.uniform(-2, 2, (300, n)):
+        archive.add(z, fn(z))
+    population = [Individual(genome=rng.uniform(-1, 1, n))
+                  for _ in range(lam)]
+    dist = SearchDistribution(mean=np.zeros(n), step_size=1.0,
+                              covariance=np.eye(n), path_sigma=np.zeros(n),
+                              path_c=np.zeros(n))
+    metric = mm.MahalanobisMetric(dist.covariance)
+    select, fit = mm.select_neighbors, mm.fit_local_model
+
+    def current_set(genome):
+        return b"".join(a.tobytes() for a in select(archive, genome, metric,
+                                                    settings.k))
+
+    scans, fits, stale, predictions = [], [], [], []
+    fitted, predicted = {}, {}
+    evaluator = Evaluator(fn, archive)
+    pending_true = []
+
+    def counted_select(archive_, q, metric_, k):
+        scans.append(q.tobytes())
+        return select(archive_, q, metric_, k)
+
+    def counted_fit(genomes, objectives, distances, q):
+        fits.append(q.tobytes())
+        fitted[q.tobytes()] = b"".join(a.tobytes() for a in
+                                       (genomes, objectives, distances))
+        return fit(genomes, objectives, distances, q)
+
+    def true_eval(genome):
+        pending_true.append(True)
+        return evaluator(genome)
+
+    def penalize(genome, raw):
+        if pending_true:
+            pending_true.clear()
+            return raw
+        key, now = genome.tobytes(), current_set(genome)
+        predictions.append(key)
+        assert fitted[key] == now
+        if predicted.get(key) != now:
+            stale.append(key)
+        predicted[key] = now
+        return raw
+
+    monkeypatch.setattr(mm, "select_neighbors", counted_select)
+    monkeypatch.setattr(mm, "fit_local_model", counted_fit)
+    _, _, n_true = mm.approximate_ranking_step(
+        population, archive, dist, default_strategy_params(n, lam), settings,
+        true_eval, penalize)
+    assert n_true >= 3
+    assert len(scans) == len(set(scans)) <= lam
+    assert lam < len(fits) < len(predictions)
+    assert fits == stale
