@@ -36,6 +36,10 @@ def _cmd_optimize(args) -> int:
         if record.nonfinite_evaluations:
             print(f"note: {record.nonfinite_evaluations} true evaluations "
                   f"returned a non-finite objective")
+        if record.rejection_exhaustions:
+            print(f"note: {record.rejection_exhaustions} candidates kept "
+                  f"after the maximum number of redraws still violate a "
+                  f"constraint beyond the rejection tolerance")
     else:
         result = run_batch(config, out_dir)
         print(batch_summary_text(result), end="")

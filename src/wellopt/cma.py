@@ -164,13 +164,11 @@ class SearchDistribution:
 
 @dataclass
 class Diagnostics:
-    """Counters for silent numerical repairs and sampling rejections."""
+    """Counters of a run's silent numerical repairs and of the candidates
+    kept at the redraw cap while still rejected."""
 
     covariance_repairs: int = 0
-    resampled: int = 0
-
-    def reset_generation(self):
-        self.resampled = 0
+    rejection_exhaustions: int = 0
 
 
 def _floored_eigh(C: np.ndarray, diagnostics: Diagnostics | None = None):
@@ -193,10 +191,17 @@ def sampling_transform(dist: SearchDistribution,
 
 
 def sample_individual(dist: SearchDistribution, transform: np.ndarray,
-                      rng: np.random.Generator) -> np.ndarray:
-    """One draw m + sigma * A z with z ~ N(0, I)."""
-    z = rng.standard_normal(dist.dim)
-    return dist.mean + dist.step_size * (transform @ z)
+                      rng: np.random.Generator, count: int) -> np.ndarray:
+    """`count` draws m + sigma * A z with z ~ N(0, I), one per row.
+
+    One (count, n) block of normals has the values, and leaves `rng` in
+    the state, of `count` successive n-vector draws. The stacked product
+    applies A to each z as a matrix-vector product, with the bits of
+    `A @ z`; the matrix product `Z @ A.T` rounds differently.
+    """
+    z = rng.standard_normal((count, dist.dim))
+    y = np.matmul(transform, z[:, :, None])[:, :, 0]
+    return dist.mean + dist.step_size * y
 
 
 def ranking_key(values: Sequence[float]):

@@ -2,11 +2,17 @@
 
 A constraint restricts the sum of a subset of coordinates to an open
 interval (lower, upper). Candidates violating a constraint by more than a
-fraction `rejection_fraction` of |sum| are rejected and resampled by the
-caller; marginally unfeasible candidates are kept and penalized with
-weights gamma_j that initialize themselves from the observed objective
-spread and grow geometrically while the distribution mean stays outside
-the feasible region. No user tuning is required.
+fraction `rejection_fraction` of |sum| are rejected and redrawn;
+marginally unfeasible candidates are kept and penalized with weights
+gamma_j that initialize themselves from the observed objective spread and
+grow geometrically while the distribution mean stays outside the feasible
+region. No user tuning is required.
+
+A generation is sampled in blocks from one stream: `sample_with_rejection`
+screens a whole block of draws at once, reads every constraint sum once
+per draw, and hands the kept candidates' sums on for the gamma update.
+The candidates, redraw counts and generator state are those of drawing
+and screening one genome at a time.
 """
 
 from __future__ import annotations
@@ -201,28 +207,71 @@ def penalty_amount(x: np.ndarray, gammas: np.ndarray,
     return total / len(constraints) if total else 0.0
 
 
-def sample_with_rejection(draw, constraints: list[SumConstraint],
-                          rejection_fraction: float) -> tuple[np.ndarray, int]:
-    """Draw a genome, redrawing while any constraint rejects it.
+def _block_sums(X: np.ndarray, constraint: SumConstraint) -> np.ndarray:
+    """q of every row of X, with the bits `_violation` gives each row.
 
-    `draw` is a zero-argument callable producing one genome. Returns the
-    accepted (or last, after MAX_RESAMPLES redraws) genome together with
-    the number of rejected draws. With no constraints the first draw is
-    returned untouched, so the RNG stream matches unconstrained sampling.
+    `take` keeps each row's terms contiguous, so the row-wise sum adds
+    them in the pairwise order of a 1-D sum. (`X[:, idx]` is laid out
+    column-major and is summed left to right, which differs from 8 terms
+    on.)
     """
-    x = draw()
+    if len(constraint.indices) == 1:
+        return X[:, constraint.indices[0]] + 0.0
+    return X.take(constraint.index_array, axis=1).sum(axis=1)
+
+
+def sample_with_rejection(draw, count: int, constraints: list[SumConstraint],
+                          rejection_fraction: float
+                          ) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Draw `count` candidates, redrawing each while any constraint rejects it.
+
+    `draw(m)` returns m genomes as the rows of an (m, n) array, with the
+    values and generator state of m successive single draws. Draws go to
+    candidates in stream order: a candidate takes draws until one is
+    accepted, or until it has been redrawn MAX_RESAMPLES times, when it
+    keeps its last draw. Each round draws exactly as many genomes as
+    candidates are still missing, so the stream ends where drawing one
+    genome at a time would leave it.
+
+    Returns `(genomes, sums, resamples, exhaustions)`: the (count, n)
+    candidates; `sums[j]`, one contiguous row of constraint j's sums q_j
+    over the candidates; the number of rejected draws; and the number of
+    candidates kept at the cap with a draw the rule rejects. With no
+    constraints the first block is returned untouched.
+    """
+    if not rejection_fraction > 0:
+        raise ValueError("rejection_fraction must be positive")
     if not constraints:
-        return x, 0
-    resamples = 0
-    while resamples < MAX_RESAMPLES:
-        rejected = False
-        for constraint in constraints:
-            q, q_feas, _ = constraint_violation(x, constraint)
-            if should_reject(q, q_feas, rejection_fraction):
-                rejected = True
-                break
-        if not rejected:
+        return draw(count), np.empty((0, count)), 0, 0
+    lower = np.array([[c.lower] for c in constraints])
+    upper = np.array([[c.upper] for c in constraints])
+    kept_genomes, kept_sums = [], []
+    drawn = missing = count
+    tries = exhaustions = 0   # redraws of the candidate being filled
+    while True:
+        X = draw(missing)
+        Q = np.array([_block_sums(X, c) for c in constraints])
+        # should_reject's rule on every constraint and draw at once. Out of
+        # the interval the larger difference is the distance |q_feas - q|,
+        # with its bits; inside it is <= 0 and never rejects, as 0 does.
+        rejected = (np.maximum(lower - Q, Q - upper)
+                    > rejection_fraction * np.abs(Q)).any(axis=0)
+        rows = []
+        for row, bad in enumerate(rejected.tolist()):
+            if bad and tries < MAX_RESAMPLES:
+                tries += 1
+                continue
+            exhaustions += bad
+            tries = 0
+            rows.append(row)
+        if len(rows) < len(X):
+            X, Q = X[rows], Q.take(rows, axis=1)
+        kept_genomes.append(X)
+        kept_sums.append(Q)
+        missing -= len(rows)
+        if not missing:
             break
-        x = draw()
-        resamples += 1
-    return x, resamples
+        drawn += missing
+    if len(kept_genomes) > 1:
+        X, Q = np.concatenate(kept_genomes), np.concatenate(kept_sums, axis=1)
+    return X, Q, drawn - count, exhaustions

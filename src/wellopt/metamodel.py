@@ -78,18 +78,22 @@ class TrainingArchive:
     def __len__(self) -> int:
         return len(self._genomes)
 
-    def add(self, genome: np.ndarray, value: float) -> bool:
+    def add(self, genome: np.ndarray, value: float,
+            key: bytes | None = None) -> bool:
         """Record one evaluation; returns True when it became regression
-        data (False for duplicates and non-finite values)."""
+        data (False for duplicates and non-finite values). `key` is
+        `genome.tobytes()` when the caller already has it."""
         genome = np.asarray(genome, dtype=float)
-        key = genome.tobytes()
+        if key is None:
+            key = genome.tobytes()
         if key in self._index:
             return False
-        self._index[key] = float(value)
-        if not np.isfinite(value):
+        value = float(value)
+        self._index[key] = value
+        if not math.isfinite(value):
             return False
         self._genomes.append(genome.copy())
-        self._values.append(float(value))
+        self._values.append(value)
         self._matrix = None
         return True
 
@@ -97,9 +101,13 @@ class TrainingArchive:
         """The regression entry added last (the highest index)."""
         return self._genomes[-1], self._values[-1]
 
-    def lookup(self, genome: np.ndarray) -> float | None:
-        """The recorded value of `genome`, or None if it was never added."""
-        return self._index.get(np.asarray(genome, dtype=float).tobytes())
+    def lookup(self, genome: np.ndarray,
+               key: bytes | None = None) -> float | None:
+        """The recorded value of `genome`, or None if it was never added.
+        `key` is `genome.tobytes()` when the caller already has it."""
+        if key is None:
+            key = np.asarray(genome, dtype=float).tobytes()
+        return self._index.get(key)
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         if self._matrix is None:

@@ -99,6 +99,26 @@ class TestOptimize:
         assert code == 0
         assert "non-finite" not in capsys.readouterr().out
 
+    def test_reports_rejection_exhaustions(self, tmp_path, capsys):
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({
+            "problem": {"kind": "sphere", "dimension": 2}, "optimizer": "cma",
+            "population_size": 4, "max_generations": 3, "sigma0": 1e-3,
+            "constraints": [{"indices": [0], "lower": 100.0,
+                             "upper": 101.0}]}))
+        code = main(["optimize", "--config", str(path), "--seed", "1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert ("note: 12 candidates kept after the maximum number of "
+                "redraws" in capsys.readouterr().out)
+
+    def test_no_note_without_rejection_exhaustions(self, sphere_config_file,
+                                                   tmp_path, capsys):
+        code = main(["optimize", "--config", str(sphere_config_file),
+                     "--seed", "1", "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert "redraws" not in capsys.readouterr().out
+
     def test_bad_config_is_nonzero_exit(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"problem": {"kind": "sphere",

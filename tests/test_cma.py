@@ -16,8 +16,8 @@ from wellopt.cma import (CONDITION_CAP, Diagnostics, EvaluationSource,
 def draw_population(dist, params, rng, diagnostics=None):
     """lambda draws through the run loop's sampling path."""
     transform = sampling_transform(dist, diagnostics)
-    return [Individual(genome=sample_individual(dist, transform, rng))
-            for _ in range(params.lam)]
+    return [Individual(genome=genome)
+            for genome in sample_individual(dist, transform, rng, params.lam)]
 
 
 def make_population(values):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wellopt.cma import SearchDistribution, StrategyParams
+from wellopt.cma import (SearchDistribution, StrategyParams,
+                         sample_individual, sampling_transform)
 from wellopt.constraints import (MAX_RESAMPLES, PenaltyState, SumConstraint,
                                  constraint_violation, maybe_increase_gammas,
                                  maybe_set_gammas, mean_is_feasible,
@@ -35,6 +36,12 @@ def numpy_constraint_violation(x, constraint):
     q = float(np.asarray(x, dtype=float)[constraint.index_array].sum())
     q_feas = min(max(q, constraint.lower), constraint.upper)
     return q, q_feas, abs(q - q_feas)
+
+
+def rows_of(draw_one):
+    """A block draw `draw(m)` over a stream of single genomes: the next m
+    genomes of the stream as the rows of one array."""
+    return lambda m: np.array([draw_one() for _ in range(m)])
 
 
 def bits(values):
@@ -145,12 +152,16 @@ class TestRejection:
         c = SumConstraint(indices=(0,), lower=0.0, upper=1.0)
         # draws alternate far outside / inside the acceptance band
         sequence = iter([np.array([50.0]), np.array([50.0]), np.array([0.5])])
-        x, resamples = sample_with_rejection(lambda: next(sequence), [c], 0.2)
-        assert x[0] == 0.5 and resamples == 2
+        x, _, resamples, exhausted = sample_with_rejection(
+            rows_of(lambda: next(sequence)), 1, [c], 0.2)
+        assert x[0][0] == 0.5 and resamples == 2
+        assert exhausted == 0
 
         always_bad = lambda: np.array([50.0])
-        x, resamples = sample_with_rejection(always_bad, [c], 0.2)
-        assert resamples == MAX_RESAMPLES and x[0] == 50.0
+        x, _, resamples, exhausted = sample_with_rejection(
+            rows_of(always_bad), 1, [c], 0.2)
+        assert resamples == MAX_RESAMPLES and x[0][0] == 50.0
+        assert exhausted == 1
 
     @settings(max_examples=200, deadline=None)
     @given(case=constrained_genomes(), fraction=st.floats(0.01, 0.99),
@@ -170,14 +181,19 @@ class TestRejection:
             return any(should_reject(*constraint_violation(genome, c)[:2],
                                      fraction) for c in constraints)
 
-        genome, resamples = sample_with_rejection(draw, constraints, fraction)
+        genomes, sums, resamples, exhausted = sample_with_rejection(
+            rows_of(draw), 1, constraints, fraction)
+        genome = genomes[0]
+        assert bits(sums[:, 0]) == bits(
+            [constraint_violation(genome, c)[0] for c in constraints])
         assert len(draws) == resamples + 1 <= MAX_RESAMPLES + 1
-        assert genome is draws[-1]
+        assert genome.tobytes() == draws[-1].tobytes()
         assert all(rejected(g) for g in draws[:-1])
         if resamples < MAX_RESAMPLES:
             assert not rejected(genome)
         if all(rejected(candidates[i]) for i in stream):
             assert resamples == MAX_RESAMPLES
+        assert exhausted == (resamples == MAX_RESAMPLES and rejected(genome))
 
     @settings(max_examples=100, deadline=None)
     @given(case=constrained_genomes(), fraction=st.floats(0.01, 0.99))
@@ -190,14 +206,134 @@ class TestRejection:
             calls.append(None)
             return far.copy()
 
-        genome, resamples = sample_with_rejection(draw, constraints, fraction)
+        genomes, _, resamples, exhausted = sample_with_rejection(
+            rows_of(draw), 1, constraints, fraction)
         assert resamples == MAX_RESAMPLES
         assert len(calls) == MAX_RESAMPLES + 1
-        assert np.array_equal(genome, far)
+        assert np.array_equal(genomes[0], far)
+        assert exhausted == 1
 
     def test_no_constraints_single_draw(self):
-        x, resamples = sample_with_rejection(lambda: np.array([9.9]), [], 0.2)
+        genomes, sums, resamples, exhausted = sample_with_rejection(
+            rows_of(lambda: np.array([9.9])), 1, [], 0.2)
+        x = genomes[0]
         assert x[0] == 9.9 and resamples == 0
+        assert sums.shape == (0, 1) and exhausted == 0
+
+
+def per_draw_individual(dist, transform, rng):
+    """sample_individual as it drew one genome per call, kept verbatim as
+    the reference the block draw must match bit for bit."""
+    z = rng.standard_normal(dist.dim)
+    return dist.mean + dist.step_size * (transform @ z)
+
+
+def per_draw_rejection(draw, constraints, rejection_fraction):
+    """sample_with_rejection as it screened one draw at a time, kept
+    verbatim as the reference of the block sampler."""
+    x = draw()
+    if not constraints:
+        return x, 0
+    resamples = 0
+    while resamples < MAX_RESAMPLES:
+        rejected = False
+        for constraint in constraints:
+            q, q_feas, _ = constraint_violation(x, constraint)
+            if should_reject(q, q_feas, rejection_fraction):
+                rejected = True
+                break
+        if not rejected:
+            break
+        x = draw()
+        resamples += 1
+    return x, resamples
+
+
+def per_draw_generation(dist, transform, rng, lam, constraints, fraction):
+    """The run loop's per-draw sampling and its gamma-update sums:
+    (genomes, q_means, resamples, exhaustions)."""
+    genomes, resampled, exhausted = [], 0, 0
+    for _ in range(lam):
+        genome, resamples = per_draw_rejection(
+            lambda: per_draw_individual(dist, transform, rng), constraints,
+            fraction)
+        resampled += resamples
+        exhausted += resamples == MAX_RESAMPLES and any(
+            should_reject(*constraint_violation(genome, c)[:2], fraction)
+            for c in constraints)
+        genomes.append(genome)
+    q_means = np.array([
+        np.mean([constraint_violation(g, c)[0] for g in genomes])
+        for c in constraints])
+    return np.array(genomes), q_means, resampled, exhausted
+
+
+@st.composite
+def sampling_cases(draw):
+    """A distribution, lambda and constraints whose intervals range from
+    wide to tight around the mean's sum to far beyond any draw, so that
+    draws are kept at once, redrawn, or kept at the cap."""
+    n = draw(st.integers(1, 12))
+    lam = draw(st.integers(2, 60))
+    setup = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mean = setup.uniform(-10.0, 10.0, n) * draw(
+        st.sampled_from([1e-3, 1.0, 10.0]))
+    mean[setup.random(n) < 0.1] = -0.0
+    factor = setup.standard_normal((n, n))
+    covariance = factor @ factor.T + 0.1 * np.eye(n)
+    sigma = draw(st.sampled_from([1e-3, 0.1, 1.0, 10.0]))
+    dist = SearchDistribution(mean=mean, step_size=sigma,
+                              covariance=covariance, path_sigma=np.zeros(n),
+                              path_c=np.zeros(n))
+    constraints = []
+    for _ in range(draw(st.integers(0, 4))):
+        indices = draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                max_size=20))
+        ones = np.zeros(n)
+        np.add.at(ones, indices, 1.0)
+        spread = sigma * math.sqrt(ones @ covariance @ ones)
+        centre = float(mean[indices].sum()) + spread * draw(
+            st.sampled_from([0.0, 1.0, -3.0, 1e4]))
+        width = spread * draw(st.sampled_from([1e-3, 0.1, 1.0, 10.0]))
+        constraints.append(SumConstraint(indices=tuple(indices),
+                                         lower=centre - width,
+                                         upper=centre + width))
+    return dist, lam, constraints
+
+
+class TestBlockSampler:
+    @settings(max_examples=200, deadline=None)
+    @given(case=sampling_cases(), fraction=st.floats(0.01, 0.99),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_draw_sampling_bit_for_bit(self, case, fraction,
+                                                   seed):
+        dist, lam, constraints = case
+        transform = sampling_transform(dist)
+        rng, reference_rng = (np.random.default_rng(seed),
+                              np.random.default_rng(seed))
+        genomes, sums, resamples, exhausted = sample_with_rejection(
+            lambda m: sample_individual(dist, transform, rng, m), lam,
+            constraints, fraction)
+        q_means = np.array([np.mean(q) for q in sums])
+        expected = per_draw_generation(dist, transform, reference_rng, lam,
+                                       constraints, fraction)
+        assert genomes.tobytes() == expected[0].tobytes()
+        assert q_means.tobytes() == expected[1].tobytes()
+        assert (resamples, exhausted) == expected[2:]
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        assert sums.shape == (len(constraints), lam)
+        assert all(row.flags.c_contiguous for row in sums)
+
+    def test_long_sums_keep_the_pairwise_order(self):
+        """Nine terms whose pairwise sum differs from the left-to-right
+        one: the block's sums must be those of one genome's sum."""
+        tiny = 2.0 ** -53
+        values = np.array([1.0] + [tiny] * 8)
+        assert values.sum() != 1.0   # left to right, every tiny is lost
+        c = SumConstraint(indices=tuple(range(9)), lower=-1e20, upper=1e20)
+        block = np.tile(values, (3, 1))
+        _, sums, _, _ = sample_with_rejection(lambda m: block[:m], 3, [c], 0.2)
+        assert sums.tobytes() == np.full((1, 3), values.sum()).tobytes()
 
 
 class TestGammaInitialization:

@@ -8,6 +8,7 @@ import wellopt.harness as harness
 from wellopt.harness import (Evaluator, RunConfig, build_problem,
                              compare_optimizers, evaluations_to_target,
                              run_batch, run_cma, run_single)
+from wellopt.constraints import MAX_RESAMPLES
 from wellopt.metamodel import TrainingArchive
 
 
@@ -21,6 +22,14 @@ def sphere_config(**overrides):
     }
     data.update(overrides)
     return RunConfig.from_dict(data)
+
+
+# Feasible only for x0 in (100, 101), while a small-sigma mean starts
+# inside the default sphere bounds [-5, 5]: every draw is rejected.
+FAR_INTERVAL = {"problem": {"kind": "sphere", "dimension": 2},
+                "population_size": 4, "max_generations": 3, "sigma0": 1e-3,
+                "constraints": [{"indices": [0], "lower": 100.0,
+                                 "upper": 101.0}]}
 
 
 class TestConfig:
@@ -262,6 +271,25 @@ class TestRunSingle:
         assert gammas[-1, 0] > 0   # the run actually engaged the penalty
 
 
+class TestRejectionExhaustions:
+    def test_counted_for_a_far_feasible_interval(self):
+        record = run_single(sphere_config(**FAR_INTERVAL), 1)
+        # every candidate of every generation is kept at the cap
+        assert record.rejection_exhaustions == 4 * len(record.rows)
+        assert all(row.resampled == 4 * MAX_RESAMPLES for row in record.rows)
+
+    def test_none_in_a_normal_constrained_run(self):
+        config = sphere_config(
+            problem={"kind": "sphere", "dimension": 5, "center": 2.0},
+            population_size=20, max_generations=60,
+            constraints=[{"indices": [0, 1, 2, 3, 4],
+                          "lower": -1.0, "upper": 1.0}])
+        record = run_single(config, 1)
+        assert sum(row.resampled for row in record.rows) > 0
+        assert record.rejection_exhaustions == 0
+        assert run_single(sphere_config(), 1).rejection_exhaustions == 0
+
+
 @pytest.mark.parametrize("optimizer", ["cma", "cma+surrogate"])
 def test_one_eigendecomposition_per_covariance(monkeypatch, optimizer):
     # one floored eigh of the stored C (shared by termination, sampling
@@ -383,6 +411,13 @@ class TestRunBatch:
         assert seed_1.endswith(
             "(max_generations), covariance_repairs 0, simulation_failures 1")
         assert seed_2.endswith("(max_generations)")
+
+    def test_summary_reports_rejection_exhaustions(self):
+        result = run_batch(sphere_config(**FAR_INTERVAL))
+        lines = harness.batch_summary_text(result).splitlines()
+        for seed in (1, 2):
+            line = next(line for line in lines if f"seed {seed}:" in line)
+            assert line.endswith("(max_generations), rejection_exhaustions 12")
 
     def test_needs_two_seeds(self):
         with pytest.raises(ValueError, match="seeds"):
