@@ -4,6 +4,9 @@ The search distribution is a multivariate normal N(m, sigma^2 C). Each
 generation draws lambda candidates, ranks them by (penalized) objective,
 recombines the mu best into a new mean, and adapts sigma and C through
 cumulative step-size adaptation plus rank-one / rank-mu covariance updates.
+A generation is plain data: the (lambda, n) block of genomes, one
+candidate per row, and a list of values per candidate. `rank_population`
+orders the values and the updates index the block by that order.
 C is eigendecomposed once per distribution (eigenvalues floored to keep
 it SPD); termination, sampling and the update read that one
 eigensystem. Everything is written against a minimization convention;
@@ -15,7 +18,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -26,22 +28,6 @@ CONDITION_CAP = 1e14
 # Stop after this many generations without meaningful best-so-far progress.
 STAGNATION_WINDOW = 30
 STAGNATION_RTOL = 1e-12
-
-
-class EvaluationSource(Enum):
-    UNSET = "unset"
-    TRUE_FUNCTION = "true_function"
-    SURROGATE = "surrogate"
-
-
-@dataclass
-class Individual:
-    """One sampled candidate with its (optionally penalized) objective."""
-
-    genome: np.ndarray
-    raw_objective: float | None = None
-    penalized_objective: float | None = None
-    evaluated_by: EvaluationSource = EvaluationSource.UNSET
 
 
 @dataclass
@@ -211,32 +197,29 @@ def ranking_key(values: Sequence[float]):
                       else (1, 0.0, i))
 
 
-def rank_population(population: list[Individual]) -> list[int]:
-    """Indices ordered by `ranking_key` of the penalized objectives."""
-    values = [ind.penalized_objective for ind in population]
-    if None in values:
-        raise ValueError("cannot rank: unset penalized objective")
+def rank_population(values: Sequence[float]) -> list[int]:
+    """Indices into `values` ordered by `ranking_key`: the one ranking of
+    the CMA loop, the approximate-ranking step and the GA."""
     return sorted(range(len(values)), key=ranking_key(values))
 
 
 def update_mean(dist: SearchDistribution, params: StrategyParams,
-                population: list[Individual], order: list[int]) -> np.ndarray:
-    """Weighted recombination of the mu best genomes."""
-    if params.mu > len(population):
+                genomes: np.ndarray, order: list[int]) -> np.ndarray:
+    """Weighted recombination of the mu best rows of `genomes`."""
+    if params.mu > len(genomes):
         raise ValueError("mu exceeds population size")
-    best = np.array([population[order[i]].genome for i in range(params.mu)])
-    return params.weights @ best
+    return params.weights @ genomes[order[:params.mu]]
 
 
 def update_strategy_state(dist: SearchDistribution, params: StrategyParams,
-                          population: list[Individual], order: list[int],
+                          genomes: np.ndarray, order: list[int],
                           old_mean: np.ndarray,
                           diagnostics: Diagnostics | None = None
                           ) -> SearchDistribution:
     """CSA step-size update plus rank-one / rank-mu covariance adaptation.
 
     `dist.mean` must already hold the recombined mean; `old_mean` is the
-    mean that generated the population. Returns a fresh distribution with
+    mean that generated `genomes`, one candidate per row. Returns a fresh distribution with
     the generation counter incremented.
     """
     n = dist.dim
@@ -258,8 +241,7 @@ def update_strategy_state(dist: SearchDistribution, params: StrategyParams,
            + h_sigma * np.sqrt(params.c_c * (2 - params.c_c) * params.mu_eff)
            * y_w)
 
-    steps = np.array([(population[order[i]].genome - old_mean) / sigma
-                      for i in range(params.mu)])
+    steps = (genomes[order[:params.mu]] - old_mean) / sigma
     rank_mu = (steps.T * params.weights) @ steps
     rank_one = np.outer(p_c, p_c)
     old_factor = (1 - params.c_1 - params.c_mu

@@ -101,7 +101,6 @@ class PenaltyState:
     n_constraints: int
     dim: int
     lam: int
-    rejection_fraction: float = 0.2
     gammas: np.ndarray = field(init=False)
     gammas_initialized: bool = field(init=False, default=False)
     history_capacity: int = field(init=False)
@@ -140,9 +139,11 @@ def maybe_set_gammas(state: PenaltyState, dist: SearchDistribution,
     If the distribution mean is unfeasible for any constraint and the
     weights are not set yet, every gamma becomes
     2 * delta_fit / (sigma^2 * mean(diag(C))), where delta_fit is the
-    median of the stored per-generation objective IQRs.
+    median of the stored per-generation objective IQRs. Until a generation
+    has recorded an IQR (one with a finite objective), gamma stays 0.
     """
-    if dist.generation < 1 or state.gammas_initialized or not constraints:
+    if (dist.generation < 1 or state.gammas_initialized or not constraints
+            or not state.fitness_history):
         return
     if mean_is_feasible(dist.mean, constraints):
         return

@@ -14,11 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cma import ranking_key
+from .cma import rank_population
 from .constraints import SumConstraint, constraint_violation
 
 BISECTION_STEPS = 30
 FEASIBLE_SEARCH_TRIES = 1000
+# The best individual is copied into the next generation unchanged.
+ELITISM_COUNT = 1
 
 
 class NoFeasiblePointError(RuntimeError):
@@ -32,7 +34,6 @@ class GaParams:
     max_generations: int
     crossprob: float = 0.7
     mutprob: float = 0.1
-    elitism_count: int = 1
 
     def __post_init__(self):
         self.bounds = np.asarray(self.bounds, dtype=float)
@@ -50,11 +51,6 @@ class GaParams:
     @property
     def dim(self) -> int:
         return self.bounds.shape[0]
-
-
-def rank_by_fitness(fitnesses: np.ndarray) -> list[int]:
-    """Indices ordered by `ranking_key` (minimization; non-finite last)."""
-    return sorted(range(len(fitnesses)), key=ranking_key(fitnesses))
 
 
 def select_parent(order: list[int], rng: np.random.Generator) -> int:
@@ -135,29 +131,23 @@ def repair(individual: np.ndarray, constraints: list[SumConstraint],
     return individual + hi * (reference - individual)
 
 
-@dataclass
-class GaGenerationResult:
-    genomes: list[np.ndarray]
-    fitnesses: np.ndarray
-    evaluations: int
-
-
 def ga_generation(genomes: list[np.ndarray], fitnesses: np.ndarray,
                   params: GaParams, objective,
                   constraints: list[SumConstraint],
                   rng: np.random.Generator,
-                  feasible_reference: np.ndarray | None) -> GaGenerationResult:
-    """Produce the next generation: elite copy plus bred children.
+                  feasible_reference: np.ndarray | None
+                  ) -> tuple[list[np.ndarray], np.ndarray]:
+    """Produce the next generation's (genomes, fitnesses): elite copy plus
+    bred children.
 
     Children go through select -> crossover -> mutate -> repair ->
     evaluate; the elite is copied verbatim (and is thereby exempt from
     mutation). Population size is preserved.
     """
-    order = rank_by_fitness(fitnesses)
-    elites = order[:max(0, min(params.elitism_count, len(order)))]
+    order = rank_population(fitnesses)
+    elites = order[:ELITISM_COUNT]
     next_genomes = [genomes[i].copy() for i in elites]
     next_fitnesses = [float(fitnesses[i]) for i in elites]
-    evaluations = 0
     while len(next_genomes) < params.population_size:
         p1 = genomes[select_parent(order, rng)]
         p2 = genomes[select_parent(order, rng)]
@@ -169,10 +159,7 @@ def ga_generation(genomes: list[np.ndarray], fitnesses: np.ndarray,
                            feasible_reference)
             next_genomes.append(child)
             next_fitnesses.append(float(objective(child)))
-            evaluations += 1
-    return GaGenerationResult(genomes=next_genomes,
-                              fitnesses=np.array(next_fitnesses),
-                              evaluations=evaluations)
+    return next_genomes, np.array(next_fitnesses)
 
 
 class GaOptimizer:
@@ -187,7 +174,6 @@ class GaOptimizer:
         self.rng = rng
         self.genomes: list[np.ndarray] = []
         self.fitnesses = np.empty(0)
-        self.generation = 0
         self.best_genome: np.ndarray | None = None
         self.best_fitness = np.inf
 
@@ -197,15 +183,12 @@ class GaOptimizer:
         for _ in range(self.params.population_size):
             x = self.rng.uniform(bounds[:, 0], bounds[:, 1])
             x = repair(x, self.constraints, bounds, self.rng,
-                       self._reference())
+                       self.best_genome)
             self.genomes.append(x)
             self._note_feasible(x)
         self.fitnesses = np.array([float(self.objective(x))
                                    for x in self.genomes])
         self._track_best()
-
-    def _reference(self) -> np.ndarray | None:
-        return self.best_genome
 
     def _note_feasible(self, x: np.ndarray):
         if self.best_genome is None and is_feasible(x, self.constraints):
@@ -222,10 +205,7 @@ class GaOptimizer:
             self.best_genome = self.genomes[idx].copy()
 
     def step(self):
-        result = ga_generation(self.genomes, self.fitnesses, self.params,
-                               self.objective, self.constraints, self.rng,
-                               self._reference())
-        self.genomes = result.genomes
-        self.fitnesses = result.fitnesses
-        self.generation += 1
+        self.genomes, self.fitnesses = ga_generation(
+            self.genomes, self.fitnesses, self.params, self.objective,
+            self.constraints, self.rng, self.best_genome)
         self._track_best()

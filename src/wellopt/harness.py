@@ -24,11 +24,10 @@ from importlib import resources
 import numpy as np
 
 from .benchmarks import DEFAULT_BOUNDS, rosenbrock, sphere
-from .cma import (STAGNATION_WINDOW, Diagnostics, EvaluationSource,
-                  Individual, SearchDistribution, check_termination,
-                  default_strategy_params, rank_population,
-                  sample_individual, sampling_transform, update_mean,
-                  update_strategy_state)
+from .cma import (STAGNATION_WINDOW, Diagnostics, SearchDistribution,
+                  check_termination, default_strategy_params,
+                  rank_population, sample_individual, sampling_transform,
+                  update_mean, update_strategy_state)
 from .constraints import (PenaltyState, SumConstraint, maybe_increase_gammas,
                           maybe_set_gammas, penalty_amount,
                           sample_with_rejection, xi_factors)
@@ -176,8 +175,12 @@ class RunConfig:
                 raise ValueError("surrogate.max_cycle_fraction must lie in "
                                  "(0, 1]")
 
-        ga = dict(data.get("ga") or {})
+        ga = {"crossprob": 0.7, "mutprob": 0.1, **(data.get("ga") or {})}
         _check_keys(ga, {"crossprob", "mutprob"}, "ga")
+        for name, value in ga.items():
+            ga[name] = float(value)
+            if not 0.0 <= ga[name] <= 1.0:
+                raise ValueError(f"ga.{name} must lie in [0, 1]")
 
         seeds = tuple(int(s) for s in data.get("seeds", range(1, 11)))
         if not seeds:
@@ -195,6 +198,16 @@ class RunConfig:
         rejection_fraction = float(data.get("rejection_fraction", 0.2))
         if not rejection_fraction > 0.0:
             raise ValueError("rejection_fraction must be positive")
+        sigma0 = data.get("sigma0")
+        if sigma0 is not None:
+            sigma0 = float(sigma0)
+            if not (math.isfinite(sigma0) and sigma0 > 0.0):
+                raise ValueError("sigma0 must be finite and positive")
+        targets = data.get("targets")
+        if targets is not None:
+            targets = [float(t) for t in targets]
+            if not all(map(math.isfinite, targets)):
+                raise ValueError("targets must be finite")
 
         return cls(
             problem=problem,
@@ -203,16 +216,14 @@ class RunConfig:
             population_size=population_size,
             max_generations=max_generations,
             seeds=seeds,
-            sigma0=(None if data.get("sigma0") is None
-                    else float(data["sigma0"])),
+            sigma0=sigma0,
             constraints=constraints,
             rejection_fraction=rejection_fraction,
             surrogate=surrogate,
-            crossprob=float(ga.get("crossprob", 0.7)),
-            mutprob=float(ga.get("mutprob", 0.1)),
+            crossprob=ga["crossprob"],
+            mutprob=ga["mutprob"],
             output_dir=str(data.get("output_dir", "runs")),
-            targets=(None if data.get("targets") is None
-                     else [float(t) for t in data["targets"]]),
+            targets=targets,
         )
 
     @classmethod
@@ -405,8 +416,7 @@ def run_cma(problem: BuiltProblem, config: RunConfig, seed: int,
 
     constraints = problem.constraints
     state = PenaltyState(n_constraints=len(constraints), dim=dim,
-                         lam=params.lam,
-                         rejection_fraction=config.rejection_fraction)
+                         lam=params.lam)
     archive = TrainingArchive(dim)
     evaluator = Evaluator(problem.raw_objective, archive)
     settings = config.surrogate or default_surrogate_settings(dim)
@@ -438,7 +448,6 @@ def run_cma(problem: BuiltProblem, config: RunConfig, seed: int,
         genomes, sums, resamples, exhaustions = sample_with_rejection(
             draw, params.lam, constraints, config.rejection_fraction)
         diagnostics.rejection_exhaustions += exhaustions
-        population = [Individual(genome=genome) for genome in genomes]
 
         xis = None
         if constraints:
@@ -455,29 +464,22 @@ def run_cma(problem: BuiltProblem, config: RunConfig, seed: int,
                                      xis)
 
         if use_surrogate and len(archive) >= settings.min_archive_size:
-            order, n_ic, _ = approximate_ranking_step(
-                population, archive, dist, params, settings, evaluator,
+            order, n_ic, raw, values, evaluated = approximate_ranking_step(
+                genomes, archive, dist, params, settings, evaluator,
                 penalize)
         else:
-            for ind in population:
-                ind.raw_objective = evaluator(ind.genome)
-                ind.penalized_objective = penalize(ind.genome,
-                                                   ind.raw_objective)
-                ind.evaluated_by = EvaluationSource.TRUE_FUNCTION
-            order = rank_population(population)
-            n_ic = 0
+            raw = [evaluator(genome) for genome in genomes]
+            values = [penalize(genome, r) for genome, r in zip(genomes, raw)]
+            evaluated = [True] * params.lam
+            order, n_ic = rank_population(values), 0
 
-        state.record_generation(
-            np.array([ind.raw_objective for ind in population]))
+        state.record_generation(np.array(raw))
 
-        for i in order:
-            ind = population[i]
-            if ind.evaluated_by is EvaluationSource.TRUE_FUNCTION:
-                if ind.penalized_objective < best:
-                    best = float(ind.penalized_objective)
-                    best_raw = float(ind.raw_objective)
-                    best_genome = ind.genome.copy()
-                break
+        # The incumbent candidate is the best-ranked true evaluation.
+        i = next(i for i in order if evaluated[i])
+        if values[i] < best:
+            best, best_raw = float(values[i]), float(raw[i])
+            best_genome = genomes[i].copy()
         best_history.append(best)
         rows.append(RunRow(generation=dist.generation,
                            true_evaluations=evaluator.count,
@@ -487,8 +489,8 @@ def run_cma(problem: BuiltProblem, config: RunConfig, seed: int,
                            best_genome=best_genome.copy()))
 
         old_mean = dist.mean
-        dist.mean = update_mean(dist, params, population, order)
-        dist = update_strategy_state(dist, params, population, order,
+        dist.mean = update_mean(dist, params, genomes, order)
+        dist = update_strategy_state(dist, params, genomes, order,
                                      old_mean, diagnostics)
 
     optimizer = "cma+surrogate" if use_surrogate else "cma"

@@ -9,8 +9,10 @@ True evaluations are spent one at a time until the surrogate-induced
 ranking of the elite stabilizes, so a generation costs 1 + n_ic true
 evaluations instead of lambda.
 
-A generation scans the archive once per candidate, in its first
-prediction pass. After that, each true evaluation that grows the archive
+A generation arrives as the (lambda, n) genome block the sampler draws
+and leaves as per-candidate lists of raw objectives, ranking values and
+true-evaluation flags, ordered by `cma.rank_population`. It scans the
+archive once per candidate, in its first prediction pass. After that, each true evaluation that grows the archive
 is folded into the held neighbour sets in place (`admit_newest`), and
 only the candidates whose set it joined are refitted.
 """
@@ -25,8 +27,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .cma import (EvaluationSource, Individual, SearchDistribution,
-                  StrategyParams, ranking_key)
+from .cma import SearchDistribution, StrategyParams, rank_population
 
 RIDGE_SCALE = 1e-8
 
@@ -319,25 +320,28 @@ def ranking_continues(cycle: int, lam: int, max_cycle_fraction: float,
     return elt_changed
 
 
-def approximate_ranking_step(population: list[Individual],
+def approximate_ranking_step(genomes: np.ndarray,
                              archive: TrainingArchive,
                              dist: SearchDistribution,
                              params: StrategyParams,
                              settings: SurrogateSettings,
                              true_eval,
-                             penalize_fn=None) -> tuple[list[int], int, int]:
+                             penalize_fn=None
+                             ) -> tuple[list[int], int, list[float],
+                                        list[float], list[bool]]:
     """Rank one generation, spending true evaluations only until stable.
 
-    Procedure: predict all lambda candidates, record the mu-best set and
-    the best candidate, and truly evaluate the predicted best. Then cycle:
-    re-predict every still-unevaluated candidate against the grown
-    archive, recompute set/best, and check acceptance. The first cycle
-    always evaluates (there is no like-for-like baseline before the
-    initial evaluation has fed back through the models); afterwards,
-    while fewer than a quarter of the population is truly evaluated the
-    procedure continues only if the mu-best set or the best changed, and
-    beyond a quarter only if the best changed. Each continuing cycle
-    truly evaluates the best not-yet-evaluated candidate.
+    Procedure: predict all lambda candidates (the rows of `genomes`),
+    record the mu-best set and the best candidate, and truly evaluate the
+    predicted best. Then cycle: re-predict every still-unevaluated
+    candidate against the grown archive, recompute set/best, and check
+    acceptance. The first cycle always evaluates (there is no
+    like-for-like baseline before the initial evaluation has fed back
+    through the models); afterwards, while fewer than a quarter of the
+    population is truly evaluated the procedure continues only if the
+    mu-best set or the best changed, and beyond a quarter only if the best
+    changed. Each continuing cycle truly evaluates the best
+    not-yet-evaluated candidate.
 
     `true_eval(genome) -> raw objective` must insert into `archive` as a
     side effect, at most one entry per call (the shared evaluation wrapper
@@ -346,22 +350,23 @@ def approximate_ranking_step(population: list[Individual],
     raw) -> value` maps raw objectives (true or predicted) to the ranking
     objective; default is the identity.
 
-    Returns (ranking, n_ic, true evaluations spent); the true-evaluation
-    count is 1 + n_ic. If model fitting degenerates mid-step, the whole
-    generation falls back to true evaluation.
+    Returns (ranking, n_ic, raw, values, evaluated): per candidate, its
+    raw objective (true or predicted), its ranking value, and whether it
+    was truly evaluated. `sum(evaluated)` is 1 + n_ic. If model fitting
+    degenerates mid-step, the whole generation falls back to true
+    evaluation.
     """
     if penalize_fn is None:
         penalize_fn = lambda genome, raw: raw
-    lam = len(population)
+    lam = len(genomes)
     if len(archive) < settings.min_archive_size:
         raise ValueError("archive below min_archive_size; evaluate truly")
     metric = MahalanobisMetric(dist.covariance)
 
-    queries = np.array([ind.genome for ind in population], dtype=float)
-    values = np.full(lam, np.nan)
+    raw = [math.nan] * lam
+    values = [math.nan] * lam
     evaluated = [False] * lam
-    n_true = 0
-    # Per unevaluated individual: its k-NN set, scanned once in the first
+    # Per unevaluated candidate: its k-NN set, scanned once in the first
     # prediction pass and then kept current by `admit_newest`, and its
     # prediction, dropped when a new archive point joins the set. Refitting
     # on an unchanged set would give the same bits.
@@ -369,53 +374,44 @@ def approximate_ranking_step(population: list[Individual],
     predictions: dict[int, float] = {}
 
     def eval_true(i: int):
-        nonlocal n_true
         size = len(archive)
-        raw = true_eval(population[i].genome)
-        population[i].raw_objective = raw
-        population[i].penalized_objective = penalize_fn(population[i].genome, raw)
-        population[i].evaluated_by = EvaluationSource.TRUE_FUNCTION
-        values[i] = population[i].penalized_objective
+        genome = genomes[i]
+        raw[i] = true_eval(genome)
+        values[i] = penalize_fn(genome, raw[i])
         evaluated[i] = True
         neighbor_sets.pop(i, None)
         predictions.pop(i, None)
-        n_true += 1
         # A duplicate or non-finite value leaves the archive, and so every
         # set and prediction, as it was.
         if neighbor_sets and len(archive) > size:
-            for j in admit_newest(archive, metric, queries, neighbor_sets):
+            for j in admit_newest(archive, metric, genomes, neighbor_sets):
                 predictions.pop(j, None)
 
     def predict_unevaluated():
-        for i, ind in enumerate(population):
+        for i in range(lam):
             if evaluated[i]:
                 continue
+            genome = genomes[i]
             if i not in predictions:
                 if i not in neighbor_sets:
                     neighbor_sets[i] = select_neighbors(
-                        archive, ind.genome, metric, settings.k)
-                model = fit_local_model(*neighbor_sets[i], ind.genome)
+                        archive, genome, metric, settings.k)
+                model = fit_local_model(*neighbor_sets[i], genome)
                 predictions[i] = float(model.beta[-1])
-            raw_hat = predictions[i]
-            ind.raw_objective = raw_hat
-            ind.penalized_objective = penalize_fn(ind.genome, raw_hat)
-            ind.evaluated_by = EvaluationSource.SURROGATE
-            values[i] = ind.penalized_objective
-
-    def current_order() -> list[int]:
-        return sorted(range(lam), key=ranking_key(values))
+            raw[i] = predictions[i]
+            values[i] = penalize_fn(genome, raw[i])
 
     n_ic = 0
     try:
         predict_unevaluated()
-        order = current_order()
+        order = rank_population(values)
         set_prev = frozenset(order[:params.mu])
         elt_prev = order[0]
         eval_true(elt_prev)
 
         for cycle in range(1, lam):
             predict_unevaluated()
-            order = current_order()
+            order = rank_population(values)
             set_cur = frozenset(order[:params.mu])
             elt_cur = order[0]
             if not ranking_continues(cycle, lam, settings.max_cycle_fraction,
@@ -432,4 +428,4 @@ def approximate_ranking_step(population: list[Individual],
         for i in range(lam):
             if not evaluated[i]:
                 eval_true(i)
-    return current_order(), n_ic, n_true
+    return rank_population(values), n_ic, raw, values, evaluated

@@ -5,26 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wellopt.cma import (CONDITION_CAP, Diagnostics, EvaluationSource,
-                         Individual, SearchDistribution, StrategyParams,
-                         check_termination, default_strategy_params,
-                         rank_population, ranking_key, sample_individual,
-                         sampling_transform, update_mean,
-                         update_strategy_state)
+from wellopt.cma import (CONDITION_CAP, Diagnostics, SearchDistribution,
+                         StrategyParams, _floored_eigh, check_termination,
+                         default_strategy_params, rank_population,
+                         ranking_key, sample_individual, sampling_transform,
+                         update_mean, update_strategy_state)
 
 
-def draw_population(dist, params, rng, diagnostics=None):
-    """lambda draws through the run loop's sampling path."""
+def draw_genomes(dist, params, rng, diagnostics=None):
+    """lambda draws through the run loop's sampling path, one per row."""
     transform = sampling_transform(dist, diagnostics)
-    return [Individual(genome=genome)
-            for genome in sample_individual(dist, transform, rng, params.lam)]
-
-
-def make_population(values):
-    return [Individual(genome=np.array([float(v)]), raw_objective=float(v),
-                       penalized_objective=float(v),
-                       evaluated_by=EvaluationSource.TRUE_FUNCTION)
-            for v in values]
+    return sample_individual(dist, transform, rng, params.lam)
 
 
 class TestStrategyParams:
@@ -53,11 +44,8 @@ class TestSampling:
         n = 3
         params = default_strategy_params(n, 2000, max_generations=10)
         dist = SearchDistribution.initial(np.zeros(n), 1.0)
-        pop = draw_population(dist, params, np.random.default_rng(1))
-        assert len(pop) == 2000
-        assert all(ind.penalized_objective is None for ind in pop)
-        assert all(ind.evaluated_by is EvaluationSource.UNSET for ind in pop)
-        genomes = np.array([ind.genome for ind in pop])
+        genomes = draw_genomes(dist, params, np.random.default_rng(1))
+        assert genomes.shape == (2000, n)
         assert np.all(np.abs(genomes.mean(axis=0)) < 0.1)
 
     def test_zero_step_size_rejected(self):
@@ -72,8 +60,7 @@ class TestSampling:
                                   covariance=np.diag([1.0, 4.0]),
                                   path_sigma=np.zeros(2), path_c=np.zeros(2))
         params = default_strategy_params(2, 100_000, max_generations=1)
-        pop = draw_population(dist, params, np.random.default_rng(7))
-        genomes = np.array([ind.genome for ind in pop])
+        genomes = draw_genomes(dist, params, np.random.default_rng(7))
         variances = genomes.var(axis=0)
         expected = sigma ** 2 * np.array([1.0, 4.0])
         assert np.all(np.abs(variances - expected) < 0.05 * expected)
@@ -85,11 +72,11 @@ class TestSampling:
                                   path_sigma=np.zeros(2), path_c=np.zeros(2))
         params = default_strategy_params(2, 4)
         diagnostics = Diagnostics()
-        pop = draw_population(dist, params, np.random.default_rng(0),
-                              diagnostics)
-        assert len(pop) == 4
+        genomes = draw_genomes(dist, params, np.random.default_rng(0),
+                               diagnostics)
+        assert len(genomes) == 4
         assert diagnostics.covariance_repairs == 1
-        assert all(np.all(np.isfinite(ind.genome)) for ind in pop)
+        assert all(np.all(np.isfinite(genome)) for genome in genomes)
 
     def test_each_floored_matrix_counted_once(self):
         # The singular C is floored once although termination, sampling
@@ -101,24 +88,23 @@ class TestSampling:
         params = default_strategy_params(2, 4)
         diagnostics = Diagnostics()
         check_termination(dist, params, [], diagnostics=diagnostics)
-        pop = draw_population(dist, params, np.random.default_rng(0),
-                              diagnostics)
+        genomes = draw_genomes(dist, params, np.random.default_rng(0),
+                               diagnostics)
         assert diagnostics.covariance_repairs == 1
-        for i, ind in enumerate(pop):
-            ind.penalized_objective = float(i)
-        order = rank_population(pop)
+        order = rank_population([float(i) for i in range(len(genomes))])
         old_mean = dist.mean
-        dist.mean = update_mean(dist, params, pop, order)
-        update_strategy_state(dist, params, pop, order, old_mean, diagnostics)
+        dist.mean = update_mean(dist, params, genomes, order)
+        update_strategy_state(dist, params, genomes, order, old_mean,
+                              diagnostics)
         assert diagnostics.covariance_repairs == 2
 
 
 class TestRanking:
     def test_basic_order(self):
-        assert rank_population(make_population([3, 1, 2])) == [1, 2, 0]
+        assert rank_population([3.0, 1.0, 2.0]) == [1, 2, 0]
 
     def test_all_equal_ties_break_by_index(self):
-        assert rank_population(make_population([5, 5, 5, 5])) == [0, 1, 2, 3]
+        assert rank_population([5.0, 5.0, 5.0, 5.0]) == [0, 1, 2, 3]
 
     def test_matches_independent_sort_oracle(self):
         rng = np.random.default_rng(3)
@@ -132,28 +118,22 @@ class TestRanking:
                     (ordered[pos][1], ordered[pos][0]) < (pair[1], pair[0])):
                 pos += 1
             ordered.insert(pos, pair)
-        assert rank_population(make_population(values)) == [i for i, _ in ordered]
+        assert rank_population(values) == [i for i, _ in ordered]
 
     def test_is_permutation(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             values = rng.standard_normal(17).tolist()
-            order = rank_population(make_population(values))
+            order = rank_population(values)
             assert sorted(order) == list(range(17))
-
-    def test_unset_objective_raises(self):
-        pop = make_population([1, 2])
-        pop[1].penalized_objective = None
-        with pytest.raises(ValueError):
-            rank_population(pop)
 
     def test_nan_ranks_last(self):
         values = [3.0, math.nan, 1.0, 2.0, 0.5]
-        assert rank_population(make_population(values)) == [4, 2, 3, 0, 1]
+        assert rank_population(values) == [4, 2, 3, 0, 1]
 
     def test_infinities_rank_after_finite_values_by_index(self):
         values = [math.inf, 1.0, -math.inf, math.nan, 0.0]
-        assert rank_population(make_population(values)) == [4, 1, 0, 2, 3]
+        assert rank_population(values) == [4, 1, 0, 2, 3]
 
     @settings(deadline=None)
     @given(st.lists(st.one_of(
@@ -180,10 +160,9 @@ class TestMeanUpdate:
     def test_mu_one_returns_best(self):
         params = default_strategy_params(2, 2)
         assert params.mu == 1
-        pop = [Individual(np.array([5.0, 5.0]), penalized_objective=2.0),
-               Individual(np.array([1.0, 2.0]), penalized_objective=1.0)]
-        order = rank_population(pop)
-        mean = update_mean(self._dist(2), params, pop, order)
+        genomes = np.array([[5.0, 5.0], [1.0, 2.0]])
+        order = rank_population([2.0, 1.0])
+        mean = update_mean(self._dist(2), params, genomes, order)
         assert np.array_equal(mean, np.array([1.0, 2.0]))
 
     def test_equal_weights_midpoint(self):
@@ -193,49 +172,45 @@ class TestMeanUpdate:
                                 d_sigma=params.d_sigma, c_c=params.c_c,
                                 c_1=params.c_1, c_mu=params.c_mu,
                                 chi_n=params.chi_n, max_generations=100)
-        pop = [Individual(np.array([0.0, 0.0]), penalized_objective=0.0),
-               Individual(np.array([2.0, 2.0]), penalized_objective=1.0),
-               Individual(np.array([9.0, 9.0]), penalized_objective=9.0),
-               Individual(np.array([8.0, 8.0]), penalized_objective=8.0)]
-        mean = update_mean(self._dist(2), params, pop, rank_population(pop))
+        genomes = np.array([[0.0, 0.0], [2.0, 2.0], [9.0, 9.0], [8.0, 8.0]])
+        mean = update_mean(self._dist(2), params, genomes,
+                           rank_population([0.0, 1.0, 9.0, 8.0]))
         assert np.allclose(mean, [1.0, 1.0])
 
     def test_matches_dot_product_oracle(self):
         rng = np.random.default_rng(5)
         params = default_strategy_params(4, 12)
-        pop = [Individual(rng.standard_normal(4),
-                          penalized_objective=float(rng.standard_normal()))
-               for _ in range(12)]
-        order = rank_population(pop)
-        mean = update_mean(self._dist(4), params, pop, order)
+        pairs = [(rng.standard_normal(4), float(rng.standard_normal()))
+                 for _ in range(12)]
+        genomes = np.array([genome for genome, _ in pairs])
+        order = rank_population([value for _, value in pairs])
+        mean = update_mean(self._dist(4), params, genomes, order)
         expected = np.zeros(4)
         for i in range(params.mu):
-            expected += params.weights[i] * pop[order[i]].genome
+            expected += params.weights[i] * genomes[order[i]]
         assert np.allclose(mean, expected, rtol=1e-14)
 
     def test_mean_in_convex_hull_of_parents(self):
         rng = np.random.default_rng(9)
         params = default_strategy_params(3, 10)
-        pop = [Individual(rng.standard_normal(3),
-                          penalized_objective=float(rng.standard_normal()))
-               for _ in range(10)]
-        order = rank_population(pop)
-        mean = update_mean(self._dist(3), params, pop, order)
-        parents = np.array([pop[order[i]].genome for i in range(params.mu)])
+        pairs = [(rng.standard_normal(3), float(rng.standard_normal()))
+                 for _ in range(10)]
+        genomes = np.array([genome for genome, _ in pairs])
+        order = rank_population([value for _, value in pairs])
+        mean = update_mean(self._dist(3), params, genomes, order)
+        parents = genomes[order[:params.mu]]
         assert np.all(mean >= parents.min(axis=0) - 1e-12)
         assert np.all(mean <= parents.max(axis=0) + 1e-12)
 
 
 def evolve_once(dist, params, rng, objective):
-    pop = draw_population(dist, params, rng)
-    for ind in pop:
-        ind.raw_objective = objective(ind.genome)
-        ind.penalized_objective = ind.raw_objective
-        ind.evaluated_by = EvaluationSource.TRUE_FUNCTION
-    order = rank_population(pop)
+    genomes = draw_genomes(dist, params, rng)
+    values = [objective(genome) for genome in genomes]
+    order = rank_population(values)
     old_mean = dist.mean
-    dist.mean = update_mean(dist, params, pop, order)
-    return update_strategy_state(dist, params, pop, order, old_mean), pop
+    dist.mean = update_mean(dist, params, genomes, order)
+    return (update_strategy_state(dist, params, genomes, order, old_mean),
+            values)
 
 
 class TestStrategyUpdate:
@@ -248,9 +223,9 @@ class TestStrategyUpdate:
         dist = SearchDistribution.initial(rng.uniform(-5, 5, n), 3.0)
         best = np.inf
         for _ in range(500):
-            dist, pop = evolve_once(dist, params, rng,
-                                    lambda x: float(np.sum(x ** 2)))
-            best = min(best, min(ind.raw_objective for ind in pop))
+            dist, values = evolve_once(dist, params, rng,
+                                       lambda x: float(np.sum(x ** 2)))
+            best = min(best, min(values))
             if best < 1e-9:
                 break
         assert best < 1e-9
@@ -301,11 +276,11 @@ class TestStrategyUpdate:
         dist = SearchDistribution.initial(rng.uniform(-5, 5, n),
                                           data.draw(st.floats(1e-3, 10.0)))
         for _ in range(data.draw(st.integers(1, 12))):
-            population = draw_population(dist, params, rng)
+            genomes = draw_genomes(dist, params, rng)
             order = data.draw(st.permutations(range(lam)))
             old_mean = dist.mean
-            dist.mean = update_mean(dist, params, population, order)
-            dist = update_strategy_state(dist, params, population, order,
+            dist.mean = update_mean(dist, params, genomes, order)
+            dist = update_strategy_state(dist, params, genomes, order,
                                          old_mean)
             C = dist.covariance
             assert np.array_equal(C, C.T)
@@ -320,6 +295,86 @@ class TestStrategyUpdate:
         dist = SearchDistribution.initial(np.zeros(2), 1.0)
         dist, _ = evolve_once(dist, params, rng, lambda x: float(x @ x))
         assert dist.generation == 1
+
+
+def per_row_update_mean(dist, params, rows, order):
+    """`update_mean` as it was on one genome per candidate: the reference
+    the block form must match bit for bit."""
+    if params.mu > len(rows):
+        raise ValueError("mu exceeds population size")
+    best = np.array([rows[order[i]] for i in range(params.mu)])
+    return params.weights @ best
+
+
+def per_row_update_strategy_state(dist, params, rows, order, old_mean):
+    """`update_strategy_state` as it was on one genome per candidate."""
+    n = dist.dim
+    sigma = dist.step_size
+    values, vectors = dist.eigensystem()
+    inv_sqrt = (vectors / np.sqrt(values)) @ vectors.T
+
+    y_w = (dist.mean - old_mean) / sigma
+    p_sigma = ((1 - params.c_sigma) * dist.path_sigma
+               + np.sqrt(params.c_sigma * (2 - params.c_sigma) * params.mu_eff)
+               * (inv_sqrt @ y_w))
+
+    gen = dist.generation + 1
+    norm_p = np.linalg.norm(p_sigma)
+    expected = np.sqrt(1 - (1 - params.c_sigma) ** (2 * gen)) * params.chi_n
+    h_sigma = 1.0 if norm_p / expected < 1.4 + 2 / (n + 1) else 0.0
+
+    p_c = ((1 - params.c_c) * dist.path_c
+           + h_sigma * np.sqrt(params.c_c * (2 - params.c_c) * params.mu_eff)
+           * y_w)
+
+    steps = np.array([(rows[order[i]] - old_mean) / sigma
+                      for i in range(params.mu)])
+    rank_mu = (steps.T * params.weights) @ steps
+    rank_one = np.outer(p_c, p_c)
+    old_factor = (1 - params.c_1 - params.c_mu
+                  + (1 - h_sigma) * params.c_1 * params.c_c * (2 - params.c_c))
+    C = old_factor * dist.covariance + params.c_1 * rank_one + params.c_mu * rank_mu
+
+    values, vectors = _floored_eigh(C)
+    C = (vectors * values) @ vectors.T
+    C = 0.5 * (C + C.T)
+
+    sigma_new = sigma * np.exp((params.c_sigma / params.d_sigma)
+                               * (norm_p / params.chi_n - 1))
+    return SearchDistribution(mean=dist.mean, step_size=sigma_new,
+                              covariance=C, path_sigma=p_sigma, path_c=p_c,
+                              generation=gen)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 12), lam=st.integers(2, 40),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_block_updates_have_the_bits_of_the_per_row_forms(n, lam, seed, data):
+    params = default_strategy_params(n, lam)
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n, n))
+    dist = SearchDistribution(mean=rng.uniform(-5, 5, n),
+                              step_size=float(rng.uniform(1e-3, 10.0)),
+                              covariance=A @ A.T + 0.1 * np.eye(n),
+                              path_sigma=rng.standard_normal(n),
+                              path_c=rng.standard_normal(n),
+                              generation=int(rng.integers(0, 50)))
+    genomes = draw_genomes(dist, params, rng)
+    rows = list(genomes)
+    order = data.draw(st.permutations(range(lam)))
+    old_mean = dist.mean
+    mean = update_mean(dist, params, genomes, order)
+    assert mean.tobytes() == per_row_update_mean(dist, params, rows,
+                                                 order).tobytes()
+    dist.mean = mean
+    got = update_strategy_state(dist, params, genomes, order, old_mean)
+    expected = per_row_update_strategy_state(dist, params, rows, order,
+                                             old_mean)
+    assert got.step_size == expected.step_size
+    assert got.generation == expected.generation
+    for name in ("mean", "covariance", "path_sigma", "path_c"):
+        assert (getattr(got, name).tobytes()
+                == getattr(expected, name).tobytes()), name
 
 
 class TestTermination:

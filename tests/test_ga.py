@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from wellopt.cma import rank_population
 from wellopt.constraints import SumConstraint
 from wellopt.ga import (GaOptimizer, GaParams, NoFeasiblePointError,
                         crossover, ga_generation, is_feasible, mutate,
-                        rank_by_fitness, repair, select_parent)
+                        repair, select_parent)
 
 
 class FakeRng:
@@ -48,20 +49,20 @@ class TestSelection:
         # Monte-Carlo oracle: linear rank weights give the better of two
         # individuals weight 2 vs 1.
         rng = np.random.default_rng(1)
-        order = rank_by_fitness(np.array([3.0, 1.0]))
+        order = rank_population(np.array([3.0, 1.0]))
         assert order == [1, 0]
         draws = 100_000
         hits = sum(select_parent(order, rng) == 1 for _ in range(draws))
         assert hits / draws == pytest.approx(2.0 / 3.0, abs=0.01)
 
     def test_nan_fitness_ranks_last(self):
-        order = rank_by_fitness(np.array([3.0, np.nan, 1.0, 2.0, 0.5]))
+        order = rank_population(np.array([3.0, np.nan, 1.0, 2.0, 0.5]))
         assert order == [4, 2, 3, 0, 1]
 
     def test_equal_fitness_frequencies_follow_rank_after_tiebreak(self):
         rng = np.random.default_rng(2)
         n = 4
-        order = rank_by_fitness(np.zeros(n))
+        order = rank_population(np.zeros(n))
         assert order == [0, 1, 2, 3]
         draws = 100_000
         counts = np.zeros(n)
@@ -200,9 +201,8 @@ class TestGaGeneration:
         genomes = [rng.uniform(-5, 5, 3) for _ in range(10)]
         fitnesses = np.array([sphere(g) for g in genomes])
         for _ in range(5):
-            result = ga_generation(genomes, fitnesses, params, sphere, [],
-                                   rng, None)
-            genomes, fitnesses = result.genomes, result.fitnesses
+            genomes, fitnesses = ga_generation(genomes, fitnesses, params,
+                                               sphere, [], rng, None)
             assert len(genomes) == 10
 
     def test_elitism_keeps_best(self):
@@ -222,9 +222,8 @@ class TestGaGeneration:
         initial = {tuple(g) for g in genomes}
         fitnesses = np.array([sphere(g) for g in genomes])
         for _ in range(20):
-            result = ga_generation(genomes, fitnesses, params, sphere, [],
-                                   rng, None)
-            genomes, fitnesses = result.genomes, result.fitnesses
+            genomes, fitnesses = ga_generation(genomes, fitnesses, params,
+                                               sphere, [], rng, None)
         assert {tuple(g) for g in genomes} <= initial
 
     def test_all_evaluated_individuals_feasible(self):

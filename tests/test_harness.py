@@ -89,6 +89,14 @@ class TestConfig:
         ({"surrogate": {"k": 30, "min_archive_size": 50,
                         "max_cycle_fraction": 0.0}}, "max_cycle_fraction"),
         ({"population_size": 1}, "population_size"),
+        ({"sigma0": float("inf")}, "sigma0"),
+        ({"sigma0": -1.0}, "sigma0"),
+        ({"sigma0": float("nan")}, "sigma0"),
+        ({"ga": {"crossprob": 1.5}}, "crossprob"),
+        ({"ga": {"mutprob": -0.1}}, "mutprob"),
+        ({"ga": {"mutprob": float("nan")}}, "mutprob"),
+        ({"targets": [1.0, float("inf")]}, "targets"),
+        ({"targets": [float("nan")]}, "targets"),
     ])
     def test_out_of_range_values_rejected_at_load(self, overrides, key):
         data = {"problem": {"kind": "sphere", "dimension": 2}}
@@ -179,6 +187,29 @@ class TestNonfiniteEvaluations:
         assert first_csv == again_csv == swapped_csv
 
 
+def test_gammas_wait_for_a_finite_objective_spread(monkeypatch):
+    # Every objective of generation 0 is NaN and the mean is infeasible,
+    # so generation 1 has no objective spread to set gamma from: gamma
+    # stays 0 there and is set in generation 2.
+    original = harness.sphere
+    calls = []
+
+    def nan_first(x, center):
+        calls.append(None)
+        return float("nan") if len(calls) <= 8 else original(x, center)
+
+    monkeypatch.setattr(harness, "sphere", nan_first)
+    config = sphere_config(
+        problem={"kind": "sphere", "dimension": 2}, population_size=8,
+        max_generations=5, rejection_fraction=50.0,
+        constraints=[{"indices": [0, 1], "lower": 8.0, "upper": 9.0}])
+    record = run_single(config, 1)
+    assert len(record.rows) == 5
+    assert record.nonfinite_evaluations == 8
+    assert [row.gammas[0] > 0 for row in record.rows[:3]] == [False, False,
+                                                               True]
+
+
 class TestRunSingle:
     def test_best_so_far_non_increasing_and_csv_written(self, tmp_path):
         record = run_single(sphere_config(), 1, tmp_path)
@@ -258,6 +289,20 @@ class TestRunSingle:
         loaded = TrainingArchive.load_csv(dumped)
         assert len(loaded) == record.final.true_evaluations
         assert len(record.archive) == record.final.true_evaluations
+
+    def test_surrogate_incumbent_is_the_best_true_evaluation(self):
+        # Most candidates of a surrogate generation are ranked by their
+        # predictions; the reported best is still the lowest value among
+        # the true evaluations so far (the archive, in evaluation order).
+        config = sphere_config(optimizer="cma+surrogate", max_generations=12,
+                               problem={"kind": "sphere", "dimension": 2})
+        record = run_single(config, 1)
+        assert any(0 < row.n_ic < 7 for row in record.rows)
+        genomes, values = record.archive.as_arrays()
+        for row in record.rows:
+            best = int(np.argmin(values[:row.true_evaluations]))
+            assert row.best_objective == values[best]
+            assert np.array_equal(row.best_genome, genomes[best])
 
     def test_gammas_non_decreasing_over_constrained_run(self):
         config = sphere_config(

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import wellopt.harness as harness
 import wellopt.metamodel as mm
-from wellopt.cma import (EvaluationSource, Individual, SearchDistribution,
-                         default_strategy_params, ranking_key)
+from wellopt.cma import (SearchDistribution, default_strategy_params,
+                         ranking_key)
 from wellopt.metamodel import (LocalQuadraticModel, MahalanobisMetric,
                                SurrogateSettings, SurrogateUnavailable,
                                TrainingArchive, admit_newest,
@@ -365,7 +365,7 @@ class TestPredict:
 
 
 def seeded_setup(lam, fn, n=1, archive_points=None, seed=20):
-    """Population + archive + params for approximate-ranking tests."""
+    """Genomes + archive + params for approximate-ranking tests."""
     rng = np.random.default_rng(seed)
     settings = default_surrogate_settings(n)
     count = settings.min_archive_size + 3
@@ -373,10 +373,9 @@ def seeded_setup(lam, fn, n=1, archive_points=None, seed=20):
         archive_points = rng.uniform(-3, 3, (count, n))
     archive = TrainingArchive(n)
     fill_archive(archive, archive_points, fn)
-    population = [Individual(genome=rng.uniform(-1, 1, n))
-                  for _ in range(lam)]
+    genomes = np.array([rng.uniform(-1, 1, n) for _ in range(lam)])
     params = default_strategy_params(n, lam)
-    return population, archive, params, settings
+    return genomes, archive, params, settings
 
 
 class TestApproximateRanking:
@@ -386,7 +385,7 @@ class TestApproximateRanking:
         # confirming, and accepts: exactly 2 true evaluations.
         fn = lambda z: float(3.0 * z[0] ** 2 - z[0] + 0.5)
         lam = 8
-        population, archive, params, settings = seeded_setup(lam, fn)
+        genomes, archive, params, settings = seeded_setup(lam, fn)
         calls = []
 
         def true_eval(genome):
@@ -395,23 +394,23 @@ class TestApproximateRanking:
             archive.add(genome, value)
             return value
 
-        order, n_ic, n_true = approximate_ranking_step(
-            population, archive, make_dist(1), params, settings, true_eval)
+        order, n_ic, _, _, evaluated = approximate_ranking_step(
+            genomes, archive, make_dist(1), params, settings, true_eval)
+        n_true = sum(evaluated)
         assert n_true == 2
         assert n_ic == 1
         assert n_true == 1 + n_ic
         assert len(calls) == 2
         # final ranking equals the full-true-evaluation ranking
-        truth = sorted(range(lam),
-                       key=lambda i: (fn(population[i].genome), i))
+        truth = sorted(range(lam), key=lambda i: (fn(genomes[i]), i))
         assert order == truth
 
     def test_nan_objective_ranks_last(self):
         # a NaN ranking objective must not scramble the finite order
         fn = lambda z: float((z[0] - 0.2) ** 2)
         lam = 8
-        population, archive, params, settings = seeded_setup(lam, fn)
-        poisoned = population[3].genome
+        genomes, archive, params, settings = seeded_setup(lam, fn)
+        poisoned = genomes[3].tobytes()
 
         def true_eval(genome):
             value = fn(genome)
@@ -419,19 +418,19 @@ class TestApproximateRanking:
             return value
 
         def penalize(genome, raw):
-            return math.nan if genome is poisoned else raw
+            return math.nan if genome.tobytes() == poisoned else raw
 
-        order, _, _ = approximate_ranking_step(
-            population, archive, make_dist(1), params, settings, true_eval,
+        order, _, _, values, _ = approximate_ranking_step(
+            genomes, archive, make_dist(1), params, settings, true_eval,
             penalize)
         assert order[-1] == 3
-        ranked = [population[i].penalized_objective for i in order[:-1]]
+        ranked = [values[i] for i in order[:-1]]
         assert ranked == sorted(ranked)
 
     def test_first_evaluation_is_predicted_best(self):
         fn = lambda z: float((z[0] - 0.2) ** 2)
         lam = 8
-        population, archive, params, settings = seeded_setup(lam, fn)
+        genomes, archive, params, settings = seeded_setup(lam, fn)
         calls = []
 
         def true_eval(genome):
@@ -440,10 +439,10 @@ class TestApproximateRanking:
             archive.add(genome, value)
             return value
 
-        approximate_ranking_step(population, archive, make_dist(1), params,
+        approximate_ranking_step(genomes, archive, make_dist(1), params,
                                  settings, true_eval)
-        best = min(range(lam), key=lambda i: (fn(population[i].genome), i))
-        assert np.array_equal(calls[0], population[best].genome)
+        best = min(range(lam), key=lambda i: (fn(genomes[i]), i))
+        assert np.array_equal(calls[0], genomes[best])
 
     def test_adversarial_surrogate_bounded_by_lambda(self):
         # archive lies (negated objective), true evaluations set the record
@@ -456,8 +455,7 @@ class TestApproximateRanking:
         fill_archive(archive,
                      rng.uniform(-3, 3, (settings.min_archive_size + 3, 1)),
                      lambda z: -fn(z))
-        population = [Individual(genome=rng.uniform(-1, 1, 1))
-                      for _ in range(lam)]
+        genomes = np.array([rng.uniform(-1, 1, 1) for _ in range(lam)])
         params = default_strategy_params(1, lam)
 
         def true_eval(genome):
@@ -465,8 +463,9 @@ class TestApproximateRanking:
             archive.add(genome, value)
             return value
 
-        order, n_ic, n_true = approximate_ranking_step(
-            population, archive, make_dist(1), params, settings, true_eval)
+        order, n_ic, _, _, evaluated = approximate_ranking_step(
+            genomes, archive, make_dist(1), params, settings, true_eval)
+        n_true = sum(evaluated)
         assert n_true <= lam
         assert n_true == 1 + n_ic
         assert sorted(order) == list(range(lam))
@@ -497,7 +496,7 @@ class TestApproximateRanking:
     def test_fallback_to_full_evaluation(self, monkeypatch):
         fn = lambda z: float(z[0] ** 2)
         lam = 8
-        population, archive, params, settings = seeded_setup(lam, fn)
+        genomes, archive, params, settings = seeded_setup(lam, fn)
         state = {"calls": 0}
 
         def broken_select(archive_, q, metric, k):
@@ -515,28 +514,26 @@ class TestApproximateRanking:
             archive.add(genome, value)
             return value
 
-        order, _, n_true = approximate_ranking_step(
-            population, archive, make_dist(1), params, settings, true_eval)
-        assert n_true == lam
-        assert all(ind.evaluated_by.value == "true_function"
-                   for ind in population)
-        truth = sorted(range(lam),
-                       key=lambda i: (fn(population[i].genome), i))
+        order, _, _, _, evaluated = approximate_ranking_step(
+            genomes, archive, make_dist(1), params, settings, true_eval)
+        assert sum(evaluated) == lam
+        assert all(evaluated)
+        truth = sorted(range(lam), key=lambda i: (fn(genomes[i]), i))
         assert order == truth
 
     def test_archive_below_threshold_is_callers_problem(self):
         fn = lambda z: float(z[0] ** 2)
-        population, archive, params, settings = seeded_setup(4, fn)
+        genomes, archive, params, settings = seeded_setup(4, fn)
         small = TrainingArchive(1)
         small.add(np.array([0.0]), 0.0)
         with pytest.raises(ValueError):
-            approximate_ranking_step(population, small, make_dist(1), params,
+            approximate_ranking_step(genomes, small, make_dist(1), params,
                                      settings, lambda g: fn(g))
 
     def test_penalty_applied_to_predictions_and_truth(self):
         fn = lambda z: float(z[0] ** 2)
         lam = 8
-        population, archive, params, settings = seeded_setup(lam, fn)
+        genomes, archive, params, settings = seeded_setup(lam, fn)
 
         def true_eval(genome):
             value = fn(genome)
@@ -544,12 +541,11 @@ class TestApproximateRanking:
             return value
 
         shift = 100.0
-        order, _, _ = approximate_ranking_step(
-            population, archive, make_dist(1), params, settings, true_eval,
+        _, _, raw, values, _ = approximate_ranking_step(
+            genomes, archive, make_dist(1), params, settings, true_eval,
             penalize_fn=lambda genome, raw: raw + shift)
-        for ind in population:
-            assert ind.penalized_objective == pytest.approx(
-                ind.raw_objective + shift, rel=1e-12)
+        for raw_objective, value in zip(raw, values):
+            assert value == pytest.approx(raw_objective + shift, rel=1e-12)
 
     def test_exact_surrogate_multi_dimensional(self):
         rng = np.random.default_rng(31)
@@ -560,8 +556,7 @@ class TestApproximateRanking:
         fill_archive(archive,
                      rng.uniform(-2, 2, (settings.min_archive_size + 5, n)),
                      fn)
-        population = [Individual(genome=rng.uniform(-1, 1, n))
-                      for _ in range(lam)]
+        genomes = np.array([rng.uniform(-1, 1, n) for _ in range(lam)])
         params = default_strategy_params(n, lam)
 
         def true_eval(genome):
@@ -569,11 +564,10 @@ class TestApproximateRanking:
             archive.add(genome, value)
             return value
 
-        order, n_ic, n_true = approximate_ranking_step(
-            population, archive, make_dist(n), params, settings, true_eval)
-        assert n_true == 2
-        truth = sorted(range(lam),
-                       key=lambda i: (fn(population[i].genome), i))
+        order, n_ic, _, _, evaluated = approximate_ranking_step(
+            genomes, archive, make_dist(n), params, settings, true_eval)
+        assert sum(evaluated) == 2
+        truth = sorted(range(lam), key=lambda i: (fn(genomes[i]), i))
         assert order == truth
 
 
@@ -679,53 +673,44 @@ class TestAdmitNewest:
                 assert (j in joined) == (not same_bits(before[j], fresh))
 
 
-def rescanning_ranking_step(population, archive, dist, params, settings,
+def rescanning_ranking_step(genomes, archive, dist, params, settings,
                             true_eval, penalize_fn):
     """The ranking step as it was with a full archive scan per refit: the
     reference the incremental step must match bit for bit."""
-    lam = len(population)
+    lam = len(genomes)
     metric = MahalanobisMetric(dist.covariance)
-    values = np.full(lam, np.nan)
+    raw = [math.nan] * lam
+    values = [math.nan] * lam
     evaluated = [False] * lam
-    n_true = 0
     cached = {}
 
     def eval_true(i):
-        nonlocal n_true
-        raw = true_eval(population[i].genome)
-        population[i].raw_objective = raw
-        population[i].penalized_objective = penalize_fn(
-            population[i].genome, raw)
-        population[i].evaluated_by = EvaluationSource.TRUE_FUNCTION
-        values[i] = population[i].penalized_objective
+        raw[i] = true_eval(genomes[i])
+        values[i] = penalize_fn(genomes[i], raw[i])
         evaluated[i] = True
         cached.pop(i, None)
-        n_true += 1
         if cached:
             held = list(cached)
-            distances = metric.distances_to(
-                [population[j].genome for j in held], population[i].genome)
+            distances = metric.distances_to(genomes[held], genomes[i])
             for j, distance in zip(held, distances):
                 if distance < cached[j][1]:
                     del cached[j]
 
     def predict_unevaluated():
-        for i, ind in enumerate(population):
+        for i in range(lam):
             if evaluated[i]:
                 continue
             if i in cached:
                 raw_hat = cached[i][0]
             else:
-                genomes, objectives, distances = select_neighbors(
-                    archive, ind.genome, metric, settings.k)
-                model = fit_local_model(genomes, objectives, distances,
-                                        ind.genome)
-                raw_hat = predict(model, ind.genome)
+                neighbors, objectives, distances = select_neighbors(
+                    archive, genomes[i], metric, settings.k)
+                model = fit_local_model(neighbors, objectives, distances,
+                                        genomes[i])
+                raw_hat = predict(model, genomes[i])
                 cached[i] = (raw_hat, model.bandwidth)
-            ind.raw_objective = raw_hat
-            ind.penalized_objective = penalize_fn(ind.genome, raw_hat)
-            ind.evaluated_by = EvaluationSource.SURROGATE
-            values[i] = ind.penalized_objective
+            raw[i] = raw_hat
+            values[i] = penalize_fn(genomes[i], raw_hat)
 
     def current_order():
         return sorted(range(lam), key=ranking_key(values))
@@ -756,7 +741,7 @@ def rescanning_ranking_step(population, archive, dist, params, settings,
         for i in range(lam):
             if not evaluated[i]:
                 eval_true(i)
-    return current_order(), n_ic, n_true
+    return current_order(), n_ic, raw, values, evaluated
 
 
 def float_bits(value) -> bytes:
@@ -774,25 +759,24 @@ class TestIncrementalStep:
         problem = harness.build_problem(config)
         steps = []
 
-        def both(population, archive, dist, params, settings, evaluator,
+        def both(genomes, archive, dist, params, settings, evaluator,
                  penalize):
-            twin = copy.deepcopy(population)
             twin_archive = copy.deepcopy(archive)
             expected = rescanning_ranking_step(
-                twin, twin_archive, dist, params, settings,
+                genomes.copy(), twin_archive, dist, params, settings,
                 harness.Evaluator(problem.raw_objective, twin_archive),
                 penalize)
-            got = approximate_ranking_step(population, archive, dist, params,
+            got = approximate_ranking_step(genomes, archive, dist, params,
                                            settings, evaluator, penalize)
-            assert got == expected
-            for ind, ref in zip(population, twin):
-                assert float_bits(ind.raw_objective) == float_bits(
-                    ref.raw_objective)
-                assert float_bits(ind.penalized_objective) == float_bits(
-                    ref.penalized_objective)
-                assert ind.evaluated_by == ref.evaluated_by
+            order, n_ic, raw, values, evaluated = got
+            assert (order, n_ic) == expected[:2]
+            for got_raw, ref_raw in zip(raw, expected[2], strict=True):
+                assert float_bits(got_raw) == float_bits(ref_raw)
+            for got_value, ref_value in zip(values, expected[3], strict=True):
+                assert float_bits(got_value) == float_bits(ref_value)
+            assert evaluated == expected[4]
             assert same_bits(archive.as_arrays(), twin_archive.as_arrays())
-            steps.append(got[2])
+            steps.append(sum(evaluated))
             return got
 
         monkeypatch.setattr(harness, "approximate_ranking_step", both)
@@ -813,10 +797,9 @@ class TestIncrementalStep:
         fill_archive(archive, rng.uniform(-3, 3, (settings.min_archive_size,
                                                   n)), fn)
         poisoned = np.array([0.1, 0.0])
-        population = ([Individual(genome=known.copy()),
-                       Individual(genome=poisoned.copy())]
-                      + [Individual(genome=rng.uniform(1.0, 2.0, n))
-                         for _ in range(lam - 2)])
+        genomes = np.array([known.copy(), poisoned.copy()]
+                           + [rng.uniform(1.0, 2.0, n)
+                              for _ in range(lam - 2)])
         evaluator = harness.Evaluator(
             lambda z: math.nan if z[0] == 0.1 else fn(z), archive)
         events = []
@@ -831,9 +814,9 @@ class TestIncrementalStep:
 
         monkeypatch.setattr(mm, "fit_local_model", counted_fit)
         size = len(archive)
-        _, _, n_true = approximate_ranking_step(
-            population, archive, make_dist(n), default_strategy_params(n, lam),
+        _, _, _, _, evaluated = approximate_ranking_step(
+            genomes, archive, make_dist(n), default_strategy_params(n, lam),
             settings, true_eval)
         assert len(archive) == size
-        assert n_true == 2
+        assert sum(evaluated) == 2
         assert events == ["fit"] * lam + ["true", "true"]

@@ -3,7 +3,7 @@ its `WRAPPED_CALLS` where the caller looks them up. A renamed or dropped
 name makes a traced benchmark run raise, so each one must stay a callable
 attribute of its module. The per-layer counts it reports (fits and
 neighbour scans per generation) rest on how often those names are
-reached."""
+reached, and tracing must leave the run CSVs byte for byte as they are."""
 
 import importlib
 import importlib.util
@@ -13,20 +13,23 @@ import numpy as np
 import pytest
 
 import wellopt.metamodel as mm
-from wellopt.cma import (Individual, SearchDistribution,
-                         default_strategy_params)
-from wellopt.harness import Evaluator
+from wellopt.cma import SearchDistribution, default_strategy_params
+from wellopt.harness import Evaluator, RunConfig, run_single
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def wrapped_calls():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing",
                                                   TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def wrapped_calls():
     return [(module_name, name)
-            for module_name, names in module.WRAPPED_CALLS.items()
+            for module_name, names in load_tracing().WRAPPED_CALLS.items()
             for name in names]
 
 
@@ -50,8 +53,7 @@ def test_surrogate_generation_scans_once_per_candidate_and_fits_stale_sets(
     archive = mm.TrainingArchive(n)
     for z in rng.uniform(-2, 2, (300, n)):
         archive.add(z, fn(z))
-    population = [Individual(genome=rng.uniform(-1, 1, n))
-                  for _ in range(lam)]
+    genomes = np.array([rng.uniform(-1, 1, n) for _ in range(lam)])
     dist = SearchDistribution(mean=np.zeros(n), step_size=1.0,
                               covariance=np.eye(n), path_sigma=np.zeros(n),
                               path_c=np.zeros(n))
@@ -95,10 +97,54 @@ def test_surrogate_generation_scans_once_per_candidate_and_fits_stale_sets(
 
     monkeypatch.setattr(mm, "select_neighbors", counted_select)
     monkeypatch.setattr(mm, "fit_local_model", counted_fit)
-    _, _, n_true = mm.approximate_ranking_step(
-        population, archive, dist, default_strategy_params(n, lam), settings,
+    _, _, _, _, evaluated = mm.approximate_ranking_step(
+        genomes, archive, dist, default_strategy_params(n, lam), settings,
         true_eval, penalize)
-    assert n_true >= 3
+    assert sum(evaluated) >= 3
     assert len(scans) == len(set(scans)) <= lam
     assert lam < len(fits) < len(predictions)
     assert fits == stale
+
+
+def test_installed_tracing_keeps_csv_bytes_and_records_every_layer(
+        tmp_path):
+    # A constrained CMA run, a surrogate run that gets past
+    # min_archive_size (24 points for n = 2: from generation 3 on) and a
+    # GA run, each untraced and then under install_tracing and the
+    # generation clock.
+    sphere = {"kind": "sphere", "dimension": 2, "center": 2.0}
+    constraint = [{"indices": [0, 1], "lower": -1.0, "upper": 1.0}]
+    configs = {
+        "cma": {"optimizer": "cma", "constraints": constraint},
+        "surrogate": {"optimizer": "cma+surrogate"},
+        "ga": {"optimizer": "ga", "constraints": constraint},
+    }
+
+    def run_all(kind):
+        csvs, rows = {}, 0
+        for name, overrides in configs.items():
+            config = RunConfig.from_dict({
+                "problem": sphere, "population_size": 8,
+                "max_generations": 6, **overrides})
+            out_dir = tmp_path / kind / name
+            rows += len(run_single(config, 1, out_dir).rows)
+            csvs[name] = (out_dir / "run_1.csv").read_bytes()
+        return csvs, rows
+
+    plain, rows = run_all("plain")
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    clock = tracing.GenerationClock(lambda: 0.0, 0.0)
+    with tracing.Patcher() as patcher:
+        tracing.install_tracing(patcher, tracer)
+        clock.install(patcher)
+        clock.start()
+        traced, traced_rows = run_all("traced")
+    assert traced == plain
+    assert traced_rows == rows == len(clock.gen_s)
+    table = tracing.SpanTable(tracer)
+    for span in ("cma.rank_population", "cma.update_mean",
+                 "metamodel.approximate_ranking_step",
+                 "constraints.record_generation", "ga.step"):
+        assert table.count(span) > 0, span
+    assert tracer.counts["harness.memo_requests"] > 0
