@@ -1,8 +1,7 @@
 """Constrained, surrogate-assisted CMA-ES with a well-placement demo problem."""
 
 from .benchmarks import rosenbrock, sphere
-from .cma import (Diagnostics, SearchDistribution, StrategyParams,
-                  TerminationDecision, check_termination,
+from .cma import (SearchDistribution, StrategyParams, check_termination,
                   default_strategy_params, rank_population, sample_individual,
                   sampling_transform, update_mean, update_strategy_state)
 from .constraints import (PenaltyState, SumConstraint, constraint_violation,

@@ -8,9 +8,11 @@ A generation is plain data: the (lambda, n) block of genomes, one
 candidate per row, and a list of values per candidate. `rank_population`
 orders the values and the updates index the block by that order.
 C is eigendecomposed once per distribution (eigenvalues floored to keep
-it SPD); termination, sampling and the update read that one
-eigensystem. Everything is written against a minimization convention;
-maximization problems are negated at the problem boundary.
+it SPD); termination, sampling and the update read that one eigensystem.
+A distribution counts its floorings in `repairs` and the update carries
+the count on, so a run's last distribution holds its covariance repairs.
+Everything is written against a minimization convention; maximization
+problems are negated at the problem boundary.
 """
 
 from __future__ import annotations
@@ -107,6 +109,7 @@ class SearchDistribution:
     path_sigma: np.ndarray
     path_c: np.ndarray
     generation: int = 0
+    repairs: int = 0   # floorings of this C and of the Cs it came from
     _eigen: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -134,45 +137,36 @@ class SearchDistribution:
         return cls(mean=mean, step_size=step_size, covariance=np.eye(n),
                    path_sigma=np.zeros(n), path_c=np.zeros(n), generation=0)
 
-    def eigensystem(self, diagnostics: Diagnostics | None = None
-                    ) -> tuple[np.ndarray, np.ndarray]:
+    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Floored eigenvalues and eigenvectors of C, decomposed once.
 
         Termination, sampling and the strategy update of one generation
-        all read this one decomposition, and a repair is counted once,
-        when it is made. C is never changed after construction: the
-        update returns a fresh distribution.
+        all read this one decomposition, so a flooring is counted once,
+        whichever of them asks first. C is never changed after
+        construction: the update returns a fresh distribution.
         """
         if self._eigen is None:
-            self._eigen = _floored_eigh(self.covariance, diagnostics)
+            values, vectors, repaired = _floored_eigh(self.covariance)
+            self._eigen = values, vectors
+            self.repairs += repaired
         return self._eigen
 
 
-@dataclass
-class Diagnostics:
-    """Counters of a run's silent numerical repairs and of the candidates
-    kept at the redraw cap while still rejected."""
-
-    covariance_repairs: int = 0
-    rejection_exhaustions: int = 0
-
-
-def _floored_eigh(C: np.ndarray, diagnostics: Diagnostics | None = None):
-    """Eigendecompose a symmetrized C, flooring eigenvalues to keep it SPD."""
+def _floored_eigh(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Eigendecompose a symmetrized C, flooring eigenvalues to keep it SPD;
+    the flag says whether any eigenvalue was floored."""
     C = 0.5 * (C + C.T)
     values, vectors = np.linalg.eigh(C)
     floor = EIGENVALUE_FLOOR * max(np.trace(C), np.finfo(float).tiny) / C.shape[0]
-    if np.any(values < floor):
+    repaired = bool(np.any(values < floor))
+    if repaired:
         values = np.maximum(values, floor)
-        if diagnostics is not None:
-            diagnostics.covariance_repairs += 1
-    return values, vectors
+    return values, vectors, repaired
 
 
-def sampling_transform(dist: SearchDistribution,
-                       diagnostics: Diagnostics | None = None) -> np.ndarray:
+def sampling_transform(dist: SearchDistribution) -> np.ndarray:
     """Matrix A with A A^T = C (after eigenvalue flooring)."""
-    values, vectors = dist.eigensystem(diagnostics)
+    values, vectors = dist.eigensystem()
     return vectors * np.sqrt(values)
 
 
@@ -213,18 +207,17 @@ def update_mean(dist: SearchDistribution, params: StrategyParams,
 
 def update_strategy_state(dist: SearchDistribution, params: StrategyParams,
                           genomes: np.ndarray, order: list[int],
-                          old_mean: np.ndarray,
-                          diagnostics: Diagnostics | None = None
-                          ) -> SearchDistribution:
+                          old_mean: np.ndarray) -> SearchDistribution:
     """CSA step-size update plus rank-one / rank-mu covariance adaptation.
 
     `dist.mean` must already hold the recombined mean; `old_mean` is the
-    mean that generated `genomes`, one candidate per row. Returns a fresh distribution with
-    the generation counter incremented.
+    mean that generated `genomes`, one candidate per row. Returns a fresh
+    distribution with the generation counter incremented and the repair
+    count carried forward, plus one if the new C was floored.
     """
     n = dist.dim
     sigma = dist.step_size
-    values, vectors = dist.eigensystem(diagnostics)
+    values, vectors = dist.eigensystem()
     inv_sqrt = (vectors / np.sqrt(values)) @ vectors.T
 
     y_w = (dist.mean - old_mean) / sigma
@@ -248,7 +241,7 @@ def update_strategy_state(dist: SearchDistribution, params: StrategyParams,
                   + (1 - h_sigma) * params.c_1 * params.c_c * (2 - params.c_c))
     C = old_factor * dist.covariance + params.c_1 * rank_one + params.c_mu * rank_mu
 
-    values, vectors = _floored_eigh(C, diagnostics)
+    values, vectors, repaired = _floored_eigh(C)
     C = (vectors * values) @ vectors.T
     C = 0.5 * (C + C.T)
 
@@ -256,21 +249,15 @@ def update_strategy_state(dist: SearchDistribution, params: StrategyParams,
                                * (norm_p / params.chi_n - 1))
     return SearchDistribution(mean=dist.mean, step_size=sigma_new,
                               covariance=C, path_sigma=p_sigma, path_c=p_c,
-                              generation=gen)
-
-
-@dataclass
-class TerminationDecision:
-    stop: bool
-    reason: str = ""
+                              generation=gen,
+                              repairs=dist.repairs + repaired)
 
 
 def check_termination(dist: SearchDistribution, params: StrategyParams,
                       best_history: list[float],
-                      objective_stationary: bool = True,
-                      diagnostics: Diagnostics | None = None
-                      ) -> TerminationDecision:
-    """Stop on the generation cap, stagnation, or an ill-conditioned C.
+                      objective_stationary: bool = True) -> str:
+    """Why to stop ("max_generations", "ill-conditioned" or "stagnation"),
+    or "" to go on.
 
     `best_history` is the per-generation best-so-far objective, oldest
     first. Stagnation means the best-so-far improved by less than
@@ -282,15 +269,15 @@ def check_termination(dist: SearchDistribution, params: StrategyParams,
     generation cap has been checked.
     """
     if dist.generation >= params.max_generations:
-        return TerminationDecision(True, "max_generations")
-    values, _ = dist.eigensystem(diagnostics)
+        return "max_generations"
+    values, _ = dist.eigensystem()
     smallest = max(values[0], np.finfo(float).tiny)
     if values[-1] / smallest > CONDITION_CAP:
-        return TerminationDecision(True, "ill-conditioned")
+        return "ill-conditioned"
     if objective_stationary and len(best_history) > STAGNATION_WINDOW:
         old = best_history[-STAGNATION_WINDOW - 1]
         new = best_history[-1]
         scale = max(abs(old), abs(new), np.finfo(float).tiny)
         if (old - new) < STAGNATION_RTOL * scale:
-            return TerminationDecision(True, "stagnation")
-    return TerminationDecision(False)
+            return "stagnation"
+    return ""

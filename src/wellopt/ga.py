@@ -10,6 +10,7 @@ repair schemes).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,6 @@ class NoFeasiblePointError(RuntimeError):
 class GaParams:
     population_size: int
     bounds: np.ndarray
-    max_generations: int
     crossprob: float = 0.7
     mutprob: float = 0.1
 
@@ -47,10 +47,6 @@ class GaParams:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.population_size < 2:
             raise ValueError("population_size must be >= 2")
-
-    @property
-    def dim(self) -> int:
-        return self.bounds.shape[0]
 
 
 def select_parent(order: list[int], rng: np.random.Generator) -> int:
@@ -195,13 +191,11 @@ class GaOptimizer:
             self.best_genome = x.copy()
 
     def _track_best(self):
-        # non-finite values never become the best (np.argmin would pick
-        # the first NaN)
-        values = np.where(np.isfinite(self.fitnesses), self.fitnesses,
-                          np.inf)
-        idx = int(np.argmin(values))
-        if values[idx] < self.best_fitness:
-            self.best_fitness = float(values[idx])
+        # non-finite values rank last and never become the best
+        idx = rank_population(self.fitnesses)[0]
+        value = float(self.fitnesses[idx])
+        if math.isfinite(value) and value < self.best_fitness:
+            self.best_fitness = value
             self.best_genome = self.genomes[idx].copy()
 
     def step(self):

@@ -24,10 +24,10 @@ from importlib import resources
 import numpy as np
 
 from .benchmarks import DEFAULT_BOUNDS, rosenbrock, sphere
-from .cma import (STAGNATION_WINDOW, Diagnostics, SearchDistribution,
-                  check_termination, default_strategy_params,
-                  rank_population, sample_individual, sampling_transform,
-                  update_mean, update_strategy_state)
+from .cma import (STAGNATION_WINDOW, SearchDistribution, check_termination,
+                  default_strategy_params, rank_population,
+                  sample_individual, sampling_transform, update_mean,
+                  update_strategy_state)
 from .constraints import (PenaltyState, SumConstraint, maybe_increase_gammas,
                           maybe_set_gammas, penalty_amount,
                           sample_with_rejection, xi_factors)
@@ -165,15 +165,10 @@ class RunConfig:
         surrogate = None
         if data.get("surrogate") is not None:
             entry = data["surrogate"]
-            _check_keys(entry, {"k", "min_archive_size", "max_cycle_fraction"},
-                        "surrogate")
+            _check_keys(entry, {"k", "min_archive_size"}, "surrogate")
             surrogate = SurrogateSettings(
                 k=int(entry["k"]),
-                min_archive_size=int(entry["min_archive_size"]),
-                max_cycle_fraction=float(entry.get("max_cycle_fraction", 0.25)))
-            if not 0.0 < surrogate.max_cycle_fraction <= 1.0:
-                raise ValueError("surrogate.max_cycle_fraction must lie in "
-                                 "(0, 1]")
+                min_archive_size=int(entry["min_archive_size"]))
 
         ga = {"crossprob": 0.7, "mutprob": 0.1, **(data.get("ga") or {})}
         _check_keys(ga, {"crossprob", "mutprob"}, "ga")
@@ -240,10 +235,6 @@ class BuiltProblem:
     raw_objective: object
     constraints: list[SumConstraint]
     well_problem: WellPlacementProblem | None = None
-
-    @property
-    def reports_npv(self) -> bool:
-        return self.well_problem is not None
 
 
 def load_bundled_grid() -> ReservoirGrid:
@@ -422,32 +413,29 @@ def run_cma(problem: BuiltProblem, config: RunConfig, seed: int,
     settings = config.surrogate or default_surrogate_settings(dim)
     if use_surrogate:
         settings.validate(dim)
-    diagnostics = Diagnostics()
 
     rows: list[RunRow] = []
     best_history: list[float] = []
     best = math.inf
     best_raw = math.nan
     best_genome = mean0.copy()
-    reason = ""
     last_gamma_change = -10 ** 9
+    exhaustions = 0
 
     while True:
         stationary = (dist.generation - last_gamma_change
                       > STAGNATION_WINDOW)
-        decision = check_termination(dist, params, best_history, stationary,
-                                     diagnostics)
-        if decision.stop:
-            reason = decision.reason
+        reason = check_termination(dist, params, best_history, stationary)
+        if reason:
             break
-        transform = sampling_transform(dist, diagnostics)
+        transform = sampling_transform(dist)
 
         def draw(count):
             return sample_individual(dist, transform, rng, count)
 
-        genomes, sums, resamples, exhaustions = sample_with_rejection(
+        genomes, sums, resamples, exhausted = sample_with_rejection(
             draw, params.lam, constraints, config.rejection_fraction)
-        diagnostics.rejection_exhaustions += exhaustions
+        exhaustions += exhausted
 
         xis = None
         if constraints:
@@ -490,24 +478,22 @@ def run_cma(problem: BuiltProblem, config: RunConfig, seed: int,
 
         old_mean = dist.mean
         dist.mean = update_mean(dist, params, genomes, order)
-        dist = update_strategy_state(dist, params, genomes, order,
-                                     old_mean, diagnostics)
+        dist = update_strategy_state(dist, params, genomes, order, old_mean)
 
     optimizer = "cma+surrogate" if use_surrogate else "cma"
     return RunRecord(seed=seed, optimizer=optimizer, problem=problem.name,
                      dim=dim, n_constraints=len(constraints), rows=rows,
                      termination_reason=reason, final_mean=dist.mean.copy(),
                      archive=archive,
-                     covariance_repairs=diagnostics.covariance_repairs,
+                     covariance_repairs=dist.repairs,
                      nonfinite_evaluations=evaluator.nonfinite,
-                     rejection_exhaustions=diagnostics.rejection_exhaustions)
+                     rejection_exhaustions=exhaustions)
 
 
 def run_ga(problem: BuiltProblem, config: RunConfig, seed: int) -> RunRecord:
     rng = np.random.default_rng(seed)
     params = GaParams(population_size=config.population_size,
                       bounds=problem.bounds,
-                      max_generations=config.max_generations,
                       crossprob=config.crossprob, mutprob=config.mutprob)
     evaluator = Evaluator(problem.raw_objective,
                           TrainingArchive(problem.dim))
@@ -595,6 +581,11 @@ def run_batch(config: RunConfig, out_dir=None) -> BatchResult:
     """Run every configured seed, then write per-run and summary CSVs."""
     if len(config.seeds) < 2:
         raise ValueError("run_batch needs at least 2 seeds")
+    # A comparison's batches carry its pair, so a surrogate too small for
+    # the problem fails the first batch before any run.
+    if (config.surrogate is not None and "cma+surrogate"
+            in (config.optimizer, *(config.optimizers or ()))):
+        config.surrogate.validate(build_problem(config).dim)
     records = [run_single(config, seed, out_dir) for seed in config.seeds]
     targets = config.targets or default_targets(records)
     result = BatchResult(optimizer=config.optimizer,
@@ -658,6 +649,8 @@ def batch_summary_text(result: BatchResult) -> str:
                      f"simulation_failures {record.simulation_failures}")
         if record.rejection_exhaustions:
             line += f", rejection_exhaustions {record.rejection_exhaustions}"
+        if record.nonfinite_evaluations:
+            line += f", nonfinite_evaluations {record.nonfinite_evaluations}"
         lines.append(line)
     return "\n".join(lines) + "\n"
 

@@ -30,6 +30,9 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from .cma import SearchDistribution, StrategyParams, rank_population
 
 RIDGE_SCALE = 1e-8
+# lmm-CMA's lambda/4: below lam * MAX_CYCLE_FRACTION true evaluations a
+# change of the mu-best set, not only of the best, keeps the ranking going.
+MAX_CYCLE_FRACTION = 0.25
 
 
 @lru_cache(maxsize=None)
@@ -137,11 +140,10 @@ class TrainingArchive:
 
 @dataclass(frozen=True)
 class SurrogateSettings:
-    """Neighbor count, activation threshold and the elite-check fraction."""
+    """Neighbor count and the archive size that activates the surrogate."""
 
     k: int
     min_archive_size: int
-    max_cycle_fraction: float = 0.25
 
     def validate(self, dim: int):
         if self.k < basis_size(dim):
@@ -302,20 +304,20 @@ def predict(model: LocalQuadraticModel, z: np.ndarray) -> float:
     return float(model.beta @ quadratic_basis(u))
 
 
-def ranking_continues(cycle: int, lam: int, max_cycle_fraction: float,
-                      set_changed: bool, elt_changed: bool) -> bool:
+def ranking_continues(cycle: int, lam: int, set_changed: bool,
+                      elt_changed: bool) -> bool:
     """Acceptance check of one approximate-ranking cycle.
 
     The first cycle always continues: its comparison baseline predates
     the initial true evaluation, so stability cannot be observed yet.
-    While fewer than `lam * max_cycle_fraction` individuals are truly
+    While fewer than `lam * MAX_CYCLE_FRACTION` individuals are truly
     evaluated (the count after this cycle's evaluation would be
     cycle + 1), any change of the mu-best set or of the best individual
     keeps the procedure going; past that fraction only the best matters.
     """
     if cycle == 1:
         return True
-    if (cycle + 1) < lam * max_cycle_fraction:
+    if (cycle + 1) < lam * MAX_CYCLE_FRACTION:
         return set_changed or elt_changed
     return elt_changed
 
@@ -414,8 +416,7 @@ def approximate_ranking_step(genomes: np.ndarray,
             order = rank_population(values)
             set_cur = frozenset(order[:params.mu])
             elt_cur = order[0]
-            if not ranking_continues(cycle, lam, settings.max_cycle_fraction,
-                                     set_cur != set_prev,
+            if not ranking_continues(cycle, lam, set_cur != set_prev,
                                      elt_cur != elt_prev):
                 break
             target = next((i for i in order if not evaluated[i]), None)

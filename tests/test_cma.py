@@ -5,17 +5,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wellopt.cma import (CONDITION_CAP, Diagnostics, SearchDistribution,
-                         StrategyParams, _floored_eigh, check_termination,
+from wellopt.cma import (CONDITION_CAP, SearchDistribution, StrategyParams,
+                         _floored_eigh, check_termination,
                          default_strategy_params, rank_population,
                          ranking_key, sample_individual, sampling_transform,
                          update_mean, update_strategy_state)
 
 
-def draw_genomes(dist, params, rng, diagnostics=None):
+def draw_genomes(dist, params, rng):
     """lambda draws through the run loop's sampling path, one per row."""
-    transform = sampling_transform(dist, diagnostics)
+    transform = sampling_transform(dist)
     return sample_individual(dist, transform, rng, params.lam)
+
+
+def singular_distribution():
+    return SearchDistribution(mean=np.zeros(2), step_size=1.0,
+                              covariance=np.array([[1.0, 1.0], [1.0, 1.0]]),
+                              path_sigma=np.zeros(2), path_c=np.zeros(2))
+
+
+def draw_and_update(dist, params):
+    """One draw of `dist` and the strategy update, ranked in draw order."""
+    genomes = draw_genomes(dist, params, np.random.default_rng(0))
+    order = rank_population([float(i) for i in range(len(genomes))])
+    old_mean = dist.mean
+    dist.mean = update_mean(dist, params, genomes, order)
+    return update_strategy_state(dist, params, genomes, order, old_mean)
 
 
 class TestStrategyParams:
@@ -66,37 +81,40 @@ class TestSampling:
         assert np.all(np.abs(variances - expected) < 0.05 * expected)
 
     def test_singular_covariance_repaired_not_fatal(self):
-        dist = SearchDistribution(mean=np.zeros(2), step_size=1.0,
-                                  covariance=np.array([[1.0, 1.0],
-                                                       [1.0, 1.0]]),
-                                  path_sigma=np.zeros(2), path_c=np.zeros(2))
+        dist = singular_distribution()
         params = default_strategy_params(2, 4)
-        diagnostics = Diagnostics()
-        genomes = draw_genomes(dist, params, np.random.default_rng(0),
-                               diagnostics)
+        genomes = draw_genomes(dist, params, np.random.default_rng(0))
         assert len(genomes) == 4
-        assert diagnostics.covariance_repairs == 1
+        assert dist.repairs == 1
         assert all(np.all(np.isfinite(genome)) for genome in genomes)
 
     def test_each_floored_matrix_counted_once(self):
         # The singular C is floored once although termination, sampling
         # and the update all read it; the updated C is floored again.
-        dist = SearchDistribution(mean=np.zeros(2), step_size=1.0,
-                                  covariance=np.array([[1.0, 1.0],
-                                                       [1.0, 1.0]]),
-                                  path_sigma=np.zeros(2), path_c=np.zeros(2))
+        dist = singular_distribution()
         params = default_strategy_params(2, 4)
-        diagnostics = Diagnostics()
-        check_termination(dist, params, [], diagnostics=diagnostics)
-        genomes = draw_genomes(dist, params, np.random.default_rng(0),
-                               diagnostics)
-        assert diagnostics.covariance_repairs == 1
-        order = rank_population([float(i) for i in range(len(genomes))])
-        old_mean = dist.mean
-        dist.mean = update_mean(dist, params, genomes, order)
-        update_strategy_state(dist, params, genomes, order, old_mean,
-                              diagnostics)
-        assert diagnostics.covariance_repairs == 2
+        check_termination(dist, params, [])
+        updated = draw_and_update(dist, params)
+        assert dist.repairs == 1
+        assert updated.repairs == 2
+
+    @pytest.mark.parametrize("first", ["eigensystem", "sampling_transform",
+                                       "check_termination"])
+    def test_repair_count_does_not_depend_on_the_first_reader(self, first):
+        dist = singular_distribution()
+        params = default_strategy_params(2, 4)
+        readers = {"eigensystem": dist.eigensystem,
+                   "sampling_transform": lambda: sampling_transform(dist),
+                   "check_termination":
+                       lambda: check_termination(dist, params, [])}
+        readers[first]()
+        assert dist.repairs == 1
+        for read in readers.values():
+            read()
+        assert dist.repairs == 1
+        updated = draw_and_update(dist, params)
+        assert dist.repairs == 1
+        assert updated.repairs == 2
 
 
 class TestRanking:
@@ -335,7 +353,7 @@ def per_row_update_strategy_state(dist, params, rows, order, old_mean):
                   + (1 - h_sigma) * params.c_1 * params.c_c * (2 - params.c_c))
     C = old_factor * dist.covariance + params.c_1 * rank_one + params.c_mu * rank_mu
 
-    values, vectors = _floored_eigh(C)
+    values, vectors, _ = _floored_eigh(C)
     C = (vectors * values) @ vectors.T
     C = 0.5 * (C + C.T)
 
@@ -386,35 +404,35 @@ class TestTermination:
 
     def test_generation_cap(self):
         params = default_strategy_params(2, 4, max_generations=100)
-        decision = check_termination(self._dist(generation=100), params, [])
-        assert decision.stop and decision.reason == "max_generations"
+        reason = check_termination(self._dist(generation=100), params, [])
+        assert reason == "max_generations"
 
     def test_fresh_run_continues(self):
         params = default_strategy_params(2, 4, max_generations=100)
-        assert not check_termination(self._dist(), params, []).stop
+        assert check_termination(self._dist(), params, []) == ""
 
     def test_ill_conditioned_covariance(self):
         params = default_strategy_params(2, 4, max_generations=100)
         C = np.diag([1.0, 2.0 * CONDITION_CAP])
-        decision = check_termination(self._dist(covariance=C), params, [1.0])
-        assert decision.stop and decision.reason == "ill-conditioned"
+        reason = check_termination(self._dist(covariance=C), params, [1.0])
+        assert reason == "ill-conditioned"
 
     def test_stagnation(self):
         params = default_strategy_params(2, 4, max_generations=1000)
         history = [5.0] * 40
-        decision = check_termination(self._dist(generation=40), params,
-                                     history)
-        assert decision.stop and decision.reason == "stagnation"
+        reason = check_termination(self._dist(generation=40), params,
+                                   history)
+        assert reason == "stagnation"
 
     def test_stagnation_suppressed_while_objective_moves(self):
         params = default_strategy_params(2, 4, max_generations=1000)
         history = [5.0] * 40
-        decision = check_termination(self._dist(generation=40), params,
-                                     history, objective_stationary=False)
-        assert not decision.stop
+        reason = check_termination(self._dist(generation=40), params,
+                                   history, objective_stationary=False)
+        assert reason == ""
 
     def test_improving_history_continues(self):
         params = default_strategy_params(2, 4, max_generations=1000)
         history = list(np.linspace(10.0, 1.0, 60))
-        assert not check_termination(self._dist(generation=60), params,
-                                     history).stop
+        assert check_termination(self._dist(generation=60), params,
+                                 history) == ""

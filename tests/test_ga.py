@@ -30,13 +30,11 @@ def bounds(n, lo=-5.0, hi=5.0):
 class TestGaParams:
     def test_validation(self):
         with pytest.raises(ValueError):
-            GaParams(population_size=1, bounds=bounds(2), max_generations=5)
+            GaParams(population_size=1, bounds=bounds(2))
         with pytest.raises(ValueError):
-            GaParams(population_size=4, bounds=np.array([[1.0, 1.0]]),
-                     max_generations=5)
+            GaParams(population_size=4, bounds=np.array([[1.0, 1.0]]))
         with pytest.raises(ValueError):
-            GaParams(population_size=4, bounds=bounds(2), max_generations=5,
-                     crossprob=1.5)
+            GaParams(population_size=4, bounds=bounds(2), crossprob=1.5)
 
 
 class TestSelection:
@@ -192,8 +190,7 @@ def sphere(x):
 
 class TestGaGeneration:
     def _params(self, n=3, pop=10, **kwargs):
-        return GaParams(population_size=pop, bounds=bounds(n),
-                        max_generations=50, **kwargs)
+        return GaParams(population_size=pop, bounds=bounds(n), **kwargs)
 
     def test_population_size_preserved(self):
         rng = np.random.default_rng(12)
@@ -267,6 +264,14 @@ class TestGaGeneration:
         opt.initialize()
         assert opt.best_fitness == 1.0
         assert np.array_equal(opt.best_genome, opt.genomes[2])
+
+    def test_no_finite_fitness_leaves_no_best(self):
+        values = iter([float("-inf"), float("nan"), float("-inf"),
+                       float("inf")])
+        opt = GaOptimizer(self._params(pop=4), lambda x: next(values), [],
+                          np.random.default_rng(18))
+        opt.initialize()
+        assert opt.best_fitness == np.inf
 
     def test_converges_on_sphere(self):
         rng = np.random.default_rng(17)

@@ -464,6 +464,24 @@ class TestRunBatch:
             line = next(line for line in lines if f"seed {seed}:" in line)
             assert line.endswith("(max_generations), rejection_exhaustions 12")
 
+    def test_summary_reports_nonfinite_evaluations(self, monkeypatch):
+        original = harness.sphere
+        calls = []
+
+        def nan_every_fifth(x, center):
+            calls.append(None)
+            if len(calls) % 5 == 0:
+                return float("nan")
+            return original(x, center)
+
+        monkeypatch.setattr(harness, "sphere", nan_every_fifth)
+        result = run_batch(sphere_config(max_generations=4))
+        assert [r.nonfinite_evaluations for r in result.records] == [6, 6]
+        lines = harness.batch_summary_text(result).splitlines()
+        for seed in (1, 2):
+            line = next(line for line in lines if f"seed {seed}:" in line)
+            assert line.endswith("(max_generations), nonfinite_evaluations 6")
+
     def test_needs_two_seeds(self):
         with pytest.raises(ValueError, match="seeds"):
             run_batch(sphere_config(seeds=[1]))
@@ -495,6 +513,17 @@ class TestCompare:
             assert result.median_final(name) <= result.batches[
                 name].records[0].rows[0].best_objective
 
+    def test_surrogate_checked_before_any_run(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(harness, "run_ga", never)
+        config = sphere_config(problem={"kind": "sphere", "dimension": 2},
+                               optimizers=["ga", "cma+surrogate"],
+                               surrogate={"k": 3, "min_archive_size": 10})
+        with pytest.raises(ValueError, match="k=3 too small"):
+            compare_optimizers(config)
+
     def test_requires_optimizer_pair(self):
         with pytest.raises(ValueError, match="optimizers"):
             compare_optimizers(sphere_config())
@@ -520,7 +549,7 @@ class TestBuildProblem:
         problem = build_problem(config)
         assert problem.dim == 12
         assert len(problem.constraints) == 8
-        assert problem.reports_npv
+        assert problem.well_problem is not None
 
     def test_custom_well_layout(self):
         config = RunConfig.from_dict({"problem": {

@@ -476,21 +476,21 @@ class TestApproximateRanking:
         # lam = 8: the quarter threshold is 2, so once 2 individuals are
         # evaluated (every observable cycle) only the best individual
         # matters; set churn alone no longer costs evaluations.
-        assert ranking_continues(2, 8, 0.25, set_changed=True,
+        assert ranking_continues(2, 8, set_changed=True,
                                  elt_changed=False) is False
-        assert ranking_continues(2, 8, 0.25, set_changed=True,
+        assert ranking_continues(2, 8, set_changed=True,
                                  elt_changed=True) is True
         # lam = 40 keeps the set criterion active until 10 are evaluated.
-        assert ranking_continues(2, 40, 0.25, set_changed=True,
+        assert ranking_continues(2, 40, set_changed=True,
                                  elt_changed=False) is True
-        assert ranking_continues(9, 40, 0.25, set_changed=True,
+        assert ranking_continues(9, 40, set_changed=True,
                                  elt_changed=False) is False
         # the comparison (cycle + 1) < lam/4 is strict: lam = 12 at
         # cycle 2 gives 3 < 3 -> already the elt-only criterion
-        assert ranking_continues(2, 12, 0.25, set_changed=True,
+        assert ranking_continues(2, 12, set_changed=True,
                                  elt_changed=False) is False
         # the first cycle always continues
-        assert ranking_continues(1, 40, 0.25, set_changed=False,
+        assert ranking_continues(1, 40, set_changed=False,
                                  elt_changed=False) is True
 
     def test_fallback_to_full_evaluation(self, monkeypatch):
@@ -727,8 +727,7 @@ def rescanning_ranking_step(genomes, archive, dist, params, settings,
             order = current_order()
             set_cur = frozenset(order[:params.mu])
             elt_cur = order[0]
-            if not ranking_continues(cycle, lam, settings.max_cycle_fraction,
-                                     set_cur != set_prev,
+            if not ranking_continues(cycle, lam, set_cur != set_prev,
                                      elt_cur != elt_prev):
                 break
             target = next((i for i in order if not evaluated[i]), None)

@@ -144,6 +144,8 @@ def test_installed_tracing_keeps_csv_bytes_and_records_every_layer(
     assert traced_rows == rows == len(clock.gen_s)
     table = tracing.SpanTable(tracer)
     for span in ("cma.rank_population", "cma.update_mean",
+                 "cma.check_termination", "cma.sampling_transform",
+                 "cma.update_strategy_state", "cma.eigh",
                  "metamodel.approximate_ranking_step",
                  "constraints.record_generation", "ga.step"):
         assert table.count(span) > 0, span
