@@ -10,36 +10,15 @@ import numpy as np
 
 from .harness import (BUNDLED_GRID_SEED, RunConfig, batch_summary_text,
                       build_problem, comparison_report_text,
-                      compare_optimizers, run_batch, run_single)
+                      compare_optimizers, run_batch, run_line, run_single)
 from .wells.grid import generate_synthetic_grid
 
 
-def _load_config(path: str) -> RunConfig:
-    return RunConfig.load(path)
-
-
 def _cmd_optimize(args) -> int:
-    config = _load_config(args.config)
+    config = RunConfig.load(args.config)
     out_dir = args.out or config.output_dir
     if args.seed is not None:
-        record = run_single(config, args.seed, out_dir)
-        print(f"seed {record.seed}: best objective "
-              f"{record.final.best_objective!r} after "
-              f"{record.final.true_evaluations} true evaluations "
-              f"({record.termination_reason})")
-        if record.covariance_repairs:
-            print(f"note: {record.covariance_repairs} covariance "
-                  f"eigenvalue repairs applied")
-        if record.simulation_failures:
-            print(f"note: {record.simulation_failures} proxy simulation "
-                  f"failures scored with the worst-case objective")
-        if record.nonfinite_evaluations:
-            print(f"note: {record.nonfinite_evaluations} true evaluations "
-                  f"returned a non-finite objective")
-        if record.rejection_exhaustions:
-            print(f"note: {record.rejection_exhaustions} candidates kept "
-                  f"after the maximum number of redraws still violate a "
-                  f"constraint beyond the rejection tolerance")
+        print(run_line(run_single(config, args.seed, out_dir)))
     else:
         result = run_batch(config, out_dir)
         print(batch_summary_text(result), end="")
@@ -48,7 +27,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    config = _load_config(args.config)
+    config = RunConfig.load(args.config)
     out_dir = args.out or config.output_dir
     result = compare_optimizers(config, out_dir)
     print(comparison_report_text(result), end="")
@@ -58,7 +37,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     if args.config:
-        config = _load_config(args.config)
+        config = RunConfig.load(args.config)
         if config.problem["kind"] != "well_placement":
             print("evaluate requires a well_placement problem",
                   file=sys.stderr)

@@ -426,6 +426,8 @@ def run_cma(problem: BuiltProblem, config: RunConfig, seed: int,
         stationary = (dist.generation - last_gamma_change
                       > STAGNATION_WINDOW)
         reason = check_termination(dist, params, best_history, stationary)
+        if reason and not rows:
+            raise ValueError(f"stopped before the first generation: {reason}")
         if reason:
             break
         transform = sampling_transform(dist)
@@ -452,19 +454,19 @@ def run_cma(problem: BuiltProblem, config: RunConfig, seed: int,
                                      xis)
 
         if use_surrogate and len(archive) >= settings.min_archive_size:
-            order, n_ic, raw, values, evaluated = approximate_ranking_step(
+            order, n_ic, raw, values, _ = approximate_ranking_step(
                 genomes, archive, dist, params, settings, evaluator,
                 penalize)
         else:
             raw = [evaluator(genome) for genome in genomes]
             values = [penalize(genome, r) for genome, r in zip(genomes, raw)]
-            evaluated = [True] * params.lam
             order, n_ic = rank_population(values), 0
 
         state.record_generation(np.array(raw))
 
-        # The incumbent candidate is the best-ranked true evaluation.
-        i = next(i for i in order if evaluated[i])
+        # The best-ranked candidate is always a true evaluation: the
+        # approximate ranking stops only on a best it has evaluated.
+        i = order[0]
         if values[i] < best:
             best, best_raw = float(values[i]), float(raw[i])
             best_genome = genomes[i].copy()
@@ -613,12 +615,17 @@ def _write_batch_outputs(result: BatchResult, out_dir):
                   batch_summary_text(result))
 
 
+def _reached(records: list[RunRecord], target: float) -> list[int]:
+    """Evaluations to `target` of each run that reached it."""
+    evals = (evaluations_to_target(r, target) for r in records)
+    return [e for e in evals if e is not None]
+
+
 def _targets_table(records: list[RunRecord], targets: list[float]) -> str:
     lines = ["schema_version,target_objective,runs_reached,total_runs,"
              "mean_evaluations_to_target"]
     for target in targets:
-        reached = [evaluations_to_target(r, target) for r in records]
-        reached = [e for e in reached if e is not None]
+        reached = _reached(records, target)
         mean = fmt(np.mean(reached)) if reached else "not reached"
         lines.append(f"{SCHEMA_VERSION},{fmt(target)},{len(reached)},"
                      f"{len(records)},{mean}")
@@ -639,20 +646,22 @@ def batch_summary_text(result: BatchResult) -> str:
         npvs = -np.array([r.final.best_raw_objective for r in result.records])
         lines.append(f"final best NPV: median {fmt(np.median(npvs))}, "
                      f"mean {fmt(np.mean(npvs))}")
-    for record in result.records:
-        line = (f"  seed {record.seed}: "
-                f"best {fmt(record.final.best_objective)} "
-                f"after {record.final.true_evaluations} evaluations "
-                f"({record.termination_reason})")
-        if record.covariance_repairs or record.simulation_failures:
-            line += (f", covariance_repairs {record.covariance_repairs}, "
-                     f"simulation_failures {record.simulation_failures}")
-        if record.rejection_exhaustions:
-            line += f", rejection_exhaustions {record.rejection_exhaustions}"
-        if record.nonfinite_evaluations:
-            line += f", nonfinite_evaluations {record.nonfinite_evaluations}"
-        lines.append(line)
+    lines.extend("  " + run_line(record) for record in result.records)
     return "\n".join(lines) + "\n"
+
+
+def run_line(record: RunRecord) -> str:
+    """One run's outcome: its final best, true evaluations and stop
+    reason, then each nonzero run counter by name."""
+    line = (f"seed {record.seed}: best objective "
+            f"{fmt(record.final.best_objective)} after "
+            f"{record.final.true_evaluations} true evaluations "
+            f"({record.termination_reason})")
+    for name in ("covariance_repairs", "simulation_failures",
+                 "rejection_exhaustions", "nonfinite_evaluations"):
+        if count := getattr(record, name):
+            line += f", {name} {count}"
+    return line
 
 
 @dataclass
@@ -667,14 +676,6 @@ class ComparisonResult:
         if abs(first) < np.finfo(float).tiny:
             return math.nan
         return (first - final) / abs(first) * 100.0
-
-    def median_final(self, optimizer: str) -> float:
-        return float(np.median([r.final.best_objective
-                                for r in self.batches[optimizer].records]))
-
-    def median_improvement(self, optimizer: str) -> float:
-        return float(np.median([self.improvement_pct(r)
-                                for r in self.batches[optimizer].records]))
 
 
 def compare_optimizers(config: RunConfig, out_dir=None) -> ComparisonResult:
@@ -731,9 +732,10 @@ def comparison_report_text(result: ComparisonResult) -> str:
     for name in names:
         batch = result.batches[name]
         finals = np.array([r.final.best_objective for r in batch.records])
+        improvements = [result.improvement_pct(r) for r in batch.records]
         lines.append(f"{name}: median final objective {fmt(np.median(finals))}, "
                      f"median improvement over first generation "
-                     f"{result.median_improvement(name):.1f}%")
+                     f"{np.median(improvements):.1f}%")
         if is_well:
             npvs = -np.array([r.final.best_raw_objective
                               for r in batch.records])
@@ -745,9 +747,7 @@ def comparison_report_text(result: ComparisonResult) -> str:
     for target in result.targets:
         row = fmt(round(target, 6)).ljust(24)
         for name in names:
-            reached = [evaluations_to_target(r, target)
-                       for r in result.batches[name].records]
-            reached = [e for e in reached if e is not None]
+            reached = _reached(result.batches[name].records, target)
             cell = (f"{np.mean(reached):.1f} ({len(reached)})"
                     if reached else "not reached")
             row += cell.ljust(18)

@@ -167,7 +167,6 @@ class LocalQuadraticModel:
     beta: np.ndarray
     center: np.ndarray
     bandwidth: float
-    neighbors_used: int
     scale: float = 1.0
 
 
@@ -276,7 +275,7 @@ def fit_local_model(neighbor_genomes: np.ndarray, neighbor_values: np.ndarray,
     normal = (rows[:p] * weights) @ rows.T
     beta = _solve_normal_equations(normal[:, :p], normal[:, p], p)
     return LocalQuadraticModel(beta=beta, center=center, bandwidth=h,
-                               neighbors_used=k, scale=scale)
+                               scale=scale)
 
 
 def _cholesky_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:

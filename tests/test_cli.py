@@ -65,14 +65,14 @@ class TestOptimize:
                      "--out", str(tmp_path / "out")])
         assert code == 0
         assert len(calls) > 1
-        assert "note: 1 proxy simulation failures" in capsys.readouterr().out
+        assert ", simulation_failures 1" in capsys.readouterr().out
 
     def test_no_note_without_simulation_failures(self, sphere_config_file,
                                                  tmp_path, capsys):
         code = main(["optimize", "--config", str(sphere_config_file),
                      "--seed", "1", "--out", str(tmp_path / "out")])
         assert code == 0
-        assert "simulation failures" not in capsys.readouterr().out
+        assert "simulation_failures" not in capsys.readouterr().out
 
     def test_reports_nonfinite_evaluations(self, sphere_config_file,
                                            tmp_path, capsys, monkeypatch):
@@ -89,15 +89,14 @@ class TestOptimize:
         code = main(["optimize", "--config", str(sphere_config_file),
                      "--seed", "1", "--out", str(tmp_path / "out")])
         assert code == 0
-        assert ("note: 1 true evaluations returned a non-finite objective"
-                in capsys.readouterr().out)
+        assert ", nonfinite_evaluations 1" in capsys.readouterr().out
 
     def test_no_note_without_nonfinite_evaluations(self, sphere_config_file,
                                                    tmp_path, capsys):
         code = main(["optimize", "--config", str(sphere_config_file),
                      "--seed", "1", "--out", str(tmp_path / "out")])
         assert code == 0
-        assert "non-finite" not in capsys.readouterr().out
+        assert "nonfinite_evaluations" not in capsys.readouterr().out
 
     def test_reports_rejection_exhaustions(self, tmp_path, capsys):
         path = tmp_path / "far.json"
@@ -109,15 +108,40 @@ class TestOptimize:
         code = main(["optimize", "--config", str(path), "--seed", "1",
                      "--out", str(tmp_path / "out")])
         assert code == 0
-        assert ("note: 12 candidates kept after the maximum number of "
-                "redraws" in capsys.readouterr().out)
+        assert ", rejection_exhaustions 12" in capsys.readouterr().out
 
     def test_no_note_without_rejection_exhaustions(self, sphere_config_file,
                                                    tmp_path, capsys):
         code = main(["optimize", "--config", str(sphere_config_file),
                      "--seed", "1", "--out", str(tmp_path / "out")])
         assert code == 0
-        assert "redraws" not in capsys.readouterr().out
+        assert "rejection_exhaustions" not in capsys.readouterr().out
+
+    def test_seed_line_matches_the_batch_summary(self, sphere_config_file,
+                                                 tmp_path, capsys):
+        main(["optimize", "--config", str(sphere_config_file),
+              "--seed", "2", "--out", str(tmp_path / "one")])
+        seed_line = capsys.readouterr().out.splitlines()[0]
+        assert seed_line.startswith("seed 2: best objective ")
+        assert seed_line.endswith(" after 90 true evaluations "
+                                  "(max_generations)")
+        main(["optimize", "--config", str(sphere_config_file),
+              "--out", str(tmp_path / "all")])
+        summary = (tmp_path / "all" / "summary.txt").read_text()
+        assert summary.splitlines()[-1] == "  " + seed_line
+
+    def test_ill_conditioned_start_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps({
+            "problem": {"kind": "sphere", "dimension": 3,
+                        "bounds": [[-1, 1], [-1, 1], [0, 1e-7]]},
+            "optimizer": "cma"}))
+        code = main(["optimize", "--config", str(path), "--seed", "1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert ("error: stopped before the first generation: "
+                "ill-conditioned" in capsys.readouterr().err)
+        assert not (tmp_path / "out" / "run_1.csv").exists()
 
     def test_bad_config_is_nonzero_exit(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -274,6 +274,21 @@ class TestRunSingle:
         with pytest.raises(ValueError, match="optimizer"):
             run_single(config, 1)
 
+    def test_ill_conditioned_start_raises_and_writes_nothing(self, tmp_path):
+        # The third coordinate's range is 1e-7 of the others, so the
+        # initial covariance is already above the condition cap.
+        problem = {"kind": "sphere", "dimension": 3,
+                   "bounds": [[-1, 1], [-1, 1], [0, 1e-7]]}
+        for optimizer in ("cma", "cma+surrogate"):
+            config = sphere_config(problem=problem, optimizer=optimizer)
+            with pytest.raises(ValueError, match="ill-conditioned"):
+                run_single(config, 1, tmp_path)
+            assert not (tmp_path / "run_1.csv").exists()
+        record = run_single(sphere_config(problem=problem, optimizer="ga"),
+                            1, tmp_path)
+        assert len(record.rows) == 40
+        assert (tmp_path / "run_1.csv").exists()
+
     def test_true_evaluations_strictly_increasing(self):
         for optimizer in ("cma", "cma+surrogate"):
             record = run_single(sphere_config(optimizer=optimizer,
@@ -453,8 +468,7 @@ class TestRunBatch:
         lines = harness.batch_summary_text(result).splitlines()
         seed_1 = next(line for line in lines if "seed 1:" in line)
         seed_2 = next(line for line in lines if "seed 2:" in line)
-        assert seed_1.endswith(
-            "(max_generations), covariance_repairs 0, simulation_failures 1")
+        assert seed_1.endswith("(max_generations), simulation_failures 1")
         assert seed_2.endswith("(max_generations)")
 
     def test_summary_reports_rejection_exhaustions(self):
@@ -497,7 +511,7 @@ class TestCompare:
         finals_b = [r.final.best_objective
                     for r in result.batches["cma#2"].records]
         assert finals_a == finals_b
-        assert result.median_final("cma") == result.median_final("cma#2")
+        assert np.median(finals_a) == np.median(finals_b)
 
     def test_compare_outputs_and_genomes(self, tmp_path):
         config = sphere_config(optimizers=["cma", "ga"], max_generations=20)
@@ -510,8 +524,9 @@ class TestCompare:
         assert lines[0].endswith(",genome_4")
         assert len(lines) == 1 + 2 * len(config.seeds)
         for name in ("cma", "ga"):
-            assert result.median_final(name) <= result.batches[
-                name].records[0].rows[0].best_objective
+            records = result.batches[name].records
+            finals = [r.final.best_objective for r in records]
+            assert np.median(finals) <= records[0].rows[0].best_objective
 
     def test_surrogate_checked_before_any_run(self, monkeypatch):
         def never(*args, **kwargs):

@@ -1,5 +1,6 @@
 import copy
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -322,15 +323,14 @@ class TestPredict:
         # f(u) = u1^2 + 3 with u = (z - (1, 2)) / 2: at z = (3, 2), u = (1, 0)
         beta = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 3.0])
         model = LocalQuadraticModel(beta=beta, center=np.array([1.0, 2.0]),
-                                    bandwidth=1.0, neighbors_used=6,
-                                    scale=2.0)
+                                    bandwidth=1.0, scale=2.0)
         assert predict(model, np.array([3.0, 2.0])) == 4.0
         assert predict(model, np.array([1.0, 2.0])) == 3.0
 
     def test_constant_only_beta(self):
         model = LocalQuadraticModel(
             beta=np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0]),
-            center=np.zeros(2), bandwidth=1.0, neighbors_used=6)
+            center=np.zeros(2), bandwidth=1.0)
         for z in np.random.default_rng(12).standard_normal((10, 2)):
             assert predict(model, z) == 1.0
 
@@ -338,7 +338,7 @@ class TestPredict:
         # f(z) = z1^2 + 2 z1 z2 + 3 at z = (1, 2) -> 1 + 4 + 3 = 8
         beta = np.array([1.0, 0.0, 2.0, 0.0, 0.0, 3.0])
         model = LocalQuadraticModel(beta=beta, center=np.zeros(2),
-                                    bandwidth=1.0, neighbors_used=6)
+                                    bandwidth=1.0)
         assert predict(model, np.array([1.0, 2.0])) == pytest.approx(8.0)
 
     def test_matches_term_by_term_oracle(self):
@@ -346,7 +346,7 @@ class TestPredict:
         for n in (2, 3, 4):
             beta = rng.standard_normal(basis_size(n))
             model = LocalQuadraticModel(beta=beta, center=np.zeros(n),
-                                        bandwidth=1.0, neighbors_used=1)
+                                        bandwidth=1.0)
             z = rng.standard_normal(n)
             expected = 0.0
             pos = 0
@@ -492,6 +492,54 @@ class TestApproximateRanking:
         # the first cycle always continues
         assert ranking_continues(1, 40, set_changed=False,
                                  elt_changed=False) is True
+
+    @hypothesis_settings(max_examples=300, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_best_ranked_candidate_is_truly_evaluated(self, data, seed):
+        # The CMA loop takes order[0] as the generation's incumbent.
+        rng = np.random.default_rng(seed)
+        n = data.draw(st.integers(1, 3))
+        lam = data.draw(st.integers(4, 12))
+        step = data.draw(st.sampled_from([0.0, 0.25]))   # 0.25: ties
+        nan_below = data.draw(st.sampled_from([-math.inf, -0.5, 0.3]))
+        lies = data.draw(st.booleans())   # the archive holds -f
+        fail_after = data.draw(st.one_of(st.none(), st.integers(0, 3 * lam)))
+
+        def fn(z):
+            if z[0] < nan_below:
+                return math.nan
+            value = float(z @ z)
+            return round(value / step) * step if step else value
+
+        settings = default_surrogate_settings(n)
+        archive = TrainingArchive(n)
+        for p in rng.uniform(-1.5, 1.5, (settings.min_archive_size
+                                         + int(rng.integers(0, 8)), n)):
+            archive.add(p, -float(p @ p) if lies else float(p @ p))
+        genomes = rng.uniform(-1.0, 1.0, (lam, n))
+        for i in rng.integers(0, lam, data.draw(st.integers(0, lam // 2))):
+            # a duplicate of another candidate or of an archive point
+            points = genomes if rng.random() < 0.5 else archive.as_arrays()[0]
+            genomes[i] = points[rng.integers(len(points))]
+        poisoned = genomes[rng.integers(lam)].tobytes()
+
+        def penalize(genome, raw):
+            return math.nan if genome.tobytes() == poisoned else raw
+
+        fits = []
+
+        def failing_fit(*args):
+            fits.append(None)
+            if fail_after is not None and len(fits) > fail_after:
+                raise SurrogateUnavailable("forced")
+            return fit_local_model(*args)
+
+        with mock.patch.object(mm, "fit_local_model", failing_fit):
+            order, _, _, _, evaluated = approximate_ranking_step(
+                genomes, archive, make_dist(n), default_strategy_params(n, lam),
+                settings, harness.Evaluator(fn, archive),
+                penalize if data.draw(st.booleans()) else None)
+        assert evaluated[order[0]]
 
     def test_fallback_to_full_evaluation(self, monkeypatch):
         fn = lambda z: float(z[0] ** 2)
