@@ -5,11 +5,11 @@ from .cma import (SearchDistribution, StrategyParams, check_termination,
                   default_strategy_params, rank_population, sample_individual,
                   sampling_transform, update_mean, update_strategy_state)
 from .constraints import (PenaltyState, SumConstraint, constraint_violation,
-                          maybe_increase_gammas, maybe_set_gammas,
+                          maybe_increase_gammas, maybe_set_gammas, penalized,
                           sample_with_rejection, should_reject)
 from .ga import GaOptimizer, GaParams
 from .harness import (BatchResult, ComparisonResult, Evaluator, RunConfig,
-                      RunRecord, build_problem, compare_optimizers, penalized,
+                      RunRecord, build_problem, compare_optimizers,
                       run_batch, run_single)
 from .metamodel import (LocalQuadraticModel, MahalanobisMetric,
                         SurrogateSettings, TrainingArchive,

@@ -12,7 +12,8 @@ A generation is sampled in blocks from one stream: `sample_with_rejection`
 screens a whole block of draws at once, reads every constraint sum once
 per draw, and hands the kept candidates' sums on for the gamma update.
 The candidates, redraw counts and generator state are those of drawing
-and screening one genome at a time.
+and screening one genome at a time. The same sums give each candidate's
+penalty amount, once per generation while gamma and xi are frozen.
 """
 
 from __future__ import annotations
@@ -50,15 +51,19 @@ class SumConstraint:
                            np.array(self.indices, dtype=np.intp))
 
 
-def _violation(x: np.ndarray, constraint: SumConstraint
-               ) -> tuple[float, float, float]:
-    """constraint_violation of a float array, with the bits of the numpy
-    form `q = x[index_array].sum()`, `q_feas = min(max(q, lower), upper)`.
+def constraint_violation(x: np.ndarray, constraint: SumConstraint
+                         ) -> tuple[float, float, float]:
+    """Return (q, q_feas, distance) for one genome and constraint.
 
-    A single coordinate is read directly; adding 0.0 turns -0.0 into 0.0,
-    as the sum's zero start does. The clamp returns q itself when q is
+    q is the constrained coordinate sum, q_feas its clamp onto
+    [lower, upper], and distance = |q - q_feas| (zero iff feasible;
+    interval endpoints count as feasible). The bits are those of the numpy
+    form `q = x[index_array].sum()`, `q_feas = min(max(q, lower), upper)`:
+    a single coordinate is read directly, and adding 0.0 turns -0.0 into
+    0.0 as the sum's zero start does; the clamp returns q itself when q is
     NaN or equals a bound, as min and max do (lower < upper holds).
     """
+    x = np.asarray(x, dtype=float)
     if len(constraint.indices) == 1:
         q = x.item(constraint.indices[0]) + 0.0
     else:
@@ -66,17 +71,6 @@ def _violation(x: np.ndarray, constraint: SumConstraint
     lower, upper = constraint.lower, constraint.upper
     q_feas = lower if q < lower else upper if q > upper else q
     return q, q_feas, abs(q - q_feas)
-
-
-def constraint_violation(x: np.ndarray, constraint: SumConstraint
-                         ) -> tuple[float, float, float]:
-    """Return (q, q_feas, distance) for one genome and constraint.
-
-    q is the constrained coordinate sum, q_feas its clamp onto
-    [lower, upper], and distance = |q - q_feas| (zero iff feasible;
-    interval endpoints count as feasible).
-    """
-    return _violation(np.asarray(x, dtype=float), constraint)
 
 
 def should_reject(q: float, q_feas: float, rejection_fraction: float) -> bool:
@@ -87,6 +81,20 @@ def should_reject(q: float, q_feas: float, rejection_fraction: float) -> bool:
     if not rejection_fraction > 0:
         raise ValueError("rejection_fraction must be positive")
     return abs(q_feas - q) > rejection_fraction * abs(q)
+
+
+def _linear_percentile(ordered: list[float], fraction: float) -> float:
+    """np.percentile(ordered, 100 * fraction) of two or more sorted floats.
+
+    numpy's virtual index n*q + (1 - q) - 1 and its interpolation, which
+    runs from the upper neighbour once the weight t reaches 0.5.
+    """
+    index = len(ordered) * fraction + (1 - fraction) - 1
+    lo = math.floor(index)
+    a, b = ordered[lo], ordered[lo + 1]
+    t = index - lo
+    d = b - a
+    return a + d * t if t < 0.5 else b - d * (1 - t)
 
 
 @dataclass
@@ -113,14 +121,18 @@ class PenaltyState:
         self.history_capacity = max(1, math.ceil((20 + 3 * self.dim) / self.lam))
         self.fitness_history = deque(maxlen=self.history_capacity)
 
-    def record_generation(self, raw_objectives: np.ndarray):
-        """Store this generation's IQR of unpenalized objective values."""
-        values = np.asarray(raw_objectives, dtype=float)
-        values = values[np.isfinite(values)]
-        if values.size == 0:
+    def record_generation(self, raw_objectives: list[float]):
+        """Store this generation's IQR of its finite unpenalized objectives.
+
+        q75 - q25 of numpy's default ('linear') percentiles, computed in
+        Python floats with np.percentile's bits; one value has spread 0.
+        """
+        values = sorted(v for v in raw_objectives if math.isfinite(v))
+        if not values:
             return
-        q75, q25 = np.percentile(values, [75, 25])
-        self.fitness_history.append(float(q75 - q25))
+        self.fitness_history.append(
+            _linear_percentile(values, 0.75) - _linear_percentile(values, 0.25)
+            if len(values) > 1 else 0.0)
 
     def median_iqr(self) -> float:
         if not self.fitness_history:
@@ -139,8 +151,10 @@ def maybe_set_gammas(state: PenaltyState, dist: SearchDistribution,
     If the distribution mean is unfeasible for any constraint and the
     weights are not set yet, every gamma becomes
     2 * delta_fit / (sigma^2 * mean(diag(C))), where delta_fit is the
-    median of the stored per-generation objective IQRs. Until a generation
-    has recorded an IQR (one with a finite objective), gamma stays 0.
+    median of the stored per-generation objective IQRs. A value that is
+    not finite and positive carries no scale (a plateau gives 0), so gamma
+    stays 0 and uninitialized until a generation yields one; until then
+    `maybe_increase_gammas` would only ever multiply 0.
     """
     if (dist.generation < 1 or state.gammas_initialized or not constraints
             or not state.fitness_history):
@@ -150,8 +164,9 @@ def maybe_set_gammas(state: PenaltyState, dist: SearchDistribution,
     delta_fit = state.median_iqr()
     mean_diag = float(np.mean(np.diag(dist.covariance)))
     value = 2.0 * delta_fit / (dist.step_size ** 2 * mean_diag)
-    state.gammas[:] = value
-    state.gammas_initialized = True
+    if math.isfinite(value) and value > 0.0:
+        state.gammas[:] = value
+        state.gammas_initialized = True
 
 
 def increase_trigger_threshold(dist: SearchDistribution, params: StrategyParams,
@@ -196,20 +211,33 @@ def xi_factors(dist: SearchDistribution,
         for c in constraints])
 
 
-def penalty_amount(x: np.ndarray, gammas: np.ndarray,
+def penalty_amount(q: list[float], gammas: list[float],
                    constraints: list[SumConstraint],
-                   xis: np.ndarray) -> float:
-    """Mean over constraints of gamma_j * distance_j^2 / xi_j."""
+                   xis: list[float]) -> float:
+    """Mean over constraints of gamma_j * distance_j^2 / xi_j for one
+    candidate, from its constraint sums q_j (a row of the sampler's sums).
+
+    distance_j is |q_j - q_feas_j| written without the clamp, with its
+    bits; a NaN sum lies in no direction and adds nothing. The xi_j are
+    positive, as `xi_factors` gives them.
+    """
     total = 0.0
-    for j, constraint in enumerate(constraints):
-        distance = _violation(x, constraint)[2]
+    for q_j, gamma, xi, c in zip(q, gammas, xis, constraints):
+        distance = (c.lower - q_j if q_j < c.lower
+                    else q_j - c.upper if q_j > c.upper else 0.0)
         if distance > 0.0:
-            total += gammas[j] * distance * distance / xis[j]
+            total += gamma * distance * distance / xi
     return total / len(constraints) if total else 0.0
 
 
+def penalized(raw: float, amount: float) -> float:
+    """raw + amount; raw exactly when the amount is 0 or raw is not finite."""
+    return raw if amount == 0.0 or not math.isfinite(raw) else raw + amount
+
+
 def _block_sums(X: np.ndarray, constraint: SumConstraint) -> np.ndarray:
-    """q of every row of X, with the bits `_violation` gives each row.
+    """q of every row of X, with the bits `constraint_violation` gives
+    each row.
 
     `take` keeps each row's terms contiguous, so the row-wise sum adds
     them in the pairwise order of a 1-D sum. (`X[:, idx]` is laid out

@@ -13,7 +13,6 @@ sampling), so identical configs and seeds give byte-identical CSVs.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -29,7 +28,7 @@ from .cma import (STAGNATION_WINDOW, SearchDistribution, check_termination,
                   sample_individual, sampling_transform, update_mean,
                   update_strategy_state)
 from .constraints import (PenaltyState, SumConstraint, maybe_increase_gammas,
-                          maybe_set_gammas, penalty_amount,
+                          maybe_set_gammas, penalized, penalty_amount,
                           sample_with_rejection, xi_factors)
 # The run loop reads constraint sums from sampling; the name stays in this
 # namespace, where the benchmark's tracing looks the layer's calls up.
@@ -78,21 +77,6 @@ class Evaluator:
                 self.nonfinite += 1
             self.archive.add(genome, value, key)
         return value
-
-
-def penalized(constraints: list[SumConstraint], gammas: np.ndarray,
-              xis: np.ndarray | None, genome: np.ndarray, raw: float) -> float:
-    """raw + mean over constraints of gamma_j * distance_j^2 / xi_j.
-
-    Returns raw exactly when there are no constraints, when every
-    distance is zero, and when raw is not finite. The run loop binds the
-    first three arguments once per generation, while gamma and xi are
-    frozen.
-    """
-    if not constraints or not math.isfinite(raw):
-        return raw
-    amount = penalty_amount(genome, gammas, constraints, xis)
-    return raw if amount == 0.0 else raw + amount
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +423,7 @@ def run_cma(problem: BuiltProblem, config: RunConfig, seed: int,
             draw, params.lam, constraints, config.rejection_fraction)
         exhaustions += exhausted
 
-        xis = None
+        amounts = [0.0] * params.lam
         if constraints:
             gammas_before = state.gammas.copy()
             maybe_set_gammas(state, dist, constraints)
@@ -449,20 +433,22 @@ def run_cma(problem: BuiltProblem, config: RunConfig, seed: int,
             maybe_increase_gammas(state, dist, constraints, params, q_means)
             if not np.array_equal(state.gammas, gammas_before):
                 last_gamma_change = dist.generation
-            xis = xi_factors(dist, constraints)
-        penalize = functools.partial(penalized, constraints, state.gammas,
-                                     xis)
+            # gamma and xi are frozen for the generation: one amount per
+            # candidate, from its row of constraint sums.
+            gammas = state.gammas.tolist()
+            xis = xi_factors(dist, constraints).tolist()
+            amounts = [penalty_amount(q, gammas, constraints, xis)
+                       for q in sums.T.tolist()]
 
         if use_surrogate and len(archive) >= settings.min_archive_size:
             order, n_ic, raw, values, _ = approximate_ranking_step(
-                genomes, archive, dist, params, settings, evaluator,
-                penalize)
+                genomes, archive, dist, params, settings, evaluator, amounts)
         else:
             raw = [evaluator(genome) for genome in genomes]
-            values = [penalize(genome, r) for genome, r in zip(genomes, raw)]
+            values = [penalized(r, a) for r, a in zip(raw, amounts)]
             order, n_ic = rank_population(values), 0
 
-        state.record_generation(np.array(raw))
+        state.record_generation(raw)
 
         # The best-ranked candidate is always a true evaluation: the
         # approximate ranking stops only on a best it has evaluated.

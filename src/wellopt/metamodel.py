@@ -9,12 +9,14 @@ True evaluations are spent one at a time until the surrogate-induced
 ranking of the elite stabilizes, so a generation costs 1 + n_ic true
 evaluations instead of lambda.
 
-A generation arrives as the (lambda, n) genome block the sampler draws
-and leaves as per-candidate lists of raw objectives, ranking values and
-true-evaluation flags, ordered by `cma.rank_population`. It scans the
-archive once per candidate, in its first prediction pass. After that, each true evaluation that grows the archive
-is folded into the held neighbour sets in place (`admit_newest`), and
-only the candidates whose set it joined are refitted.
+A generation arrives as the (lambda, n) genome block the sampler draws,
+with one penalty amount per candidate, and leaves as per-candidate lists
+of raw objectives, ranking values and true-evaluation flags, ordered by
+`cma.rank_population`. It scans the archive once per candidate, in its
+first prediction pass. After that, each true evaluation that grows the
+archive is folded into the held neighbour sets in place
+(`admit_newest`), and only the candidates whose set it joined are
+refitted.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .cma import SearchDistribution, StrategyParams, rank_population
+from .constraints import penalized
 
 RIDGE_SCALE = 1e-8
 # lmm-CMA's lambda/4: below lam * MAX_CYCLE_FRACTION true evaluations a
@@ -327,7 +330,7 @@ def approximate_ranking_step(genomes: np.ndarray,
                              params: StrategyParams,
                              settings: SurrogateSettings,
                              true_eval,
-                             penalize_fn=None
+                             amounts: list[float] | None = None
                              ) -> tuple[list[int], int, list[float],
                                         list[float], list[bool]]:
     """Rank one generation, spending true evaluations only until stable.
@@ -347,9 +350,11 @@ def approximate_ranking_step(genomes: np.ndarray,
     `true_eval(genome) -> raw objective` must insert into `archive` as a
     side effect, at most one entry per call (the shared evaluation wrapper
     adds the genome unless it is known or its value is not finite); the
-    step reads the new entry from the archive. `penalize_fn(genome,
-    raw) -> value` maps raw objectives (true or predicted) to the ranking
-    objective; default is the identity.
+    step reads the new entry from the archive. `amounts[i]` is candidate
+    i's penalty amount, computed once per generation by the caller; each
+    prediction and true evaluation is ranked by `penalized(raw[i],
+    amounts[i])`. Without amounts every candidate is ranked by its raw
+    objective.
 
     Returns (ranking, n_ic, raw, values, evaluated): per candidate, its
     raw objective (true or predicted), its ranking value, and whether it
@@ -357,9 +362,9 @@ def approximate_ranking_step(genomes: np.ndarray,
     degenerates mid-step, the whole generation falls back to true
     evaluation.
     """
-    if penalize_fn is None:
-        penalize_fn = lambda genome, raw: raw
     lam = len(genomes)
+    if amounts is None:
+        amounts = [0.0] * lam
     if len(archive) < settings.min_archive_size:
         raise ValueError("archive below min_archive_size; evaluate truly")
     metric = MahalanobisMetric(dist.covariance)
@@ -376,9 +381,8 @@ def approximate_ranking_step(genomes: np.ndarray,
 
     def eval_true(i: int):
         size = len(archive)
-        genome = genomes[i]
-        raw[i] = true_eval(genome)
-        values[i] = penalize_fn(genome, raw[i])
+        raw[i] = true_eval(genomes[i])
+        values[i] = penalized(raw[i], amounts[i])
         evaluated[i] = True
         neighbor_sets.pop(i, None)
         predictions.pop(i, None)
@@ -400,7 +404,7 @@ def approximate_ranking_step(genomes: np.ndarray,
                 model = fit_local_model(*neighbor_sets[i], genome)
                 predictions[i] = float(model.beta[-1])
             raw[i] = predictions[i]
-            values[i] = penalize_fn(genome, raw[i])
+            values[i] = penalized(raw[i], amounts[i])
 
     n_ic = 0
     try:

@@ -13,9 +13,11 @@ import pytest
 
 from wellopt.benchmarks import rosenbrock
 from wellopt.cma import SearchDistribution, default_strategy_params
-from wellopt.constraints import PenaltyState, SumConstraint, xi_factors
+from wellopt.constraints import (PenaltyState, SumConstraint,
+                                 constraint_violation, penalized,
+                                 penalty_amount, xi_factors)
 from wellopt.harness import (RunConfig, build_problem, evaluations_to_target,
-                             penalized, run_cma, run_ga, run_single)
+                             run_cma, run_ga, run_single)
 from wellopt.metamodel import (MahalanobisMetric, TrainingArchive,
                                approximate_ranking_step, basis_size,
                                default_surrogate_settings, fit_local_model,
@@ -152,8 +154,11 @@ class TestCriterion3PenaltyIdentities:
                     - sum(log_diag) / n))
                 total += state.gammas[j] * (q_feas - q) ** 2 / xi
             expected = raw + total / m
-            got = penalized(constraints, state.gammas,
-                            xi_factors(dist, constraints), x, raw)
+            # the run loop's path: the amount from the candidate's sums
+            sums = [constraint_violation(x, c)[0] for c in constraints]
+            got = penalized(raw, penalty_amount(
+                sums, state.gammas.tolist(), constraints,
+                xi_factors(dist, constraints).tolist()))
             if feasible:
                 assert got == raw
                 checked_feasible += 1

@@ -10,9 +10,9 @@ from wellopt.cma import (SearchDistribution, StrategyParams,
 from wellopt.constraints import (MAX_RESAMPLES, PenaltyState, SumConstraint,
                                  constraint_violation, maybe_increase_gammas,
                                  maybe_set_gammas, mean_is_feasible,
-                                 penalty_amount, sample_with_rejection,
-                                 should_reject, xi_factors)
-from wellopt.harness import penalized
+                                 penalized, penalty_amount,
+                                 sample_with_rejection, should_reject,
+                                 xi_factors)
 
 
 def make_dist(n, sigma=1.0, covariance=None, generation=0):
@@ -402,6 +402,51 @@ class TestGammaInitialization:
         expected_median = sorted(iqrs)[1]
         assert state.median_iqr() == pytest.approx(expected_median, rel=1e-12)
 
+    @settings(max_examples=500, deadline=None)
+    @given(values=st.lists(st.one_of(
+        st.floats(-1e300, 1e300), st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+        st.floats(allow_nan=True, allow_infinity=True)),
+        min_size=1, max_size=80))
+    def test_iqr_matches_numpy_percentile(self, values):
+        state = PenaltyState(n_constraints=1, dim=2, lam=4)
+        state.record_generation(values)
+        finite = np.array(values)[np.isfinite(values)]
+        if finite.size == 0:
+            assert not state.fitness_history
+            return
+        with np.errstate(over="ignore", invalid="ignore"):
+            q75, q25 = np.percentile(finite, [75, 25])
+            expected = float(q75 - q25)
+        got = state.fitness_history[-1]
+        assert type(got) is float
+        if expected == 0.0:
+            # Equal values with opposite zero signs: np.partition puts them
+            # in an order of its own, so numpy itself may answer -0.0 or
+            # 0.0. A zero spread never sets a gamma, so its sign is unseen.
+            assert got == 0.0
+        else:
+            assert bits([got]) == bits([expected])
+
+    def test_zero_spread_does_not_freeze_gammas(self):
+        # A plateau generation stores spread 0: gamma would be set to 0,
+        # and growing it only ever multiplies 0. It stays uninitialized
+        # until the median spread is positive.
+        c = SumConstraint(indices=(0,), lower=-1.0, upper=1.0)
+        state = PenaltyState(n_constraints=1, dim=2, lam=4)
+        state.record_generation([5.0, 5.0, 5.0, 5.0])
+        assert list(state.fitness_history) == [0.0]
+        dist = make_dist(2, generation=1)
+        dist.mean = np.array([5.0, 0.0])   # q=5 unfeasible
+        maybe_set_gammas(state, dist, [c])
+        assert not state.gammas_initialized
+        assert np.all(state.gammas == 0.0)
+        for _ in range(2):
+            state.record_generation([1.0, 2.0, 3.0, 4.0])
+        dist.generation = 3
+        maybe_set_gammas(state, dist, [c])
+        assert state.gammas_initialized
+        assert state.gammas[0] == pytest.approx(2.0 * 1.5, rel=1e-14)
+
     def test_history_ring_buffer_capacity(self):
         state = PenaltyState(n_constraints=1, dim=5, lam=20)
         cap = math.ceil((20 + 15) / 20)
@@ -492,14 +537,58 @@ def eq8_oracle(x, raw, gammas, constraints, C):
     return raw + total / m
 
 
+def penalize(constraints, gammas, xis, x, raw):
+    """The ranking value of genome x as the run loop forms it: the penalty
+    amount from x's constraint sums, then `penalized`."""
+    sums = [constraint_violation(x, c)[0] for c in constraints]
+    return penalized(raw, penalty_amount(sums, list(gammas), constraints,
+                                         list(xis)))
+
+
+def genome_penalty_amount(x, gammas, constraints, xis):
+    """penalty_amount as it read every constraint sum from the genome, kept
+    verbatim (with `constraint_violation` in place of the private helper it
+    called) as the reference the sums-based form must match bit for bit."""
+    total = 0.0
+    for j, constraint in enumerate(constraints):
+        distance = constraint_violation(x, constraint)[2]
+        if distance > 0.0:
+            total += gammas[j] * distance * distance / xis[j]
+    return total / len(constraints) if total else 0.0
+
+
+@st.composite
+def penalty_cases(draw):
+    """A genome (NaN and +-inf coordinates included), constraints on it,
+    some with a bound placed exactly on the genome's sum, and positive
+    gammas and xis over many magnitudes."""
+    x, constraints = draw(constrained_genomes())
+    placed = []
+    for c in constraints:
+        q = constraint_violation(x, c)[0]
+        side = draw(st.sampled_from(["keep", "lower", "upper"]))
+        if side != "keep" and math.isfinite(q):
+            width = draw(st.sampled_from([1e-9, 1.0, 1e6]))
+            lower, upper = ((q, q + width) if side == "lower"
+                            else (q - width, q))
+            if lower < upper:
+                c = SumConstraint(indices=c.indices, lower=lower, upper=upper)
+        placed.append(c)
+    magnitude = st.floats(1e-300, 1e300)
+    gammas = np.array([draw(st.one_of(st.just(0.0), magnitude))
+                       for _ in placed])
+    xis = np.array([draw(magnitude) for _ in placed])
+    return x, placed, gammas, xis
+
+
 class TestPenalize:
     def test_feasible_returns_raw_exactly(self):
         c = SumConstraint(indices=(0, 1), lower=-1.0, upper=1.0)
         state = PenaltyState(n_constraints=1, dim=2, lam=4)
         state.gammas[:] = 123.0
         raw = 0.7071067811865476
-        out = penalized([c], state.gammas, xi_factors(make_dist(2), [c]),
-                        np.array([0.2, 0.3]), raw)
+        out = penalize([c], state.gammas, xi_factors(make_dist(2), [c]),
+                       np.array([0.2, 0.3]), raw)
         assert out == raw
 
     def test_identity_covariance_arithmetic(self):
@@ -507,8 +596,8 @@ class TestPenalize:
         c = SumConstraint(indices=(0,), lower=-1.0, upper=1.0)
         state = PenaltyState(n_constraints=1, dim=3, lam=4)
         state.gammas[:] = 5.0
-        out = penalized([c], state.gammas, xi_factors(make_dist(3), [c]),
-                        np.array([3.0, 0.0, 0.0]), 1.5)
+        out = penalize([c], state.gammas, xi_factors(make_dist(3), [c]),
+                       np.array([3.0, 0.0, 0.0]), 1.5)
         assert out == pytest.approx(1.5 + 20.0, rel=1e-14)
 
     def test_matches_eq8_oracle_on_random_inputs(self):
@@ -530,21 +619,23 @@ class TestPenalize:
             x = rng.uniform(-4, 4, n)
             raw = float(rng.standard_normal())
             expected = eq8_oracle(x, raw, state.gammas, constraints, C)
-            got = penalized(constraints, state.gammas,
-                            xi_factors(dist, constraints), x, raw)
+            got = penalize(constraints, state.gammas,
+                           xi_factors(dist, constraints), x, raw)
             assert got == pytest.approx(expected, rel=1e-12)
 
     def test_nonfinite_raw_propagates(self):
         c = SumConstraint(indices=(0,), lower=-1.0, upper=1.0)
         state = PenaltyState(n_constraints=1, dim=1, lam=4)
         xis = xi_factors(make_dist(1), [c])
-        assert math.isnan(penalized([c], state.gammas, xis, np.array([5.0]),
-                                    float("nan")))
-        assert penalized([c], state.gammas, xis, np.array([5.0]),
-                         float("inf")) == float("inf")
+        assert math.isnan(penalize([c], state.gammas, xis, np.array([5.0]),
+                                   float("nan")))
+        assert penalize([c], state.gammas, xis, np.array([5.0]),
+                        float("inf")) == float("inf")
 
     def test_unconstrained_returns_raw_exactly(self):
-        assert penalized([], np.zeros(0), None, np.array([5.0]), 2.5) == 2.5
+        # no constraints: every amount is 0 and raw passes unchanged
+        assert penalty_amount([], [], [], []) == 0.0
+        assert penalized(2.5, 0.0) == 2.5
 
     def test_penalty_positive_outside_and_monotone_in_distance(self):
         c = SumConstraint(indices=(0,), lower=-1.0, upper=1.0)
@@ -553,7 +644,7 @@ class TestPenalize:
         xis = xi_factors(make_dist(1), [c])
         previous = 0.0
         for q in np.linspace(1.01, 6.0, 25):
-            penalty = penalized([c], state.gammas, xis, np.array([q]), 0.0)
+            penalty = penalize([c], state.gammas, xis, np.array([q]), 0.0)
             assert penalty > previous
             previous = penalty
 
@@ -571,11 +662,34 @@ class TestPenalize:
         xis = rng.uniform(0.2, 5.0, len(sizes))
         for _ in range(200):
             x = rng.uniform(-2.0, 2.0, n)
-            distances = [constraint_violation(x, c)[2] for c in constraints]
+            violations = [constraint_violation(x, c) for c in constraints]
             terms = [gammas[j] * d * d / xis[j]
-                     for j, d in enumerate(distances)]
-            assert penalty_amount(x, gammas, constraints, xis) == \
+                     for j, (_, _, d) in enumerate(violations)]
+            sums = [q for q, _, _ in violations]
+            assert penalty_amount(sums, gammas.tolist(), constraints,
+                                  xis.tolist()) == \
                 sum(terms) / len(constraints)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=penalty_cases())
+    def test_sums_based_amount_matches_the_genome_based_form(self, case):
+        # The sums come from the sampler, as in the run loop; the same
+        # genome is offered on every redraw, so it is always the one kept.
+        x, constraints, gammas, xis = case
+        _, sums, _, _ = sample_with_rejection(
+            lambda m: np.tile(x, (m, 1)), 1, constraints, 0.5)
+        got = penalty_amount(sums.T.tolist()[0], gammas.tolist(),
+                             constraints, xis.tolist())
+        assert type(got) is float
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = genome_penalty_amount(x, gammas, constraints, xis)
+        assert bits([got]) == bits([expected])
+
+    def test_nan_sum_adds_nothing(self):
+        c = SumConstraint(indices=(0,), lower=-1.0, upper=1.0)
+        assert penalty_amount([math.nan], [3.0], [c], [1.0]) == 0.0
+        assert penalty_amount([math.inf], [3.0], [c], [1.0]) == math.inf
+        assert math.isnan(penalized(1.0, math.nan))
 
     def test_mean_feasibility_helper(self):
         c = SumConstraint(indices=(0, 1), lower=-1.0, upper=1.0)

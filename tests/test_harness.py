@@ -210,6 +210,24 @@ def test_gammas_wait_for_a_finite_objective_spread(monkeypatch):
                                                                True]
 
 
+def test_gammas_set_once_the_run_leaves_a_plateau(monkeypatch):
+    # The objective is flat (5.0) for x0 > 1, where this run starts with
+    # an infeasible mean: generation 1 sees a zero objective spread, which
+    # gives gamma no scale. Gamma waits for a nonzero spread instead of
+    # freezing at 0, and the penalty engages once draws leave the plateau.
+    original = harness.sphere
+    monkeypatch.setattr(harness, "sphere", lambda x, center: (
+        5.0 if x[0] > 1.0 else original(x, center)))
+    config = sphere_config(
+        problem={"kind": "sphere", "dimension": 2}, population_size=8,
+        max_generations=80, sigma0=1.0,
+        constraints=[{"indices": [0, 1], "lower": -10.0, "upper": -3.0}])
+    record = run_single(config, 10)
+    assert record.rows[0].best_genome[0] > 1.0
+    assert record.rows[1].gammas[0] == 0.0
+    assert record.final.gammas[0] > 0.0
+
+
 class TestRunSingle:
     def test_best_so_far_non_increasing_and_csv_written(self, tmp_path):
         record = run_single(sphere_config(), 1, tmp_path)

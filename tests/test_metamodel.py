@@ -12,6 +12,7 @@ import wellopt.harness as harness
 import wellopt.metamodel as mm
 from wellopt.cma import (SearchDistribution, default_strategy_params,
                          ranking_key)
+from wellopt.constraints import penalized
 from wellopt.metamodel import (LocalQuadraticModel, MahalanobisMetric,
                                SurrogateSettings, SurrogateUnavailable,
                                TrainingArchive, admit_newest,
@@ -417,12 +418,13 @@ class TestApproximateRanking:
             archive.add(genome, value)
             return value
 
-        def penalize(genome, raw):
-            return math.nan if genome.tobytes() == poisoned else raw
+        # a NaN penalty amount poisons the candidate's ranking value
+        amounts = [math.nan if genome.tobytes() == poisoned else 0.0
+                   for genome in genomes]
 
         order, _, _, values, _ = approximate_ranking_step(
             genomes, archive, make_dist(1), params, settings, true_eval,
-            penalize)
+            amounts)
         assert order[-1] == 3
         ranked = [values[i] for i in order[:-1]]
         assert ranked == sorted(ranked)
@@ -523,8 +525,8 @@ class TestApproximateRanking:
             genomes[i] = points[rng.integers(len(points))]
         poisoned = genomes[rng.integers(lam)].tobytes()
 
-        def penalize(genome, raw):
-            return math.nan if genome.tobytes() == poisoned else raw
+        amounts = [math.nan if genome.tobytes() == poisoned else 0.0
+                   for genome in genomes]
 
         fits = []
 
@@ -538,7 +540,7 @@ class TestApproximateRanking:
             order, _, _, _, evaluated = approximate_ranking_step(
                 genomes, archive, make_dist(n), default_strategy_params(n, lam),
                 settings, harness.Evaluator(fn, archive),
-                penalize if data.draw(st.booleans()) else None)
+                amounts if data.draw(st.booleans()) else None)
         assert evaluated[order[0]]
 
     def test_fallback_to_full_evaluation(self, monkeypatch):
@@ -591,7 +593,7 @@ class TestApproximateRanking:
         shift = 100.0
         _, _, raw, values, _ = approximate_ranking_step(
             genomes, archive, make_dist(1), params, settings, true_eval,
-            penalize_fn=lambda genome, raw: raw + shift)
+            amounts=[shift] * lam)
         for raw_objective, value in zip(raw, values):
             assert value == pytest.approx(raw_objective + shift, rel=1e-12)
 
@@ -722,7 +724,7 @@ class TestAdmitNewest:
 
 
 def rescanning_ranking_step(genomes, archive, dist, params, settings,
-                            true_eval, penalize_fn):
+                            true_eval, amounts):
     """The ranking step as it was with a full archive scan per refit: the
     reference the incremental step must match bit for bit."""
     lam = len(genomes)
@@ -734,7 +736,7 @@ def rescanning_ranking_step(genomes, archive, dist, params, settings,
 
     def eval_true(i):
         raw[i] = true_eval(genomes[i])
-        values[i] = penalize_fn(genomes[i], raw[i])
+        values[i] = penalized(raw[i], amounts[i])
         evaluated[i] = True
         cached.pop(i, None)
         if cached:
@@ -758,7 +760,7 @@ def rescanning_ranking_step(genomes, archive, dist, params, settings,
                 raw_hat = predict(model, genomes[i])
                 cached[i] = (raw_hat, model.bandwidth)
             raw[i] = raw_hat
-            values[i] = penalize_fn(genomes[i], raw_hat)
+            values[i] = penalized(raw_hat, amounts[i])
 
     def current_order():
         return sorted(range(lam), key=ranking_key(values))
@@ -807,14 +809,14 @@ class TestIncrementalStep:
         steps = []
 
         def both(genomes, archive, dist, params, settings, evaluator,
-                 penalize):
+                 amounts):
             twin_archive = copy.deepcopy(archive)
             expected = rescanning_ranking_step(
                 genomes.copy(), twin_archive, dist, params, settings,
                 harness.Evaluator(problem.raw_objective, twin_archive),
-                penalize)
+                amounts)
             got = approximate_ranking_step(genomes, archive, dist, params,
-                                           settings, evaluator, penalize)
+                                           settings, evaluator, amounts)
             order, n_ic, raw, values, evaluated = got
             assert (order, n_ic) == expected[:2]
             for got_raw, ref_raw in zip(raw, expected[2], strict=True):

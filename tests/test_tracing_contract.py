@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import wellopt.harness as harness
 import wellopt.metamodel as mm
 from wellopt.cma import SearchDistribution, default_strategy_params
 from wellopt.harness import Evaluator, RunConfig, run_single
@@ -64,10 +65,10 @@ def test_surrogate_generation_scans_once_per_candidate_and_fits_stale_sets(
         return b"".join(a.tobytes() for a in select(archive, genome, metric,
                                                     settings.k))
 
-    scans, fits, stale, predictions = [], [], [], []
-    fitted, predicted = {}, {}
+    scans, fits, passes = [], [], []
+    fitted, evaluated = {}, set()
     evaluator = Evaluator(fn, archive)
-    pending_true = []
+    rank = mm.rank_population
 
     def counted_select(archive_, q, metric_, k):
         scans.append(q.tobytes())
@@ -80,31 +81,37 @@ def test_surrogate_generation_scans_once_per_candidate_and_fits_stale_sets(
         return fit(genomes, objectives, distances, q)
 
     def true_eval(genome):
-        pending_true.append(True)
+        evaluated.add(genome.tobytes())
         return evaluator(genome)
 
-    def penalize(genome, raw):
-        if pending_true:
-            pending_true.clear()
-            return raw
-        key, now = genome.tobytes(), current_set(genome)
-        predictions.append(key)
-        assert fitted[key] == now
-        if predicted.get(key) != now:
-            stale.append(key)
-        predicted[key] = now
-        return raw
+    def counted_rank(values):
+        # Each prediction pass ends in a ranking: note the current k-NN set
+        # of every candidate it predicted, and the set each was fitted on.
+        passes.append([(key, current_set(genome), fitted.get(key))
+                       for genome in genomes
+                       if (key := genome.tobytes()) not in evaluated])
+        return rank(values)
 
     monkeypatch.setattr(mm, "select_neighbors", counted_select)
     monkeypatch.setattr(mm, "fit_local_model", counted_fit)
-    _, _, _, _, evaluated = mm.approximate_ranking_step(
+    monkeypatch.setattr(mm, "rank_population", counted_rank)
+    _, _, _, _, evaluated_flags = mm.approximate_ranking_step(
         genomes, archive, dist, default_strategy_params(n, lam), settings,
-        true_eval, penalize)
-    assert sum(evaluated) >= 3
+        true_eval)
+    # The last ranking orders the returned lists after the cycle loop and
+    # follows no prediction pass.
+    predictions, stale, predicted = [], [], {}
+    for ranked in passes[:-1]:
+        for key, now, fitted_on in ranked:
+            predictions.append(key)
+            assert fitted_on == now
+            if predicted.get(key) != now:
+                stale.append(key)
+            predicted[key] = now
+    assert sum(evaluated_flags) >= 3
     assert len(scans) == len(set(scans)) <= lam
     assert lam < len(fits) < len(predictions)
     assert fits == stale
-
 
 def test_installed_tracing_keeps_csv_bytes_and_records_every_layer(
         tmp_path):
@@ -150,3 +157,37 @@ def test_installed_tracing_keeps_csv_bytes_and_records_every_layer(
                  "constraints.record_generation", "ga.step"):
         assert table.count(span) > 0, span
     assert tracer.counts["harness.memo_requests"] > 0
+
+
+def test_penalty_amount_is_reached_once_per_candidate_and_returns_floats():
+    # The tracer wraps `wellopt.harness.penalty_amount` and counts the calls
+    # whose result is > 0: the run loop must call that scalar function once
+    # per candidate and generation, prediction passes included, and get a
+    # float back.
+    # The optimum lies far outside the interval, and the wide rejection
+    # tolerance keeps infeasible draws, so the penalty engages.
+    config = RunConfig.from_dict({
+        "problem": {"kind": "sphere", "dimension": 2},
+        "optimizer": "cma+surrogate", "population_size": 8,
+        "max_generations": 8, "rejection_fraction": 50.0,
+        "constraints": [{"indices": [0, 1], "lower": 8.0, "upper": 9.0}]})
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    results = []
+    with tracing.Patcher() as patcher:
+        tracing.install_tracing(patcher, tracer)
+        traced = harness.penalty_amount
+
+        def recorded(*args):
+            results.append(traced(*args))
+            return results[-1]
+
+        patcher.set(harness, "penalty_amount", recorded)
+        record = run_single(config, 1)
+    table = tracing.SpanTable(tracer)
+    assert table.count("metamodel.approximate_ranking_step") > 0
+    lam = config.population_size
+    assert table.count("constraints.penalty_amount") == lam * len(record.rows)
+    assert len(results) == lam * len(record.rows)
+    assert all(type(result) is float for result in results)
+    assert tracer.counts["constraints.penalty_amount.positive"] > 0
