@@ -36,14 +36,11 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    if args.config:
-        config = RunConfig.load(args.config)
-        if config.problem["kind"] != "well_placement":
-            print("evaluate requires a well_placement problem",
-                  file=sys.stderr)
-            return 2
-    else:
-        config = RunConfig.from_dict({"problem": {"kind": "well_placement"}})
+    config = (RunConfig.load(args.config) if args.config
+              else RunConfig({"kind": "well_placement"}))
+    if config.problem["kind"] != "well_placement":
+        print("evaluate requires a well_placement problem", file=sys.stderr)
+        return 2
     problem = build_problem(config).well_problem
     genome = np.array([float(v) for v in args.genome.split(",")])
     if genome.shape != (problem.dim,):

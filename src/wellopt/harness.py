@@ -17,7 +17,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 
 import numpy as np
@@ -43,6 +43,10 @@ from .wells.proxy import ProxyParams
 
 SCHEMA_VERSION = 1
 OPTIMIZERS = ("cma", "cma+surrogate", "ga")
+PROBLEM_KEYS = {"sphere": {"kind", "dimension", "center", "bounds"},
+                "rosenbrock": {"kind", "dimension", "bounds"},
+                "well_placement": {"kind", "grid_file", "economics", "proxy",
+                                   "wells", "min_step_m", "tilt_range"}}
 BUNDLED_GRID_SEED = 7
 
 
@@ -89,12 +93,34 @@ def _check_keys(data: dict, allowed: set[str], context: str):
         raise ValueError(f"unknown {context} keys: {sorted(unknown)}")
 
 
+def _well_kwargs(problem: dict) -> dict:
+    """The checked `WellPlacementProblem` keyword arguments but the grid."""
+    kwargs = {name: float(problem[name])
+              for name in ("min_step_m", "tilt_range") if name in problem}
+    for name, key, cls in (("econ", "economics", EconomicParams),
+                           ("proxy", "proxy", ProxyParams)):
+        section = problem.get(key) or {}
+        _check_keys(section, {f.name for f in fields(cls)}, key)
+        kwargs[name] = cls(**section)
+    wells = problem.get("wells") or ()
+    for well in wells:
+        _check_keys(well, {"role", "deviations", "branches"}, "wells entry")
+    if wells:
+        kwargs["layout"] = tuple(
+            WellLayout(w.get("role"), int(w.get("deviations", 1)),
+                       int(w.get("branches", 0))) for w in wells)
+    return kwargs
+
+
 @dataclass
 class RunConfig:
-    problem: dict
+    """A run config that checks and converts its values on construction, so
+    `from_dict` results and `dataclasses.replace` copies are checked alike."""
+
+    problem: dict = field(default_factory=dict)
     optimizer: str | None = None
     optimizers: tuple[str, ...] | None = None
-    population_size: int | None = None
+    population_size: int | None = None   # None: 40 for wells, 8 otherwise
     max_generations: int = 100
     seeds: tuple[int, ...] = tuple(range(1, 11))
     sigma0: float | None = None
@@ -106,104 +132,74 @@ class RunConfig:
     output_dir: str = "runs"
     targets: list[float] | None = None
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        _check_keys(data, {
-            "problem", "optimizer", "optimizers", "population_size",
-            "max_generations", "seeds", "sigma0", "constraints",
-            "rejection_fraction", "surrogate", "ga", "output_dir", "targets",
-        }, "config")
-        problem = dict(data.get("problem") or {})
-        kind = problem.get("kind")
-        if kind not in ("sphere", "rosenbrock", "well_placement"):
-            raise ValueError(f"problem.kind must be one of sphere, "
-                             f"rosenbrock, well_placement; got {kind!r}")
+    def __post_init__(self):
+        self.problem = dict(self.problem or {})
+        kind = self.problem.get("kind")
+        if kind not in PROBLEM_KEYS:
+            raise ValueError(f"problem.kind must be one of "
+                             f"{', '.join(PROBLEM_KEYS)}; got {kind!r}")
+        _check_keys(self.problem, PROBLEM_KEYS[kind], "problem")
         if kind == "well_placement":
-            _check_keys(problem, {"kind", "grid_file", "economics", "proxy",
-                                  "wells", "min_step_m", "tilt_range"},
-                        "problem")
-        else:
-            _check_keys(problem, {"kind", "dimension", "center", "bounds"},
-                        "problem")
-            if "dimension" not in problem:
-                raise ValueError(f"{kind} problem requires 'dimension'")
+            _well_kwargs(self.problem)   # for its checks; build_problem builds
+        elif "dimension" not in self.problem:
+            raise ValueError(f"{kind} problem requires 'dimension'")
 
-        optimizer = data.get("optimizer")
-        if optimizer is not None and optimizer not in OPTIMIZERS:
+        if self.optimizer not in (None, *OPTIMIZERS):
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
-        optimizers = data.get("optimizers")
-        if optimizers is not None:
-            optimizers = tuple(optimizers)
-            if len(optimizers) != 2 or any(o not in OPTIMIZERS
-                                           for o in optimizers):
+        if self.optimizers is not None:
+            self.optimizers = tuple(self.optimizers)
+            if len(self.optimizers) != 2 or any(o not in OPTIMIZERS
+                                                for o in self.optimizers):
                 raise ValueError("optimizers must list exactly two of "
                                  f"{OPTIMIZERS}")
 
-        constraints = []
-        for entry in data.get("constraints") or []:
-            _check_keys(entry, {"indices", "lower", "upper"}, "constraint")
-            constraints.append(SumConstraint(indices=tuple(entry["indices"]),
-                                             lower=float(entry["lower"]),
-                                             upper=float(entry["upper"])))
-
-        surrogate = None
-        if data.get("surrogate") is not None:
-            entry = data["surrogate"]
-            _check_keys(entry, {"k", "min_archive_size"}, "surrogate")
-            surrogate = SurrogateSettings(
-                k=int(entry["k"]),
-                min_archive_size=int(entry["min_archive_size"]))
-
-        ga = {"crossprob": 0.7, "mutprob": 0.1, **(data.get("ga") or {})}
-        _check_keys(ga, {"crossprob", "mutprob"}, "ga")
-        for name, value in ga.items():
-            ga[name] = float(value)
-            if not 0.0 <= ga[name] <= 1.0:
+        for name in ("crossprob", "mutprob"):
+            setattr(self, name, float(getattr(self, name)))
+            if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"ga.{name} must lie in [0, 1]")
-
-        seeds = tuple(int(s) for s in data.get("seeds", range(1, 11)))
-        if not seeds:
+        self.seeds = tuple(int(s) for s in self.seeds)
+        if not self.seeds:
             raise ValueError("seeds must not be empty")
-        max_generations = int(data.get("max_generations", 100))
-        if max_generations < 1:
+        self.max_generations = int(self.max_generations)
+        if self.max_generations < 1:
             raise ValueError("max_generations must be >= 1")
-
-        population_size = data.get("population_size")
-        if population_size is None:
-            population_size = 40 if kind == "well_placement" else 8
-        population_size = int(population_size)
-        if population_size < 2:
+        if self.population_size is None:
+            self.population_size = 40 if kind == "well_placement" else 8
+        self.population_size = int(self.population_size)
+        if self.population_size < 2:
             raise ValueError("population_size must be >= 2")
-        rejection_fraction = float(data.get("rejection_fraction", 0.2))
-        if not rejection_fraction > 0.0:
+        self.rejection_fraction = float(self.rejection_fraction)
+        if not self.rejection_fraction > 0.0:
             raise ValueError("rejection_fraction must be positive")
-        sigma0 = data.get("sigma0")
-        if sigma0 is not None:
-            sigma0 = float(sigma0)
-            if not (math.isfinite(sigma0) and sigma0 > 0.0):
+        if self.sigma0 is not None:
+            self.sigma0 = float(self.sigma0)
+            if not (math.isfinite(self.sigma0) and self.sigma0 > 0.0):
                 raise ValueError("sigma0 must be finite and positive")
-        targets = data.get("targets")
-        if targets is not None:
-            targets = [float(t) for t in targets]
-            if not all(map(math.isfinite, targets)):
+        if self.targets is not None:
+            self.targets = [float(t) for t in self.targets]
+            if not all(map(math.isfinite, self.targets)):
                 raise ValueError("targets must be finite")
+        self.output_dir = str(self.output_dir)
 
-        return cls(
-            problem=problem,
-            optimizer=optimizer,
-            optimizers=optimizers,
-            population_size=population_size,
-            max_generations=max_generations,
-            seeds=seeds,
-            sigma0=sigma0,
-            constraints=constraints,
-            rejection_fraction=rejection_fraction,
-            surrogate=surrogate,
-            crossprob=ga["crossprob"],
-            mutprob=ga["mutprob"],
-            output_dir=str(data.get("output_dir", "runs")),
-            targets=targets,
-        )
+    @classmethod
+    def from_dict(cls, data: dict) -> "RunConfig":
+        """Parse a JSON config document; construction checks its values."""
+        ga_keys = {"crossprob", "mutprob"}
+        parsed = dict(data)
+        ga = parsed.pop("ga", None) or {}
+        _check_keys(parsed, {f.name for f in fields(cls)} - ga_keys, "config")
+        _check_keys(ga, ga_keys, "ga")
+        constraints = parsed.pop("constraints", None) or []
+        for c in constraints:
+            _check_keys(c, {"indices", "lower", "upper"}, "constraint")
+        parsed["constraints"] = [
+            SumConstraint(tuple(c["indices"]), float(c["lower"]),
+                          float(c["upper"])) for c in constraints]
+        if (entry := data.get("surrogate")) is not None:
+            _check_keys(entry, {"k", "min_archive_size"}, "surrogate")
+            parsed["surrogate"] = SurrogateSettings(
+                int(entry["k"]), int(entry["min_archive_size"]))
+        return cls(**parsed, **ga)
 
     @classmethod
     def load(cls, path) -> "RunConfig":
@@ -240,45 +236,23 @@ def _benchmark_bounds(problem: dict, dim: int) -> np.ndarray:
 
 
 def build_problem(config: RunConfig) -> BuiltProblem:
-    problem = config.problem
-    kind = problem["kind"]
-    if kind == "sphere":
-        dim = int(problem["dimension"])
-        center = float(problem.get("center", 0.0))
-        return BuiltProblem(name="sphere", dim=dim,
-                            bounds=_benchmark_bounds(problem, dim),
-                            raw_objective=lambda x: sphere(x, center),
-                            constraints=list(config.constraints))
-    if kind == "rosenbrock":
-        dim = int(problem["dimension"])
-        return BuiltProblem(name="rosenbrock", dim=dim,
-                            bounds=_benchmark_bounds(problem, dim),
-                            raw_objective=rosenbrock,
-                            constraints=list(config.constraints))
-    grid = (ReservoirGrid.load_json(problem["grid_file"])
-            if problem.get("grid_file") else load_bundled_grid())
-    econ_kwargs = dict(problem.get("economics") or {})
-    proxy_kwargs = dict(problem.get("proxy") or {})
-    layout_spec = problem.get("wells")
-    layout = (tuple(WellLayout(role=w["role"],
-                               n_deviations=int(w.get("deviations", 1)),
-                               n_branches=int(w.get("branches", 0)))
-                    for w in layout_spec)
-              if layout_spec else None)
-    kwargs = {}
-    if layout:
-        kwargs["layout"] = layout
-    if "min_step_m" in problem:
-        kwargs["min_step_m"] = float(problem["min_step_m"])
-    if "tilt_range" in problem:
-        kwargs["tilt_range"] = float(problem["tilt_range"])
-    well = WellPlacementProblem(grid, econ=EconomicParams(**econ_kwargs),
-                                proxy=ProxyParams(**proxy_kwargs), **kwargs)
-    return BuiltProblem(name="well_placement", dim=well.dim,
-                        bounds=well.bounds(),
-                        raw_objective=well.raw_objective,
-                        constraints=well.constraints() + list(config.constraints),
-                        well_problem=well)
+    problem, kind = config.problem, config.problem["kind"]
+    if kind == "well_placement":
+        grid = (ReservoirGrid.load_json(problem["grid_file"])
+                if problem.get("grid_file") else load_bundled_grid())
+        well = WellPlacementProblem(grid, **_well_kwargs(problem))
+        return BuiltProblem(name=kind, dim=well.dim, bounds=well.bounds(),
+                            raw_objective=well.raw_objective,
+                            constraints=well.constraints() + config.constraints,
+                            well_problem=well)
+    dim = int(problem["dimension"])
+    center = float(problem.get("center", 0.0))
+    # `sphere` is looked up at call time, where tracing and tests wrap it.
+    objective = (rosenbrock if kind == "rosenbrock"
+                 else lambda x: sphere(x, center))
+    return BuiltProblem(name=kind, dim=dim, bounds=_benchmark_bounds(problem, dim),
+                        raw_objective=objective,
+                        constraints=list(config.constraints))
 
 
 # ---------------------------------------------------------------------------
@@ -652,16 +626,16 @@ def run_line(record: RunRecord) -> str:
 
 @dataclass
 class ComparisonResult:
-    config: RunConfig
     batches: dict[str, BatchResult]
     targets: list[float]
 
-    def improvement_pct(self, record: RunRecord) -> float:
-        first = record.rows[0].best_objective
-        final = record.final.best_objective
-        if abs(first) < np.finfo(float).tiny:
-            return math.nan
-        return (first - final) / abs(first) * 100.0
+
+def improvement_pct(record: RunRecord) -> float:
+    first = record.rows[0].best_objective
+    final = record.final.best_objective
+    if abs(first) < np.finfo(float).tiny:
+        return math.nan
+    return (first - final) / abs(first) * 100.0
 
 
 def compare_optimizers(config: RunConfig, out_dir=None) -> ComparisonResult:
@@ -683,7 +657,7 @@ def compare_optimizers(config: RunConfig, out_dir=None) -> ComparisonResult:
         batches[label] = run_batch(sub_config, sub_dir)
     all_records = [r for b in batches.values() for r in b.records]
     targets = config.targets or default_targets(all_records)
-    result = ComparisonResult(config=config, batches=batches, targets=targets)
+    result = ComparisonResult(batches=batches, targets=targets)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         _atomic_write(os.path.join(out_dir, "comparison.csv"),
@@ -704,7 +678,7 @@ def _comparison_csv(result: ComparisonResult) -> str:
             cells = [str(SCHEMA_VERSION), name, str(record.seed),
                      fmt(record.rows[0].best_objective),
                      fmt(record.final.best_objective),
-                     fmt(result.improvement_pct(record))]
+                     fmt(improvement_pct(record))]
             cells.extend(fmt(x) for x in record.final.best_genome)
             lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
@@ -718,7 +692,7 @@ def comparison_report_text(result: ComparisonResult) -> str:
     for name in names:
         batch = result.batches[name]
         finals = np.array([r.final.best_objective for r in batch.records])
-        improvements = [result.improvement_pct(r) for r in batch.records]
+        improvements = [improvement_pct(r) for r in batch.records]
         lines.append(f"{name}: median final objective {fmt(np.median(finals))}, "
                      f"median improvement over first generation "
                      f"{np.median(improvements):.1f}%")

@@ -21,7 +21,6 @@ refitted.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -123,17 +122,17 @@ class TrainingArchive:
         return self._matrix, np.asarray(self._values, dtype=float)
 
     def save_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x{i}" for i in range(self.dim)] + ["objective"])
-            for genome, value in zip(self._genomes, self._values):
-                writer.writerow([repr(float(v)) for v in genome]
-                                + [repr(float(value))])
+        """Write one LF-terminated row per entry, atomically."""
+        from .harness import _atomic_write, fmt   # harness imports this module
+        lines = [",".join([f"x{i}" for i in range(self.dim)] + ["objective"])]
+        lines.extend(",".join(map(fmt, [*genome, value]))
+                     for genome, value in zip(self._genomes, self._values))
+        _atomic_write(path, "\n".join(lines) + "\n")
 
     @classmethod
     def load_csv(cls, path) -> "TrainingArchive":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+        with open(path) as fh:
+            rows = [line.split(",") for line in fh.read().splitlines()]
         dim = len(rows[0]) - 1
         archive = cls(dim)
         for row in rows[1:]:

@@ -64,6 +64,20 @@ class ProxyParams:
     breakthrough_length_m: float = 1400.0
     gas_oil_ratio: float = 0.0
 
+    def __post_init__(self):
+        for name in ("drainage_radius_m", "pi_half", "connectivity_length_m",
+                     "breakthrough_length_m"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive")
+        for name in ("base_depletion_rate", "primary_recovery_floor"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1]")
+        if not 0.0 <= self.water_cut_max < 1.0:
+            raise ValueError("water_cut_max must lie in [0, 1)")
+        if not self.gas_oil_ratio >= 0.0:
+            raise ValueError("gas_oil_ratio must be non-negative")
+
 
 _NO_PIECES = (np.empty(0, dtype=int), np.empty(0))
 

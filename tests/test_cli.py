@@ -152,6 +152,23 @@ class TestOptimize:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key", [
+        ({"economics": {"oil_prise": 70}}, "oil_prise"),
+        ({"proxy": {"drainage_radius_m": -5}}, "drainage_radius_m"),
+    ])
+    def test_bad_well_section_is_nonzero_exit(self, section, key, tmp_path,
+                                              capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "problem": {"kind": "well_placement", **section},
+            "optimizer": "cma"}))
+        code = main(["optimize", "--config", str(path), "--seed", "1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCompare:
     def test_compare_writes_report(self, tmp_path, capsys):

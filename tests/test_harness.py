@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -30,6 +31,10 @@ FAR_INTERVAL = {"problem": {"kind": "sphere", "dimension": 2},
                 "population_size": 4, "max_generations": 3, "sigma0": 1e-3,
                 "constraints": [{"indices": [0], "lower": 100.0,
                                  "upper": 101.0}]}
+
+
+def never(*args, **kwargs):
+    raise AssertionError("a run started")
 
 
 class TestConfig:
@@ -81,28 +86,74 @@ class TestConfig:
             RunConfig.from_dict({"problem": {"kind": "sphere", "dimension": 2},
                                  "seeds": []})
 
-    @pytest.mark.parametrize("overrides, key", [
-        ({"rejection_fraction": 0.0}, "rejection_fraction"),
-        ({"rejection_fraction": -1.0}, "rejection_fraction"),
-        ({"surrogate": {"k": 30, "min_archive_size": 50,
-                        "max_cycle_fraction": 7.0}}, "max_cycle_fraction"),
-        ({"surrogate": {"k": 30, "min_archive_size": 50,
-                        "max_cycle_fraction": 0.0}}, "max_cycle_fraction"),
-        ({"population_size": 1}, "population_size"),
-        ({"sigma0": float("inf")}, "sigma0"),
-        ({"sigma0": -1.0}, "sigma0"),
-        ({"sigma0": float("nan")}, "sigma0"),
-        ({"ga": {"crossprob": 1.5}}, "crossprob"),
-        ({"ga": {"mutprob": -0.1}}, "mutprob"),
-        ({"ga": {"mutprob": float("nan")}}, "mutprob"),
-        ({"targets": [1.0, float("inf")]}, "targets"),
-        ({"targets": [float("nan")]}, "targets"),
-    ])
-    def test_out_of_range_values_rejected_at_load(self, overrides, key):
+    # Each bad value is rejected by `from_dict` and, as a field, by a
+    # `dataclasses.replace` copy of a valid config; the `from_dict` cases
+    # keep their plain ids. The surrogate cases are unknown keys, which
+    # only the parser sees.
+    @pytest.mark.parametrize("overrides, key, copied", [
+        pytest.param(overrides, key, copied,
+                     id=f"overrides{i}-{key}" + ("-copied" if copied else ""))
+        for copied in (False, True)
+        for i, (overrides, key) in enumerate([
+            ({"rejection_fraction": 0.0}, "rejection_fraction"),
+            ({"rejection_fraction": -1.0}, "rejection_fraction"),
+            ({"surrogate": {"k": 30, "min_archive_size": 50,
+                            "max_cycle_fraction": 7.0}}, "max_cycle_fraction"),
+            ({"surrogate": {"k": 30, "min_archive_size": 50,
+                            "max_cycle_fraction": 0.0}}, "max_cycle_fraction"),
+            ({"population_size": 1}, "population_size"),
+            ({"sigma0": float("inf")}, "sigma0"),
+            ({"sigma0": -1.0}, "sigma0"),
+            ({"sigma0": float("nan")}, "sigma0"),
+            ({"ga": {"crossprob": 1.5}}, "crossprob"),
+            ({"ga": {"mutprob": -0.1}}, "mutprob"),
+            ({"ga": {"mutprob": float("nan")}}, "mutprob"),
+            ({"targets": [1.0, float("inf")]}, "targets"),
+            ({"targets": [float("nan")]}, "targets"),
+        ])
+        if not (copied and "surrogate" in overrides)])
+    def test_out_of_range_values_rejected_at_load(self, overrides, key,
+                                                  copied):
         data = {"problem": {"kind": "sphere", "dimension": 2}}
-        data.update(overrides)
+        if copied:
+            valid = RunConfig.from_dict(data)
+            fields = dict(overrides)
+            fields.update(fields.pop("ga", {}))
+            with pytest.raises(ValueError, match=key):
+                dataclasses.replace(valid, **fields)
+        else:
+            data.update(overrides)
+            with pytest.raises(ValueError, match=key):
+                RunConfig.from_dict(data)
+
+    @pytest.mark.parametrize("problem, key", [
+        ({"kind": "well_placement",
+          "wells": [{"role": "injector"}, {"role": "producer", "branchs": 1}]},
+         "branchs"),
+        ({"kind": "well_placement", "economics": {"oil_prise": 70}},
+         "oil_prise"),
+        ({"kind": "well_placement", "proxy": {"drainage_radius": 400.0}},
+         "drainage_radius"),
+        ({"kind": "rosenbrock", "dimension": 2, "center": 1.0}, "center"),
+    ])
+    def test_unknown_section_key_rejected_at_load(self, problem, key):
         with pytest.raises(ValueError, match=key):
-            RunConfig.from_dict(data)
+            RunConfig.from_dict({"problem": problem})
+
+    @pytest.mark.parametrize("name, value", [
+        ("drainage_radius_m", -5.0),
+        ("pi_half", 0.0),
+        ("connectivity_length_m", float("inf")),
+        ("breakthrough_length_m", float("nan")),
+        ("base_depletion_rate", 1.5),
+        ("primary_recovery_floor", -0.1),
+        ("water_cut_max", 1.0),
+        ("gas_oil_ratio", -1.0),
+    ])
+    def test_out_of_range_proxy_value_rejected_at_load(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            RunConfig.from_dict({"problem": {"kind": "well_placement",
+                                             "proxy": {name: value}}})
 
     def test_optimizers_pair_validated(self):
         with pytest.raises(ValueError, match="optimizers"):
@@ -547,15 +598,22 @@ class TestCompare:
             assert np.median(finals) <= records[0].rows[0].best_objective
 
     def test_surrogate_checked_before_any_run(self, monkeypatch):
-        def never(*args, **kwargs):
-            raise AssertionError("a run started")
-
         monkeypatch.setattr(harness, "run_ga", never)
         config = sphere_config(problem={"kind": "sphere", "dimension": 2},
                                optimizers=["ga", "cma+surrogate"],
                                surrogate={"k": 3, "min_archive_size": 10})
         with pytest.raises(ValueError, match="k=3 too small"):
             compare_optimizers(config)
+
+    def test_bad_well_section_fails_before_any_run(self, monkeypatch):
+        monkeypatch.setattr(harness, "run_cma", never)
+        monkeypatch.setattr(harness, "run_ga", never)
+        with pytest.raises(ValueError, match="branchs"):
+            compare_optimizers(RunConfig.from_dict({
+                "problem": {"kind": "well_placement",
+                            "wells": [{"role": "injector"},
+                                      {"role": "producer", "branchs": 1}]},
+                "optimizers": ["cma", "ga"], "seeds": [1, 2]}))
 
     def test_requires_optimizer_pair(self):
         with pytest.raises(ValueError, match="optimizers"):

@@ -80,6 +80,7 @@ class TestArchive:
                      lambda p: float(p @ p))
         path = tmp_path / "archive.csv"
         archive.save_csv(path)
+        assert b"\r" not in path.read_bytes()   # LF, like every other CSV
         loaded = TrainingArchive.load_csv(path)
         assert len(loaded) == len(archive)
         a, va = archive.as_arrays()
