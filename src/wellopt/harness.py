@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import tempfile
 from dataclasses import dataclass, field, fields, replace
@@ -87,28 +88,63 @@ class Evaluator:
 # Configuration
 
 
-def _check_keys(data: dict, allowed: set[str], context: str):
+def _check_keys(data: dict, allowed: set[str], context: str,
+                required: bool = False):
+    """Raise a ValueError unless `data` is an object with only `allowed`
+    keys (and all of them if `required`)."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{context} must be an object; got {data!r}")
     unknown = set(data) - allowed
     if unknown:
         raise ValueError(f"unknown {context} keys: {sorted(unknown)}")
+    missing = allowed - set(data) if required else ()
+    if missing:
+        raise ValueError(f"{context} needs keys: {sorted(missing)}")
+
+
+def _number(value, name: str, integer: bool = False):
+    """A config value as float, or as int if `integer`; a string, null,
+    list, bool or (for an integer) fraction raises a ValueError naming
+    the key."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (not integer or float(value).is_integer())):
+        return int(value) if integer else float(value)
+    kind = "an integer" if integer else "a number"
+    raise ValueError(f"{name} must be {kind}; got {value!r}")
+
+
+def _items(value, name: str) -> tuple:
+    """A config list as a tuple; anything not iterable raises a ValueError
+    naming the key."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a list; got {value!r}") from None
 
 
 def _well_kwargs(problem: dict) -> dict:
     """The checked `WellPlacementProblem` keyword arguments but the grid."""
-    kwargs = {name: float(problem[name])
+    grid_file = problem.get("grid_file") or ""
+    if not isinstance(grid_file, (str, os.PathLike)):
+        raise ValueError(f"problem.grid_file must be a path; got {grid_file!r}")
+    kwargs = {name: _number(problem[name], f"problem.{name}")
               for name in ("min_step_m", "tilt_range") if name in problem}
     for name, key, cls in (("econ", "economics", EconomicParams),
                            ("proxy", "proxy", ProxyParams)):
         section = problem.get(key) or {}
-        _check_keys(section, {f.name for f in fields(cls)}, key)
-        kwargs[name] = cls(**section)
-    wells = problem.get("wells") or ()
+        integer = {f.name: f.type in ("int", int) for f in fields(cls)}
+        _check_keys(section, set(integer), key)
+        kwargs[name] = cls(**{k: _number(v, f"{key}.{k}", integer[k])
+                              for k, v in section.items()})
+    wells = _items(problem.get("wells") or (), "wells")
     for well in wells:
         _check_keys(well, {"role", "deviations", "branches"}, "wells entry")
     if wells:
-        kwargs["layout"] = tuple(
-            WellLayout(w.get("role"), int(w.get("deviations", 1)),
-                       int(w.get("branches", 0))) for w in wells)
+        kwargs["layout"] = tuple(WellLayout(
+            w.get("role"),
+            _number(w.get("deviations", 1), "wells.deviations", True),
+            _number(w.get("branches", 0), "wells.branches", True))
+            for w in wells)
     return kwargs
 
 
@@ -133,6 +169,9 @@ class RunConfig:
     targets: list[float] | None = None
 
     def __post_init__(self):
+        if not isinstance(self.problem or {}, dict):
+            raise ValueError(
+                f"problem must be an object; got {self.problem!r}")
         self.problem = dict(self.problem or {})
         kind = self.problem.get("kind")
         if kind not in PROBLEM_KEYS:
@@ -143,62 +182,81 @@ class RunConfig:
             _well_kwargs(self.problem)   # for its checks; build_problem builds
         elif "dimension" not in self.problem:
             raise ValueError(f"{kind} problem requires 'dimension'")
+        for key in ("dimension", "center"):
+            if key in self.problem:
+                self.problem[key] = _number(
+                    self.problem[key], f"problem.{key}", key == "dimension")
 
         if self.optimizer not in (None, *OPTIMIZERS):
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
         if self.optimizers is not None:
-            self.optimizers = tuple(self.optimizers)
+            self.optimizers = _items(self.optimizers, "optimizers")
             if len(self.optimizers) != 2 or any(o not in OPTIMIZERS
                                                 for o in self.optimizers):
                 raise ValueError("optimizers must list exactly two of "
                                  f"{OPTIMIZERS}")
 
         for name in ("crossprob", "mutprob"):
-            setattr(self, name, float(getattr(self, name)))
+            setattr(self, name, _number(getattr(self, name), f"ga.{name}"))
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"ga.{name} must lie in [0, 1]")
-        self.seeds = tuple(int(s) for s in self.seeds)
+        self.seeds = tuple(_number(s, "seeds", integer=True)
+                           for s in _items(self.seeds, "seeds"))
         if not self.seeds:
             raise ValueError("seeds must not be empty")
-        self.max_generations = int(self.max_generations)
+        self.max_generations = _number(self.max_generations,
+                                       "max_generations", integer=True)
         if self.max_generations < 1:
             raise ValueError("max_generations must be >= 1")
         if self.population_size is None:
             self.population_size = 40 if kind == "well_placement" else 8
-        self.population_size = int(self.population_size)
+        self.population_size = _number(self.population_size,
+                                       "population_size", integer=True)
         if self.population_size < 2:
             raise ValueError("population_size must be >= 2")
-        self.rejection_fraction = float(self.rejection_fraction)
+        self.rejection_fraction = _number(self.rejection_fraction,
+                                          "rejection_fraction")
         if not self.rejection_fraction > 0.0:
             raise ValueError("rejection_fraction must be positive")
         if self.sigma0 is not None:
-            self.sigma0 = float(self.sigma0)
+            self.sigma0 = _number(self.sigma0, "sigma0")
             if not (math.isfinite(self.sigma0) and self.sigma0 > 0.0):
                 raise ValueError("sigma0 must be finite and positive")
         if self.targets is not None:
-            self.targets = [float(t) for t in self.targets]
+            self.targets = [_number(t, "targets")
+                            for t in _items(self.targets, "targets")]
             if not all(map(math.isfinite, self.targets)):
                 raise ValueError("targets must be finite")
+        if not isinstance(self.output_dir, (str, os.PathLike)):
+            raise ValueError(f"output_dir must be a path; got "
+                             f"{self.output_dir!r}")
         self.output_dir = str(self.output_dir)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         """Parse a JSON config document; construction checks its values."""
         ga_keys = {"crossprob", "mutprob"}
+        _check_keys(data, {f.name for f in fields(cls)} - ga_keys | {"ga"},
+                    "config")
         parsed = dict(data)
         ga = parsed.pop("ga", None) or {}
-        _check_keys(parsed, {f.name for f in fields(cls)} - ga_keys, "config")
         _check_keys(ga, ga_keys, "ga")
-        constraints = parsed.pop("constraints", None) or []
-        for c in constraints:
-            _check_keys(c, {"indices", "lower", "upper"}, "constraint")
-        parsed["constraints"] = [
-            SumConstraint(tuple(c["indices"]), float(c["lower"]),
-                          float(c["upper"])) for c in constraints]
+        parsed["constraints"] = []
+        for c in _items(data.get("constraints") or (), "constraints"):
+            _check_keys(c, {"indices", "lower", "upper"}, "constraint",
+                        required=True)
+            indices = _items(c["indices"], "constraint indices")
+            parsed["constraints"].append(SumConstraint(
+                tuple(_number(i, "constraint indices", True) for i in indices),
+                _number(c["lower"], "constraint lower"),
+                _number(c["upper"], "constraint upper")))
         if (entry := data.get("surrogate")) is not None:
-            _check_keys(entry, {"k", "min_archive_size"}, "surrogate")
+            _check_keys(entry, {"k", "min_archive_size"}, "surrogate",
+                        required=True)
             parsed["surrogate"] = SurrogateSettings(
-                int(entry["k"]), int(entry["min_archive_size"]))
+                _number(entry["k"], "surrogate.k", True),
+                _number(entry["min_archive_size"],
+                        "surrogate.min_archive_size", True))
         return cls(**parsed, **ga)
 
     @classmethod
@@ -245,8 +303,8 @@ def build_problem(config: RunConfig) -> BuiltProblem:
                             raw_objective=well.raw_objective,
                             constraints=well.constraints() + config.constraints,
                             well_problem=well)
-    dim = int(problem["dimension"])
-    center = float(problem.get("center", 0.0))
+    dim = problem["dimension"]
+    center = problem.get("center", 0.0)
     # `sphere` is looked up at call time, where tracing and tests wrap it.
     objective = (rosenbrock if kind == "rosenbrock"
                  else lambda x: sphere(x, center))

@@ -17,6 +17,11 @@ first prediction pass. After that, each true evaluation that grows the
 archive is folded into the held neighbour sets in place
 (`admit_newest`), and only the candidates whose set it joined are
 refitted.
+
+The fits solve their normal equations with LAPACK's Cholesky routines
+from scipy. scipy is imported on the first fit, not with this module, so
+runs that never fit a local model (plain CMA-ES, the GA, evaluating a
+genome) start without it.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .cma import SearchDistribution, StrategyParams, rank_population
 from .constraints import penalized
@@ -280,8 +284,16 @@ def fit_local_model(neighbor_genomes: np.ndarray, neighbor_values: np.ndarray,
                                scale=scale)
 
 
+@lru_cache(maxsize=None)
+def _lapack():
+    """LAPACK's (dpotrf, dpotrs), imported once, on the first fit."""
+    from scipy.linalg.lapack import dpotrf, dpotrs
+    return dpotrf, dpotrs
+
+
 def _cholesky_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """x with A x = b by LAPACK potrf/potrs; None unless A is SPD, x finite."""
+    dpotrf, dpotrs = _lapack()
     factor, info = dpotrf(A, lower=1, clean=0)
     if info == 0:
         x, info = dpotrs(factor, b, lower=1)

@@ -10,6 +10,7 @@ cost per lateral junction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -46,15 +47,16 @@ class ProductionProfile:
     water: np.ndarray
 
     def __post_init__(self):
-        self.oil = np.asarray(self.oil, dtype=float)
-        self.gas = np.asarray(self.gas, dtype=float)
-        self.water = np.asarray(self.water, dtype=float)
+        phases = [np.asarray(a, dtype=float)
+                  for a in (self.oil, self.gas, self.water)]
+        self.oil, self.gas, self.water = phases
         if not (self.oil.shape == self.gas.shape == self.water.shape):
             raise ValueError("phase arrays must share one shape")
-        for name, arr in (("oil", self.oil), ("gas", self.gas),
-                          ("water", self.water)):
-            if np.any(arr < 0):
-                raise ValueError(f"{name} volumes must be non-negative")
+        # one pass over all phases; fmin skips NaN, which is not negative
+        if np.fmin.reduce(phases, axis=None, initial=0.0) < 0.0:
+            name = next(name for name, arr in zip(("oil", "gas", "water"),
+                                                  phases) if np.any(arr < 0))
+            raise ValueError(f"{name} volumes must be non-negative")
 
     @property
     def n_periods(self) -> int:
@@ -86,13 +88,20 @@ def drilling_cost(wells: list[WellGeometry], econ: EconomicParams) -> float:
     return total
 
 
+@cache
+def _discount(rate: float, periods: int) -> np.ndarray:
+    """Discount factors (1 + rate)^-t of periods t = 0..periods, read-only."""
+    discount = (1.0 + rate) ** (-np.arange(periods + 1))
+    discount.flags.writeable = False
+    return discount
+
+
 def npv(profile: ProductionProfile, econ: EconomicParams,
         cost: float) -> float:
     """Discounted phase revenues minus the drilling cost."""
     if profile.n_periods != econ.periods + 1:
         raise ValueError(f"profile must cover periods 0..{econ.periods}")
-    periods = np.arange(profile.n_periods)
-    discount = (1.0 + econ.annual_discount_rate) ** (-periods)
+    discount = _discount(econ.annual_discount_rate, econ.periods)
     revenue = (profile.oil * econ.oil_price
                + profile.gas * econ.gas_price
                + profile.water * econ.water_cost)

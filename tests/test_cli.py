@@ -169,6 +169,27 @@ class TestOptimize:
         assert err.startswith("error:") and key in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("config, key", [
+        ({"problem": {"kind": "sphere", "dimension": 2}, "seeds": None},
+         "seeds"),
+        ({"problem": {"kind": "sphere", "dimension": 2},
+          "constraints": [{"indices": [0, 1], "lower": 0.0}]}, "upper"),
+        ({"problem": {"kind": "well_placement",
+                      "economics": {"periods": "5"}}}, "economics.periods"),
+    ])
+    def test_config_of_wrong_type_is_an_error_line(self, config, key,
+                                                   tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"optimizer": "cma", **config}))
+        code = main(["optimize", "--config", str(path), "--seed", "1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and key in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
 
 class TestCompare:
     def test_compare_writes_report(self, tmp_path, capsys):

@@ -110,6 +110,31 @@ class TestConfig:
             ({"ga": {"mutprob": float("nan")}}, "mutprob"),
             ({"targets": [1.0, float("inf")]}, "targets"),
             ({"targets": [float("nan")]}, "targets"),
+            # values of the wrong type
+            ({"max_generations": "10"}, "max_generations"),
+            ({"population_size": 8.5}, "population_size"),
+            ({"seeds": [1, True]}, "seeds"),
+            ({"seeds": None}, "seeds"),
+            ({"sigma0": "1"}, "sigma0"),
+            ({"ga": {"crossprob": None}}, "crossprob"),
+            ({"targets": 3.0}, "targets"),
+            ({"surrogate": {"k": 30}}, "min_archive_size"),
+            ({"problem": [1]}, "problem"),
+            ({"problem": {"kind": "sphere", "dimension": 2.5}},
+             "problem.dimension"),
+            ({"problem": {"kind": "sphere", "dimension": 2, "center": None}},
+             "problem.center"),
+            ({"problem": {"kind": "well_placement",
+                          "economics": {"periods": 5.5}}}, "economics.periods"),
+            ({"problem": {"kind": "well_placement",
+                          "proxy": {"pi_half": "2e5"}}}, "proxy.pi_half"),
+            ({"problem": {"kind": "well_placement",
+                          "wells": [{"role": "injector", "deviations": "2"},
+                                    {"role": "producer"}]}},
+             "wells.deviations"),
+            ({"problem": {"kind": "well_placement", "grid_file": 5}},
+             "grid_file"),
+            ({"output_dir": None}, "output_dir"),
         ])
         if not (copied and "surrogate" in overrides)])
     def test_out_of_range_values_rejected_at_load(self, overrides, key,

@@ -18,7 +18,7 @@ from wellopt.wells import (FEET_PER_METER, INJECTOR, PRODUCER, Branch,
                            simulate)
 from wellopt.wells.economics import _bore_cost
 from wellopt.wells.problem import GEOMETRY_PENALTY_BASE
-from wellopt.wells.proxy import BARRELS_PER_M3
+from wellopt.wells.proxy import BARRELS_PER_M3, _midpoint
 
 
 def straight_well(start, end):
@@ -758,6 +758,134 @@ class TestGeometryMatchesNumpyVersions:
         mainbore[1:, 0] = np.cumsum(lengths)
         well = WellGeometry(mainbore=mainbore, branches=[])
         assert bits(well.mainbore_length) == bits(numpy_mainbore_length(well))
+
+
+# The scalar-loop proxy recurrence, npv and profile check, kept verbatim
+# as the reference the vectorised ones must match bit for bit.
+def reference_simulate(wells: list[tuple[WellGeometry, str]],
+                       grid: ReservoirGrid, econ: EconomicParams,
+                       params: ProxyParams | None = None) -> ProductionProfile:
+    params = params or ProxyParams()
+    producers = [w for w, role in wells if role == PRODUCER]
+    injectors = [w for w, role in wells if role == INJECTOR]
+    if not producers or not injectors:
+        raise ValueError("need at least one producer and one injector")
+
+    pi_prod = sum(productivity_index(w, grid) for w in producers)
+    pi_inj = sum(productivity_index(w, grid) for w in injectors)
+    drainable = sum(drainable_oil_barrels(w, grid, params) for w in producers)
+
+    n = econ.periods + 1
+    oil = np.zeros(n)
+    gas = np.zeros(n)
+    water = np.zeros(n)
+    if pi_prod <= 0.0 or drainable <= 0.0:
+        return ProductionProfile(oil=oil, gas=gas, water=water)
+
+    spacing = min(float(np.linalg.norm(_midpoint(p) - _midpoint(i)))
+                  for p in producers for i in injectors)
+    deliverability = pi_prod / (pi_prod + params.pi_half)
+    injector_strength = (pi_inj / (pi_inj + params.pi_half)
+                         * np.exp(-spacing / params.connectivity_length_m))
+    support = (params.primary_recovery_floor
+               + (1.0 - params.primary_recovery_floor) * injector_strength)
+    eta = params.base_depletion_rate * deliverability * support
+
+    breakthrough_half = (params.breakthrough_half_min
+                         + params.breakthrough_half_span
+                         * (1.0 - np.exp(-spacing / params.breakthrough_length_m)))
+
+    cumulative = 0.0
+    for period in range(1, n):
+        remaining = drainable - cumulative
+        q_oil = eta * remaining
+        recovery = cumulative / drainable
+        wc = params.water_cut_max / (1.0 + np.exp(
+            -params.water_cut_steepness * (recovery - breakthrough_half)))
+        oil[period] = q_oil
+        water[period] = q_oil * wc / (1.0 - wc)
+        gas[period] = params.gas_oil_ratio * q_oil
+        cumulative += q_oil
+    return ProductionProfile(oil=oil, gas=gas, water=water)
+
+
+def reference_npv(profile, econ, cost):
+    if profile.n_periods != econ.periods + 1:
+        raise ValueError(f"profile must cover periods 0..{econ.periods}")
+    periods = np.arange(profile.n_periods)
+    discount = (1.0 + econ.annual_discount_rate) ** (-periods)
+    revenue = (profile.oil * econ.oil_price
+               + profile.gas * econ.gas_price
+               + profile.water * econ.water_cost)
+    return float(np.sum(discount * revenue) - cost)
+
+
+def reference_profile_error(oil, gas, water):
+    for name, arr in (("oil", oil), ("gas", gas), ("water", water)):
+        if np.any(arr < 0):
+            return f"{name} volumes must be non-negative"
+    return None
+
+
+def proxy_params(draw):
+    return ProxyParams(
+        drainage_radius_m=draw(st.floats(50.0, 2000.0)),
+        base_depletion_rate=draw(st.floats(0.0, 1.0)),
+        pi_half=draw(st.floats(1.0, 1e7)),
+        primary_recovery_floor=draw(st.floats(0.0, 1.0)),
+        connectivity_length_m=draw(st.floats(10.0, 1e4)),
+        water_cut_max=draw(st.floats(0.0, 0.99)),
+        water_cut_steepness=draw(st.floats(0.0, 50.0)),
+        breakthrough_half_min=draw(st.floats(-1.0, 1.0)),
+        breakthrough_half_span=draw(st.floats(0.0, 1.0)),
+        breakthrough_length_m=draw(st.floats(10.0, 1e4)),
+        gas_oil_ratio=draw(st.floats(0.0, 5.0)))
+
+
+@st.composite
+def proxy_cases(draw):
+    """An injector and a producer in or around the grid, random proxy
+    constants, 1 to 30 periods and a discount rate, prices and a cost."""
+    wells = [(draw(multilateral_wells()), INJECTOR),
+             (draw(multilateral_wells()), PRODUCER)]
+    params = proxy_params(draw) if draw(st.booleans()) else ProxyParams()
+    econ = EconomicParams(periods=draw(st.integers(1, 30)),
+                          annual_discount_rate=draw(st.floats(0.0, 0.5)),
+                          oil_price=draw(st.floats(0.0, 200.0)),
+                          water_cost=draw(st.floats(-20.0, 0.0)),
+                          gas_price=draw(st.floats(0.0, 10.0)))
+    return wells, params, econ, draw(st.floats(0.0, 1e8))
+
+
+class TestProxyMatchesLoopVersion:
+    @settings(max_examples=200, deadline=None)
+    @given(case=proxy_cases())
+    def test_profile_and_npv(self, case):
+        wells, params, econ, cost = case
+        # a near-zero step overflows the plane crossings in both versions
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = simulate(wells, BUNDLED, econ, params)
+            want = reference_simulate(wells, BUNDLED, econ, params)
+        for phase in ("oil", "gas", "water"):
+            assert bits(getattr(got, phase)) == bits(getattr(want, phase))
+        assert bits(npv(got, econ, cost)) == bits(
+            reference_npv(want, econ, cost))
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(0, 6), data=st.data())
+    def test_profile_check(self, n, data):
+        value = st.one_of(st.floats(-10.0, 10.0),
+                          st.sampled_from([0.0, -0.0, -1e-300, math.nan,
+                                           math.inf, -math.inf]))
+        oil, gas, water = (np.array(data.draw(st.lists(value, min_size=n,
+                                                       max_size=n)))
+                           for _ in range(3))
+        want = reference_profile_error(oil, gas, water)
+        if want is None:
+            ProductionProfile(oil=oil, gas=gas, water=water)
+        else:
+            with pytest.raises(ValueError, match=want):
+                ProductionProfile(oil=oil, gas=gas, water=water)
 
 
 class TestProxy:
