@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -49,6 +50,14 @@ class GaParams:
             raise ValueError("population_size must be >= 2")
 
 
+@cache
+def _rank_cumulative_weights(n: int) -> np.ndarray:
+    """Cumulative sum of the rank weights N, N-1, ..., 1, read-only."""
+    cumulative = np.cumsum(np.arange(n, 0, -1, dtype=float))
+    cumulative.flags.writeable = False
+    return cumulative
+
+
 def select_parent(order: list[int], rng: np.random.Generator) -> int:
     """Linear rank-biased pick: rank r gets weight N - r + 1 (best = N).
 
@@ -56,8 +65,7 @@ def select_parent(order: list[int], rng: np.random.Generator) -> int:
     2/3. Returns the population index of the chosen parent.
     """
     n = len(order)
-    weights = np.arange(n, 0, -1, dtype=float)
-    cumulative = np.cumsum(weights)
+    cumulative = _rank_cumulative_weights(n)
     u = rng.uniform(0.0, cumulative[-1])
     position = int(np.searchsorted(cumulative, u, side="right"))
     return order[min(position, n - 1)]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wellopt.cma import rank_population
 from wellopt.constraints import SumConstraint
@@ -69,6 +71,32 @@ class TestSelection:
         weights = np.array([4.0, 3.0, 2.0, 1.0])
         expected = weights / weights.sum()
         assert np.all(np.abs(counts / draws - expected) < 0.01)
+
+
+def old_select_parent(order, rng):
+    """select_parent before its cumulative weights were cached, verbatim."""
+    n = len(order)
+    weights = np.arange(n, 0, -1, dtype=float)
+    cumulative = np.cumsum(weights)
+    u = rng.uniform(0.0, cumulative[-1])
+    position = int(np.searchsorted(cumulative, u, side="right"))
+    return order[min(position, n - 1)]
+
+
+class TestSelectParentMatchesOldVersion:
+    @settings(max_examples=100, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 300), min_size=1, max_size=6),
+           seed=st.integers(0, 2**32 - 1), picks=st.integers(1, 40))
+    def test_same_picks_and_draws(self, sizes, seed, picks):
+        new_rng = np.random.default_rng(seed)
+        old_rng = np.random.default_rng(seed)
+        for n in sizes:
+            order = list(np.random.default_rng(n).permutation(n))
+            for _ in range(picks):
+                assert (select_parent(order, new_rng)
+                        == old_select_parent(order, old_rng))
+        assert (new_rng.bit_generator.state
+                == old_rng.bit_generator.state)
 
 
 class TestCrossover:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -398,6 +399,18 @@ class TestIntersections:
             expected = (max(0.0, t_hi - t_lo) * float(np.linalg.norm(d))
                         if ok and t_hi > t_lo else 0.0)
             assert total == pytest.approx(expected, abs=1e-9)
+
+    def test_subnormal_step_crosses_no_planes(self, grid):
+        """A subnormal direction component overflows its plane crossing
+        times to inf, which means no crossing inside the segment: no
+        warning, no FloatingPointError, the pieces of the flat segment."""
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            tiny = segment_cell_intersections([100.0, 0.0, 50.0],
+                                              [900.0, 1e-310, 50.0], grid)
+            flat = segment_cell_intersections([100.0, 0.0, 50.0],
+                                              [900.0, 0.0, 50.0], grid)
+        assert tiny == flat and len(flat) == 5
 
     def test_outside_segment_no_cells(self, grid):
         out = segment_cell_intersections(np.array([-500.0, -500.0, -500.0]),
@@ -1006,9 +1019,10 @@ class TestWellPlacementProblem:
         detail = problem.evaluate_detail(GOOD_GENOME)
         assert detail["npv"] == -problem.raw_objective(GOOD_GENOME)
 
-    def test_evaluate_detail_reports_feasible_wells(self, problem,
-                                                    monkeypatch):
+    def test_evaluate_detail_reports_feasible_wells(self, monkeypatch):
         import wellopt.wells.problem as problem_module
+
+        problem = WellPlacementProblem(load_bundled_grid())   # empty memo
 
         calls = {"simulate": 0, "check_geometry": 0}
         for name in calls:
@@ -1027,12 +1041,13 @@ class TestWellPlacementProblem:
         assert detail["npv"] == pytest.approx(-detail["objective"])
         assert detail["production"]["cumulative_oil_bbl"] > 0
 
-    def test_objective_reaches_traced_names(self, problem, monkeypatch):
+    def test_objective_reaches_traced_names(self, monkeypatch):
         """The benchmark's span tracing (perfbench/tracing.py) wraps these
         names where the caller looks them up; inlining one breaks it."""
         import wellopt.wells.problem as problem_module
         import wellopt.wells.proxy as proxy_module
 
+        problem = WellPlacementProblem(load_bundled_grid())   # empty memo
         calls = {}
         for module, name in ((proxy_module, "productivity_index"),
                              (proxy_module, "drainable_oil_barrels"),
@@ -1053,7 +1068,11 @@ class TestWellPlacementProblem:
         outside = GOOD_GENOME.copy()
         outside[0] = -500.0                 # the injector's heel
         assert problem.raw_objective(outside) > GEOMETRY_PENALTY_BASE
-        assert calls == {"decode_well": 2, "check_geometry": 2}
+        # the producer's block is unchanged: only the injector's is new
+        assert calls == {"decode_well": 1, "check_geometry": 1}
+        calls.clear()
+        problem.raw_objective(GOOD_GENOME)  # every per-well term kept
+        assert calls == {"simulate": 1}
 
     def test_bounds_cover_genome(self, problem):
         bounds = problem.bounds()
@@ -1084,3 +1103,157 @@ class TestWellPlacementProblem:
         assert detail["objective"] == value
         assert "npv" not in detail and "production" not in detail
         assert fresh.simulation_failures == 2
+
+
+MEMO_LAYOUT = (WellLayout(INJECTOR, 1, 0), WellLayout(PRODUCER, 1, 1))
+MEMO_BOUNDS = WellPlacementProblem(BUNDLED, layout=MEMO_LAYOUT).bounds()
+# GOOD_GENOME with a branch on the producer: both wells in the grid
+MEMO_GENOME = np.concatenate([GOOD_GENOME,
+                              [300.0, 300.0, math.pi / 2, -0.8]])
+
+
+@st.composite
+def ga_like_genomes(draw):
+    """Genomes in the order a GA scores them: a few variants of
+    MEMO_GENOME, then children that copy an earlier genome and replace
+    one coordinate or one whole well block, or set a coordinate to 0.0
+    and to -0.0 (two twins). Replaced coordinates may reach 20% past the
+    bounds, so some blocks leave the grid."""
+    def coordinate(i):
+        lo, hi = MEMO_BOUNDS[i]
+        margin = 0.2 * (hi - lo)
+        return draw(st.one_of(st.floats(lo, hi),
+                              st.floats(lo - margin, hi + margin)))
+
+    dim = len(MEMO_BOUNDS)
+    blocks = []
+    offset = 0
+    for well in MEMO_LAYOUT:
+        blocks.append(slice(offset, offset + well.dim))
+        offset += well.dim
+    genomes = []
+    for _ in range(draw(st.integers(1, 3))):
+        genome = MEMO_GENOME.copy()
+        for i in draw(st.sets(st.integers(0, dim - 1), max_size=3)):
+            genome[i] = coordinate(i)
+        genomes.append(genome)
+    for _ in range(draw(st.integers(1, 12))):
+        child = draw(st.sampled_from(genomes)).copy()
+        kind = draw(st.sampled_from(["coordinate", "block", "twins"]))
+        i = draw(st.integers(0, dim - 1))
+        if kind == "coordinate":
+            child[i] = coordinate(i)
+        elif kind == "block":
+            block = draw(st.sampled_from(blocks))
+            child[block] = draw(st.sampled_from(genomes))[block]
+        else:
+            child[i] = 0.0
+            genomes.append(child.copy())
+            child[i] = -0.0
+        genomes.append(child)
+    return genomes
+
+
+class TestWellMemo:
+    @settings(max_examples=100, deadline=None)
+    @given(genomes=ga_like_genomes())
+    def test_memo_scores_like_a_fresh_problem(self, genomes):
+        import wellopt.wells.proxy as proxy_module
+
+        original = proxy_module.drainable_oil_barrels
+
+        def fails_on_some_producers(producer, grid, params):
+            if int(producer.heel[0]) % 3 == 0:
+                raise FloatingPointError("forced")
+            return original(producer, grid, params)
+
+        memoized = WellPlacementProblem(BUNDLED, layout=MEMO_LAYOUT)
+        fresh_failures = 0
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(proxy_module, "drainable_oil_barrels",
+                          fails_on_some_producers)
+            for genome in genomes:
+                fresh = WellPlacementProblem(BUNDLED, layout=MEMO_LAYOUT)
+                assert bits(memoized.raw_objective(genome)) == bits(
+                    fresh.raw_objective(genome))
+                fresh_failures += fresh.simulation_failures
+        assert memoized.simulation_failures == fresh_failures
+
+    def test_failed_simulation_keeps_no_terms(self, monkeypatch):
+        import wellopt.wells.problem as problem_module
+        import wellopt.wells.proxy as proxy_module
+
+        problem = WellPlacementProblem(BUNDLED)
+        original = problem_module.simulate
+
+        def exploding(*args, **kwargs):
+            raise FloatingPointError("forced")
+
+        monkeypatch.setattr(problem_module, "simulate", exploding)
+        assert problem.raw_objective(GOOD_GENOME) == 10.0 * GEOMETRY_PENALTY_BASE
+        monkeypatch.setattr(problem_module, "simulate", original)
+        calls = []
+        pi = proxy_module.productivity_index
+        monkeypatch.setattr(proxy_module, "productivity_index",
+                            lambda *args: calls.append(1) or pi(*args))
+        assert problem.raw_objective(GOOD_GENOME) == WellPlacementProblem(
+            BUNDLED).raw_objective(GOOD_GENOME)
+        assert len(calls) == 2 + 2    # the memo's wells, then the fresh ones
+        assert problem.simulation_failures == 1
+
+    def test_memo_is_bounded_and_keeps_recent_blocks(self):
+        from wellopt.wells.problem import WELL_MEMO_SIZE
+
+        problem = WellPlacementProblem(BUNDLED)
+        kept = GOOD_GENOME.copy()
+        first = problem._entries(kept)
+        for i in range(2 * WELL_MEMO_SIZE + 5):
+            genome = GOOD_GENOME.copy()
+            genome[0] = genome[6] = -1.0 - i   # new blocks, out of the grid
+            problem.raw_objective(genome)
+            problem.raw_objective(kept)        # recently used: kept
+            assert all(len(memo) <= WELL_MEMO_SIZE for memo in problem._memo)
+        assert all(len(memo) == WELL_MEMO_SIZE for memo in problem._memo)
+        # never dropped, so never decoded again
+        assert [problem._memo[0][kept[:6].tobytes()],
+                problem._memo[1][kept[6:].tobytes()]] == first
+
+    def test_cached_geometry_is_read_only(self):
+        problem = WellPlacementProblem(BUNDLED, layout=MEMO_LAYOUT)
+        genome = MEMO_GENOME
+        assert problem.raw_objective(genome) < 0.0   # in the grid, scored
+        entries = problem._entries(genome)
+        assert len(entries) == 2 and entries[1].geometry.branches
+        for entry in entries:
+            geometry = entry.geometry
+            arrays = [geometry.mainbore] + [a for b in geometry.branches
+                                            for a in (b.start, b.end)]
+            for array in arrays:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0.0
+        detail = problem.evaluate_detail(genome)   # still reads them
+        assert [w["heel"] for w in detail["wells"]] == [
+            e.geometry.heel.tolist() for e in entries]
+
+    def test_evaluate_detail_takes_pi_from_the_memo(self, monkeypatch):
+        import wellopt.wells.proxy as proxy_module
+
+        problem = WellPlacementProblem(BUNDLED)
+        calls = []
+        pi = proxy_module.productivity_index
+        monkeypatch.setattr(proxy_module, "productivity_index",
+                            lambda *args: calls.append(1) or pi(*args))
+        detail = problem.evaluate_detail(GOOD_GENOME)
+        assert len(calls) == 2      # once per well, for the objective
+        assert [w["productivity_index"] for w in detail["wells"]] == [
+            pi(g, BUNDLED) for g in (e.geometry
+                                     for e in problem._entries(GOOD_GENOME))]
+        outside = GOOD_GENOME.copy()
+        outside[0] = -500.0
+        calls.clear()
+        detail = problem.evaluate_detail(outside)   # short-circuited
+        assert len(calls) == 1      # the new injector block's; the
+        assert "npv" not in detail  # producer's comes from the memo
+        assert detail["wells"][1]["productivity_index"] == pi(
+            problem._entries(outside)[1].geometry, BUNDLED)
