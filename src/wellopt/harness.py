@@ -39,7 +39,8 @@ from .metamodel import (SurrogateSettings, TrainingArchive,
                         approximate_ranking_step, default_surrogate_settings)
 from .wells.economics import EconomicParams
 from .wells.grid import ReservoirGrid
-from .wells.problem import WellLayout, WellPlacementProblem
+from .wells.problem import (DEFAULT_LAYOUT, MIN_STEP_M, TILT_RANGE,
+                            WellLayout, WellPlacementProblem)
 from .wells.proxy import ProxyParams
 
 SCHEMA_VERSION = 1
@@ -127,8 +128,9 @@ def _well_kwargs(problem: dict) -> dict:
     grid_file = problem.get("grid_file") or ""
     if not isinstance(grid_file, (str, os.PathLike)):
         raise ValueError(f"problem.grid_file must be a path; got {grid_file!r}")
-    kwargs = {name: _number(problem[name], f"problem.{name}")
-              for name in ("min_step_m", "tilt_range") if name in problem}
+    kwargs = {name: _number(problem.get(name, default), f"problem.{name}")
+              for name, default in (("min_step_m", MIN_STEP_M),
+                                    ("tilt_range", TILT_RANGE))}
     for name, key, cls in (("econ", "economics", EconomicParams),
                            ("proxy", "proxy", ProxyParams)):
         section = problem.get(key) or {}
@@ -145,7 +147,31 @@ def _well_kwargs(problem: dict) -> dict:
             _number(w.get("deviations", 1), "wells.deviations", True),
             _number(w.get("branches", 0), "wells.branches", True))
             for w in wells)
+    if not 0.0 < kwargs["min_step_m"] < kwargs["econ"].max_well_length_m:
+        raise ValueError("problem.min_step_m must lie in (0, "
+                         "economics.max_well_length_m); got "
+                         f"{kwargs['min_step_m']!r}")
+    if not 0.0 < kwargs["tilt_range"] <= math.pi / 2:
+        raise ValueError("problem.tilt_range must lie in (0, pi/2]; got "
+                         f"{kwargs['tilt_range']!r}")
     return kwargs
+
+
+def _benchmark_bounds(problem: dict, dim: int) -> list[tuple[float, float]]:
+    """The checked (lo, hi) pair of each coordinate."""
+    bounds = problem.get("bounds", DEFAULT_BOUNDS[problem["kind"]])
+    rows = _items(bounds, "problem.bounds")
+    if all(isinstance(row, numbers.Real) for row in rows):
+        rows = (rows,) * dim   # one [lo, hi] pair for every coordinate
+    pairs = [tuple(_number(v, "problem.bounds")
+                   for v in _items(row, "problem.bounds")) for row in rows]
+    if len(pairs) != dim or not all(
+            len(pair) == 2 and -math.inf < pair[0] < pair[1] < math.inf
+            for pair in pairs):
+        raise ValueError("problem.bounds must be [lo, hi] or one [lo, hi] "
+                         "pair per coordinate, finite with lo < hi; got "
+                         f"{bounds!r}")
+    return pairs
 
 
 @dataclass
@@ -167,6 +193,9 @@ class RunConfig:
     mutprob: float = 0.1
     output_dir: str = "runs"
     targets: list[float] | None = None
+    # what build_problem needs besides the grid, worked out on construction:
+    # the WellPlacementProblem keyword arguments, or the bounds
+    _problem_args: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.problem or {}, dict):
@@ -178,14 +207,22 @@ class RunConfig:
             raise ValueError(f"problem.kind must be one of "
                              f"{', '.join(PROBLEM_KEYS)}; got {kind!r}")
         _check_keys(self.problem, PROBLEM_KEYS[kind], "problem")
-        if kind == "well_placement":
-            _well_kwargs(self.problem)   # for its checks; build_problem builds
-        elif "dimension" not in self.problem:
-            raise ValueError(f"{kind} problem requires 'dimension'")
         for key in ("dimension", "center"):
             if key in self.problem:
                 self.problem[key] = _number(
                     self.problem[key], f"problem.{key}", key == "dimension")
+        if kind == "well_placement":
+            self._problem_args = _well_kwargs(self.problem)
+            dim = sum(w.dim for w in self._problem_args.get(
+                "layout", DEFAULT_LAYOUT))
+        else:
+            dim = self.problem.get("dimension")
+            if dim is None:
+                raise ValueError(f"{kind} problem requires 'dimension'")
+            if dim < 1:
+                raise ValueError(f"problem.dimension must be >= 1; got {dim}")
+            self._problem_args = {
+                "bounds": _benchmark_bounds(self.problem, dim)}
 
         if self.optimizer not in (None, *OPTIMIZERS):
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
@@ -232,12 +269,20 @@ class RunConfig:
                              f"{self.output_dir!r}")
         self.output_dir = str(self.output_dir)
 
+        for c in self.constraints:
+            if max(c.indices) >= dim:
+                raise ValueError(f"constraint indices must be below the "
+                                 f"problem's dimension {dim}; got "
+                                 f"{list(c.indices)}")
+        if self.surrogate is not None:
+            self.surrogate.validate(dim)
+
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         """Parse a JSON config document; construction checks its values."""
         ga_keys = {"crossprob", "mutprob"}
-        _check_keys(data, {f.name for f in fields(cls)} - ga_keys | {"ga"},
-                    "config")
+        _check_keys(data, {f.name for f in fields(cls) if f.init} - ga_keys
+                    | {"ga"}, "config")
         parsed = dict(data)
         ga = parsed.pop("ga", None) or {}
         _check_keys(ga, ga_keys, "ga")
@@ -280,25 +325,12 @@ def load_bundled_grid() -> ReservoirGrid:
     return ReservoirGrid.from_json_dict(json.loads(data.read_text()))
 
 
-def _benchmark_bounds(problem: dict, dim: int) -> np.ndarray:
-    bounds = problem.get("bounds")
-    if bounds is None:
-        bounds = DEFAULT_BOUNDS[problem["kind"]]
-    arr = np.asarray(bounds, dtype=float)
-    if arr.shape == (2,):
-        arr = np.tile(arr, (dim, 1))
-    if arr.shape != (dim, 2) or np.any(arr[:, 0] >= arr[:, 1]):
-        raise ValueError("bounds must be [lo, hi] or one (lo, hi) pair "
-                         "per coordinate with lo < hi")
-    return arr
-
-
 def build_problem(config: RunConfig) -> BuiltProblem:
     problem, kind = config.problem, config.problem["kind"]
     if kind == "well_placement":
         grid = (ReservoirGrid.load_json(problem["grid_file"])
                 if problem.get("grid_file") else load_bundled_grid())
-        well = WellPlacementProblem(grid, **_well_kwargs(problem))
+        well = WellPlacementProblem(grid, **config._problem_args)
         return BuiltProblem(name=kind, dim=well.dim, bounds=well.bounds(),
                             raw_objective=well.raw_objective,
                             constraints=well.constraints() + config.constraints,
@@ -308,7 +340,8 @@ def build_problem(config: RunConfig) -> BuiltProblem:
     # `sphere` is looked up at call time, where tracing and tests wrap it.
     objective = (rosenbrock if kind == "rosenbrock"
                  else lambda x: sphere(x, center))
-    return BuiltProblem(name=kind, dim=dim, bounds=_benchmark_bounds(problem, dim),
+    return BuiltProblem(name=kind, dim=dim,
+                        bounds=np.array(config._problem_args["bounds"]),
                         raw_objective=objective,
                         constraints=list(config.constraints))
 
@@ -433,8 +466,6 @@ def run_cma(problem: BuiltProblem, config: RunConfig, seed: int,
     rows: list[RunRow] = []
     best_history: list[float] = []
     best = math.inf
-    best_raw = math.nan
-    best_genome = mean0.copy()
     last_gamma_change = -10 ** 9
     exhaustions = 0
 
@@ -483,11 +514,12 @@ def run_cma(problem: BuiltProblem, config: RunConfig, seed: int,
         state.record_generation(raw)
 
         # The best-ranked candidate is always a true evaluation: the
-        # approximate ranking stops only on a best it has evaluated.
+        # approximate ranking stops only on a best it has evaluated. The
+        # first one is reported even when no value is below inf.
         i = order[0]
-        if values[i] < best:
-            best, best_raw = float(values[i]), float(raw[i])
-            best_genome = genomes[i].copy()
+        if values[i] < best or not rows:
+            best = min(best, float(values[i]))
+            best_raw, best_genome = float(raw[i]), genomes[i].copy()
         best_history.append(best)
         rows.append(RunRow(generation=dist.generation,
                            true_evaluations=evaluator.count,
@@ -601,11 +633,6 @@ def run_batch(config: RunConfig, out_dir=None) -> BatchResult:
     """Run every configured seed, then write per-run and summary CSVs."""
     if len(config.seeds) < 2:
         raise ValueError("run_batch needs at least 2 seeds")
-    # A comparison's batches carry its pair, so a surrogate too small for
-    # the problem fails the first batch before any run.
-    if (config.surrogate is not None and "cma+surrogate"
-            in (config.optimizer, *(config.optimizers or ()))):
-        config.surrogate.validate(build_problem(config).dim)
     records = [run_single(config, seed, out_dir) for seed in config.seeds]
     targets = config.targets or default_targets(records)
     result = BatchResult(optimizer=config.optimizer,

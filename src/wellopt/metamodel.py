@@ -154,10 +154,10 @@ class SurrogateSettings:
     def validate(self, dim: int):
         if self.k < basis_size(dim):
             raise ValueError(
-                f"k={self.k} too small: a full quadratic in {dim} dimensions "
-                f"needs at least {basis_size(dim)} neighbors")
+                f"surrogate.k={self.k} too small: a full quadratic in {dim} "
+                f"dimensions needs at least {basis_size(dim)} neighbors")
         if self.min_archive_size < self.k:
-            raise ValueError("min_archive_size must be >= k")
+            raise ValueError("surrogate.min_archive_size must be >= k")
 
 
 def default_surrogate_settings(dim: int) -> SurrogateSettings:

@@ -8,45 +8,42 @@ the remaining nonlinear requirement (every defining point inside the
 grid, which depends on angles) is enforced in the objective itself with
 a large additive penalty sloped by the out-of-bounds distance.
 
-The proxy is separable per well, so the problem keeps a small memo per
-layout well, keyed by the bytes of that well's genome block: the decoded
-geometry (read-only arrays), its geometry verdict and, once the whole
-genome was in the grid and simulated without failure, its
-`proxy.well_terms`. Drilling cost and well spacing are recomputed on
-every evaluation, so every sum keeps its order and its bits. A GA child
-changes one coordinate of a parent, so it often keeps a parent's block:
-on the `well_ga` benchmark (workload seed 1, 20,404 true evaluations)
-47% of the PI computations and 50% of the drainable-oil ones repeat a
-block, which the memo skips; CMA-ES samples continuously and never
-repeats one (0% on `well_cma` and `well_surrogate`), so it only pays the
-misses (a few microseconds per evaluation). Each memo holds the 128
-(WELL_MEMO_SIZE) most recently used blocks: a GA's parents are the
-previous population, so an unbounded memo computes no fewer terms.
+The proxy is separable per well, so each layout well has a memo: two
+`functools.lru_cache` functions of its genome block's bytes, pure given
+the problem's fixed grid, economics and proxy parameters. `decoded`
+gives the geometry (read-only arrays) and its `check_geometry` verdict;
+`terms` gives the well's `proxy.well_terms`, asked for only once the
+whole genome is in the grid. `lru_cache` never stores a call that
+raised, so a block whose terms fail fails, and is counted, on every
+evaluation. Drilling cost and well spacing are recomputed each time, so
+every sum keeps its order and its bits. A GA child changes one
+coordinate of a parent and often keeps a parent's block (on `well_ga`
+about half the PI and drainage computations repeat one); CMA-ES never
+repeats a block and only pays the misses. Each cache holds the
+WELL_MEMO_SIZE most recently used blocks: a GA's parents are the
+previous population, so 128 compute as few terms as an unbounded memo,
+while 4,096 raise the benchmark's peak RSS from 62 to 69 MB.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..constraints import SumConstraint
 from .economics import EconomicParams, drilling_cost, npv
-from .geometry import (GeometryVerdict, WellGeometry, check_geometry,
-                       decode_well, genome_dimension)
+from .geometry import check_geometry, decode_well, genome_dimension
 from .grid import ReservoirGrid
 from .proxy import INJECTOR, PRODUCER, ProxyParams, simulate, well_terms
 
 GEOMETRY_PENALTY_BASE = 1.0e9
 GEOMETRY_PENALTY_SLOPE = 1.0e6   # per length unit of out-of-bounds distance
-# Entries kept per layout well, least recently used dropped first. A GA
-# child copies its well blocks from parents in the previous population,
-# so a short memo catches nearly every repeat: on `well_ga` 128 entries
-# compute as few proxy terms as an unbounded memo, while 4,096 raise the
-# benchmark's peak RSS from 62 to 69 MB (its bound is 5%).
 WELL_MEMO_SIZE = 128
+MIN_STEP_M = 50.0    # default lower bound of a bore step's length
+TILT_RANGE = 0.15    # default polar-angle half-range about pi/2
 
 
 @dataclass(frozen=True)
@@ -69,17 +66,26 @@ class WellLayout:
 DEFAULT_LAYOUT = (WellLayout(INJECTOR, 1, 0), WellLayout(PRODUCER, 1, 0))
 
 
-class _WellEntry:
-    """One well block's decoded geometry (read-only arrays) and verdict;
-    `terms` is its `proxy.well_terms`, kept after the first successful
-    in-grid simulation. A slotted class: a dataclass costs set-up time."""
+def _well_memo(well: WellLayout, grid: ReservoirGrid, econ: EconomicParams,
+               proxy: ProxyParams):
+    """`decoded(key)` and `terms(key)` of one layout well's block bytes."""
 
-    __slots__ = ("geometry", "verdict", "terms")
+    @functools.lru_cache(WELL_MEMO_SIZE)
+    def decoded(key: bytes):
+        geometry = decode_well(np.frombuffer(key), well.n_deviations,
+                               well.n_branches)
+        geometry.mainbore.setflags(write=False)
+        for branch in geometry.branches:
+            branch.start.setflags(write=False)
+            branch.end.setflags(write=False)
+        return geometry, check_geometry(geometry, grid.invariants.extent,
+                                        econ.max_well_length_m)
 
-    def __init__(self, geometry: WellGeometry, verdict: GeometryVerdict):
-        self.geometry = geometry
-        self.verdict = verdict
-        self.terms: tuple[float, float | None] | None = None
+    @functools.lru_cache(WELL_MEMO_SIZE)
+    def terms(key: bytes):
+        return well_terms(decoded(key)[0], well.role, grid, proxy)
+
+    return decoded, terms
 
 
 class WellPlacementProblem:
@@ -97,8 +103,8 @@ class WellPlacementProblem:
                  econ: EconomicParams | None = None,
                  proxy: ProxyParams | None = None,
                  layout: tuple[WellLayout, ...] = DEFAULT_LAYOUT,
-                 min_step_m: float = 50.0,
-                 tilt_range: float = 0.15):
+                 min_step_m: float = MIN_STEP_M,
+                 tilt_range: float = TILT_RANGE):
         self.grid = grid
         self.econ = econ or EconomicParams()
         self.proxy = proxy or ProxyParams()
@@ -110,14 +116,14 @@ class WellPlacementProblem:
         self.min_step_m = min_step_m
         self.tilt_range = tilt_range
         self.simulation_failures = 0
-        # each layout well with the bounds of its genome block
-        self._blocks = []
+        # each layout well's genome block bounds, decoded and terms
+        self._memo = []
         offset = 0
         for well in self.layout:
-            self._blocks.append((well, offset, offset + well.dim))
+            self._memo.append((offset, offset + well.dim, *_well_memo(
+                well, self.grid, self.econ, self.proxy)))
             offset += well.dim
         self.dim = offset
-        self._memo = [OrderedDict() for _ in self.layout]
 
     def bounds(self) -> np.ndarray:
         extent = self.grid.extent
@@ -163,34 +169,6 @@ class WellPlacementProblem:
             offset += well.dim
         return out
 
-    def _entries(self, genome: np.ndarray) -> list[_WellEntry]:
-        """The memo entry of each well block of a genome, in layout order;
-        a block seen for the first time is decoded and checked."""
-        genome = np.asarray(genome, dtype=float)
-        if genome.shape != (self.dim,):
-            raise ValueError(f"genome must have length {self.dim}")
-        extent = self.grid.invariants.extent   # Python floats
-        entries = []
-        for (well, start, stop), memo in zip(self._blocks, self._memo):
-            block = genome[start:stop]
-            key = block.tobytes()   # bit-exact: -0.0 and 0.0 differ
-            entry = memo.get(key)
-            if entry is None:
-                geometry = decode_well(block, well.n_deviations,
-                                       well.n_branches)
-                geometry.mainbore.setflags(write=False)
-                for branch in geometry.branches:
-                    branch.start.setflags(write=False)
-                    branch.end.setflags(write=False)
-                entry = memo[key] = _WellEntry(geometry, check_geometry(
-                    geometry, extent, self.econ.max_well_length_m))
-                if len(memo) > WELL_MEMO_SIZE:
-                    memo.popitem(last=False)
-            else:
-                memo.move_to_end(key)
-            entries.append(entry)
-        return entries
-
     def raw_objective(self, genome: np.ndarray) -> float:
         """-NPV for in-grid wells; a sloped large penalty otherwise.
 
@@ -201,54 +179,59 @@ class WellPlacementProblem:
         return self._score(genome)[0]
 
     def _score(self, genome: np.ndarray):
-        """(objective, memo entries, profile, drilling cost) of a genome;
-        profile and cost are None unless the proxy ran successfully."""
-        entries = self._entries(genome)
-        out_of_bounds = sum(e.verdict.out_of_bounds_distance
-                            for e in entries)
+        """(objective, each well's (geometry, verdict), terms, profile,
+        drilling cost); the last three are None unless the proxy ran
+        successfully."""
+        genome = np.asarray(genome, dtype=float)
+        if genome.shape != (self.dim,):
+            raise ValueError(f"genome must have length {self.dim}")
+        keys = [genome[start:stop].tobytes()   # bit-exact: -0.0 != 0.0
+                for start, stop, _, _ in self._memo]
+        wells = [decoded(key) for key, (_, _, decoded, _)
+                 in zip(keys, self._memo)]
+        out_of_bounds = sum(verdict.out_of_bounds_distance
+                            for _, verdict in wells)
         if out_of_bounds > 0.0:
             return (GEOMETRY_PENALTY_BASE
                     + GEOMETRY_PENALTY_SLOPE * out_of_bounds,
-                    entries, None, None)
-        wells = [(e.geometry, w.role) for e, w in zip(entries, self.layout)]
+                    wells, None, None, None)
+        geometries = [geometry for geometry, _ in wells]
         try:
-            terms = [well_terms(geometry, role, self.grid, self.proxy)
-                     if e.terms is None else e.terms
-                     for e, (geometry, role) in zip(entries, wells)]
-            profile = simulate(wells, self.grid, self.econ, self.proxy,
-                               terms)
-            cost = drilling_cost([g for g, _ in wells], self.econ)
+            terms = [terms_of(key) for key, (_, _, _, terms_of)
+                     in zip(keys, self._memo)]
+            profile = simulate([(g, w.role) for g, w
+                                in zip(geometries, self.layout)],
+                               self.grid, self.econ, self.proxy, terms)
+            cost = drilling_cost(geometries, self.econ)
             objective = -npv(profile, self.econ, cost)
         except (ValueError, FloatingPointError, ZeroDivisionError):
             # worst-case sentinel: never preferable to any scored candidate
             self.simulation_failures += 1
-            return 10.0 * GEOMETRY_PENALTY_BASE, entries, None, None
-        for entry, well_term in zip(entries, terms):
-            entry.terms = well_term   # kept only from a successful run
-        return objective, entries, profile, cost
+            return 10.0 * GEOMETRY_PENALTY_BASE, wells, None, None, None
+        return objective, wells, terms, profile, cost
 
     def evaluate_detail(self, genome: np.ndarray) -> dict:
         """Full breakdown used by the CLI `evaluate` subcommand."""
         from .proxy import productivity_index
 
-        objective, entries, profile, cost = self._score(genome)
+        objective, wells, terms, profile, cost = self._score(genome)
+        if terms is None:   # a well out of the grid, or a failed run
+            terms = [(productivity_index(g, self.grid), None)
+                     for g, _ in wells]
         detail = {
             "wells": [
                 {
                     "role": well.role,
-                    "heel": e.geometry.heel.tolist(),
-                    "toe": e.geometry.toe.tolist(),
-                    "total_length_m": e.geometry.total_length,
-                    # the scored term; computed here when the proxy did
-                    # not run (a well out of the grid, a failed run)
-                    "productivity_index": (
-                        productivity_index(e.geometry, self.grid)
-                        if e.terms is None else e.terms[0]),
-                    "feasible": e.verdict.feasible,
-                    "length_excess_m": e.verdict.length_excess,
-                    "out_of_bounds_m": e.verdict.out_of_bounds_distance,
+                    "heel": geometry.heel.tolist(),
+                    "toe": geometry.toe.tolist(),
+                    "total_length_m": geometry.total_length,
+                    "productivity_index": pi,
+                    "feasible": verdict.feasible,
+                    "length_excess_m": verdict.length_excess,
+                    "out_of_bounds_m": verdict.out_of_bounds_distance,
                 }
-                for e, well in zip(entries, self.layout)
+                for (geometry, verdict), (pi, _), well
+                in zip(wells, terms, self.layout)
             ],
             "objective": objective,
         }

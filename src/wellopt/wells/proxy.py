@@ -35,14 +35,10 @@ decoding, 8 us geometry checks, 38 us productivity indices (both
 wells), 31 us drainable oil and 6 us NPV.
 
 Per-well terms: a well's PI and a producer's drainable oil depend on
-that well's geometry alone. `well_terms` computes them and `simulate`
-combines them, summed in well order, so a caller may keep them per
-well and pass them back: `WellPlacementProblem` keeps them in its
-per-well memo (`wells/problem.py`), with the same bits. On the `well_ga`
-benchmark (workload seed 1) 47% of the PI computations and 50% of the
-drainable-oil ones repeat a well block and are skipped; CMA-ES repeats
-none (0% on `well_cma` and `well_surrogate`). The memo keeps 128 blocks
-per well, since a GA's parents are the previous population.
+that well's geometry alone. `well_terms` computes them and
+`simulate(..., terms=...)` takes them back, in well order, and sums them
+as it would its own, so a caller may cache them per well with the same
+bits (`wells/problem.py` does).
 """
 
 from __future__ import annotations

@@ -176,6 +176,28 @@ class TestOptimize:
           "constraints": [{"indices": [0, 1], "lower": 0.0}]}, "upper"),
         ({"problem": {"kind": "well_placement",
                       "economics": {"periods": "5"}}}, "economics.periods"),
+        # values the problem cannot run with, caught at load
+        ({"problem": {"kind": "well_placement"},
+          "constraints": [{"indices": [12], "lower": 0.0, "upper": 1.0}]},
+         "constraint indices"),
+        ({"problem": {"kind": "sphere", "dimension": 2},
+          "constraints": [{"indices": [5], "lower": 0.0, "upper": 1.0}]},
+         "constraint indices"),
+        ({"problem": {"kind": "sphere", "dimension": 0}},
+         "problem.dimension"),
+        ({"problem": {"kind": "sphere", "dimension": 2},
+          "surrogate": {"k": 3, "min_archive_size": 10}}, "surrogate.k"),
+        ({"problem": {"kind": "sphere", "dimension": 2, "bounds": "abc"}},
+         "problem.bounds"),
+        ({"problem": {"kind": "sphere", "dimension": 2,
+                      "bounds": [[0, 1], [1, 1]]}}, "problem.bounds"),
+        ({"problem": {"kind": "well_placement",
+                      "economics": {"max_well_length_m": -5}}},
+         "max_well_length_m"),
+        ({"problem": {"kind": "well_placement", "min_step_m": 1000}},
+         "problem.min_step_m"),
+        ({"problem": {"kind": "well_placement", "tilt_range": 2.0}},
+         "problem.tilt_range"),
     ])
     def test_config_of_wrong_type_is_an_error_line(self, config, key,
                                                    tmp_path, capsys):

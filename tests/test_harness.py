@@ -622,13 +622,11 @@ class TestCompare:
             finals = [r.final.best_objective for r in records]
             assert np.median(finals) <= records[0].rows[0].best_objective
 
-    def test_surrogate_checked_before_any_run(self, monkeypatch):
-        monkeypatch.setattr(harness, "run_ga", never)
-        config = sphere_config(problem={"kind": "sphere", "dimension": 2},
-                               optimizers=["ga", "cma+surrogate"],
-                               surrogate={"k": 3, "min_archive_size": 10})
-        with pytest.raises(ValueError, match="k=3 too small"):
-            compare_optimizers(config)
+    def test_surrogate_checked_before_any_run(self):
+        with pytest.raises(ValueError, match="surrogate.k=3 too small"):
+            sphere_config(problem={"kind": "sphere", "dimension": 2},
+                          optimizers=["ga", "cma+surrogate"],
+                          surrogate={"k": 3, "min_archive_size": 10})
 
     def test_bad_well_section_fails_before_any_run(self, monkeypatch):
         monkeypatch.setattr(harness, "run_cma", never)
@@ -643,6 +641,15 @@ class TestCompare:
     def test_requires_optimizer_pair(self):
         with pytest.raises(ValueError, match="optimizers"):
             compare_optimizers(sphere_config())
+
+    def test_batch_builds_one_problem_per_run(self, monkeypatch):
+        built = []
+        original = harness.build_problem
+        monkeypatch.setattr(harness, "build_problem",
+                            lambda config: built.append(1) or original(config))
+        config = sphere_config(optimizer="cma+surrogate", max_generations=3,
+                               surrogate={"k": 21, "min_archive_size": 21})
+        assert len(run_batch(config).records) == len(built) == 2
 
 
 class TestBuildProblem:
@@ -659,6 +666,36 @@ class TestBuildProblem:
         problem = build_problem(config)
         assert problem.bounds.shape == (3, 2)
         assert np.all(problem.bounds[:, 0] == -1.0)
+
+    def test_copy_rebuilds_its_problem_arguments(self):
+        config = RunConfig.from_dict({"problem": {"kind": "well_placement"}})
+        longer = dataclasses.replace(config, problem={
+            "kind": "well_placement",
+            "wells": [{"role": "injector"},
+                      {"role": "producer", "deviations": 2}]})
+        assert build_problem(longer).dim == build_problem(config).dim + 3
+        with pytest.raises(ValueError, match="problem.tilt_range"):
+            dataclasses.replace(config, problem={"kind": "well_placement",
+                                                 "tilt_range": 2.0})
+
+    @pytest.mark.parametrize("problem, key", [
+        ({"kind": "sphere", "dimension": 2, "bounds": [[0, 1]]},
+         "problem.bounds"),
+        ({"kind": "sphere", "dimension": 2, "bounds": [1, 0]},
+         "problem.bounds"),
+        ({"kind": "rosenbrock", "dimension": 2,
+          "bounds": [[0, 1], [0, float("inf")]]}, "problem.bounds"),
+        ({"kind": "well_placement", "min_step_m": 0}, "problem.min_step_m"),
+        ({"kind": "well_placement", "economics": {"max_well_length_m": 1}},
+         "max_well_length_m"),
+        ({"kind": "well_placement",
+          "economics": {"max_well_length_m": float("inf")}},
+         "max_well_length_m"),
+        ({"kind": "well_placement", "tilt_range": 0}, "problem.tilt_range"),
+    ])
+    def test_problem_numbers_checked_at_load(self, problem, key):
+        with pytest.raises(ValueError, match=key):
+            RunConfig.from_dict({"problem": problem})
 
     def test_well_problem_has_constraints_and_npv_flag(self):
         config = RunConfig.from_dict({"problem": {"kind": "well_placement"}})

@@ -1,0 +1,154 @@
+"""Run-level properties over small random runs.
+
+Each example is one small CMA-ES run on a sphere or Rosenbrock with
+random bounds (some nearly degenerate), random sum constraints (some
+with a tiny feasible volume), sometimes a constraint index past the
+dimension, sometimes an objective that is NaN or +-inf on a random slab,
+and the surrogate on or off. A run either fails with a ValueError before
+its first true evaluation or keeps every run-level promise: best-so-far
+never rises, true evaluations are the archive size plus the non-finite
+ones, each surrogate generation spends 1 + n_ic <= lambda evaluations,
+the reported genome re-evaluates to the reported value, and a rerun
+with the same seed writes the same CSV bytes.
+"""
+
+import dataclasses
+import math
+import os
+import tempfile
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wellopt.harness import RunConfig, build_problem, run_cma
+from wellopt.metamodel import basis_size
+
+NONFINITE = (math.nan, math.inf, -math.inf)
+
+
+@st.composite
+def small_runs(draw):
+    n = draw(st.integers(2, 6))
+    lows = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+    widths = draw(st.lists(st.floats(0.5, 20.0), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        # one nearly degenerate coordinate: a thin start, or one too
+        # ill-conditioned to run
+        widths[draw(st.integers(0, n - 1))] = draw(st.sampled_from(
+            [1e-3, 1e-5, 1e-9]))
+    bounds = [[lo, lo + w] for lo, w in zip(lows, widths)]
+    constraints = []
+    for _ in range(draw(st.integers(0, 2))):
+        indices = draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                max_size=n, unique=True))
+        lo = sum(bounds[i][0] for i in indices)
+        hi = sum(bounds[i][1] for i in indices)
+        center = lo + draw(st.floats(0.0, 1.0)) * (hi - lo)
+        # the feasible part of the box: a fair share or a sliver
+        half = draw(st.sampled_from([1e-9, 0.05, 0.5])) * (hi - lo)
+        if not center - half < center + half:
+            continue
+        constraints.append({"indices": sorted(indices),
+                            "lower": center - half, "upper": center + half})
+    if draw(st.booleans()) and draw(st.booleans()):
+        constraints.append({"indices": [draw(st.integers(n, n + 2))],
+                            "lower": 0.0, "upper": 1.0})
+    surrogate = draw(st.booleans())
+    data = {"problem": {"kind": draw(st.sampled_from(["sphere",
+                                                      "rosenbrock"])),
+                        "dimension": n, "bounds": bounds},
+            "optimizer": "cma+surrogate" if surrogate else "cma",
+            "population_size": draw(st.integers(4, 8)),
+            "max_generations": draw(st.integers(2, 12)),
+            "constraints": constraints}
+    if surrogate:
+        k = basis_size(n) + draw(st.integers(0, 3))
+        data["surrogate"] = {"k": k, "min_archive_size": k}
+    region = None
+    if draw(st.booleans()):
+        axis = draw(st.integers(0, n - 1))
+        a, b = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2,
+                                    max_size=2)))
+        lo, hi = bounds[axis]
+        region = (axis, lo + a * (hi - lo), lo + b * (hi - lo),
+                  draw(st.sampled_from(NONFINITE)))
+    return data, region, draw(st.integers(0, 2 ** 16))
+
+
+class Objective:
+    """The built objective, non-finite on a slab of one coordinate; keeps
+    every value it returned, in call order."""
+
+    def __init__(self, fn, region):
+        self.fn = fn
+        self.region = region
+        self.values = []
+
+    def __call__(self, genome):
+        value = self.fn(genome)
+        if self.region is not None:
+            axis, lo, hi, bad = self.region
+            if lo <= genome[axis] <= hi:
+                value = bad
+        self.values.append(value)
+        return value
+
+
+def run(data, region, seed, csv_path):
+    """(record, objective) of one run, or (None, objective) when it raised
+    a ValueError; objective is None when the config did not load."""
+    try:
+        config = RunConfig.from_dict(data)
+    except ValueError:
+        return None, None
+    problem = build_problem(config)
+    objective = Objective(problem.raw_objective, region)
+    problem = dataclasses.replace(problem, raw_objective=objective)
+    try:
+        record = run_cma(problem, config, seed,
+                         use_surrogate=data["optimizer"] == "cma+surrogate")
+    except ValueError:
+        return None, objective
+    record.write_csv(csv_path)
+    return record, objective
+
+
+def bits(value):
+    return np.float64(math.nan if math.isnan(value) else value).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=small_runs())
+def test_small_runs_keep_their_promises(case):
+    data, region, seed = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"run_{i}.csv") for i in (1, 2)]
+        record, objective = run(data, region, seed, paths[0])
+        if record is None:   # rejected before the first generation
+            assert objective is None or objective.values == []
+            return
+        assert run(data, region, seed, paths[1])[0] is not None
+        with open(paths[0], "rb") as first, open(paths[1], "rb") as second:
+            assert first.read() == second.read()
+
+    rows = record.rows
+    best = record.best_so_far()
+    assert all(b <= a for a, b in zip(best, best[1:]))
+    final = rows[-1]
+    assert final.true_evaluations == len(objective.values)
+    assert (final.true_evaluations
+            == len(record.archive) + record.nonfinite_evaluations)
+    lam = data["population_size"]
+    previous = 0
+    for row in rows:
+        spent = row.true_evaluations - previous
+        finite_before = sum(map(math.isfinite, objective.values[:previous]))
+        if (data["optimizer"] == "cma+surrogate"
+                and finite_before >= data["surrogate"]["min_archive_size"]):
+            assert spent == 1 + row.n_ic <= lam
+        else:
+            assert row.n_ic == 0 and spent <= lam
+        previous = row.true_evaluations
+    reported = final.best_raw_objective
+    assert bits(objective(final.best_genome)) == bits(reported)

@@ -1179,9 +1179,9 @@ class TestWellMemo:
                 fresh_failures += fresh.simulation_failures
         assert memoized.simulation_failures == fresh_failures
 
-    def test_failed_simulation_keeps_no_terms(self, monkeypatch):
+    def test_failed_simulation_then_scores_like_a_fresh_problem(
+            self, monkeypatch):
         import wellopt.wells.problem as problem_module
-        import wellopt.wells.proxy as proxy_module
 
         problem = WellPlacementProblem(BUNDLED)
         original = problem_module.simulate
@@ -1192,40 +1192,62 @@ class TestWellMemo:
         monkeypatch.setattr(problem_module, "simulate", exploding)
         assert problem.raw_objective(GOOD_GENOME) == 10.0 * GEOMETRY_PENALTY_BASE
         monkeypatch.setattr(problem_module, "simulate", original)
-        calls = []
-        pi = proxy_module.productivity_index
-        monkeypatch.setattr(proxy_module, "productivity_index",
-                            lambda *args: calls.append(1) or pi(*args))
-        assert problem.raw_objective(GOOD_GENOME) == WellPlacementProblem(
-            BUNDLED).raw_objective(GOOD_GENOME)
-        assert len(calls) == 2 + 2    # the memo's wells, then the fresh ones
+        assert bits(problem.raw_objective(GOOD_GENOME)) == bits(
+            WellPlacementProblem(BUNDLED).raw_objective(GOOD_GENOME))
         assert problem.simulation_failures == 1
 
-    def test_memo_is_bounded_and_keeps_recent_blocks(self):
+    def test_raising_terms_are_not_cached(self, monkeypatch):
+        import wellopt.wells.proxy as proxy_module
+
+        problem = WellPlacementProblem(BUNDLED)
+        calls = []
+
+        def failing(*args):
+            calls.append(1)
+            raise FloatingPointError("forced")
+
+        monkeypatch.setattr(proxy_module, "drainable_oil_barrels", failing)
+        for attempt in (1, 2):
+            assert (problem.raw_objective(GOOD_GENOME)
+                    == 10.0 * GEOMETRY_PENALTY_BASE)
+            assert len(calls) == problem.simulation_failures == attempt
+        _, _, _, terms = problem._memo[1]   # the producer's
+        assert terms.cache_info().currsize == 0
+
+    def test_memo_is_bounded_and_keeps_recent_blocks(self, monkeypatch):
+        import wellopt.wells.problem as problem_module
         from wellopt.wells.problem import WELL_MEMO_SIZE
 
         problem = WellPlacementProblem(BUNDLED)
+        decoded = []
+        original = problem_module.decode_well
+        monkeypatch.setattr(problem_module, "decode_well", lambda *args: (
+            decoded.append(args[0].tobytes()) or original(*args)))
         kept = GOOD_GENOME.copy()
-        first = problem._entries(kept)
+        problem.raw_objective(kept)
         for i in range(2 * WELL_MEMO_SIZE + 5):
             genome = GOOD_GENOME.copy()
-            genome[0] = genome[6] = -1.0 - i   # new blocks, out of the grid
+            genome[[0, 6]] += 1.0 + i   # new blocks, in the grid
             problem.raw_objective(genome)
             problem.raw_objective(kept)        # recently used: kept
-            assert all(len(memo) <= WELL_MEMO_SIZE for memo in problem._memo)
-        assert all(len(memo) == WELL_MEMO_SIZE for memo in problem._memo)
-        # never dropped, so never decoded again
-        assert [problem._memo[0][kept[:6].tobytes()],
-                problem._memo[1][kept[6:].tobytes()]] == first
+            for _, _, *caches in problem._memo:
+                assert all(cache.cache_info().currsize <= WELL_MEMO_SIZE
+                           for cache in caches)
+        for _, _, *caches in problem._memo:
+            assert all(cache.cache_info().currsize == WELL_MEMO_SIZE
+                       for cache in caches)
+        # never dropped, so decoded only on its first use
+        assert decoded.count(kept[:6].tobytes()) == 1
+        assert decoded.count(kept[6:].tobytes()) == 1
+        assert len(decoded) == 2 * (2 * WELL_MEMO_SIZE + 6)
 
     def test_cached_geometry_is_read_only(self):
         problem = WellPlacementProblem(BUNDLED, layout=MEMO_LAYOUT)
         genome = MEMO_GENOME
         assert problem.raw_objective(genome) < 0.0   # in the grid, scored
-        entries = problem._entries(genome)
-        assert len(entries) == 2 and entries[1].geometry.branches
-        for entry in entries:
-            geometry = entry.geometry
+        wells = problem._score(genome)[1]
+        assert len(wells) == 2 and wells[1][0].branches
+        for geometry, _ in wells:
             arrays = [geometry.mainbore] + [a for b in geometry.branches
                                             for a in (b.start, b.end)]
             for array in arrays:
@@ -1234,7 +1256,7 @@ class TestWellMemo:
                     array[0] = 0.0
         detail = problem.evaluate_detail(genome)   # still reads them
         assert [w["heel"] for w in detail["wells"]] == [
-            e.geometry.heel.tolist() for e in entries]
+            geometry.heel.tolist() for geometry, _ in wells]
 
     def test_evaluate_detail_takes_pi_from_the_memo(self, monkeypatch):
         import wellopt.wells.proxy as proxy_module
@@ -1246,14 +1268,15 @@ class TestWellMemo:
                             lambda *args: calls.append(1) or pi(*args))
         detail = problem.evaluate_detail(GOOD_GENOME)
         assert len(calls) == 2      # once per well, for the objective
+        _, wells, terms, _, _ = problem._score(GOOD_GENOME)
+        assert len(calls) == 2      # the scored terms come from the memo
         assert [w["productivity_index"] for w in detail["wells"]] == [
-            pi(g, BUNDLED) for g in (e.geometry
-                                     for e in problem._entries(GOOD_GENOME))]
+            t[0] for t in terms] == [pi(g, BUNDLED) for g, _ in wells]
         outside = GOOD_GENOME.copy()
         outside[0] = -500.0
         calls.clear()
         detail = problem.evaluate_detail(outside)   # short-circuited
-        assert len(calls) == 1      # the new injector block's; the
-        assert "npv" not in detail  # producer's comes from the memo
+        assert len(calls) == 2      # no scored terms: computed per well
+        assert "npv" not in detail
         assert detail["wells"][1]["productivity_index"] == pi(
-            problem._entries(outside)[1].geometry, BUNDLED)
+            problem._score(outside)[1][1][0], BUNDLED)
