@@ -30,6 +30,7 @@ CONDITION_CAP = 1e14
 # Stop after this many generations without meaningful best-so-far progress.
 STAGNATION_WINDOW = 30
 STAGNATION_RTOL = 1e-12
+TINY = float(np.finfo(float).tiny)   # the smallest positive normal float
 
 
 @dataclass
@@ -84,15 +85,16 @@ def default_strategy_params(dim: int, lam: int | None = None,
     mu = lam // 2
     raw = np.log(mu + 1) - np.log(np.arange(1, mu + 1))
     weights = raw / raw.sum()
-    mu_eff = 1.0 / np.sum(weights ** 2)
+    # Python floats: the same IEEE arithmetic without numpy's scalar dispatch
+    mu_eff = 1.0 / (weights ** 2).sum().item()
 
     c_sigma = (mu_eff + 2) / (n + mu_eff + 5)
-    d_sigma = 1 + 2 * max(0.0, np.sqrt((mu_eff - 1) / (n + 1)) - 1) + c_sigma
+    d_sigma = 1 + 2 * max(0.0, math.sqrt((mu_eff - 1) / (n + 1)) - 1) + c_sigma
     c_c = (4 + mu_eff / n) / (n + 4 + 2 * mu_eff / n)
     c_1 = 2 / ((n + 1.3) ** 2 + mu_eff)
     c_mu = min(1 - c_1,
                2 * (mu_eff - 2 + 1 / mu_eff) / ((n + 2) ** 2 + mu_eff))
-    chi_n = np.sqrt(n) * (1 - 1 / (4 * n) + 1 / (21 * n ** 2))
+    chi_n = math.sqrt(n) * (1 - 1 / (4 * n) + 1 / (21 * n ** 2))
     return StrategyParams(lam=lam, mu=mu, weights=weights, mu_eff=mu_eff,
                           c_sigma=c_sigma, d_sigma=d_sigma, c_c=c_c,
                           c_1=c_1, c_mu=c_mu, chi_n=chi_n,
@@ -157,8 +159,8 @@ def _floored_eigh(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     the flag says whether any eigenvalue was floored."""
     C = 0.5 * (C + C.T)
     values, vectors = np.linalg.eigh(C)
-    floor = EIGENVALUE_FLOOR * max(np.trace(C), np.finfo(float).tiny) / C.shape[0]
-    repaired = bool(np.any(values < floor))
+    floor = EIGENVALUE_FLOOR * max(C.diagonal().sum().item(), TINY) / C.shape[0]
+    repaired = bool((values < floor).any())
     if repaired:
         values = np.maximum(values, floor)
     return values, vectors, repaired
@@ -184,17 +186,13 @@ def sample_individual(dist: SearchDistribution, transform: np.ndarray,
     return dist.mean + dist.step_size * y
 
 
-def ranking_key(values: Sequence[float]):
-    """Sort key over indices into `values`: ascending value, ties by index,
-    and every non-finite value (NaN, +-inf) after all finite ones."""
-    return lambda i: ((0, values[i], i) if math.isfinite(values[i])
-                      else (1, 0.0, i))
-
-
 def rank_population(values: Sequence[float]) -> list[int]:
-    """Indices into `values` ordered by `ranking_key`: the one ranking of
-    the CMA loop, the approximate-ranking step and the GA."""
-    return sorted(range(len(values)), key=ranking_key(values))
+    """Indices into `values`: ascending value, ties by index (the sort is
+    stable), then every non-finite value (NaN, +-inf) in index order. The
+    one ranking of the CMA loop, the approximate-ranking step and the GA."""
+    finite = [i for i, v in enumerate(values) if math.isfinite(v)]
+    finite.sort(key=values.__getitem__)
+    return finite + [i for i, v in enumerate(values) if not math.isfinite(v)]
 
 
 def update_mean(dist: SearchDistribution, params: StrategyParams,
@@ -222,21 +220,21 @@ def update_strategy_state(dist: SearchDistribution, params: StrategyParams,
 
     y_w = (dist.mean - old_mean) / sigma
     p_sigma = ((1 - params.c_sigma) * dist.path_sigma
-               + np.sqrt(params.c_sigma * (2 - params.c_sigma) * params.mu_eff)
+               + math.sqrt(params.c_sigma * (2 - params.c_sigma) * params.mu_eff)
                * (inv_sqrt @ y_w))
 
     gen = dist.generation + 1
-    norm_p = np.linalg.norm(p_sigma)
-    expected = np.sqrt(1 - (1 - params.c_sigma) ** (2 * gen)) * params.chi_n
+    norm_p = math.sqrt(p_sigma.dot(p_sigma))   # np.linalg.norm's 1-D form
+    expected = math.sqrt(1 - (1 - params.c_sigma) ** (2 * gen)) * params.chi_n
     h_sigma = 1.0 if norm_p / expected < 1.4 + 2 / (n + 1) else 0.0
 
     p_c = ((1 - params.c_c) * dist.path_c
-           + h_sigma * np.sqrt(params.c_c * (2 - params.c_c) * params.mu_eff)
+           + h_sigma * math.sqrt(params.c_c * (2 - params.c_c) * params.mu_eff)
            * y_w)
 
     steps = (genomes[order[:params.mu]] - old_mean) / sigma
     rank_mu = (steps.T * params.weights) @ steps
-    rank_one = np.outer(p_c, p_c)
+    rank_one = p_c[:, None] * p_c
     old_factor = (1 - params.c_1 - params.c_mu
                   + (1 - h_sigma) * params.c_1 * params.c_c * (2 - params.c_c))
     C = old_factor * dist.covariance + params.c_1 * rank_one + params.c_mu * rank_mu
@@ -271,13 +269,12 @@ def check_termination(dist: SearchDistribution, params: StrategyParams,
     if dist.generation >= params.max_generations:
         return "max_generations"
     values, _ = dist.eigensystem()
-    smallest = max(values[0], np.finfo(float).tiny)
-    if values[-1] / smallest > CONDITION_CAP:
+    smallest = max(values.item(0), TINY)
+    if values.item(-1) / smallest > CONDITION_CAP:
         return "ill-conditioned"
     if objective_stationary and len(best_history) > STAGNATION_WINDOW:
-        old = best_history[-STAGNATION_WINDOW - 1]
-        new = best_history[-1]
-        scale = max(abs(old), abs(new), np.finfo(float).tiny)
+        old, new = best_history[-STAGNATION_WINDOW - 1], best_history[-1]
+        scale = max(abs(old), abs(new), TINY)
         if (old - new) < STAGNATION_RTOL * scale:
             return "stagnation"
     return ""

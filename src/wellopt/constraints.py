@@ -140,6 +140,11 @@ class PenaltyState:
         return float(np.median(list(self.fitness_history)))
 
 
+def mean_1d(values: np.ndarray) -> float:
+    """np.mean of a non-empty 1-D float array, bit for bit, at less cost."""
+    return values.sum().item() / len(values)
+
+
 def mean_is_feasible(mean: np.ndarray, constraints: list[SumConstraint]) -> bool:
     return all(constraint_violation(mean, c)[2] == 0.0 for c in constraints)
 
@@ -162,7 +167,7 @@ def maybe_set_gammas(state: PenaltyState, dist: SearchDistribution,
     if mean_is_feasible(dist.mean, constraints):
         return
     delta_fit = state.median_iqr()
-    mean_diag = float(np.mean(np.diag(dist.covariance)))
+    mean_diag = mean_1d(dist.covariance.diagonal())
     value = 2.0 * delta_fit / (dist.step_size ** 2 * mean_diag)
     if math.isfinite(value) and value > 0.0:
         state.gammas[:] = value
@@ -173,8 +178,8 @@ def increase_trigger_threshold(dist: SearchDistribution, params: StrategyParams,
                                constraint: SumConstraint) -> float:
     """Distance from the feasible interval beyond which gamma grows."""
     n = dist.dim
-    diag = np.diag(dist.covariance)
-    spread = math.sqrt(float(np.mean(diag[list(constraint.indices)])))
+    diag = dist.covariance.diagonal()
+    spread = math.sqrt(mean_1d(diag[constraint.index_array]))
     return dist.step_size * spread * max(1.0, math.sqrt(n) / params.mu_eff)
 
 
@@ -204,10 +209,10 @@ def xi_factors(dist: SearchDistribution,
                constraints: list[SumConstraint]) -> np.ndarray:
     """Per-constraint scale xi_j comparing the sampling log-variance over
     the constraint's coordinate subset with the overall log-variance."""
-    log_diag = np.log(np.diag(dist.covariance))
-    overall = float(np.mean(log_diag))
+    log_diag = np.log(dist.covariance.diagonal())
+    overall = mean_1d(log_diag)
     return np.array([
-        math.exp(0.9 * (float(np.mean(log_diag[c.index_array])) - overall))
+        math.exp(0.9 * (mean_1d(log_diag[c.index_array]) - overall))
         for c in constraints])
 
 

@@ -29,8 +29,8 @@ from .cma import (STAGNATION_WINDOW, SearchDistribution, check_termination,
                   sample_individual, sampling_transform, update_mean,
                   update_strategy_state)
 from .constraints import (PenaltyState, SumConstraint, maybe_increase_gammas,
-                          maybe_set_gammas, penalized, penalty_amount,
-                          sample_with_rejection, xi_factors)
+                          maybe_set_gammas, mean_1d, penalized,
+                          penalty_amount, sample_with_rejection, xi_factors)
 # The run loop reads constraint sums from sampling; the name stays in this
 # namespace, where the benchmark's tracing looks the layer's calls up.
 from .constraints import constraint_violation  # noqa: F401
@@ -470,8 +470,7 @@ def run_cma(problem: BuiltProblem, config: RunConfig, seed: int,
     exhaustions = 0
 
     while True:
-        stationary = (dist.generation - last_gamma_change
-                      > STAGNATION_WINDOW)
+        stationary = dist.generation - last_gamma_change > STAGNATION_WINDOW
         reason = check_termination(dist, params, best_history, stationary)
         if reason and not rows:
             raise ValueError(f"stopped before the first generation: {reason}")
@@ -488,17 +487,16 @@ def run_cma(problem: BuiltProblem, config: RunConfig, seed: int,
 
         amounts = [0.0] * params.lam
         if constraints:
-            gammas_before = state.gammas.copy()
+            gammas_before = state.gammas.tolist()
             maybe_set_gammas(state, dist, constraints)
-            # One np.mean per contiguous row: the pairwise order of a 1-D
-            # mean, which a mean over an axis of the 2-D array need not keep.
-            q_means = [np.mean(q) for q in sums]
+            # per contiguous row: a mean over an axis may add in another order
+            q_means = [mean_1d(q) for q in sums]
             maybe_increase_gammas(state, dist, constraints, params, q_means)
-            if not np.array_equal(state.gammas, gammas_before):
-                last_gamma_change = dist.generation
             # gamma and xi are frozen for the generation: one amount per
             # candidate, from its row of constraint sums.
             gammas = state.gammas.tolist()
+            if gammas != gammas_before:
+                last_gamma_change = dist.generation
             xis = xi_factors(dist, constraints).tolist()
             amounts = [penalty_amount(q, gammas, constraints, xis)
                        for q in sums.T.tolist()]
@@ -526,7 +524,7 @@ def run_cma(problem: BuiltProblem, config: RunConfig, seed: int,
                            best_objective=best, best_raw_objective=best_raw,
                            resampled=resamples, n_ic=n_ic,
                            gammas=state.gammas.copy(),
-                           best_genome=best_genome.copy()))
+                           best_genome=best_genome))   # shared until replaced
 
         old_mean = dist.mean
         dist.mean = update_mean(dist, params, genomes, order)

@@ -91,10 +91,10 @@ class TrainingArchive:
     def add(self, genome: np.ndarray, value: float,
             key: bytes | None = None) -> bool:
         """Record one evaluation; returns True when it became regression
-        data (False for duplicates and non-finite values). `key` is
-        `genome.tobytes()` when the caller already has it."""
-        genome = np.asarray(genome, dtype=float)
+        data (False for duplicates and non-finite values). `key` is the
+        float array `genome`'s `tobytes()` when the caller has it."""
         if key is None:
+            genome = np.asarray(genome, dtype=float)
             key = genome.tobytes()
         if key in self._index:
             return False

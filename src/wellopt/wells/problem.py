@@ -191,7 +191,7 @@ class WellPlacementProblem:
                  in zip(keys, self._memo)]
         out_of_bounds = sum(verdict.out_of_bounds_distance
                             for _, verdict in wells)
-        if out_of_bounds > 0.0:
+        if not out_of_bounds == 0.0:   # a NaN distance is out too
             return (GEOMETRY_PENALTY_BASE
                     + GEOMETRY_PENALTY_SLOPE * out_of_bounds,
                     wells, None, None, None)

@@ -101,7 +101,7 @@ def _segment_pieces(start: np.ndarray, end: np.ndarray,
     """
     direction = end - start
     length = math.sqrt(direction.dot(direction))
-    if length == 0.0:
+    if not length > 0.0:   # a NaN segment crosses no cell
         return _NO_PIECES
     s = start.tolist()
     dv = direction.tolist()

@@ -8,8 +8,16 @@ from hypothesis import strategies as st
 from wellopt.cma import (CONDITION_CAP, SearchDistribution, StrategyParams,
                          _floored_eigh, check_termination,
                          default_strategy_params, rank_population,
-                         ranking_key, sample_individual, sampling_transform,
+                         sample_individual, sampling_transform,
                          update_mean, update_strategy_state)
+
+
+def ranking_key(values):
+    """The sort key `rank_population` used to sort by, kept as the
+    reference order: ascending value, ties by index, and every non-finite
+    value (NaN, +-inf) after all finite ones."""
+    return lambda i: ((0, values[i], i) if math.isfinite(values[i])
+                      else (1, 0.0, i))
 
 
 def draw_genomes(dist, params, rng):
@@ -157,8 +165,9 @@ class TestRanking:
     @given(st.lists(st.one_of(
         st.floats(allow_nan=False, allow_infinity=False),
         st.sampled_from([math.nan, math.inf, -math.inf])), max_size=30))
-    def test_ranking_key_is_total_order_under_nonfinite(self, values):
-        order = sorted(range(len(values)), key=ranking_key(values))
+    def test_ranking_is_total_order_under_nonfinite(self, values):
+        order = rank_population(values)
+        assert order == sorted(range(len(values)), key=ranking_key(values))
         assert sorted(order) == list(range(len(values)))
         finite = [i for i in order if math.isfinite(values[i])]
         nonfinite = [i for i in order if not math.isfinite(values[i])]

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 import wellopt.harness as harness
 import wellopt.metamodel as mm
-from wellopt.cma import (SearchDistribution, default_strategy_params,
-                         ranking_key)
+from wellopt.cma import SearchDistribution, default_strategy_params
 from wellopt.constraints import penalized
 from wellopt.metamodel import (LocalQuadraticModel, MahalanobisMetric,
                                SurrogateSettings, SurrogateUnavailable,
@@ -765,7 +764,9 @@ def rescanning_ranking_step(genomes, archive, dist, params, settings,
             values[i] = penalized(raw_hat, amounts[i])
 
     def current_order():
-        return sorted(range(lam), key=ranking_key(values))
+        # ascending value, ties by index, non-finite values last by index
+        return sorted(range(lam), key=lambda i: (
+            (0, values[i], i) if math.isfinite(values[i]) else (1, 0.0, i)))
 
     n_ic = 0
     try:

@@ -5,6 +5,7 @@ attribute of its module. The per-layer counts it reports (fits and
 neighbour scans per generation) rest on how often those names are
 reached, and tracing must leave the run CSVs byte for byte as they are."""
 
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
@@ -191,3 +192,47 @@ def test_penalty_amount_is_reached_once_per_candidate_and_returns_floats():
     assert len(results) == lam * len(record.rows)
     assert all(type(result) is float for result in results)
     assert tracer.counts["constraints.penalty_amount.positive"] > 0
+
+
+def test_constrained_cma_generation_reaches_each_hook_point_at_its_rate(
+        monkeypatch):
+    # The benchmark's per-layer figures count these calls: two
+    # eigendecompositions per generation (`cma.eigh_per_gen` 2.0), one
+    # penalty amount per candidate, one sampler call per draw round and
+    # one `RunRow` per generation, each through the name it wraps.
+    config = RunConfig.load(Path(__file__).resolve().parents[1]
+                            / "configs" / "constrained_sphere.json")
+    config = dataclasses.replace(config, max_generations=40)
+    calls = {"eigh": 0, "penalty_amount": 0, "sample_individual": 0,
+             "RunRow": 0, "draw": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, call)
+
+    counted(np.linalg, "eigh")
+    for name in ("penalty_amount", "sample_individual", "RunRow"):
+        counted(harness, name)
+    sample_with_rejection = harness.sample_with_rejection
+
+    def counted_rounds(draw, *args):
+        def counted_draw(count):
+            calls["draw"] += 1
+            return draw(count)
+
+        return sample_with_rejection(counted_draw, *args)
+
+    monkeypatch.setattr(harness, "sample_with_rejection", counted_rounds)
+    record = run_single(config, 1)
+    generations = len(record.rows)
+    assert record.termination_reason == "max_generations"
+    assert generations == 40
+    assert calls["eigh"] == 2 * generations
+    assert calls["penalty_amount"] == config.population_size * generations
+    assert calls["sample_individual"] == calls["draw"] > generations
+    assert calls["RunRow"] == generations

@@ -1015,6 +1015,21 @@ class TestWellPlacementProblem:
         assert v_out >= GEOMETRY_PENALTY_BASE
         assert v_out > v_in
 
+    # heel x, step length and azimuth of the injector, then the producer
+    @pytest.mark.parametrize("index", [0, 3, 5, 6, 9, 11])
+    def test_nan_coordinate_scores_nan_without_the_proxy(self, index):
+        # under the RuntimeWarning filter: the proxy must not cast NaN
+        # midpoints to cell indices
+        problem = WellPlacementProblem(load_bundled_grid())
+        genome = GOOD_GENOME.copy()
+        genome[index] = math.nan
+        assert math.isnan(problem.raw_objective(genome))
+        assert problem.simulation_failures == 0
+        detail = problem.evaluate_detail(genome)
+        assert math.isnan(detail["objective"])
+        assert "production" not in detail
+        assert problem.simulation_failures == 0
+
     def test_npv_sign_convention(self, problem):
         detail = problem.evaluate_detail(GOOD_GENOME)
         assert detail["npv"] == -problem.raw_objective(GOOD_GENOME)
