@@ -254,11 +254,13 @@ def update_strategy_state(dist: SearchDistribution, params: StrategyParams,
 def check_termination(dist: SearchDistribution, params: StrategyParams,
                       best_history: list[float],
                       objective_stationary: bool = True) -> str:
-    """Why to stop ("max_generations", "ill-conditioned" or "stagnation"),
-    or "" to go on.
+    """Why to stop ("max_generations", "non-finite", "ill-conditioned" or
+    "stagnation"), or "" to go on.
 
-    `best_history` is the per-generation best-so-far objective, oldest
-    first. Stagnation means the best-so-far improved by less than
+    A step size or mean that is not finite (an overflowing step-size
+    update) stops the run before it samples inf genomes. `best_history`
+    is the per-generation best-so-far objective, oldest first.
+    Stagnation means the best-so-far improved by less than
     STAGNATION_RTOL (relatively) over the last STAGNATION_WINDOW
     generations; it is only trusted while `objective_stationary` is true
     (adaptive penalty weights change the effective objective, so callers
@@ -268,6 +270,8 @@ def check_termination(dist: SearchDistribution, params: StrategyParams,
     """
     if dist.generation >= params.max_generations:
         return "max_generations"
+    if not (math.isfinite(dist.step_size) and np.isfinite(dist.mean).all()):
+        return "non-finite"
     values, _ = dist.eigensystem()
     smallest = max(values.item(0), TINY)
     if values.item(-1) / smallest > CONDITION_CAP:

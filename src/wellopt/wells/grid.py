@@ -29,28 +29,28 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 class GridInvariants:
     """Values the flow proxy reads on every evaluation, derived once from
-    a grid. Every array is read-only."""
+    a grid. The drainage kernels read read-only arrays; the cell
+    intersections read tuples of Python numbers."""
 
     __slots__ = ("centers", "center_columns", "oil_in_place", "permeability",
                  "cell_size", "max_index", "strides", "extent", "planes")
 
     def __init__(self, grid: "ReservoirGrid"):
-        cell = _read_only(np.array(grid.cell_size))
-        _, ny, nz = grid.dims
+        nx, ny, nz = grid.dims
         self.centers = _read_only(grid.cell_centers())   # (n_cells, 3)
         self.center_columns = tuple(
             _read_only(np.ascontiguousarray(self.centers[:, axis]))
             for axis in range(3))
         self.oil_in_place = _read_only(grid.oil_in_place_per_cell())
-        self.permeability = grid.permeability.ravel()    # C-order
-        self.cell_size = cell
-        self.max_index = _read_only(np.array(grid.dims) - 1)
-        self.strides = _read_only(np.array([ny * nz, nz, 1]))  # flat index
+        self.permeability = tuple(grid.permeability.ravel().tolist())
+        self.cell_size = grid.cell_size
+        # floats, to clamp float cell coordinates without a conversion
+        self.max_index = (nx - 1.0, ny - 1.0, nz - 1.0)
+        self.strides = (ny * nz, nz, 1)                  # C-order flat index
         self.extent = tuple(grid.extent.tolist())
         # interior grid planes per axis
-        self.planes = tuple(_read_only(np.arange(1, grid.dims[axis])
-                                       * cell[axis])
-                            for axis in range(3))
+        self.planes = tuple(tuple((np.arange(1, n) * size).tolist())
+                            for n, size in zip(grid.dims, grid.cell_size))
 
 
 @dataclass(frozen=True)

@@ -21,18 +21,22 @@ forms:
 Period 0 is a drilling period with no production.
 
 Cost: the grid is read-only and the values the proxy reads on every call
-(cell centres, oil in place, grid planes, extent) are computed once per
-grid (`ReservoirGrid.invariants`). Cell intersections and drainage
-distances are numpy passes whose bits must match a per-piece loop and a
-row-wise norm; decoding and the geometry check (`wells/geometry.py`)
-work on Python floats whose bits must match their numpy forms; the
-depletion recurrence runs on Python floats and the water cut is one
-array pass, bit for bit the per-period numpy loop; tests/test_wells.py
-keeps the loop and numpy versions as the reference.
+(cell centres, oil in place, permeability, grid planes, extent) are
+computed once per grid (`ReservoirGrid.invariants`). Drainage distances
+are numpy passes over every cell whose bits must match a row-wise norm.
+A segment crosses a few cells only, so its cell intersections are one
+loop on Python floats (numpy's per-call cost on arrays of 2 to 50
+elements made a numpy form slower) whose bits must match the per-piece
+numpy loop; decoding and the geometry check (`wells/geometry.py`) work
+on Python floats whose bits must match their numpy forms; the depletion
+recurrence runs on Python floats and the water cut is one array pass,
+bit for bit the per-period numpy loop; tests/test_wells.py keeps the
+loop and numpy versions as the reference.
 Traced `well_cma` benchmark run (seed 1, 2-core x86-64 host, one BLAS
-thread): 142 us median per objective evaluation; per evaluation, 9 us
-decoding, 8 us geometry checks, 38 us productivity indices (both
-wells), 31 us drainable oil and 6 us NPV.
+thread): 122 us median per objective evaluation; per evaluation, 11 us
+decoding, 9 us geometry checks, 18 us productivity indices (both wells;
+46 us as numpy passes, measured alongside), 36 us drainable oil and
+5 us NPV.
 
 Per-well terms: a well's PI and a producer's drainable oil depend on
 that well's geometry alone. `well_terms` computes them and
@@ -87,97 +91,85 @@ class ProxyParams:
             raise ValueError("gas_oil_ratio must be non-negative")
 
 
-_NO_PIECES = (np.empty(0, dtype=int), np.empty(0))
-
-
 def _segment_pieces(start: np.ndarray, end: np.ndarray,
-                    inv: GridInvariants) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices of the cells one segment crosses, and the length of
-    the segment inside each, in order along the segment.
+                    inv: GridInvariants) -> list[tuple[int, float]]:
+    """Flat index of each cell one segment crosses and the segment's
+    length inside it, in order along the segment.
 
-    The segment is first clipped to the grid box; the clipped piece is
-    then cut at every grid-plane crossing and each sub-piece assigned to
-    the cell containing its midpoint.
+    The segment is clipped to the grid box; the clipped piece is cut at
+    every grid-plane crossing and each sub-piece assigned to the cell
+    containing its midpoint. On Python floats, which overflow and
+    underflow silently: a subnormal direction component puts that axis's
+    plane crossings at +-inf, so none lies inside the segment, and a NaN
+    midpoint coordinate (from a NaN or infinite endpoint) takes index 0
+    on its axis.
     """
-    direction = end - start
-    length = math.sqrt(direction.dot(direction))
-    if not length > 0.0:   # a NaN segment crosses no cell
-        return _NO_PIECES
-    s = start.tolist()
-    dv = direction.tolist()
+    sx, sy, sz = s = start.tolist()
+    ex, ey, ez = end.tolist()
+    dx, dy, dz = d = [ex - sx, ey - sy, ez - sz]
+    direction = np.array(d)
+    length = math.sqrt(direction.dot(direction))   # np.linalg.norm's bits
+    if length == 0.0:
+        return []
     t_lo, t_hi = 0.0, 1.0
-    overflow = False
-    for axis in range(3):
-        d = dv[axis]
-        if d == 0.0:
-            if not 0.0 <= s[axis] <= inv.extent[axis]:
-                return _NO_PIECES
+    for sa, da, size in zip(s, d, inv.extent):
+        if da == 0.0:
+            if not 0.0 <= sa <= size:
+                return []
             continue
-        # Python floats overflow to +-inf silently; every grid-plane time
-        # of this axis lies between t0 and t1
-        t0 = (0.0 - s[axis]) / d
-        t1 = (inv.extent[axis] - s[axis]) / d
-        overflow = overflow or math.isinf(t0) or math.isinf(t1)
+        t0 = (0.0 - sa) / da
+        t1 = (size - sa) / da
         t_lo = max(t_lo, min(t0, t1))
         t_hi = min(t_hi, max(t0, t1))
     if t_lo >= t_hi:
-        return _NO_PIECES
-    if overflow:
-        # a direction component so small (subnormal) that plane times
-        # overflow: an infinite time is no crossing inside the segment,
-        # and the midpoints may underflow. Same operations, same bits.
-        with np.errstate(over="ignore", under="ignore"):
-            return _cut_pieces(start, direction, s, dv, length, t_lo, t_hi,
-                               inv)
-    return _cut_pieces(start, direction, s, dv, length, t_lo, t_hi, inv)
+        return []
+    cuts = [t_lo, t_hi]
+    for sa, da, planes in zip(s, d, inv.planes):
+        if da != 0.0:
+            cuts += [t for p in planes
+                     if t_lo < (t := (p - sa) / da) < t_hi]
+    cuts.sort()
 
-
-def _cut_pieces(start: np.ndarray, direction: np.ndarray, s: list[float],
-                dv: list[float], length: float, t_lo: float, t_hi: float,
-                inv: GridInvariants) -> tuple[np.ndarray, np.ndarray]:
-    """The pieces of `_segment_pieces` between its clip times; `s` and
-    `dv` are `start` and `direction` as floats."""
-    cuts = [np.array([t_lo, t_hi])]
-    for axis in range(3):
-        d = dv[axis]
-        if d == 0.0:
+    (cx, cy, cz), (mx, my, mz) = inv.cell_size, inv.max_index
+    kx, ky, _ = inv.strides
+    pieces = []
+    a = t_lo
+    for b in cuts:
+        if b == a:      # t_lo itself, or a repeated crossing
             continue
-        ts = (inv.planes[axis] - s[axis]) / d
-        cuts.append(ts[(t_lo < ts) & (ts < t_hi)])
-    cuts = np.sort(np.concatenate(cuts))
-    distinct = np.empty(cuts.shape[0], dtype=bool)
-    distinct[0] = True
-    np.not_equal(cuts[1:], cuts[:-1], out=distinct[1:])
-    cuts = cuts[distinct]
-
-    a, b = cuts[:-1], cuts[1:]
-    mid = start + (0.5 * (a + b))[:, None] * direction
-    idx = np.floor(mid / inv.cell_size).astype(int)
-    np.minimum(idx, inv.max_index, out=idx)
-    np.maximum(idx, 0, out=idx)
-    return idx @ inv.strides, (b - a) * length
+        h = 0.5 * (a + b)
+        x = (sx + h * dx) / cx
+        y = (sy + h * dy) / cy
+        z = (sz + h * dz) / cz
+        # clamped to [0, max] (NaN takes 0), then floored by int()
+        i = int(x if 0.0 <= x <= mx else mx if x > mx else 0.0)
+        j = int(y if 0.0 <= y <= my else my if y > my else 0.0)
+        k = int(z if 0.0 <= z <= mz else mz if z > mz else 0.0)
+        pieces.append((i * kx + j * ky + k, (b - a) * length))
+        a = b
+    return pieces
 
 
 def segment_cell_intersections(start: np.ndarray, end: np.ndarray,
                                grid: ReservoirGrid
                                ) -> list[tuple[tuple[int, int, int], float]]:
     """Cells crossed by one segment, with the length inside each cell."""
-    flat, lengths = _segment_pieces(np.asarray(start, dtype=float),
-                                    np.asarray(end, dtype=float),
-                                    grid.invariants)
-    cells = zip(*(c.tolist() for c in np.unravel_index(flat, grid.dims)))
-    return list(zip(cells, lengths.tolist()))
+    inv = grid.invariants
+    kx, ky, _ = inv.strides
+    pieces = _segment_pieces(np.asarray(start, dtype=float),
+                             np.asarray(end, dtype=float), inv)
+    return [((flat // kx, flat % kx // ky, flat % ky), piece)
+            for flat, piece in pieces]
 
 
 def productivity_index(well: WellGeometry, grid: ReservoirGrid) -> float:
     """Sum over traversed cells of permeability times in-cell length."""
     inv = grid.invariants
+    permeability = inv.permeability
     total = 0.0
     for start, end in well.segments():
-        flat, lengths = _segment_pieces(start, end, inv)
-        # a sequential sum: np.sum adds pairwise, in another order
-        for term in (inv.permeability[flat] * lengths).tolist():
-            total += term
+        for flat, piece in _segment_pieces(start, end, inv):
+            total += permeability[flat] * piece
     return total
 
 

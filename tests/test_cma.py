@@ -426,6 +426,33 @@ class TestTermination:
         reason = check_termination(self._dist(covariance=C), params, [1.0])
         assert reason == "ill-conditioned"
 
+    def test_overflowing_step_size_stops_the_run(self):
+        # n 1, lambda 2: the recombined mean moved by 0.36 while sigma^2 C
+        # is about 2e-8, so |p_sigma| is about 2,100 and the step-size
+        # update overflows to inf. The run stops on this distribution
+        # before it samples inf genomes.
+        params = default_strategy_params(1, 2, max_generations=100)
+        dist = SearchDistribution(mean=np.array([0.94]), step_size=0.41,
+                                  covariance=np.array([[1.16e-7]]),
+                                  path_sigma=np.zeros(1), path_c=np.zeros(1))
+        genomes = np.array([[1.3], [0.5]])
+        order = [0, 1]
+        old_mean = dist.mean
+        dist.mean = update_mean(dist, params, genomes, order)
+        assert dist.mean.tolist() == [1.3]
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            dist = update_strategy_state(dist, params, genomes, order,
+                                         old_mean)
+        assert dist.step_size == math.inf
+        assert check_termination(dist, params, [1.0]) == "non-finite"
+
+    @pytest.mark.parametrize("mean", [[math.nan, 0.0], [0.0, -math.inf]])
+    def test_non_finite_mean_stops_the_run(self, mean):
+        params = default_strategy_params(2, 4, max_generations=100)
+        dist = self._dist()
+        dist.mean = np.array(mean)
+        assert check_termination(dist, params, []) == "non-finite"
+
     def test_stagnation(self):
         params = default_strategy_params(2, 4, max_generations=1000)
         history = [5.0] * 40

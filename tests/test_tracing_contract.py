@@ -160,6 +160,30 @@ def test_installed_tracing_keeps_csv_bytes_and_records_every_layer(
     assert tracer.counts["harness.memo_requests"] > 0
 
 
+def test_traced_well_run_keeps_csv_bytes_and_times_every_proxy_layer(
+        tmp_path):
+    # A short well-placement CMA run, untraced and then under
+    # install_tracing: the CSV bytes stay the same, and each proxy span the
+    # benchmark's per-layer `wells.*_us` metrics read is reached.
+    config = dataclasses.replace(
+        RunConfig.load(Path(__file__).resolve().parents[1] / "configs"
+                       / "well_cma_vs_ga.json"),
+        optimizer="cma", population_size=8, max_generations=3)
+    run_single(config, 1, tmp_path / "plain")
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    with tracing.Patcher() as patcher:
+        tracing.install_tracing(patcher, tracer)
+        run_single(config, 1, tmp_path / "traced")
+    assert ((tmp_path / "traced" / "run_1.csv").read_bytes()
+            == (tmp_path / "plain" / "run_1.csv").read_bytes())
+    table = tracing.SpanTable(tracer)
+    for span in ("wells.productivity_index", "wells.drainable_oil_barrels",
+                 "wells.simulate", "wells.npv", "wells.decode_well",
+                 "wells.check_geometry"):
+        assert table.count(span) > 0, span
+
+
 def test_penalty_amount_is_reached_once_per_candidate_and_returns_floats():
     # The tracer wraps `wellopt.harness.penalty_amount` and counts the calls
     # whose result is > 0: the run loop must call that scalar function once

@@ -412,6 +412,18 @@ class TestIntersections:
                                               [900.0, 0.0, 50.0], grid)
         assert tiny == flat and len(flat) == 5
 
+    @pytest.mark.parametrize("start,end", [
+        ([100.0, 0.0, 50.0], [900.0, 1e-310, 50.0]),
+        ([100.0, 1e-310, 50.0], [900.0, 1e-310, 50.0])])
+    def test_subnormal_step_pi_raises_nothing(self, grid, start, end):
+        """Under np.errstate(all="raise") neither well is a simulation
+        failure: the cell intersections run on Python floats, which
+        underflow silently. Both cross the cells of the flat well."""
+        flat = straight_well([100.0, 0.0, 50.0], [900.0, 0.0, 50.0])
+        with np.errstate(all="raise"):
+            pi = productivity_index(straight_well(start, end), grid)
+        assert bits(pi) == bits(productivity_index(flat, grid))
+
     def test_outside_segment_no_cells(self, grid):
         out = segment_cell_intersections(np.array([-500.0, -500.0, -500.0]),
                                          np.array([-400.0, -500.0, -500.0]),
@@ -510,11 +522,13 @@ def grid_coordinate(axis):
 
 @st.composite
 def grid_segments(draw):
-    """Free, axis-parallel, zero-length and fully outside segments."""
+    """Free, axis-parallel, zero-length and fully outside segments, and
+    segments with a subnormal direction component or a NaN or infinite
+    endpoint coordinate."""
     start = [draw(grid_coordinate(axis)) for axis in range(3)]
     end = [draw(grid_coordinate(axis)) for axis in range(3)]
     kind = draw(st.sampled_from(["free", "axis_parallel", "zero_length",
-                                 "outside"]))
+                                 "outside", "subnormal", "non_finite"]))
     if kind == "axis_parallel":
         for axis in draw(st.sets(st.integers(0, 2), min_size=1, max_size=2)):
             end[axis] = start[axis]
@@ -529,6 +543,19 @@ def grid_segments(draw):
             extent = float(BUNDLED.extent[axis])
             start[axis] = extent + draw(beyond)
             end[axis] = extent + draw(beyond)
+    elif kind == "subnormal":
+        # both ends on the grid's lower face, up to a subnormal offset:
+        # the step along that axis is subnormal or zero
+        tiny = st.floats(-2e-308, 2e-308)
+        for axis in draw(st.sets(st.integers(0, 2), min_size=1, max_size=2)):
+            start[axis], end[axis] = draw(tiny), draw(tiny)
+    elif kind == "non_finite":
+        points = (start, end)
+        for point, axis in draw(st.sets(st.tuples(st.integers(0, 1),
+                                                  st.integers(0, 2)),
+                                        min_size=1, max_size=3)):
+            points[point][axis] = draw(st.sampled_from([math.nan, math.inf,
+                                                        -math.inf]))
     return np.array(start), np.array(end)
 
 
@@ -551,23 +578,38 @@ class TestKernelsMatchLoopVersions:
     @given(segment=grid_segments())
     def test_segment_cell_intersections(self, segment):
         start, end = segment
-        assert (segment_cell_intersections(start, end, BUNDLED)
-                == loop_segment_cell_intersections(start, end, BUNDLED))
         well = straight_well(start, end)
-        assert (productivity_index(well, BUNDLED)
-                == loop_productivity_index(well, BUNDLED))
+        # no exception and no warning, whatever the endpoints
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = segment_cell_intersections(start, end, BUNDLED)
+            pi = productivity_index(well, BUNDLED)
+        # the reference warns on overflowing plane times and NaN casts
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            want = loop_segment_cell_intersections(start, end, BUNDLED)
+            want_pi = loop_productivity_index(well, BUNDLED)
+        assert [cell for cell, _ in got] == [cell for cell, _ in want]
+        assert bits([length for _, length in got]) == bits(
+            [length for _, length in want])
+        assert bits(pi) == bits(want_pi)
         params = ProxyParams()
-        assert (drainable_oil_barrels(well, BUNDLED, params)
-                == loop_drainable_oil_barrels(well, BUNDLED, params))
+        finite = np.isfinite(start).all() and np.isfinite(end).all()
+        # a NaN or infinite endpoint makes the drainage distances warn
+        # (inf - inf, inf / inf)
+        with np.errstate(**({} if finite else {"all": "ignore"})):
+            drained = drainable_oil_barrels(well, BUNDLED, params)
+            want_drained = loop_drainable_oil_barrels(well, BUNDLED, params)
+        assert bits(drained) == bits(want_drained)
 
     @settings(max_examples=200, deadline=None)
     @given(well=multilateral_wells())
     def test_multilateral_well(self, well):
-        assert (productivity_index(well, BUNDLED)
-                == loop_productivity_index(well, BUNDLED))
+        assert bits(productivity_index(well, BUNDLED)) == bits(
+            loop_productivity_index(well, BUNDLED))
         params = ProxyParams()
-        assert (drainable_oil_barrels(well, BUNDLED, params)
-                == loop_drainable_oil_barrels(well, BUNDLED, params))
+        assert bits(drainable_oil_barrels(well, BUNDLED, params)) == bits(
+            loop_drainable_oil_barrels(well, BUNDLED, params))
 
     def test_heel_only_well_drains_nothing(self):
         well = WellGeometry(mainbore=np.array([[900.0, 900.0, 60.0]]),
