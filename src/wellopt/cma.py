@@ -31,6 +31,7 @@ CONDITION_CAP = 1e14
 STAGNATION_WINDOW = 30
 STAGNATION_RTOL = 1e-12
 TINY = float(np.finfo(float).tiny)   # the smallest positive normal float
+EXP_LIMIT = math.log(np.finfo(float).max)   # np.exp(x) is finite up to it
 
 
 @dataclass
@@ -243,8 +244,10 @@ def update_strategy_state(dist: SearchDistribution, params: StrategyParams,
     C = (vectors * values) @ vectors.T
     C = 0.5 * (C + C.T)
 
-    sigma_new = sigma * np.exp((params.c_sigma / params.d_sigma)
-                               * (norm_p / params.chi_n - 1))
+    # inf without numpy's overflow warnings: Python floats overflow silently
+    exponent = (params.c_sigma / params.d_sigma) * (norm_p / params.chi_n - 1)
+    growth = math.inf if exponent > EXP_LIMIT else np.exp(exponent).item()
+    sigma_new = float(sigma) * growth
     return SearchDistribution(mean=dist.mean, step_size=sigma_new,
                               covariance=C, path_sigma=p_sigma, path_c=p_c,
                               generation=gen,

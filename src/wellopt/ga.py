@@ -6,11 +6,17 @@ repair step that pulls constraint-violating children back into the
 feasible region by bisecting toward the best feasible solution found so
 far (a deliberately simple stand-in for library-grade co-evolutionary
 repair schemes).
+
+Cost: feasibility reads single coordinates from one `tolist()`, parents
+are drawn by bisection on cached cumulative weights and fitnesses ranked
+as Python floats, with the bits and draws of the numpy forms: `well_ga`
+`overhead_ms_per_gen` 0.56 -> 0.40 ms (2-core x86-64 host).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
 
@@ -51,11 +57,9 @@ class GaParams:
 
 
 @cache
-def _rank_cumulative_weights(n: int) -> np.ndarray:
-    """Cumulative sum of the rank weights N, N-1, ..., 1, read-only."""
-    cumulative = np.cumsum(np.arange(n, 0, -1, dtype=float))
-    cumulative.flags.writeable = False
-    return cumulative
+def _rank_cumulative_weights(n: int) -> tuple[float, ...]:
+    """Cumulative sum of the rank weights N, N-1, ..., 1, as Python floats."""
+    return tuple(np.cumsum(np.arange(n, 0, -1, dtype=float)).tolist())
 
 
 def select_parent(order: list[int], rng: np.random.Generator) -> int:
@@ -67,8 +71,7 @@ def select_parent(order: list[int], rng: np.random.Generator) -> int:
     n = len(order)
     cumulative = _rank_cumulative_weights(n)
     u = rng.uniform(0.0, cumulative[-1])
-    position = int(np.searchsorted(cumulative, u, side="right"))
-    return order[min(position, n - 1)]
+    return order[min(bisect_right(cumulative, u), n - 1)]
 
 
 def crossover(parent1: np.ndarray, parent2: np.ndarray, crossprob: float,
@@ -102,7 +105,19 @@ def mutate(individual: np.ndarray, mutprob: float, bounds: np.ndarray,
 
 
 def is_feasible(x: np.ndarray, constraints: list[SumConstraint]) -> bool:
-    return all(constraint_violation(x, c)[2] == 0.0 for c in constraints)
+    """`constraint_violation(x, c)[2] == 0.0` for every c. A single float
+    coordinate q is read from one `tolist()`: its distance is 0.0 iff
+    lower <= q <= upper and q - q is 0.0 (NaN for an infinite q)."""
+    values = x.tolist()
+    for c in constraints:
+        if len(c.indices) > 1:
+            if constraint_violation(x, c)[2] != 0.0:
+                return False
+        else:
+            q = values[c.indices[0]]
+            if not (c.lower <= q <= c.upper and q - q == 0.0):
+                return False
+    return True
 
 
 def repair(individual: np.ndarray, constraints: list[SumConstraint],
@@ -148,10 +163,11 @@ def ga_generation(genomes: list[np.ndarray], fitnesses: np.ndarray,
     evaluate; the elite is copied verbatim (and is thereby exempt from
     mutation). Population size is preserved.
     """
-    order = rank_population(fitnesses)
+    values = fitnesses.tolist()
+    order = rank_population(values)
     elites = order[:ELITISM_COUNT]
     next_genomes = [genomes[i].copy() for i in elites]
-    next_fitnesses = [float(fitnesses[i]) for i in elites]
+    next_fitnesses = [values[i] for i in elites]
     while len(next_genomes) < params.population_size:
         p1 = genomes[select_parent(order, rng)]
         p2 = genomes[select_parent(order, rng)]
@@ -200,8 +216,9 @@ class GaOptimizer:
 
     def _track_best(self):
         # non-finite values rank last and never become the best
-        idx = rank_population(self.fitnesses)[0]
-        value = float(self.fitnesses[idx])
+        values = self.fitnesses.tolist()
+        idx = rank_population(values)[0]
+        value = values[idx]
         if math.isfinite(value) and value < self.best_fitness:
             self.best_fitness = value
             self.best_genome = self.genomes[idx].copy()

@@ -23,7 +23,8 @@ Period 0 is a drilling period with no production.
 Cost: the grid is read-only and the values the proxy reads on every call
 (cell centres, oil in place, permeability, grid planes, extent) are
 computed once per grid (`ReservoirGrid.invariants`). Drainage distances
-are numpy passes over every cell whose bits must match a row-wise norm.
+are numpy passes over every cell whose bits must match a row-wise norm;
+a segment's (N, 3) offsets are filled by column (86 -> 66 us per segment).
 A segment crosses a few cells only, so its cell intersections are one
 loop on Python floats (numpy's per-call cost on arrays of 2 to 50
 elements made a numpy form slower) whose bits must match the per-piece
@@ -35,8 +36,8 @@ loop and numpy versions as the reference.
 Traced `well_cma` benchmark run (seed 1, 2-core x86-64 host, one BLAS
 thread): 122 us median per objective evaluation; per evaluation, 11 us
 decoding, 9 us geometry checks, 18 us productivity indices (both wells;
-46 us as numpy passes, measured alongside), 36 us drainable oil and
-5 us NPV.
+46 us as numpy passes, measured alongside), 32 us drainable oil (36 us
+with a broadcast for the offsets) and 5 us NPV.
 
 Per-well terms: a well's PI and a producer's drainable oil depend on
 that well's geometry alone. `well_terms` computes them and
@@ -187,9 +188,15 @@ def _segment_distance(inv: GridInvariants, start: np.ndarray,
     if denom == 0.0:
         ex, ey, ez = cx - sx, cy - sy, cz - sz
     else:
-        # one matrix product, as in a row-wise projection: BLAS may fuse
-        # its multiply-adds, so a column-wise sum could differ in the bits
-        t = np.clip((inv.centers - start) @ d / denom, 0.0, 1.0)
+        # one product of row-major (N, 3) offsets as in a row-wise projection
+        # (BLAS may fuse multiply-adds), filled by column: numpy runs
+        # `centers - start` as one short loop per row
+        offsets = np.empty(inv.centers.shape)
+        for axis, (c, s) in enumerate(((cx, sx), (cy, sy), (cz, sz))):
+            np.subtract(c, s, out=offsets[:, axis])
+        t = offsets @ d
+        t /= denom
+        np.clip(t, 0.0, 1.0, out=t)
         dx, dy, dz = d.tolist()
         ex, ey, ez = t * dx, t * dy, t * dz
         for e, c, s in ((ex, cx, sx), (ey, cy, sy), (ez, cz, sz)):
@@ -223,7 +230,7 @@ def drainable_oil_barrels(producer: WellGeometry, grid: ReservoirGrid,
     weights /= params.drainage_radius_m
     np.exp(weights, out=weights)
     weights *= inv.oil_in_place
-    return float(np.sum(weights)) * BARRELS_PER_M3
+    return weights.sum().item() * BARRELS_PER_M3
 
 
 def _midpoint(well: WellGeometry) -> np.ndarray:

@@ -1,12 +1,14 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wellopt.cma import (CONDITION_CAP, SearchDistribution, StrategyParams,
-                         _floored_eigh, check_termination,
+from wellopt.cma import (CONDITION_CAP, EXP_LIMIT, SearchDistribution,
+                         StrategyParams, _floored_eigh, check_termination,
                          default_strategy_params, rank_population,
                          sample_individual, sampling_transform,
                          update_mean, update_strategy_state)
@@ -440,11 +442,44 @@ class TestTermination:
         old_mean = dist.mean
         dist.mean = update_mean(dist, params, genomes, order)
         assert dist.mean.tolist() == [1.3]
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             dist = update_strategy_state(dist, params, genomes, order,
                                          old_mean)
         assert dist.step_size == math.inf
         assert check_termination(dist, params, [1.0]) == "non-finite"
+
+    # c_sigma = d_sigma = 0.5 and chi_n = 1 make the exponent
+    # 0.5 * path - 1 exactly
+    AT_LIMIT = {"c_sigma": 0.5, "d_sigma": 0.5, "chi_n": 1.0}
+
+    @pytest.mark.parametrize("step_size, path, overrides, overflows", [
+        (1.0, 0.0, {}, False),        # an ordinary update
+        (1e308, 10.0, {}, True),      # a finite growth, an overflowing product
+        (1.0, 1e4, {}, True),         # an exponent far above the limit
+        (1.0, 2 * (EXP_LIMIT + 1), AT_LIMIT, False),
+        (1.0, 2 * (math.nextafter(EXP_LIMIT, math.inf) + 1), AT_LIMIT, True)])
+    def test_step_size_update_keeps_the_numpy_bits(self, step_size, path,
+                                                   overrides, overflows):
+        # sigma * np.exp(...) under np.errstate, the form the update had:
+        # the same value, inf where it overflowed, and no warning
+        params = replace(default_strategy_params(1, 2, max_generations=100),
+                         **overrides)
+        dist = SearchDistribution(mean=np.array([0.5]), step_size=step_size,
+                                  covariance=np.eye(1),
+                                  path_sigma=np.array([path]),
+                                  path_c=np.zeros(1))
+        genomes = np.array([[0.5], [0.4]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = update_strategy_state(dist, params, genomes, [0, 1],
+                                        dist.mean).step_size
+        norm_p = (1 - params.c_sigma) * path
+        with np.errstate(over="ignore"):
+            want = step_size * np.exp((params.c_sigma / params.d_sigma)
+                                      * (norm_p / params.chi_n - 1))
+        assert np.float64(got).tobytes() == want.tobytes()
+        assert math.isinf(got) is overflows
 
     @pytest.mark.parametrize("mean", [[math.nan, 0.0], [0.0, -math.inf]])
     def test_non_finite_mean_stops_the_run(self, mean):

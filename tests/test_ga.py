@@ -1,13 +1,22 @@
+import math
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wellopt.ga as ga
 from wellopt.cma import rank_population
-from wellopt.constraints import SumConstraint
-from wellopt.ga import (GaOptimizer, GaParams, NoFeasiblePointError,
-                        crossover, ga_generation, is_feasible, mutate,
-                        repair, select_parent)
+from wellopt.constraints import SumConstraint, constraint_violation
+from wellopt.ga import (ELITISM_COUNT, GaOptimizer, GaParams,
+                        NoFeasiblePointError, crossover, ga_generation,
+                        is_feasible, mutate, repair, select_parent)
+from wellopt.harness import RunConfig, build_problem, run_ga
+
+CONSTRAINED_SPHERE = (Path(__file__).resolve().parents[1] / "configs"
+                      / "constrained_sphere.json")
 
 
 class FakeRng:
@@ -84,6 +93,17 @@ def old_select_parent(order, rng):
 
 
 class TestSelectParentMatchesOldVersion:
+    @pytest.mark.parametrize("fraction, index", [
+        (0.0, 0), (0.5, 1), (5 / 6, 2), (1.0, 2)])
+    def test_draw_on_a_cumulative_weight(self, fraction, index):
+        # weights 3, 2, 1 (cumulative 3, 5, 6): a draw equal to a
+        # cumulative weight picks the next rank, as searchsorted's
+        # side="right" does
+        order = [7, 8, 9]
+        assert (select_parent(order, FakeRng(uniforms=[fraction]))
+                == old_select_parent(order, FakeRng(uniforms=[fraction]))
+                == order[index])
+
     @settings(max_examples=100, deadline=None)
     @given(sizes=st.lists(st.integers(1, 300), min_size=1, max_size=6),
            seed=st.integers(0, 2**32 - 1), picks=st.integers(1, 40))
@@ -309,3 +329,137 @@ class TestGaGeneration:
         for _ in range(60):
             opt.step()
         assert opt.best_fitness < 0.5 * start
+
+
+def old_is_feasible(x, constraints):
+    """is_feasible before its one-pass form, verbatim."""
+    return all(constraint_violation(x, c)[2] == 0.0 for c in constraints)
+
+
+special_values = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0])
+
+
+@st.composite
+def feasibility_cases(draw):
+    """A float genome (NaN, +-inf and -0.0 among its values) and single-
+    and multi-coordinate constraints, sums of up to 12 coordinates, whose
+    bounds are often a coordinate, a constraint sum or infinite."""
+    n = draw(st.integers(1, 12))
+    x = np.array([draw(st.one_of(st.floats(-10.0, 10.0), special_values,
+                                 st.floats()))
+                  for _ in range(n)])
+    constraints = []
+    for _ in range(draw(st.integers(1, 5))):
+        size = draw(st.sampled_from([1, 1, 2, n]))
+        indices = tuple(draw(st.permutations(range(n)))[:size])
+        anchors = [v for v in x.tolist() if not math.isnan(v)]
+        with np.errstate(all="ignore"):   # an overflowing or inf - inf sum
+            total = float(x[list(indices)].sum())
+        anchors += [] if math.isnan(total) else [total]
+        bound = st.one_of(st.sampled_from(anchors + [0.0, -0.0]),
+                          st.floats(allow_nan=False),
+                          st.sampled_from([-math.inf, math.inf]))
+        lower, upper = sorted([draw(bound), draw(bound)])
+        if lower == upper:
+            lower, upper = ((lower, math.inf) if upper < math.inf
+                            else (-math.inf, upper))
+        constraints.append(SumConstraint(indices, lower, upper))
+    return x, constraints
+
+
+class TestIsFeasibleMatchesViolationDistance:
+    @settings(max_examples=1000, deadline=None)
+    @given(case=feasibility_cases())
+    def test_one_pass_equals_zero_distance(self, case):
+        x, constraints = case
+        with np.errstate(all="ignore"):
+            for c in constraints:
+                assert (is_feasible(x, [c])
+                        == (constraint_violation(x, c)[2] == 0.0))
+            assert is_feasible(x, constraints) == old_is_feasible(
+                x, constraints)
+
+    @pytest.mark.parametrize("q, lower, upper, feasible", [
+        (5.0, 0.0, 5.0, True), (0.0, 0.0, 5.0, True),
+        (-0.0, 0.0, 5.0, True), (5.000000000000001, 0.0, 5.0, False),
+        (math.nan, 0.0, 5.0, False), (math.inf, 0.0, math.inf, False),
+        (-math.inf, -math.inf, 0.0, False), (1e308, 0.0, math.inf, True)])
+    def test_single_coordinate_edges(self, q, lower, upper, feasible):
+        c = SumConstraint((1,), lower, upper)
+        x = np.array([0.0, q])
+        assert is_feasible(x, [c]) is feasible
+        assert old_is_feasible(x, [c]) is feasible
+
+
+def old_ga_generation(genomes, fitnesses, params, objective, constraints,
+                      rng, feasible_reference):
+    """ga_generation before ranking on Python floats, verbatim but for
+    the name of the parent selection."""
+    order = rank_population(fitnesses)
+    elites = order[:ELITISM_COUNT]
+    next_genomes = [genomes[i].copy() for i in elites]
+    next_fitnesses = [float(fitnesses[i]) for i in elites]
+    while len(next_genomes) < params.population_size:
+        p1 = genomes[old_select_parent(order, rng)]
+        p2 = genomes[old_select_parent(order, rng)]
+        for child in crossover(p1, p2, params.crossprob, rng):
+            if len(next_genomes) >= params.population_size:
+                break
+            child = mutate(child, params.mutprob, params.bounds, rng)
+            child = repair(child, constraints, params.bounds, rng,
+                           feasible_reference)
+            next_genomes.append(child)
+            next_fitnesses.append(float(objective(child)))
+    return next_genomes, np.array(next_fitnesses)
+
+
+def old_track_best(self):
+    """GaOptimizer._track_best before ranking on Python floats, verbatim."""
+    idx = rank_population(self.fitnesses)[0]
+    value = float(self.fitnesses[idx])
+    if math.isfinite(value) and value < self.best_fitness:
+        self.best_fitness = value
+        self.best_genome = self.genomes[idx].copy()
+
+
+class TestConstrainedRunKeepsTheOldBits:
+    """On the constrained sphere run as `ga`, the optimum lies on the
+    5-coordinate sum bound, so children leave the feasible region and
+    `repair` bisects: the run's CSV must not change when feasibility,
+    parent selection and ranking go back to their earlier forms."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_same_csv_bytes(self, seed, monkeypatch, tmp_path):
+        config = replace(RunConfig.load(CONSTRAINED_SPHERE), optimizer="ga",
+                         max_generations=30)
+        moved = []
+        shipped_repair = ga.repair
+
+        def counting_repair(individual, *args):
+            out = shipped_repair(individual, *args)
+            moved.append(out is not individual)
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(ga, "repair", counting_repair)
+            run_ga(build_problem(config), config, seed).write_csv(
+                tmp_path / "shipped.csv")
+        assert sum(moved) > 30
+
+        calls = []
+
+        def counted(function):
+            def wrapper(*args):
+                calls.append(function.__name__)
+                return function(*args)
+            return wrapper
+
+        monkeypatch.setattr(ga, "is_feasible", counted(old_is_feasible))
+        monkeypatch.setattr(ga, "ga_generation", counted(old_ga_generation))
+        monkeypatch.setattr(GaOptimizer, "_track_best", old_track_best)
+        run_ga(build_problem(config), config, seed).write_csv(
+            tmp_path / "old.csv")
+        assert calls.count("old_ga_generation") == 29
+        assert calls.count("old_is_feasible") > 30
+        assert ((tmp_path / "shipped.csv").read_bytes()
+                == (tmp_path / "old.csv").read_bytes())
