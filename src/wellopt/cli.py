@@ -8,9 +8,10 @@ import sys
 
 import numpy as np
 
-from .harness import (BUNDLED_GRID_SEED, RunConfig, batch_summary_text,
-                      build_problem, comparison_report_text,
-                      compare_optimizers, run_batch, run_line, run_single)
+from .config import RunConfig
+from .harness import (BUNDLED_GRID_SEED, batch_summary_text, build_problem,
+                      comparison_report_text, compare_optimizers, run_batch,
+                      run_line, run_single)
 from .wells.grid import generate_synthetic_grid
 
 
@@ -89,6 +90,9 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_gen_grid)
 
     args = parser.parse_args(argv)
+    if (getattr(args, "seed", None) or 0) < 0:   # numpy seeds from ints >= 0
+        sub.choices[args.command].error(
+            f"argument --seed: must be non-negative; got {args.seed}")
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:

@@ -145,8 +145,20 @@ def mean_1d(values: np.ndarray) -> float:
     return values.sum().item() / len(values)
 
 
-def mean_is_feasible(mean: np.ndarray, constraints: list[SumConstraint]) -> bool:
-    return all(constraint_violation(mean, c)[2] == 0.0 for c in constraints)
+def is_feasible(x: np.ndarray, constraints: list[SumConstraint]) -> bool:
+    """`constraint_violation(x, c)[2] == 0.0` for every c. A single float
+    coordinate q is read from one `tolist()`: its distance is 0.0 iff
+    lower <= q <= upper and q - q is 0.0 (NaN for an infinite q)."""
+    values = x.tolist()
+    for c in constraints:
+        if len(c.indices) > 1:
+            if constraint_violation(x, c)[2] != 0.0:
+                return False
+        else:
+            q = values[c.indices[0]]
+            if not (c.lower <= q <= c.upper and q - q == 0.0):
+                return False
+    return True
 
 
 def maybe_set_gammas(state: PenaltyState, dist: SearchDistribution,
@@ -164,7 +176,7 @@ def maybe_set_gammas(state: PenaltyState, dist: SearchDistribution,
     if (dist.generation < 1 or state.gammas_initialized or not constraints
             or not state.fitness_history):
         return
-    if mean_is_feasible(dist.mean, constraints):
+    if is_feasible(dist.mean, constraints):
         return
     delta_fit = state.median_iqr()
     mean_diag = mean_1d(dist.covariance.diagonal())

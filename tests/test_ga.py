@@ -159,7 +159,8 @@ class TestMutation:
     def test_zero_probability_is_identity(self):
         rng = np.random.default_rng(5)
         x = np.array([1.0, 2.0])
-        assert np.array_equal(mutate(x, 0.0, bounds(2), rng), x)
+        assert mutate(x, 0.0, bounds(2), rng) is x
+        assert np.array_equal(x, [1.0, 2.0])
 
     def test_reset_formula_with_scripted_rng(self):
         rng = FakeRng(uniforms=[0.0, 0.25], integers=[1])
@@ -171,6 +172,8 @@ class TestMutation:
         out = mutate(x, 1.0, bounds(3, -2.0, 6.0), rng)
         assert out[2] == pytest.approx(-2.0 + 0.75 * 8.0)
         assert np.array_equal(out[:2], x[:2])
+        # the reset is written to a copy, never to the input
+        assert np.array_equal(x, [0.0, 0.0, 0.0])
 
     def test_mutated_coordinate_within_bounds(self):
         rng = np.random.default_rng(6)

@@ -135,6 +135,10 @@ class TestConfig:
             ({"problem": {"kind": "well_placement", "grid_file": 5}},
              "grid_file"),
             ({"output_dir": None}, "output_dir"),
+            # numpy cannot seed from a negative integer, and a repeated
+            # seed would count one run twice in the batch statistics
+            ({"seeds": [1, -1]}, "seeds"),
+            ({"seeds": [1, 1]}, "seeds"),
         ])
         if not (copied and "surrogate" in overrides)])
     def test_out_of_range_values_rejected_at_load(self, overrides, key,
@@ -506,8 +510,12 @@ class TestAtomicWrite:
 
 
 class TestRunBatch:
-    def test_identical_seeds_zero_std(self, tmp_path):
-        config = sphere_config(seeds=[5, 5])
+    def test_identical_seeds_zero_std(self, tmp_path, monkeypatch):
+        # a config cannot repeat a seed, so both runs are made from seed 5
+        run_single = harness.run_single
+        monkeypatch.setattr(harness, "run_single", lambda config, seed, out:
+                            run_single(config, 5, out))
+        config = sphere_config(seeds=[5, 6])
         run_batch(config, tmp_path)
         lines = (tmp_path / "summary.csv").read_text().splitlines()
         assert lines[0] == ("schema_version,generation,mean_true_evaluations,"
