@@ -6,7 +6,7 @@ from .cma import (SearchDistribution, StrategyParams, check_termination,
                   sampling_transform, update_mean, update_strategy_state)
 from .constraints import (PenaltyState, SumConstraint, constraint_violation,
                           maybe_increase_gammas, maybe_set_gammas, penalized,
-                          sample_with_rejection, should_reject)
+                          sample_with_rejection)
 from .ga import GaOptimizer, GaParams
 from .harness import (BatchResult, ComparisonResult, Evaluator, RunConfig,
                       RunRecord, build_problem, compare_optimizers,
@@ -14,6 +14,6 @@ from .harness import (BatchResult, ComparisonResult, Evaluator, RunConfig,
 from .metamodel import (LocalQuadraticModel, MahalanobisMetric,
                         SurrogateSettings, TrainingArchive,
                         approximate_ranking_step, default_surrogate_settings,
-                        fit_local_model, predict, select_neighbors)
+                        fit_local_model, select_neighbors)
 
 __version__ = "0.1.0"

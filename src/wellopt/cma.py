@@ -133,13 +133,6 @@ class SearchDistribution:
     def dim(self) -> int:
         return self.mean.shape[0]
 
-    @classmethod
-    def initial(cls, mean: np.ndarray, step_size: float) -> "SearchDistribution":
-        mean = np.asarray(mean, dtype=float)
-        n = mean.shape[0]
-        return cls(mean=mean, step_size=step_size, covariance=np.eye(n),
-                   path_sigma=np.zeros(n), path_c=np.zeros(n), generation=0)
-
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Floored eigenvalues and eigenvectors of C, decomposed once.
 

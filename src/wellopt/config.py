@@ -64,6 +64,17 @@ def _section(data: dict, cls, key: str, required: bool = False):
                   for k, v in data.items()})
 
 
+def _constraint(entry: dict) -> SumConstraint:
+    """A JSON constraint entry {"indices", "lower", "upper"}, checked."""
+    _check_keys(entry, {"indices", "lower", "upper"}, "constraint",
+                required=True)
+    indices = _items(entry["indices"], "constraint indices")
+    return SumConstraint(
+        tuple(_number(i, "constraint indices", True) for i in indices),
+        _number(entry["lower"], "constraint lower"),
+        _number(entry["upper"], "constraint upper"))
+
+
 def _well_kwargs(problem: dict) -> dict:
     """The checked `WellPlacementProblem` keyword arguments but the grid."""
     grid_file = problem.get("grid_file") or ""
@@ -114,7 +125,8 @@ def _benchmark_bounds(problem: dict, dim: int) -> list[tuple[float, float]]:
 @dataclass
 class RunConfig:
     """A run config that checks and converts its values on construction, so
-    `from_dict` results and `dataclasses.replace` copies are checked alike."""
+    `from_dict` results and `dataclasses.replace` copies are checked alike.
+    `constraints` and `surrogate` may be given in their JSON form."""
 
     problem: dict = field(default_factory=dict)
     optimizer: str | None = None
@@ -210,35 +222,30 @@ class RunConfig:
                              f"{self.output_dir!r}")
         self.output_dir = str(self.output_dir)
 
+        self.constraints = [
+            c if isinstance(c, SumConstraint) else _constraint(c)
+            for c in _items(self.constraints or (), "constraints")]
         for c in self.constraints:
             if max(c.indices) >= dim:
                 raise ValueError(f"constraint indices must be below the "
                                  f"problem's dimension {dim}; got "
                                  f"{list(c.indices)}")
         if self.surrogate is not None:
+            if not isinstance(self.surrogate, SurrogateSettings):
+                self.surrogate = _section(self.surrogate, SurrogateSettings,
+                                          "surrogate", required=True)
             self.surrogate.validate(dim)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        """Parse a JSON config document; construction checks its values."""
+        """Parse a JSON config document: check its top-level keys and
+        flatten `ga`; construction parses and checks the values."""
         ga_keys = {"crossprob", "mutprob"}
         _check_keys(data, {f.name for f in fields(cls) if f.init} - ga_keys
                     | {"ga"}, "config")
         parsed = dict(data)
         ga = parsed.pop("ga", None) or {}
         _check_keys(ga, ga_keys, "ga")
-        parsed["constraints"] = []
-        for c in _items(data.get("constraints") or (), "constraints"):
-            _check_keys(c, {"indices", "lower", "upper"}, "constraint",
-                        required=True)
-            indices = _items(c["indices"], "constraint indices")
-            parsed["constraints"].append(SumConstraint(
-                tuple(_number(i, "constraint indices", True) for i in indices),
-                _number(c["lower"], "constraint lower"),
-                _number(c["upper"], "constraint upper")))
-        if (entry := data.get("surrogate")) is not None:
-            parsed["surrogate"] = _section(entry, SurrogateSettings,
-                                           "surrogate", required=True)
         return cls(**parsed, **ga)
 
     @classmethod

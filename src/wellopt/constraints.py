@@ -73,16 +73,6 @@ def constraint_violation(x: np.ndarray, constraint: SumConstraint
     return q, q_feas, abs(q - q_feas)
 
 
-def should_reject(q: float, q_feas: float, rejection_fraction: float) -> bool:
-    """True when the violation exceeds the fraction of |q| that we tolerate.
-
-    At q == 0 any violation rejects, since the tolerance p*|q| is zero.
-    """
-    if not rejection_fraction > 0:
-        raise ValueError("rejection_fraction must be positive")
-    return abs(q_feas - q) > rejection_fraction * abs(q)
-
-
 def _linear_percentile(ordered: list[float], fraction: float) -> float:
     """np.percentile(ordered, 100 * fraction) of two or more sorted floats.
 
@@ -297,9 +287,10 @@ def sample_with_rejection(draw, count: int, constraints: list[SumConstraint],
     while True:
         X = draw(missing)
         Q = np.array([_block_sums(X, c) for c in constraints])
-        # should_reject's rule on every constraint and draw at once. Out of
-        # the interval the larger difference is the distance |q_feas - q|,
-        # with its bits; inside it is <= 0 and never rejects, as 0 does.
+        # A draw is rejected when some distance |q_feas - q| exceeds
+        # rejection_fraction * |q| (at q == 0 any violation rejects). Out of
+        # the interval the larger difference is that distance, with its
+        # bits; inside it is <= 0 and never rejects, as 0 does.
         rejected = (np.maximum(lower - Q, Q - upper)
                     > rejection_fraction * np.abs(Q)).any(axis=0)
         rows = []

@@ -135,24 +135,22 @@ def repair(individual: np.ndarray, constraints: list[SumConstraint],
     return individual + hi * (reference - individual)
 
 
-def ga_generation(genomes: list[np.ndarray], fitnesses: np.ndarray,
-                  params: GaParams, objective,
+def ga_generation(genomes: list[np.ndarray], fitnesses: list[float],
+                  order: list[int], params: GaParams, objective,
                   constraints: list[SumConstraint],
                   rng: np.random.Generator,
                   feasible_reference: np.ndarray | None
-                  ) -> tuple[list[np.ndarray], np.ndarray]:
+                  ) -> tuple[list[np.ndarray], list[float]]:
     """Produce the next generation's (genomes, fitnesses): elite copy plus
-    bred children.
+    bred children. `order` is `rank_population(fitnesses)`.
 
     Children go through select -> crossover -> mutate -> repair ->
     evaluate; the elite is copied verbatim (and is thereby exempt from
     mutation). Population size is preserved.
     """
-    values = fitnesses.tolist()
-    order = rank_population(values)
     elites = order[:ELITISM_COUNT]
     next_genomes = [genomes[i].copy() for i in elites]
-    next_fitnesses = [values[i] for i in elites]
+    next_fitnesses = [fitnesses[i] for i in elites]
     while len(next_genomes) < params.population_size:
         p1 = genomes[select_parent(order, rng)]
         p2 = genomes[select_parent(order, rng)]
@@ -164,11 +162,12 @@ def ga_generation(genomes: list[np.ndarray], fitnesses: np.ndarray,
                            feasible_reference)
             next_genomes.append(child)
             next_fitnesses.append(float(objective(child)))
-    return next_genomes, np.array(next_fitnesses)
+    return next_genomes, next_fitnesses
 
 
 class GaOptimizer:
-    """Drives the GA over an objective, tracking the best feasible point."""
+    """Drives the GA over an objective, tracking the best feasible point.
+    A generation is ranked once, in `_track_best`, and bred from `order`."""
 
     def __init__(self, params: GaParams, objective,
                  constraints: list[SumConstraint] | None,
@@ -178,7 +177,8 @@ class GaOptimizer:
         self.constraints = constraints or []
         self.rng = rng
         self.genomes: list[np.ndarray] = []
-        self.fitnesses = np.empty(0)
+        self.fitnesses: list[float] = []
+        self.order: list[int] = []
         self.best_genome: np.ndarray | None = None
         self.best_fitness = np.inf
 
@@ -191,8 +191,7 @@ class GaOptimizer:
                        self.best_genome)
             self.genomes.append(x)
             self._note_feasible(x)
-        self.fitnesses = np.array([float(self.objective(x))
-                                   for x in self.genomes])
+        self.fitnesses = [float(self.objective(x)) for x in self.genomes]
         self._track_best()
 
     def _note_feasible(self, x: np.ndarray):
@@ -201,15 +200,15 @@ class GaOptimizer:
 
     def _track_best(self):
         # non-finite values rank last and never become the best
-        values = self.fitnesses.tolist()
-        idx = rank_population(values)[0]
-        value = values[idx]
+        self.order = rank_population(self.fitnesses)
+        idx = self.order[0]
+        value = self.fitnesses[idx]
         if math.isfinite(value) and value < self.best_fitness:
             self.best_fitness = value
             self.best_genome = self.genomes[idx].copy()
 
     def step(self):
         self.genomes, self.fitnesses = ga_generation(
-            self.genomes, self.fitnesses, self.params, self.objective,
-            self.constraints, self.rng, self.best_genome)
+            self.genomes, self.fitnesses, self.order, self.params,
+            self.objective, self.constraints, self.rng, self.best_genome)
         self._track_best()

@@ -55,13 +55,6 @@ def basis_size(dim: int) -> int:
     return dim * (dim + 3) // 2 + 1
 
 
-def quadratic_basis(z: np.ndarray) -> np.ndarray:
-    """Basis (z1^2..zn^2, z1z2..z_{n-1}z_n, z1..zn, 1), cross terms i<j."""
-    z = np.asarray(z, dtype=float)
-    i_idx, j_idx = _cross_indices(z.shape[0])
-    return np.concatenate([z * z, z[i_idx] * z[j_idx], z, [1.0]])
-
-
 def kernel(zeta: float | np.ndarray) -> float | np.ndarray:
     """Biquadratic weighting kernel K(zeta) = (1 - zeta^2)^2."""
     return (1.0 - zeta ** 2) ** 2
@@ -133,16 +126,6 @@ class TrainingArchive:
                      for genome, value in zip(self._genomes, self._values))
         _atomic_write(path, "\n".join(lines) + "\n")
 
-    @classmethod
-    def load_csv(cls, path) -> "TrainingArchive":
-        with open(path) as fh:
-            rows = [line.split(",") for line in fh.read().splitlines()]
-        dim = len(rows[0]) - 1
-        archive = cls(dim)
-        for row in rows[1:]:
-            archive.add(np.array([float(v) for v in row[:dim]]), float(row[dim]))
-        return archive
-
 
 @dataclass(frozen=True)
 class SurrogateSettings:
@@ -167,8 +150,9 @@ def default_surrogate_settings(dim: int) -> SurrogateSettings:
 
 @dataclass
 class LocalQuadraticModel:
-    """Fitted quadratic, beta in `quadratic_basis` ordering over the centred,
-    scaled u = (z - center) / scale: beta[-1] is the value at the centre."""
+    """Fitted quadratic in the centred, scaled u = (z - center) / scale,
+    beta over the basis (u1^2..un^2, u1u2..u_{n-1}un with i < j in row
+    order, u1..un, 1): beta[-1] is the value at the centre."""
 
     beta: np.ndarray
     center: np.ndarray
@@ -310,11 +294,6 @@ def _solve_normal_equations(A: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if beta is None:
         raise SurrogateUnavailable("degenerate local design matrix")
     return beta
-
-
-def predict(model: LocalQuadraticModel, z: np.ndarray) -> float:
-    u = (np.asarray(z, dtype=float) - model.center) / model.scale
-    return float(model.beta @ quadratic_basis(u))
 
 
 def ranking_continues(cycle: int, lam: int, set_changed: bool,

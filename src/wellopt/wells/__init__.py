@@ -3,19 +3,17 @@
 from .economics import (FEET_PER_METER, EconomicParams, ProductionProfile,
                         drilling_cost, npv)
 from .geometry import (Branch, GeometryVerdict, WellGeometry, check_geometry,
-                       decode_well, encode_well, genome_dimension,
-                       point_at_arclength)
+                       decode_well, genome_dimension)
 from .grid import ReservoirGrid, generate_synthetic_grid
 from .problem import WellLayout, WellPlacementProblem
 from .proxy import (INJECTOR, PRODUCER, ProxyParams, drainable_oil_barrels,
-                    productivity_index, segment_cell_intersections, simulate)
+                    productivity_index, simulate)
 
 __all__ = [
     "FEET_PER_METER", "EconomicParams", "ProductionProfile", "drilling_cost",
     "npv", "Branch", "GeometryVerdict", "WellGeometry", "check_geometry",
-    "decode_well", "encode_well", "genome_dimension", "point_at_arclength",
-    "ReservoirGrid", "generate_synthetic_grid", "WellLayout",
-    "WellPlacementProblem", "INJECTOR", "PRODUCER", "ProxyParams",
-    "drainable_oil_barrels", "productivity_index",
-    "segment_cell_intersections", "simulate",
+    "decode_well", "genome_dimension", "ReservoirGrid",
+    "generate_synthetic_grid", "WellLayout", "WellPlacementProblem",
+    "INJECTOR", "PRODUCER", "ProxyParams", "drainable_oil_barrels",
+    "productivity_index", "simulate",
 ]

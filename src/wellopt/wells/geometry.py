@@ -89,26 +89,11 @@ class WellGeometry:
         segs.extend((b.start, b.end) for b in self.branches)
         return segs
 
-    def defining_points(self) -> np.ndarray:
-        """Heel, deviation points, toe, and branch end points."""
-        points = [self.mainbore]
-        if self.branches:
-            points.append(np.array([b.end for b in self.branches]))
-        return np.vstack(points)
-
-
-def point_at_arclength(mainbore: np.ndarray, arclength: float) -> np.ndarray:
-    """Point on the mainbore polyline at a given arc length from the heel.
-
-    The arc length is clamped to [0, total length]; values landing on a
-    vertex interpolate trivially within the containing segment.
-    """
-    points = np.asarray(mainbore, dtype=float).tolist()
-    return np.array(_point_at_arclength(points, arclength))
-
 
 def _point_at_arclength(points: list[list[float]],
                         arclength: float) -> list[float]:
+    """The point at an arc length from the heel along the polyline
+    `points`, the arc length clamped to [0, total length]."""
     steps = _steps(points)
     lengths = [_norm(*step) for step in steps]
     s = min(max(arclength, 0.0), _sum(lengths))
@@ -157,31 +142,6 @@ def decode_well(genome_slice: np.ndarray, n_deviations: int,
     return WellGeometry(mainbore=np.array(points), branches=branches)
 
 
-def encode_well(geometry: WellGeometry) -> np.ndarray:
-    """Inverse of decode_well, with angles in canonical ranges.
-
-    theta lands in [0, pi] and phi in (-pi, pi], so decoding then
-    re-encoding a genome written in those ranges round-trips.
-    """
-    parts = [geometry.heel]
-    for i in range(len(geometry.mainbore) - 1):
-        parts.append(_step_to_spherical(geometry.mainbore[i + 1]
-                                        - geometry.mainbore[i]))
-    for branch in geometry.branches:
-        parts.append([branch.start_arclength])
-        parts.append(_step_to_spherical(branch.end - branch.start))
-    return np.concatenate([np.atleast_1d(np.asarray(p, float)) for p in parts])
-
-
-def _step_to_spherical(step: np.ndarray) -> np.ndarray:
-    r = float(np.linalg.norm(step))
-    if r == 0.0:
-        return np.array([0.0, 0.0, 0.0])
-    theta = float(np.arccos(np.clip(step[2] / r, -1.0, 1.0)))
-    phi = float(np.arctan2(step[1], step[0]))
-    return np.array([r, theta, phi])
-
-
 @dataclass
 class GeometryVerdict:
     feasible: bool
@@ -198,7 +158,7 @@ def check_geometry(geometry: WellGeometry, extent: Sequence[float],
     points to the box [0, extent]. Length excess is max(0, total - L_max).
     """
     lx, ly, lz = map(float, extent)
-    # defining_points(), as floats
+    # heel, deviation points, toe and branch ends, as floats
     points = (geometry.mainbore.tolist()
               + [branch.end.tolist() for branch in geometry.branches])
     distances = []

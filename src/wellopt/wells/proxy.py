@@ -146,18 +146,6 @@ def _segment_pieces(start: np.ndarray, end: np.ndarray,
     return pieces
 
 
-def segment_cell_intersections(start: np.ndarray, end: np.ndarray,
-                               grid: ReservoirGrid
-                               ) -> list[tuple[tuple[int, int, int], float]]:
-    """Cells crossed by one segment, with the length inside each cell."""
-    inv = grid.invariants
-    kx, ky, _ = inv.strides
-    pieces = _segment_pieces(np.asarray(start, dtype=float),
-                             np.asarray(end, dtype=float), inv)
-    return [((flat // kx, flat % kx // ky, flat % ky), piece)
-            for flat, piece in pieces]
-
-
 def productivity_index(well: WellGeometry, grid: ReservoirGrid) -> float:
     """Sum over traversed cells of permeability times in-cell length."""
     inv = grid.invariants

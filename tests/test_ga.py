@@ -247,10 +247,11 @@ class TestGaGeneration:
         rng = np.random.default_rng(12)
         params = self._params()
         genomes = [rng.uniform(-5, 5, 3) for _ in range(10)]
-        fitnesses = np.array([sphere(g) for g in genomes])
+        fitnesses = [sphere(g) for g in genomes]
         for _ in range(5):
-            genomes, fitnesses = ga_generation(genomes, fitnesses, params,
-                                               sphere, [], rng, None)
+            genomes, fitnesses = ga_generation(
+                genomes, fitnesses, rank_population(fitnesses), params,
+                sphere, [], rng, None)
             assert len(genomes) == 10
 
     def test_elitism_keeps_best(self):
@@ -268,11 +269,27 @@ class TestGaGeneration:
         params = self._params(crossprob=0.0, mutprob=0.0)
         genomes = [rng.uniform(-5, 5, 3) for _ in range(10)]
         initial = {tuple(g) for g in genomes}
-        fitnesses = np.array([sphere(g) for g in genomes])
+        fitnesses = [sphere(g) for g in genomes]
         for _ in range(20):
-            genomes, fitnesses = ga_generation(genomes, fitnesses, params,
-                                               sphere, [], rng, None)
+            genomes, fitnesses = ga_generation(
+                genomes, fitnesses, rank_population(fitnesses), params,
+                sphere, [], rng, None)
         assert {tuple(g) for g in genomes} <= initial
+
+    def test_each_generation_is_ranked_once(self, monkeypatch):
+        ranked = []
+
+        def counting_rank(values):
+            ranked.append(len(values))
+            return rank_population(values)
+
+        monkeypatch.setattr(ga, "rank_population", counting_rank)
+        opt = GaOptimizer(self._params(), sphere, [],
+                          np.random.default_rng(19))
+        opt.initialize()
+        for _ in range(7):
+            opt.step()
+        assert ranked == [10] * 8
 
     def test_all_evaluated_individuals_feasible(self):
         c = SumConstraint(indices=(0, 1, 2), lower=-1.0, upper=1.0)
@@ -458,7 +475,11 @@ class TestConstrainedRunKeepsTheOldBits:
             return wrapper
 
         monkeypatch.setattr(ga, "is_feasible", counted(old_is_feasible))
-        monkeypatch.setattr(ga, "ga_generation", counted(old_ga_generation))
+        old_generation = counted(old_ga_generation)
+        # the shipped step hands its ranking on; the old form ranks itself
+        monkeypatch.setattr(
+            ga, "ga_generation", lambda genomes, fitnesses, order, *rest:
+            old_generation(genomes, fitnesses, *rest))
         monkeypatch.setattr(GaOptimizer, "_track_best", old_track_best)
         run_ga(build_problem(config), config, seed).write_csv(
             tmp_path / "old.csv")

@@ -9,8 +9,9 @@ import wellopt.harness as harness
 from wellopt.harness import (Evaluator, RunConfig, build_problem,
                              compare_optimizers, evaluations_to_target,
                              run_batch, run_cma, run_single)
-from wellopt.constraints import MAX_RESAMPLES
-from wellopt.metamodel import TrainingArchive
+from wellopt.constraints import MAX_RESAMPLES, SumConstraint
+from wellopt.metamodel import SurrogateSettings, TrainingArchive
+from reference_forms import load_archive_csv
 
 
 def sphere_config(**overrides):
@@ -88,8 +89,7 @@ class TestConfig:
 
     # Each bad value is rejected by `from_dict` and, as a field, by a
     # `dataclasses.replace` copy of a valid config; the `from_dict` cases
-    # keep their plain ids. The surrogate cases are unknown keys, which
-    # only the parser sees.
+    # keep their plain ids.
     @pytest.mark.parametrize("overrides, key, copied", [
         pytest.param(overrides, key, copied,
                      id=f"overrides{i}-{key}" + ("-copied" if copied else ""))
@@ -139,8 +139,14 @@ class TestConfig:
             # seed would count one run twice in the batch statistics
             ({"seeds": [1, -1]}, "seeds"),
             ({"seeds": [1, 1]}, "seeds"),
-        ])
-        if not (copied and "surrogate" in overrides)])
+            ({"constraints": [{"indices": [0], "lower": 0.0}]}, "upper"),
+            ({"constraints": [{"indices": ["0"], "lower": 0.0,
+                               "upper": 1.0}]}, "constraint indices"),
+            ({"constraints": [{"indices": [0], "lower": None,
+                               "upper": 1.0}]}, "constraint lower"),
+            ({"constraints": [[0, 0.0, 1.0]]}, "constraint"),
+            ({"constraints": 5}, "constraints"),
+        ])])
     def test_out_of_range_values_rejected_at_load(self, overrides, key,
                                                   copied):
         data = {"problem": {"kind": "sphere", "dimension": 2}}
@@ -154,6 +160,18 @@ class TestConfig:
             data.update(overrides)
             with pytest.raises(ValueError, match=key):
                 RunConfig.from_dict(data)
+
+    def test_json_form_sections_parse_on_construction(self):
+        problem = {"kind": "sphere", "dimension": 2}
+        sections = {"surrogate": {"k": 100, "min_archive_size": 160},
+                    "constraints": [{"indices": [0, 1], "lower": 0.0,
+                                     "upper": 1.0}]}
+        copied = dataclasses.replace(
+            RunConfig.from_dict({"problem": problem}), **sections)
+        assert copied == RunConfig.from_dict({"problem": problem, **sections})
+        assert copied.surrogate == SurrogateSettings(k=100,
+                                                     min_archive_size=160)
+        assert copied.constraints == [SumConstraint((0, 1), 0.0, 1.0)]
 
     @pytest.mark.parametrize("problem, key", [
         ({"kind": "well_placement",
@@ -399,7 +417,7 @@ class TestRunSingle:
         record = run_single(config, 1, tmp_path)
         dumped = tmp_path / "archive_1.csv"
         assert dumped.exists()
-        loaded = TrainingArchive.load_csv(dumped)
+        loaded = load_archive_csv(dumped)
         assert len(loaded) == record.final.true_evaluations
         assert len(record.archive) == record.final.true_evaluations
 

@@ -17,8 +17,8 @@ from wellopt.metamodel import (LocalQuadraticModel, MahalanobisMetric,
                                TrainingArchive, admit_newest,
                                approximate_ranking_step, basis_size,
                                default_surrogate_settings, fit_local_model,
-                               kernel, predict, quadratic_basis,
-                               ranking_continues, select_neighbors)
+                               kernel, ranking_continues, select_neighbors)
+from reference_forms import load_archive_csv, predict, quadratic_basis
 
 
 def make_dist(n, covariance=None):
@@ -80,7 +80,7 @@ class TestArchive:
         path = tmp_path / "archive.csv"
         archive.save_csv(path)
         assert b"\r" not in path.read_bytes()   # LF, like every other CSV
-        loaded = TrainingArchive.load_csv(path)
+        loaded = load_archive_csv(path)
         assert len(loaded) == len(archive)
         a, va = archive.as_arrays()
         b, vb = loaded.as_arrays()

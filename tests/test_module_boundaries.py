@@ -1,9 +1,14 @@
-"""Module boundary of `wellopt.config`, read from the sources with `ast`.
+"""Module boundaries of `wellopt`, read from the sources with `ast`.
 
 The run configuration lives in `config.py`, which imports none of the
 modules that run it (`harness`, `ga`, `cli`), so the run loop can change
 without touching how a config is parsed and checked. `harness.py` only
 re-exports `RunConfig` and reads no private attribute of it.
+
+Every public function, class, method and property is run by the library
+itself: a name that only tests or the package `__init__` re-exports
+reach is a second API to keep in step, so the tests keep such forms as
+their own references instead.
 """
 
 import ast
@@ -13,6 +18,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "wellopt"
 CONFIG_NAMES = {"OPTIMIZERS", "PROBLEM_KEYS", "_check_keys", "_number",
                 "_items", "_section", "_well_kwargs", "_benchmark_bounds",
                 "RunConfig"}
+# Public names no library module references, each with why it stays.
+UNREFERENCED_ALLOWED: dict[str, str] = {}
 
 
 def parse(name: str) -> ast.Module:
@@ -65,3 +72,47 @@ def test_harness_reads_no_private_config_attribute():
                and isinstance(node.value, ast.Name)
                and node.value.id == "config" and node.attr.startswith("_")]
     assert private == []
+
+
+def public_definitions(tree: ast.Module) -> set[str]:
+    """Public top-level functions and classes, and the public methods and
+    properties of those classes as `Class.method`."""
+    names = set()
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")):
+            names.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            names.update(f"{node.name}.{item.name}" for item in node.body
+                         if isinstance(item, ast.FunctionDef)
+                         and not item.name.startswith("_"))
+    return names
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Every name a module reads, reads as an attribute, or imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_public_name_is_run_by_the_library():
+    names = [path.relative_to(SRC).as_posix() for path in SRC.rglob("*.py")]
+    modules = {name: parse(name) for name in names}
+    referenced = set().union(*(referenced_names(tree)
+                               for name, tree in modules.items()
+                               if not name.endswith("__init__.py")))
+    unreferenced = {f"{name}:{definition}"
+                    for name, tree in modules.items()
+                    for definition in public_definitions(tree)
+                    if definition.split(".")[-1] not in referenced}
+    unexpected = sorted(unreferenced - set(UNREFERENCED_ALLOWED))
+    assert not unexpected, f"run by no library module: {unexpected}"
+    stale = sorted(set(UNREFERENCED_ALLOWED) - unreferenced)
+    assert not stale, f"allowed but referenced or gone: {stale}"

@@ -13,18 +13,74 @@ from wellopt.wells import (FEET_PER_METER, INJECTOR, PRODUCER, Branch,
                            ProxyParams, ReservoirGrid, WellGeometry,
                            WellLayout, WellPlacementProblem, check_geometry,
                            decode_well, drainable_oil_barrels, drilling_cost,
-                           encode_well, generate_synthetic_grid,
-                           genome_dimension, npv, point_at_arclength,
-                           productivity_index, segment_cell_intersections,
-                           simulate)
+                           generate_synthetic_grid, genome_dimension, npv,
+                           productivity_index, simulate)
 from wellopt.wells.economics import _bore_cost
+from wellopt.wells.geometry import _point_at_arclength
 from wellopt.wells.problem import GEOMETRY_PENALTY_BASE
-from wellopt.wells.proxy import BARRELS_PER_M3, _midpoint
+from wellopt.wells.proxy import BARRELS_PER_M3, _midpoint, _segment_pieces
 
 
 def straight_well(start, end):
     return WellGeometry(mainbore=np.array([start, end], dtype=float),
                         branches=[])
+
+
+# Views over the library's private forms and an inverse of decode_well,
+# which the library does not need; kept verbatim as the tests' readers.
+def segment_cell_intersections(start: np.ndarray, end: np.ndarray,
+                               grid: ReservoirGrid
+                               ) -> list[tuple[tuple[int, int, int], float]]:
+    """Cells crossed by one segment, with the length inside each cell."""
+    inv = grid.invariants
+    kx, ky, _ = inv.strides
+    pieces = _segment_pieces(np.asarray(start, dtype=float),
+                             np.asarray(end, dtype=float), inv)
+    return [((flat // kx, flat % kx // ky, flat % ky), piece)
+            for flat, piece in pieces]
+
+
+def point_at_arclength(mainbore: np.ndarray, arclength: float) -> np.ndarray:
+    """Point on the mainbore polyline at a given arc length from the heel.
+
+    The arc length is clamped to [0, total length]; values landing on a
+    vertex interpolate trivially within the containing segment.
+    """
+    points = np.asarray(mainbore, dtype=float).tolist()
+    return np.array(_point_at_arclength(points, arclength))
+
+
+def defining_points(geometry: WellGeometry) -> np.ndarray:
+    """Heel, deviation points, toe, and branch end points."""
+    points = [geometry.mainbore]
+    if geometry.branches:
+        points.append(np.array([b.end for b in geometry.branches]))
+    return np.vstack(points)
+
+
+def encode_well(geometry: WellGeometry) -> np.ndarray:
+    """Inverse of decode_well, with angles in canonical ranges.
+
+    theta lands in [0, pi] and phi in (-pi, pi], so decoding then
+    re-encoding a genome written in those ranges round-trips.
+    """
+    parts = [geometry.heel]
+    for i in range(len(geometry.mainbore) - 1):
+        parts.append(_step_to_spherical(geometry.mainbore[i + 1]
+                                        - geometry.mainbore[i]))
+    for branch in geometry.branches:
+        parts.append([branch.start_arclength])
+        parts.append(_step_to_spherical(branch.end - branch.start))
+    return np.concatenate([np.atleast_1d(np.asarray(p, float)) for p in parts])
+
+
+def _step_to_spherical(step: np.ndarray) -> np.ndarray:
+    r = float(np.linalg.norm(step))
+    if r == 0.0:
+        return np.array([0.0, 0.0, 0.0])
+    theta = float(np.arccos(np.clip(step[2] / r, -1.0, 1.0)))
+    phi = float(np.arctan2(step[1], step[0]))
+    return np.array([r, theta, phi])
 
 
 class TestGenomeDimension:
@@ -136,10 +192,10 @@ class TestDecode:
         tolerance = 1e-12 * np.maximum(np.abs(genome), 1.0)
         assert np.all(np.abs(diff) <= tolerance)
         again = decode_well(back, n_dev, n_br)
-        assert again.defining_points() == pytest.approx(
-            well.defining_points(), rel=1e-12, abs=1e-9)
+        assert defining_points(again) == pytest.approx(
+            defining_points(well), rel=1e-12, abs=1e-9)
         twice = decode_well(genome, n_dev, n_br)
-        assert np.array_equal(twice.defining_points(), well.defining_points())
+        assert np.array_equal(defining_points(twice), defining_points(well))
 
     def test_point_at_arclength_clamps(self):
         mainbore = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
@@ -682,7 +738,7 @@ def numpy_decode_well(genome_slice, n_deviations, n_branches):
 
 def numpy_check_geometry(geometry, extent, max_length):
     extent = np.asarray(extent, dtype=float)
-    points = geometry.defining_points()
+    points = defining_points(geometry)
     clamped = np.clip(points, 0.0, extent)
     distances = np.linalg.norm(points - clamped, axis=1)
     out_of_bounds = float(np.sum(distances))
