@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -132,6 +133,11 @@ class SearchDistribution:
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
+
+    @cached_property
+    def variances(self) -> list[float]:
+        """diag(C) as floats, read once for a generation's penalty terms."""
+        return self.covariance.diagonal().tolist()
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Floored eigenvalues and eigenvectors of C, decomposed once.

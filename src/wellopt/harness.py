@@ -29,8 +29,8 @@ from .cma import (STAGNATION_WINDOW, SearchDistribution, check_termination,
                   update_strategy_state)
 from .config import RunConfig
 from .constraints import (PenaltyState, SumConstraint, maybe_increase_gammas,
-                          maybe_set_gammas, mean_1d, penalized,
-                          penalty_amount, sample_with_rejection, xi_factors)
+                          maybe_set_gammas, penalized, penalty_amount,
+                          row_means, sample_with_rejection, xi_factors)
 # The run loop reads constraint sums from sampling; the name stays in this
 # namespace, where the benchmark's tracing looks the layer's calls up.
 from .constraints import constraint_violation  # noqa: F401
@@ -256,8 +256,7 @@ def run_cma(problem: BuiltProblem, config: RunConfig, seed: int,
         if constraints:
             gammas_before = state.gammas.tolist()
             maybe_set_gammas(state, dist, constraints)
-            # per contiguous row: a mean over an axis may add in another order
-            q_means = [mean_1d(q) for q in sums]
+            q_means = row_means(sums)
             maybe_increase_gammas(state, dist, constraints, params, q_means)
             # gamma and xi are frozen for the generation: one amount per
             # candidate, from its row of constraint sums.

@@ -69,17 +69,18 @@ class TrainingArchive:
     skipped, so the regression data stay clean. The store is unbounded.
     `select_neighbors` scans it; the ranking step does so once per
     candidate and generation and then follows growth through `newest`.
+    A regression genome is kept as its memo key, the float bytes.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._genomes: list[np.ndarray] = []
+        self._keys: list[bytes] = []
         self._values: list[float] = []
         self._index: dict[bytes, float] = {}
         self._matrix: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self._genomes)
+        return len(self._keys)
 
     def add(self, genome: np.ndarray, value: float,
             key: bytes | None = None) -> bool:
@@ -87,22 +88,21 @@ class TrainingArchive:
         data (False for duplicates and non-finite values). `key` is the
         float array `genome`'s `tobytes()` when the caller has it."""
         if key is None:
-            genome = np.asarray(genome, dtype=float)
-            key = genome.tobytes()
+            key = np.asarray(genome, dtype=float).tobytes()
         if key in self._index:
             return False
         value = float(value)
         self._index[key] = value
         if not math.isfinite(value):
             return False
-        self._genomes.append(genome.copy())
+        self._keys.append(key)
         self._values.append(value)
         self._matrix = None
         return True
 
     def newest(self) -> tuple[np.ndarray, float]:
         """The regression entry added last (the highest index)."""
-        return self._genomes[-1], self._values[-1]
+        return np.frombuffer(self._keys[-1]), self._values[-1]
 
     def lookup(self, genome: np.ndarray,
                key: bytes | None = None) -> float | None:
@@ -114,16 +114,16 @@ class TrainingArchive:
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         if self._matrix is None:
-            self._matrix = np.array(self._genomes, dtype=float).reshape(
-                len(self._genomes), self.dim)
+            self._matrix = np.frombuffer(b"".join(self._keys)).reshape(
+                len(self._keys), self.dim)
         return self._matrix, np.asarray(self._values, dtype=float)
 
     def save_csv(self, path):
         """Write one LF-terminated row per entry, atomically."""
         from .harness import _atomic_write, fmt   # harness imports this module
         lines = [",".join([f"x{i}" for i in range(self.dim)] + ["objective"])]
-        lines.extend(",".join(map(fmt, [*genome, value]))
-                     for genome, value in zip(self._genomes, self._values))
+        lines.extend(",".join(map(fmt, [*np.frombuffer(key), value]))
+                     for key, value in zip(self._keys, self._values))
         _atomic_write(path, "\n".join(lines) + "\n")
 
 

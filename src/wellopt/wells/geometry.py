@@ -16,23 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..floats import pairwise_sum
+
 
 def genome_dimension(n_deviations: int, n_branches: int, n_wells: int = 1) -> int:
     """Coordinates needed for n_wells wells of identical layout."""
     if min(n_deviations, n_branches, n_wells) < 0:
         raise ValueError("counts must be non-negative")
     return n_wells * (3 * (1 + n_deviations) + 4 * n_branches)
-
-
-def _sum(values: list[float]) -> float:
-    """np.sum of the values, with its bits: np.sum adds fewer than 8 terms
-    left to right from 0.0; longer sums go to np.sum (pairwise order)."""
-    if len(values) >= 8:
-        return float(np.sum(values))
-    total = 0.0
-    for value in values:
-        total += value
-    return total
 
 
 def _norm(dx: float, dy: float, dz: float) -> float:
@@ -76,7 +67,7 @@ class WellGeometry:
     @property
     def mainbore_length(self) -> float:
         steps = _steps(self.mainbore.tolist())
-        return _sum([_norm(*step) for step in steps])
+        return pairwise_sum([_norm(*step) for step in steps])
 
     @property
     def total_length(self) -> float:
@@ -96,7 +87,7 @@ def _point_at_arclength(points: list[list[float]],
     `points`, the arc length clamped to [0, total length]."""
     steps = _steps(points)
     lengths = [_norm(*step) for step in steps]
-    s = min(max(arclength, 0.0), _sum(lengths))
+    s = min(max(arclength, 0.0), pairwise_sum(lengths))
     for i, seg_len in enumerate(lengths):
         if s <= seg_len or i == len(lengths) - 1:
             t = s / seg_len if seg_len > 0 else 0.0
@@ -168,7 +159,7 @@ def check_geometry(geometry: WellGeometry, extent: Sequence[float],
         distances.append(_norm(x - (0.0 if x < 0.0 else lx if x > lx else x),
                                y - (0.0 if y < 0.0 else ly if y > ly else y),
                                z - (0.0 if z < 0.0 else lz if z > lz else z)))
-    out_of_bounds = _sum(distances)
+    out_of_bounds = pairwise_sum(distances)
     total_length = geometry.total_length
     excess = max(0.0, total_length - max_length)
     feasible = out_of_bounds == 0.0 and total_length < max_length

@@ -204,6 +204,7 @@ def _distance_to_polyline(inv: GridInvariants,
     return best
 
 
+@np.errstate(under="ignore")   # as by default, whatever the caller set
 def drainable_oil_barrels(producer: WellGeometry, grid: ReservoirGrid,
                           params: ProxyParams) -> float:
     """phi * S_o volume in the producer's decaying drainage neighborhood."""
@@ -217,7 +218,9 @@ def drainable_oil_barrels(producer: WellGeometry, grid: ReservoirGrid,
 
 
 def _midpoint(well: WellGeometry) -> np.ndarray:
-    return 0.5 * (well.heel + well.toe)
+    """0.5 * (heel + toe) on Python floats, whose underflow is silent."""
+    (hx, hy, hz), (tx, ty, tz) = well.heel.tolist(), well.toe.tolist()
+    return np.array([0.5 * (hx + tx), 0.5 * (hy + ty), 0.5 * (hz + tz)])
 
 
 def _distance(a: np.ndarray, b: np.ndarray) -> float:

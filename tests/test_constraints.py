@@ -592,7 +592,41 @@ def penalty_cases(draw):
     return x, placed, gammas, xis
 
 
+@st.composite
+def penalty_triples(draw):
+    """Criterion 3's triples, drawn by hypothesis: constraints on 2..8
+    coordinates, a diagonal covariance with gammas, and a genome with its
+    raw objective."""
+    n = draw(st.integers(2, 8))
+    constraints = []
+    for _ in range(draw(st.integers(1, 4))):
+        indices = draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                max_size=n, unique=True))
+        lower = draw(st.floats(-2.0, 0.0))
+        constraints.append(SumConstraint(tuple(indices), lower,
+                                         lower + draw(st.floats(0.5, 2.0))))
+    C = np.diag([draw(st.floats(0.1, 10.0)) for _ in range(n)])
+    gammas = np.array([draw(st.floats(0.0, 50.0)) for _ in constraints])
+    x = np.array([draw(st.floats(-4.0, 4.0)) for _ in range(n)])
+    return constraints, C, gammas, x, draw(st.floats(-1e3, 1e3))
+
+
 class TestPenalize:
+    @settings(max_examples=500, deadline=None)
+    @given(triple=penalty_triples())
+    def test_penalty_identities(self, triple):
+        """A candidate feasible for every constraint ranks by its raw
+        objective, bit for bit; any other by eq. 8, to 1e-12 relative."""
+        constraints, C, gammas, x, raw = triple
+        got = penalize(constraints, gammas,
+                       xi_factors(make_dist(len(x), covariance=C),
+                                  constraints), x, raw)
+        if all(constraint_violation(x, c)[2] == 0.0 for c in constraints):
+            assert bits([got]) == bits([raw])
+        else:
+            expected = eq8_oracle(x, raw, gammas, constraints, C)
+            assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
+
     def test_feasible_returns_raw_exactly(self):
         c = SumConstraint(indices=(0, 1), lower=-1.0, upper=1.0)
         state = PenaltyState(n_constraints=1, dim=2, lam=4)

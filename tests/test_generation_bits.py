@@ -22,7 +22,7 @@ from wellopt.cma import (CONDITION_CAP, EIGENVALUE_FLOOR, STAGNATION_RTOL,
                          update_strategy_state)
 from wellopt.constraints import (PenaltyState, SumConstraint,
                                  increase_trigger_threshold, maybe_set_gammas,
-                                 mean_1d, xi_factors)
+                                 row_means, xi_factors)
 
 
 def numpy_floored_eigh(C):
@@ -193,8 +193,7 @@ def test_generation_keeps_the_bits_of_the_numpy_forms(generation):
                 == numpy_check_termination(dist, numpy_params, history,
                                            stationary))
 
-    for row in sums:
-        assert bits(mean_1d(row)) == bits(np.mean(row))
+    assert bits(row_means(sums)) == bits([np.mean(row) for row in sums])
 
     # The penalty path reads C after the update's eigenvalue floor, so
     # every diagonal entry is positive.

@@ -1128,6 +1128,38 @@ class TestWellPlacementProblem:
         assert "production" not in detail
         assert problem.simulation_failures == 0
 
+    def test_subnormal_step_is_no_simulation_failure(self, monkeypatch):
+        """Under np.errstate(all="raise") a producer whose step ends at a
+        subnormal coordinate is scored, not counted as a simulation
+        failure: the drainage and the well midpoints underflow silently,
+        with the bits of numpy's default. (A subnormal genome coordinate
+        cannot give this step: np.sin in decoding underflows first.)"""
+        import wellopt.wells.problem as problem_module
+
+        tiny = straight_well([100.0, 0.0, 50.0], [900.0, 1e-310, 50.0])
+        params = ProxyParams()
+        with np.errstate(all="raise"):
+            drained = drainable_oil_barrels(tiny, BUNDLED, params)
+        assert bits(drained) == bits(drainable_oil_barrels(tiny, BUNDLED,
+                                                           params))
+
+        decode = problem_module.decode_well
+
+        def producer_as_tiny(genome_slice, n_deviations, n_branches):
+            if genome_slice.tobytes() == GOOD_GENOME[6:].tobytes():
+                return tiny
+            return decode(genome_slice, n_deviations, n_branches)
+
+        monkeypatch.setattr(problem_module, "decode_well", producer_as_tiny)
+        scored = WellPlacementProblem(load_bundled_grid())
+        expected = scored.raw_objective(GOOD_GENOME)
+        raised = WellPlacementProblem(load_bundled_grid())
+        with np.errstate(all="raise"):
+            value = raised.raw_objective(GOOD_GENOME)
+        assert raised.simulation_failures == 0
+        assert bits(value) == bits(expected)
+        assert value < 0.0   # a producing pattern, not the sentinel
+
     def test_npv_sign_convention(self, problem):
         detail = problem.evaluate_detail(GOOD_GENOME)
         assert detail["npv"] == -problem.raw_objective(GOOD_GENOME)
