@@ -8,12 +8,10 @@ import numpy as np
 from .floats import sum_of_squares
 
 
-def sphere(x: np.ndarray, center: float | np.ndarray = 0.0) -> float:
-    """Sum of squared deviations from `center`; global minimum 0."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(center, (int, float)):
-        return sum_of_squares(x.tolist(), float(center))
-    return sum_of_squares((x - center).tolist())   # one centre per coordinate
+def sphere(x: np.ndarray, center: float) -> float:
+    """Sum of squared deviations from `center` in every coordinate;
+    global minimum 0."""
+    return sum_of_squares(np.asarray(x, dtype=float).tolist(), center)
 
 
 def rosenbrock(x: np.ndarray) -> float:

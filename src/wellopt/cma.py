@@ -72,8 +72,8 @@ class StrategyParams:
             raise ValueError("weights must be non-increasing")
 
 
-def default_strategy_params(dim: int, lam: int | None = None,
-                            max_generations: int = 100) -> StrategyParams:
+def default_strategy_params(dim: int, lam: int,
+                            max_generations: int) -> StrategyParams:
     """Standard CMA-ES constants for an n-dimensional problem.
 
     Weights are log-linear over the mu = floor(lambda/2) best,
@@ -82,8 +82,6 @@ def default_strategy_params(dim: int, lam: int | None = None,
     n = int(dim)
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    if lam is None:
-        lam = 4 + int(3 * np.log(n))
     mu = lam // 2
     raw = np.log(mu + 1) - np.log(np.arange(1, mu + 1))
     weights = raw / raw.sum()
@@ -255,7 +253,7 @@ def update_strategy_state(dist: SearchDistribution, params: StrategyParams,
 
 def check_termination(dist: SearchDistribution, params: StrategyParams,
                       best_history: list[float],
-                      objective_stationary: bool = True) -> str:
+                      objective_stationary: bool) -> str:
     """Why to stop ("max_generations", "non-finite", "ill-conditioned" or
     "stagnation"), or "" to go on.
 

@@ -28,7 +28,7 @@ def pairwise_sum(values: list[float]) -> float:
     return total
 
 
-def sum_of_squares(values: list[float], centre: float = 0.0) -> float:
+def sum_of_squares(values: list[float], centre: float) -> float:
     """float(np.sum((np.array(values) - centre) ** 2)), bit for bit: squares
     d * d, fewer than 8 added as they are made, in `pairwise_sum`'s order."""
     if len(values) < 8:

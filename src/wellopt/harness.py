@@ -67,13 +67,13 @@ class Evaluator:
     def __call__(self, genome: np.ndarray) -> float:
         genome = np.asarray(genome, dtype=float)
         key = genome.tobytes()
-        value = self.archive.lookup(genome, key)
+        value = self.archive.lookup(key)
         if value is None:
             value = float(self._fn(genome))
             self.count += 1
             if not math.isfinite(value):
                 self.nonfinite += 1
-            self.archive.add(genome, value, key)
+            self.archive.add(key, value)
         return value
 
 
@@ -226,9 +226,8 @@ def run_cma(problem: BuiltProblem, config: RunConfig, seed: int,
                          lam=params.lam)
     archive = TrainingArchive(dim)
     evaluator = Evaluator(problem.raw_objective, archive)
+    # a configured surrogate was checked against the dimension at load
     settings = config.surrogate or default_surrogate_settings(dim)
-    if use_surrogate:
-        settings.validate(dim)
 
     rows: list[RunRow] = []
     best_history: list[float] = []
@@ -351,10 +350,19 @@ def run_single(config: RunConfig, seed: int,
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         record.write_csv(os.path.join(out_dir, f"run_{seed}.csv"))
-        if config.optimizer == "cma+surrogate" and record.archive is not None:
-            record.archive.save_csv(os.path.join(out_dir,
-                                                 f"archive_{seed}.csv"))
+        if config.optimizer == "cma+surrogate":
+            _atomic_write(os.path.join(out_dir, f"archive_{seed}.csv"),
+                          _archive_csv(record.archive))
     return record
+
+
+def _archive_csv(archive: TrainingArchive) -> str:
+    """One LF-terminated row per regression entry: genome, objective."""
+    genomes, values = archive.as_arrays()
+    lines = [",".join([f"x{i}" for i in range(archive.dim)] + ["objective"])]
+    lines.extend(",".join(map(fmt, [*genome, value]))
+                 for genome, value in zip(genomes.tolist(), values.tolist()))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

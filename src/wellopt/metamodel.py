@@ -61,15 +61,15 @@ def kernel(zeta: float | np.ndarray) -> float | np.ndarray:
 
 
 class TrainingArchive:
-    """Append-only store of (genome, true objective) pairs.
+    """Append-only store of (genome, true objective) pairs, each genome
+    kept as its key: the bytes of its float64 array (`tobytes()`).
 
     The archive is also the memo of true evaluations: `lookup` answers
-    for every genome ever added, finite or not. Only finite pairs become
+    for every key ever added, finite or not. Only finite pairs become
     regression data (`len`, `as_arrays`), and exact-duplicate genomes are
     skipped, so the regression data stay clean. The store is unbounded.
     `select_neighbors` scans it; the ranking step does so once per
     candidate and generation and then follows growth through `newest`.
-    A regression genome is kept as its memo key, the float bytes.
     """
 
     def __init__(self, dim: int):
@@ -82,13 +82,9 @@ class TrainingArchive:
     def __len__(self) -> int:
         return len(self._keys)
 
-    def add(self, genome: np.ndarray, value: float,
-            key: bytes | None = None) -> bool:
+    def add(self, key: bytes, value: float) -> bool:
         """Record one evaluation; returns True when it became regression
-        data (False for duplicates and non-finite values). `key` is the
-        float array `genome`'s `tobytes()` when the caller has it."""
-        if key is None:
-            key = np.asarray(genome, dtype=float).tobytes()
+        data (False for duplicates and non-finite values)."""
         if key in self._index:
             return False
         value = float(value)
@@ -104,12 +100,9 @@ class TrainingArchive:
         """The regression entry added last (the highest index)."""
         return np.frombuffer(self._keys[-1]), self._values[-1]
 
-    def lookup(self, genome: np.ndarray,
-               key: bytes | None = None) -> float | None:
-        """The recorded value of `genome`, or None if it was never added.
-        `key` is `genome.tobytes()` when the caller already has it."""
-        if key is None:
-            key = np.asarray(genome, dtype=float).tobytes()
+    def lookup(self, key: bytes) -> float | None:
+        """The recorded value of a genome's key, or None if it was never
+        added."""
         return self._index.get(key)
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -117,14 +110,6 @@ class TrainingArchive:
             self._matrix = np.frombuffer(b"".join(self._keys)).reshape(
                 len(self._keys), self.dim)
         return self._matrix, np.asarray(self._values, dtype=float)
-
-    def save_csv(self, path):
-        """Write one LF-terminated row per entry, atomically."""
-        from .harness import _atomic_write, fmt   # harness imports this module
-        lines = [",".join([f"x{i}" for i in range(self.dim)] + ["objective"])]
-        lines.extend(",".join(map(fmt, [*np.frombuffer(key), value]))
-                     for key, value in zip(self._keys, self._values))
-        _atomic_write(path, "\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)
@@ -319,8 +304,7 @@ def approximate_ranking_step(genomes: np.ndarray,
                              dist: SearchDistribution,
                              params: StrategyParams,
                              settings: SurrogateSettings,
-                             true_eval,
-                             amounts: list[float] | None = None
+                             true_eval, amounts: list[float]
                              ) -> tuple[list[int], int, list[float],
                                         list[float], list[bool]]:
     """Rank one generation, spending true evaluations only until stable.
@@ -343,8 +327,7 @@ def approximate_ranking_step(genomes: np.ndarray,
     step reads the new entry from the archive. `amounts[i]` is candidate
     i's penalty amount, computed once per generation by the caller; each
     prediction and true evaluation is ranked by `penalized(raw[i],
-    amounts[i])`. Without amounts every candidate is ranked by its raw
-    objective.
+    amounts[i])`.
 
     Returns (ranking, n_ic, raw, values, evaluated): per candidate, its
     raw objective (true or predicted), its ranking value, and whether it
@@ -353,8 +336,6 @@ def approximate_ranking_step(genomes: np.ndarray,
     evaluation.
     """
     lam = len(genomes)
-    if amounts is None:
-        amounts = [0.0] * lam
     if len(archive) < settings.min_archive_size:
         raise ValueError("archive below min_archive_size; evaluate truly")
     metric = MahalanobisMetric(dist.covariance)

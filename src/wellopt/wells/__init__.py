@@ -2,8 +2,8 @@
 
 from .economics import (FEET_PER_METER, EconomicParams, ProductionProfile,
                         drilling_cost, npv)
-from .geometry import (Branch, GeometryVerdict, WellGeometry, check_geometry,
-                       decode_well, genome_dimension)
+from .geometry import (Branch, WellGeometry, check_geometry, decode_well,
+                       genome_dimension)
 from .grid import ReservoirGrid, generate_synthetic_grid
 from .problem import WellLayout, WellPlacementProblem
 from .proxy import (INJECTOR, PRODUCER, ProxyParams, drainable_oil_barrels,
@@ -11,7 +11,7 @@ from .proxy import (INJECTOR, PRODUCER, ProxyParams, drainable_oil_barrels,
 
 __all__ = [
     "FEET_PER_METER", "EconomicParams", "ProductionProfile", "drilling_cost",
-    "npv", "Branch", "GeometryVerdict", "WellGeometry", "check_geometry",
+    "npv", "Branch", "WellGeometry", "check_geometry",
     "decode_well", "genome_dimension", "ReservoirGrid",
     "generate_synthetic_grid", "WellLayout", "WellPlacementProblem",
     "INJECTOR", "PRODUCER", "ProxyParams", "drainable_oil_barrels",

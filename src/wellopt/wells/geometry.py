@@ -1,4 +1,4 @@
-"""Multilateral well geometry: genome encoding, decoding, feasibility.
+"""Multilateral well geometry: genome encoding, decoding, grid check.
 
 A well genome starts with the heel's Cartesian coordinates, followed by
 one spherical step (r, theta, phi) per mainbore deviation, followed by
@@ -19,11 +19,11 @@ import numpy as np
 from ..floats import pairwise_sum
 
 
-def genome_dimension(n_deviations: int, n_branches: int, n_wells: int = 1) -> int:
-    """Coordinates needed for n_wells wells of identical layout."""
-    if min(n_deviations, n_branches, n_wells) < 0:
+def genome_dimension(n_deviations: int, n_branches: int) -> int:
+    """Coordinates of one well's genome block."""
+    if min(n_deviations, n_branches) < 0:
         raise ValueError("counts must be non-negative")
-    return n_wells * (3 * (1 + n_deviations) + 4 * n_branches)
+    return 3 * (1 + n_deviations) + 4 * n_branches
 
 
 def _norm(dx: float, dy: float, dz: float) -> float:
@@ -133,21 +133,9 @@ def decode_well(genome_slice: np.ndarray, n_deviations: int,
     return WellGeometry(mainbore=np.array(points), branches=branches)
 
 
-@dataclass
-class GeometryVerdict:
-    feasible: bool
-    length_excess: float
-    out_of_bounds_distance: float
-
-
-def check_geometry(geometry: WellGeometry, extent: Sequence[float],
-                   max_length: float) -> GeometryVerdict:
-    """Feasibility of one well against the grid box and length cap.
-
-    A well is inside the reservoir when all its defining points are; the
-    out-of-bounds measure is the summed Euclidean distance of offending
-    points to the box [0, extent]. Length excess is max(0, total - L_max).
-    """
+def check_geometry(geometry: WellGeometry, extent: Sequence[float]) -> float:
+    """How far one well lies outside the grid box [0, extent]: the summed
+    Euclidean distance of its defining points to the box, 0.0 inside."""
     lx, ly, lz = map(float, extent)
     # heel, deviation points, toe and branch ends, as floats
     points = (geometry.mainbore.tolist()
@@ -159,9 +147,4 @@ def check_geometry(geometry: WellGeometry, extent: Sequence[float],
         distances.append(_norm(x - (0.0 if x < 0.0 else lx if x > lx else x),
                                y - (0.0 if y < 0.0 else ly if y > ly else y),
                                z - (0.0 if z < 0.0 else lz if z > lz else z)))
-    out_of_bounds = pairwise_sum(distances)
-    total_length = geometry.total_length
-    excess = max(0.0, total_length - max_length)
-    feasible = out_of_bounds == 0.0 and total_length < max_length
-    return GeometryVerdict(feasible=feasible, length_excess=excess,
-                           out_of_bounds_distance=out_of_bounds)
+    return pairwise_sum(distances)

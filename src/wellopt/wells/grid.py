@@ -149,18 +149,17 @@ class ReservoirGrid:
             return cls.from_json_dict(json.load(fh))
 
 
-def generate_synthetic_grid(seed: int, dims: tuple[int, int, int] = DEFAULT_DIMS,
-                            cell_size: tuple[float, float, float] = DEFAULT_CELL_SIZE
-                            ) -> ReservoirGrid:
-    """Deterministic field model with two rich lobes and a gentle dome.
+def generate_synthetic_grid(seed: int) -> ReservoirGrid:
+    """Deterministic DEFAULT_DIMS field model with two rich lobes and a
+    gentle dome.
 
     Porosity and oil saturation are smooth backgrounds plus two Gaussian
     lobes at fixed fractional positions; the permeability proxy tracks
     porosity exponentially with mild seeded noise.
     """
     rng = np.random.default_rng(seed)
+    dims = DEFAULT_DIMS
     nx, ny, nz = dims
-    dx, dy, dz = cell_size
     xs = (np.arange(nx) + 0.5) / nx
     ys = (np.arange(ny) + 0.5) / ny
     zs = (np.arange(nz) + 0.5) / nz
@@ -185,7 +184,7 @@ def generate_synthetic_grid(seed: int, dims: tuple[int, int, int] = DEFAULT_DIMS
     cx, cy = np.meshgrid(xs, ys, indexing="ij")
     top_elevation = (2300.0 + 60.0 * ((cx - 0.5) ** 2 + (cy - 0.5) ** 2)
                      - 15.0 * np.cos(2 * np.pi * cx))
-    return ReservoirGrid(dims=dims, cell_size=cell_size, porosity=porosity,
-                         oil_saturation=oil_saturation,
+    return ReservoirGrid(dims=dims, cell_size=DEFAULT_CELL_SIZE,
+                         porosity=porosity, oil_saturation=oil_saturation,
                          permeability=permeability,
                          top_elevation=top_elevation)

@@ -10,10 +10,10 @@ a large additive penalty sloped by the out-of-bounds distance.
 
 The proxy is separable per well, so each layout well has a memo: two
 `functools.lru_cache` functions of its genome block's bytes, pure given
-the problem's fixed grid, economics and proxy parameters. `decoded`
-gives the geometry (read-only arrays) and its `check_geometry` verdict;
-`terms` gives the well's `proxy.well_terms`, asked for only once the
-whole genome is in the grid. `lru_cache` never stores a call that
+the problem's fixed grid and proxy parameters. `decoded` gives the
+geometry (read-only arrays) and its `check_geometry` out-of-bounds
+distance; `terms` gives the well's `proxy.well_terms`, asked for only
+once the whole genome is in the grid. `lru_cache` never stores a call that
 raised, so a block whose terms fail fails, and is counted, on every
 evaluation. Drilling cost and well spacing are recomputed each time, so
 every sum keeps its order and its bits. A GA child changes one
@@ -66,8 +66,7 @@ class WellLayout:
 DEFAULT_LAYOUT = (WellLayout(INJECTOR, 1, 0), WellLayout(PRODUCER, 1, 0))
 
 
-def _well_memo(well: WellLayout, grid: ReservoirGrid, econ: EconomicParams,
-               proxy: ProxyParams):
+def _well_memo(well: WellLayout, grid: ReservoirGrid, proxy: ProxyParams):
     """`decoded(key)` and `terms(key)` of one layout well's block bytes."""
 
     @functools.lru_cache(WELL_MEMO_SIZE)
@@ -78,8 +77,7 @@ def _well_memo(well: WellLayout, grid: ReservoirGrid, econ: EconomicParams,
         for branch in geometry.branches:
             branch.start.setflags(write=False)
             branch.end.setflags(write=False)
-        return geometry, check_geometry(geometry, grid.invariants.extent,
-                                        econ.max_well_length_m)
+        return geometry, check_geometry(geometry, grid.invariants.extent)
 
     @functools.lru_cache(WELL_MEMO_SIZE)
     def terms(key: bytes):
@@ -95,8 +93,8 @@ class WellPlacementProblem:
     keep heels inside the grid, bore lengths within (min_step_m,
     max_well_length_m), bores near-horizontal (polar angle within
     tilt_range of pi/2, matching a thin reservoir), and azimuths in
-    (-pi, pi). The grid, economics and proxy parameters stay fixed for
-    the problem's life: its per-well memo holds values derived from them.
+    (-pi, pi). The grid and proxy parameters stay fixed for the
+    problem's life: its per-well memo holds values derived from them.
     """
 
     def __init__(self, grid: ReservoirGrid,
@@ -121,7 +119,7 @@ class WellPlacementProblem:
         offset = 0
         for well in self.layout:
             self._memo.append((offset, offset + well.dim, *_well_memo(
-                well, self.grid, self.econ, self.proxy)))
+                well, self.grid, self.proxy)))
             offset += well.dim
         self.dim = offset
 
@@ -179,9 +177,9 @@ class WellPlacementProblem:
         return self._score(genome)[0]
 
     def _score(self, genome: np.ndarray):
-        """(objective, each well's (geometry, verdict), terms, profile,
-        drilling cost); the last three are None unless the proxy ran
-        successfully."""
+        """(objective, each well's (geometry, out-of-bounds distance),
+        terms, profile, drilling cost); the last three are None unless the
+        proxy ran successfully."""
         genome = np.asarray(genome, dtype=float)
         if genome.shape != (self.dim,):
             raise ValueError(f"genome must have length {self.dim}")
@@ -189,8 +187,7 @@ class WellPlacementProblem:
                 for start, stop, _, _ in self._memo]
         wells = [decoded(key) for key, (_, _, decoded, _)
                  in zip(keys, self._memo)]
-        out_of_bounds = sum(verdict.out_of_bounds_distance
-                            for _, verdict in wells)
+        out_of_bounds = sum(distance for _, distance in wells)
         if not out_of_bounds == 0.0:   # a NaN distance is out too
             return (GEOMETRY_PENALTY_BASE
                     + GEOMETRY_PENALTY_SLOPE * out_of_bounds,
@@ -201,7 +198,7 @@ class WellPlacementProblem:
                      in zip(keys, self._memo)]
             profile = simulate([(g, w.role) for g, w
                                 in zip(geometries, self.layout)],
-                               self.grid, self.econ, self.proxy, terms)
+                               self.econ, self.proxy, terms)
             cost = drilling_cost(geometries, self.econ)
             objective = -npv(profile, self.econ, cost)
         except (ValueError, FloatingPointError, ZeroDivisionError):
@@ -218,23 +215,22 @@ class WellPlacementProblem:
         if terms is None:   # a well out of the grid, or a failed run
             terms = [(productivity_index(g, self.grid), None)
                      for g, _ in wells]
-        detail = {
-            "wells": [
-                {
-                    "role": well.role,
-                    "heel": geometry.heel.tolist(),
-                    "toe": geometry.toe.tolist(),
-                    "total_length_m": geometry.total_length,
-                    "productivity_index": pi,
-                    "feasible": verdict.feasible,
-                    "length_excess_m": verdict.length_excess,
-                    "out_of_bounds_m": verdict.out_of_bounds_distance,
-                }
-                for (geometry, verdict), (pi, _), well
-                in zip(wells, terms, self.layout)
-            ],
-            "objective": objective,
-        }
+        max_length = self.econ.max_well_length_m
+        details = []
+        for (geometry, out_of_bounds), (pi, _), well in zip(
+                wells, terms, self.layout):
+            length = geometry.total_length
+            details.append({
+                "role": well.role,
+                "heel": geometry.heel.tolist(),
+                "toe": geometry.toe.tolist(),
+                "total_length_m": length,
+                "productivity_index": pi,
+                "feasible": out_of_bounds == 0.0 and length < max_length,
+                "length_excess_m": max(0.0, length - max_length),
+                "out_of_bounds_m": out_of_bounds,
+            })
+        detail = {"wells": details, "objective": objective}
         if profile is not None:
             detail["production"] = {
                 "oil_bbl": profile.oil.tolist(),

@@ -35,10 +35,9 @@ bit for bit the per-period numpy loop; tests/test_wells.py keeps the
 loop and numpy versions as the reference.
 
 Per-well terms: a well's PI and a producer's drainable oil depend on
-that well's geometry alone. `well_terms` computes them and
-`simulate(..., terms=...)` takes them back, in well order, and sums them
-as it would its own, so a caller may cache them per well with the same
-bits (`wells/problem.py` does).
+that well's geometry alone. `well_terms` computes them, a caller keeps
+them per well (`wells/problem.py` memoizes them per genome block), and
+`simulate` takes them, in well order, and sums them.
 """
 
 from __future__ import annotations
@@ -240,27 +239,21 @@ def well_terms(well: WellGeometry, role: str, grid: ReservoirGrid,
     return pi, drainable_oil_barrels(well, grid, params)
 
 
-def simulate(wells: list[tuple[WellGeometry, str]], grid: ReservoirGrid,
-             econ: EconomicParams, params: ProxyParams | None = None,
-             terms: list[tuple[float, float | None]] | None = None
+def simulate(wells: list[tuple[WellGeometry, str]], econ: EconomicParams,
+             params: ProxyParams, terms: list[tuple[float, float | None]]
              ) -> ProductionProfile:
     """Run the proxy for one producer/injector pattern.
 
     `wells` pairs each geometry with its role ("injector" or
-    "producer"). Multiple wells per role aggregate by summed PI, summed
+    "producer"), and `terms` holds each well's `well_terms`, in `wells`
+    order. Multiple wells per role aggregate by summed PI, summed
     drainable oil, and the minimum injector-producer midpoint distance.
-    `terms` holds each well's `well_terms`, in `wells` order, when the
-    caller has them already; they are computed otherwise.
     """
-    params = params or ProxyParams()
     producers = [w for w, role in wells if role == PRODUCER]
     injectors = [w for w, role in wells if role == INJECTOR]
     if not producers or not injectors:
         raise ValueError("need at least one producer and one injector")
 
-    if terms is None:
-        terms = [well_terms(w, role, grid, params) for w, role in wells]
-    # each sum runs in well order, whether the terms were kept or not
     pi_prod = sum(pi for (pi, _), (_, role) in zip(terms, wells)
                   if role == PRODUCER)
     pi_inj = sum(pi for (pi, _), (_, role) in zip(terms, wells)

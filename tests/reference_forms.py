@@ -17,6 +17,7 @@ import numpy as np
 from wellopt.cma import SearchDistribution, StrategyParams
 from wellopt.constraints import (MAX_RESAMPLES, PenaltyState, SumConstraint,
                                  is_feasible)
+from wellopt.harness import fmt
 from wellopt.metamodel import (LocalQuadraticModel, TrainingArchive,
                                _cross_indices)
 from wellopt.wells.geometry import WellGeometry
@@ -45,14 +46,24 @@ def initial_distribution(mean: np.ndarray,
 
 
 def load_archive_csv(path) -> TrainingArchive:
-    """Read back what `TrainingArchive.save_csv` wrote."""
+    """Read back an `archive_<seed>.csv` that a run wrote."""
     with open(path) as fh:
         rows = [line.split(",") for line in fh.read().splitlines()]
     dim = len(rows[0]) - 1
     archive = TrainingArchive(dim)
     for row in rows[1:]:
-        archive.add(np.array([float(v) for v in row[:dim]]), float(row[dim]))
+        archive.add(np.array([float(v) for v in row[:dim]]).tobytes(),
+                    float(row[dim]))
     return archive
+
+
+def archive_csv(archive: TrainingArchive) -> str:
+    """The text `TrainingArchive.save_csv` wrote: one LF-terminated row per
+    regression entry, read from the archive's stored keys and values."""
+    lines = [",".join([f"x{i}" for i in range(archive.dim)] + ["objective"])]
+    lines.extend(",".join(map(fmt, [*np.frombuffer(key), value]))
+                 for key, value in zip(archive._keys, archive._values))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +142,7 @@ class Evaluator:
     def __call__(self, genome: np.ndarray) -> float:
         genome = np.asarray(genome, dtype=float)
         key = genome.tobytes()
-        value = self.archive.lookup(genome, key)
+        value = self.archive.lookup(key)
         if value is None:
             value = float(self._fn(genome))
             self.count += 1

@@ -188,7 +188,7 @@ class TestCriterion4MetamodelExactness:
             fn = lambda z: float(beta @ quadratic_basis(z))
             archive = TrainingArchive(n)
             for point in rng.uniform(-2, 2, (basis_size(n) + 5, n)):
-                archive.add(point, fn(point))
+                archive.add(point.tobytes(), fn(point))
             q = rng.uniform(-1, 1, n)
             neighbors = select_neighbors(archive, q,
                                          MahalanobisMetric(np.eye(n)),
@@ -217,17 +217,18 @@ class TestCriterion5ApproximateRanking:
         settings = default_surrogate_settings(n)
         archive = TrainingArchive(n)
         for point in rng.uniform(-3, 3, (settings.min_archive_size + 3, n)):
-            archive.add(point, fn(point))
+            archive.add(point.tobytes(), fn(point))
         genomes = np.array([rng.uniform(-1, 1, n) for _ in range(lam)])
-        params = default_strategy_params(n, lam)
+        params = default_strategy_params(n, lam, 100)
 
         def true_eval(genome):
             value = fn(genome)
-            archive.add(genome, value)
+            archive.add(genome.tobytes(), value)
             return value
 
         order, n_ic, _, _, evaluated = approximate_ranking_step(
-            genomes, archive, make_dist(n), params, settings, true_eval)
+            genomes, archive, make_dist(n), params, settings, true_eval,
+            [0.0] * lam)
         n_true = sum(evaluated)
         truth = sorted(range(lam), key=lambda i: (fn(genomes[i]), i))
         hand_traced = 2   # initial best + the one confirming cycle
@@ -245,17 +246,18 @@ class TestCriterion5ApproximateRanking:
         settings = default_surrogate_settings(n)
         archive = TrainingArchive(n)
         for point in rng.uniform(-3, 3, (settings.min_archive_size + 3, n)):
-            archive.add(point, -fn(point))   # adversarial: negated values
+            archive.add(point.tobytes(), -fn(point))   # adversarial: negated
         genomes = np.array([rng.uniform(-1, 1, n) for _ in range(lam)])
-        params = default_strategy_params(n, lam)
+        params = default_strategy_params(n, lam, 100)
 
         def true_eval(genome):
             value = fn(genome)
-            archive.add(genome, value)
+            archive.add(genome.tobytes(), value)
             return value
 
         _, n_ic, _, _, evaluated = approximate_ranking_step(
-            genomes, archive, make_dist(n), params, settings, true_eval)
+            genomes, archive, make_dist(n), params, settings, true_eval,
+            [0.0] * lam)
         n_true = sum(evaluated)
         passed = n_true <= lam and n_true == 1 + n_ic
         report("criterion 5b (adversarial bound)", passed,
@@ -356,7 +358,7 @@ class TestCriterion7CmaVersusGa:
 
 class TestCriterion8Economics:
     def test_dimension_formula(self):
-        value = genome_dimension(1, 0, n_wells=2)
+        value = 2 * genome_dimension(1, 0)
         passed = value == 12
         report("criterion 8a (dimension formula)", passed,
                f"two unilateral wells -> {value} (expected 6 x 2 = 12)")

@@ -47,7 +47,7 @@ def draw_and_update(dist, params):
 class TestStrategyParams:
     def test_defaults_satisfy_invariants(self):
         for n, lam in [(2, 4), (5, 8), (10, 10), (12, 40)]:
-            p = default_strategy_params(n, lam)
+            p = default_strategy_params(n, lam, 100)
             assert p.mu == lam // 2
             assert np.isclose(p.weights.sum(), 1.0)
             assert np.all(p.weights > 0)
@@ -93,7 +93,7 @@ class TestSampling:
 
     def test_singular_covariance_repaired_not_fatal(self):
         dist = singular_distribution()
-        params = default_strategy_params(2, 4)
+        params = default_strategy_params(2, 4, 100)
         genomes = draw_genomes(dist, params, np.random.default_rng(0))
         assert len(genomes) == 4
         assert dist.repairs == 1
@@ -103,8 +103,8 @@ class TestSampling:
         # The singular C is floored once although termination, sampling
         # and the update all read it; the updated C is floored again.
         dist = singular_distribution()
-        params = default_strategy_params(2, 4)
-        check_termination(dist, params, [])
+        params = default_strategy_params(2, 4, 100)
+        check_termination(dist, params, [], True)
         updated = draw_and_update(dist, params)
         assert dist.repairs == 1
         assert updated.repairs == 2
@@ -113,11 +113,11 @@ class TestSampling:
                                        "check_termination"])
     def test_repair_count_does_not_depend_on_the_first_reader(self, first):
         dist = singular_distribution()
-        params = default_strategy_params(2, 4)
+        params = default_strategy_params(2, 4, 100)
         readers = {"eigensystem": dist.eigensystem,
                    "sampling_transform": lambda: sampling_transform(dist),
                    "check_termination":
-                       lambda: check_termination(dist, params, [])}
+                       lambda: check_termination(dist, params, [], True)}
         readers[first]()
         assert dist.repairs == 1
         for read in readers.values():
@@ -188,7 +188,7 @@ class TestMeanUpdate:
         return initial_distribution(np.zeros(n), 1.0)
 
     def test_mu_one_returns_best(self):
-        params = default_strategy_params(2, 2)
+        params = default_strategy_params(2, 2, 100)
         assert params.mu == 1
         genomes = np.array([[5.0, 5.0], [1.0, 2.0]])
         order = rank_population([2.0, 1.0])
@@ -196,7 +196,7 @@ class TestMeanUpdate:
         assert np.array_equal(mean, np.array([1.0, 2.0]))
 
     def test_equal_weights_midpoint(self):
-        params = default_strategy_params(2, 4)
+        params = default_strategy_params(2, 4, 100)
         params = StrategyParams(lam=4, mu=2, weights=np.array([0.5, 0.5]),
                                 mu_eff=2.0, c_sigma=params.c_sigma,
                                 d_sigma=params.d_sigma, c_c=params.c_c,
@@ -209,7 +209,7 @@ class TestMeanUpdate:
 
     def test_matches_dot_product_oracle(self):
         rng = np.random.default_rng(5)
-        params = default_strategy_params(4, 12)
+        params = default_strategy_params(4, 12, 100)
         pairs = [(rng.standard_normal(4), float(rng.standard_normal()))
                  for _ in range(12)]
         genomes = np.array([genome for genome, _ in pairs])
@@ -222,7 +222,7 @@ class TestMeanUpdate:
 
     def test_mean_in_convex_hull_of_parents(self):
         rng = np.random.default_rng(9)
-        params = default_strategy_params(3, 10)
+        params = default_strategy_params(3, 10, 100)
         pairs = [(rng.standard_normal(3), float(rng.standard_normal()))
                  for _ in range(10)]
         genomes = np.array([genome for genome, _ in pairs])
@@ -262,7 +262,7 @@ class TestStrategyUpdate:
 
     def test_determinism_bit_identical(self):
         n, lam = 4, 6
-        params = default_strategy_params(n, lam)
+        params = default_strategy_params(n, lam, 100)
         results = []
         for _ in range(2):
             rng = np.random.default_rng(42)
@@ -301,7 +301,7 @@ class TestStrategyUpdate:
                                                             seed, data):
         """C stays symmetric positive definite whatever order the update
         is told, here random permutations of the population."""
-        params = default_strategy_params(n, lam)
+        params = default_strategy_params(n, lam, 100)
         rng = np.random.default_rng(seed)
         dist = initial_distribution(rng.uniform(-5, 5, n),
                                     data.draw(st.floats(1e-3, 10.0)))
@@ -320,7 +320,7 @@ class TestStrategyUpdate:
             assert dist.step_size > 0.0
 
     def test_generation_increments(self):
-        params = default_strategy_params(2, 4)
+        params = default_strategy_params(2, 4, 100)
         rng = np.random.default_rng(0)
         dist = initial_distribution(np.zeros(2), 1.0)
         dist, _ = evolve_once(dist, params, rng, lambda x: float(x @ x))
@@ -380,7 +380,7 @@ def per_row_update_strategy_state(dist, params, rows, order, old_mean):
 @given(n=st.integers(1, 12), lam=st.integers(2, 40),
        seed=st.integers(0, 2 ** 32 - 1), data=st.data())
 def test_block_updates_have_the_bits_of_the_per_row_forms(n, lam, seed, data):
-    params = default_strategy_params(n, lam)
+    params = default_strategy_params(n, lam, 100)
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, n))
     dist = SearchDistribution(mean=rng.uniform(-5, 5, n),
@@ -416,17 +416,19 @@ class TestTermination:
 
     def test_generation_cap(self):
         params = default_strategy_params(2, 4, max_generations=100)
-        reason = check_termination(self._dist(generation=100), params, [])
+        reason = check_termination(self._dist(generation=100), params, [],
+                                   True)
         assert reason == "max_generations"
 
     def test_fresh_run_continues(self):
         params = default_strategy_params(2, 4, max_generations=100)
-        assert check_termination(self._dist(), params, []) == ""
+        assert check_termination(self._dist(), params, [], True) == ""
 
     def test_ill_conditioned_covariance(self):
         params = default_strategy_params(2, 4, max_generations=100)
         C = np.diag([1.0, 2.0 * CONDITION_CAP])
-        reason = check_termination(self._dist(covariance=C), params, [1.0])
+        reason = check_termination(self._dist(covariance=C), params, [1.0],
+                                   True)
         assert reason == "ill-conditioned"
 
     def test_overflowing_step_size_stops_the_run(self):
@@ -448,7 +450,7 @@ class TestTermination:
             dist = update_strategy_state(dist, params, genomes, order,
                                          old_mean)
         assert dist.step_size == math.inf
-        assert check_termination(dist, params, [1.0]) == "non-finite"
+        assert check_termination(dist, params, [1.0], True) == "non-finite"
 
     # c_sigma = d_sigma = 0.5 and chi_n = 1 make the exponent
     # 0.5 * path - 1 exactly
@@ -487,13 +489,13 @@ class TestTermination:
         params = default_strategy_params(2, 4, max_generations=100)
         dist = self._dist()
         dist.mean = np.array(mean)
-        assert check_termination(dist, params, []) == "non-finite"
+        assert check_termination(dist, params, [], True) == "non-finite"
 
     def test_stagnation(self):
         params = default_strategy_params(2, 4, max_generations=1000)
         history = [5.0] * 40
         reason = check_termination(self._dist(generation=40), params,
-                                   history)
+                                   history, True)
         assert reason == "stagnation"
 
     def test_stagnation_suppressed_while_objective_moves(self):
@@ -507,4 +509,4 @@ class TestTermination:
         params = default_strategy_params(2, 4, max_generations=1000)
         history = list(np.linspace(10.0, 1.0, 60))
         assert check_termination(self._dist(generation=60), params,
-                                 history) == ""
+                                 history, True) == ""

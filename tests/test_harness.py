@@ -11,7 +11,7 @@ from wellopt.harness import (Evaluator, RunConfig, build_problem,
                              run_batch, run_cma, run_single)
 from wellopt.constraints import MAX_RESAMPLES, SumConstraint
 from wellopt.metamodel import SurrogateSettings, TrainingArchive
-from reference_forms import load_archive_csv
+from reference_forms import archive_csv, load_archive_csv
 
 
 def sphere_config(**overrides):
@@ -146,6 +146,8 @@ class TestConfig:
                                "upper": 1.0}]}, "constraint lower"),
             ({"constraints": [[0, 0.0, 1.0]]}, "constraint"),
             ({"constraints": 5}, "constraints"),
+            # a full quadratic in 2 dimensions needs 6 neighbours
+            ({"surrogate": {"k": 3, "min_archive_size": 10}}, "surrogate.k"),
         ])])
     def test_out_of_range_values_rejected_at_load(self, overrides, key,
                                                   copied):
@@ -160,6 +162,14 @@ class TestConfig:
             data.update(overrides)
             with pytest.raises(ValueError, match=key):
                 RunConfig.from_dict(data)
+
+    def test_surrogate_checked_against_a_copied_problem(self):
+        valid = RunConfig.from_dict({
+            "problem": {"kind": "sphere", "dimension": 2},
+            "surrogate": {"k": 10, "min_archive_size": 10}})
+        with pytest.raises(ValueError, match="surrogate.k=10 too small"):
+            dataclasses.replace(valid, problem={"kind": "sphere",
+                                                "dimension": 5})
 
     def test_json_form_sections_parse_on_construction(self):
         problem = {"kind": "sphere", "dimension": 2}
@@ -416,7 +426,7 @@ class TestRunSingle:
         config = sphere_config(optimizer="cma+surrogate", max_generations=30)
         record = run_single(config, 1, tmp_path)
         dumped = tmp_path / "archive_1.csv"
-        assert dumped.exists()
+        assert dumped.read_text() == archive_csv(record.archive)
         loaded = load_archive_csv(dumped)
         assert len(loaded) == record.final.true_evaluations
         assert len(record.archive) == record.final.true_evaluations

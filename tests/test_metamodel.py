@@ -18,7 +18,8 @@ from wellopt.metamodel import (LocalQuadraticModel, MahalanobisMetric,
                                approximate_ranking_step, basis_size,
                                default_surrogate_settings, fit_local_model,
                                kernel, ranking_continues, select_neighbors)
-from reference_forms import load_archive_csv, predict, quadratic_basis
+from reference_forms import (archive_csv, load_archive_csv, predict,
+                             quadratic_basis)
 
 
 def make_dist(n, covariance=None):
@@ -37,7 +38,12 @@ def euclidean(n):
 
 def fill_archive(archive, points, fn):
     for p in points:
-        archive.add(p, fn(p))
+        archive.add(key(p), fn(p))
+
+
+def key(genome) -> bytes:
+    """The archive key of a genome: its float64 bytes."""
+    return np.asarray(genome, dtype=float).tobytes()
 
 
 def random_quadratic(n, rng):
@@ -50,25 +56,25 @@ def random_quadratic(n, rng):
 class TestArchive:
     def test_duplicates_skipped(self):
         archive = TrainingArchive(2)
-        assert archive.add(np.array([1.0, 2.0]), 3.0)
-        assert not archive.add(np.array([1.0, 2.0]), 4.0)
+        assert archive.add(key(np.array([1.0, 2.0])), 3.0)
+        assert not archive.add(key(np.array([1.0, 2.0])), 4.0)
         assert len(archive) == 1
-        assert archive.lookup(np.array([1.0, 2.0])) == 3.0
+        assert archive.lookup(key(np.array([1.0, 2.0]))) == 3.0
 
     def test_nonfinite_rejected(self):
         archive = TrainingArchive(1)
-        assert not archive.add(np.array([0.0]), float("nan"))
-        assert not archive.add(np.array([0.0]), float("inf"))
+        assert not archive.add(key(np.array([0.0])), float("nan"))
+        assert not archive.add(key(np.array([0.0])), float("inf"))
         assert len(archive) == 0
 
     def test_nonfinite_values_are_remembered(self):
         # the archive is the evaluation memo: a non-finite value is looked
         # up like any other, but never becomes regression data
         archive = TrainingArchive(1)
-        archive.add(np.array([0.0]), float("nan"))
-        assert math.isnan(archive.lookup(np.array([0.0])))
-        assert not archive.add(np.array([0.0]), 1.0)
-        assert archive.lookup(np.array([1.0])) is None
+        archive.add(key(np.array([0.0])), float("nan"))
+        assert math.isnan(archive.lookup(key(np.array([0.0]))))
+        assert not archive.add(key(np.array([0.0])), 1.0)
+        assert archive.lookup(key(np.array([1.0]))) is None
         assert len(archive) == 0
         assert archive.as_arrays()[0].shape == (0, 1)
 
@@ -77,8 +83,11 @@ class TestArchive:
         rng = np.random.default_rng(0)
         fill_archive(archive, rng.standard_normal((10, 3)),
                      lambda p: float(p @ p))
+        archive.add(np.array([-0.0, 5e-324, 1e300]).tobytes(), -0.0)
+        archive.add(np.array([1.0, 2.0, 3.0]).tobytes(), math.nan)
         path = tmp_path / "archive.csv"
-        archive.save_csv(path)
+        harness._atomic_write(path, harness._archive_csv(archive))
+        assert path.read_text() == archive_csv(archive)
         assert b"\r" not in path.read_bytes()   # LF, like every other CSV
         loaded = load_archive_csv(path)
         assert len(loaded) == len(archive)
@@ -147,7 +156,7 @@ class TestSelectNeighbors:
 
     def test_small_archive_signals_unavailable(self):
         archive = TrainingArchive(1)
-        archive.add(np.array([0.0]), 1.0)
+        archive.add(key(np.array([0.0])), 1.0)
         with pytest.raises(SurrogateUnavailable):
             select_neighbors(archive, np.zeros(1), euclidean(1), 5)
 
@@ -376,7 +385,7 @@ def seeded_setup(lam, fn, n=1, archive_points=None, seed=20):
     archive = TrainingArchive(n)
     fill_archive(archive, archive_points, fn)
     genomes = np.array([rng.uniform(-1, 1, n) for _ in range(lam)])
-    params = default_strategy_params(n, lam)
+    params = default_strategy_params(n, lam, 100)
     return genomes, archive, params, settings
 
 
@@ -393,11 +402,12 @@ class TestApproximateRanking:
         def true_eval(genome):
             calls.append(genome.copy())
             value = fn(genome)
-            archive.add(genome, value)
+            archive.add(key(genome), value)
             return value
 
         order, n_ic, _, _, evaluated = approximate_ranking_step(
-            genomes, archive, make_dist(1), params, settings, true_eval)
+            genomes, archive, make_dist(1), params, settings, true_eval,
+            [0.0] * len(genomes))
         n_true = sum(evaluated)
         assert n_true == 2
         assert n_ic == 1
@@ -416,7 +426,7 @@ class TestApproximateRanking:
 
         def true_eval(genome):
             value = fn(genome)
-            archive.add(genome, value)
+            archive.add(key(genome), value)
             return value
 
         # a NaN penalty amount poisons the candidate's ranking value
@@ -439,11 +449,11 @@ class TestApproximateRanking:
         def true_eval(genome):
             calls.append(genome.copy())
             value = fn(genome)
-            archive.add(genome, value)
+            archive.add(key(genome), value)
             return value
 
         approximate_ranking_step(genomes, archive, make_dist(1), params,
-                                 settings, true_eval)
+                                 settings, true_eval, [0.0] * len(genomes))
         best = min(range(lam), key=lambda i: (fn(genomes[i]), i))
         assert np.array_equal(calls[0], genomes[best])
 
@@ -459,15 +469,16 @@ class TestApproximateRanking:
                      rng.uniform(-3, 3, (settings.min_archive_size + 3, 1)),
                      lambda z: -fn(z))
         genomes = np.array([rng.uniform(-1, 1, 1) for _ in range(lam)])
-        params = default_strategy_params(1, lam)
+        params = default_strategy_params(1, lam, 100)
 
         def true_eval(genome):
             value = fn(genome)
-            archive.add(genome, value)
+            archive.add(key(genome), value)
             return value
 
         order, n_ic, _, _, evaluated = approximate_ranking_step(
-            genomes, archive, make_dist(1), params, settings, true_eval)
+            genomes, archive, make_dist(1), params, settings, true_eval,
+            [0.0] * len(genomes))
         n_true = sum(evaluated)
         assert n_true <= lam
         assert n_true == 1 + n_ic
@@ -518,7 +529,7 @@ class TestApproximateRanking:
         archive = TrainingArchive(n)
         for p in rng.uniform(-1.5, 1.5, (settings.min_archive_size
                                          + int(rng.integers(0, 8)), n)):
-            archive.add(p, -float(p @ p) if lies else float(p @ p))
+            archive.add(key(p), -float(p @ p) if lies else float(p @ p))
         genomes = rng.uniform(-1.0, 1.0, (lam, n))
         for i in rng.integers(0, lam, data.draw(st.integers(0, lam // 2))):
             # a duplicate of another candidate or of an archive point
@@ -539,9 +550,10 @@ class TestApproximateRanking:
 
         with mock.patch.object(mm, "fit_local_model", failing_fit):
             order, _, _, _, evaluated = approximate_ranking_step(
-                genomes, archive, make_dist(n), default_strategy_params(n, lam),
-                settings, harness.Evaluator(fn, archive),
-                amounts if data.draw(st.booleans()) else None)
+                genomes, archive, make_dist(n),
+                default_strategy_params(n, lam, 100), settings,
+                harness.Evaluator(fn, archive),
+                amounts if data.draw(st.booleans()) else [0.0] * lam)
         assert evaluated[order[0]]
 
     def test_fallback_to_full_evaluation(self, monkeypatch):
@@ -562,11 +574,12 @@ class TestApproximateRanking:
         def true_eval(genome):
             evals.append(genome.copy())
             value = fn(genome)
-            archive.add(genome, value)
+            archive.add(key(genome), value)
             return value
 
         order, _, _, _, evaluated = approximate_ranking_step(
-            genomes, archive, make_dist(1), params, settings, true_eval)
+            genomes, archive, make_dist(1), params, settings, true_eval,
+            [0.0] * len(genomes))
         assert sum(evaluated) == lam
         assert all(evaluated)
         truth = sorted(range(lam), key=lambda i: (fn(genomes[i]), i))
@@ -576,10 +589,11 @@ class TestApproximateRanking:
         fn = lambda z: float(z[0] ** 2)
         genomes, archive, params, settings = seeded_setup(4, fn)
         small = TrainingArchive(1)
-        small.add(np.array([0.0]), 0.0)
+        small.add(key(np.array([0.0])), 0.0)
         with pytest.raises(ValueError):
             approximate_ranking_step(genomes, small, make_dist(1), params,
-                                     settings, lambda g: fn(g))
+                                     settings, lambda g: fn(g),
+                                     [0.0] * len(genomes))
 
     def test_penalty_applied_to_predictions_and_truth(self):
         fn = lambda z: float(z[0] ** 2)
@@ -588,7 +602,7 @@ class TestApproximateRanking:
 
         def true_eval(genome):
             value = fn(genome)
-            archive.add(genome, value)
+            archive.add(key(genome), value)
             return value
 
         shift = 100.0
@@ -608,15 +622,16 @@ class TestApproximateRanking:
                      rng.uniform(-2, 2, (settings.min_archive_size + 5, n)),
                      fn)
         genomes = np.array([rng.uniform(-1, 1, n) for _ in range(lam)])
-        params = default_strategy_params(n, lam)
+        params = default_strategy_params(n, lam, 100)
 
         def true_eval(genome):
             value = fn(genome)
-            archive.add(genome, value)
+            archive.add(key(genome), value)
             return value
 
         order, n_ic, _, _, evaluated = approximate_ranking_step(
-            genomes, archive, make_dist(n), params, settings, true_eval)
+            genomes, archive, make_dist(n), params, settings, true_eval,
+            [0.0] * len(genomes))
         assert sum(evaluated) == 2
         truth = sorted(range(lam), key=lambda i: (fn(genomes[i]), i))
         assert order == truth
@@ -640,7 +655,7 @@ class TestAdmitNewest:
 
     def test_entry_at_the_kth_distance_leaves_the_set(self):
         archive, queries, metric, sets = self.line_archive()
-        archive.add(np.array([2.0]), 7.0)
+        archive.add(key(np.array([2.0])), 7.0)
         assert admit_newest(archive, metric, queries, sets) == []
         assert same_bits(sets[0], select_neighbors(archive, queries[0],
                                                    metric, 2))
@@ -648,7 +663,7 @@ class TestAdmitNewest:
 
     def test_tie_goes_after_the_equal_members(self):
         archive, queries, metric, sets = self.line_archive()
-        archive.add(np.array([-1.0]), 7.0)
+        archive.add(key(np.array([-1.0])), 7.0)
         assert admit_newest(archive, metric, queries, sets) == [0]
         assert same_bits(sets[0], select_neighbors(archive, queries[0],
                                                    metric, 2))
@@ -682,7 +697,7 @@ class TestAdmitNewest:
         k = data.draw(st.integers(2, 8))
         archive = TrainingArchive(n)
         for _ in range(k + data.draw(st.integers(0, 20))):
-            archive.add(point(), float(rng.standard_normal()))
+            archive.add(key(point()), float(rng.standard_normal()))
         if len(archive) < k:
             return
         queries = np.array([point() for _ in range(data.draw(
@@ -713,7 +728,7 @@ class TestAdmitNewest:
             before = {j: tuple(a.copy() for a in held)
                       for j, held in sets.items()}
             size = len(archive)
-            archive.add(genome, value)
+            archive.add(key(genome), value)
             joined = (admit_newest(archive, metric, queries, sets)
                       if len(archive) > size else [])
             if kind in ("duplicate", "nonfinite"):
@@ -845,7 +860,7 @@ class TestIncrementalStep:
         settings = default_surrogate_settings(n)
         archive = TrainingArchive(n)
         known = np.zeros(n)
-        archive.add(known, fn(known))
+        archive.add(key(known), fn(known))
         fill_archive(archive, rng.uniform(-3, 3, (settings.min_archive_size,
                                                   n)), fn)
         poisoned = np.array([0.1, 0.0])
@@ -867,8 +882,9 @@ class TestIncrementalStep:
         monkeypatch.setattr(mm, "fit_local_model", counted_fit)
         size = len(archive)
         _, _, _, _, evaluated = approximate_ranking_step(
-            genomes, archive, make_dist(n), default_strategy_params(n, lam),
-            settings, true_eval)
+            genomes, archive, make_dist(n),
+            default_strategy_params(n, lam, 100), settings, true_eval,
+            [0.0] * len(genomes))
         assert len(archive) == size
         assert sum(evaluated) == 2
         assert events == ["fit"] * lam + ["true", "true"]

@@ -116,3 +116,92 @@ def test_every_public_name_is_run_by_the_library():
     assert not unexpected, f"run by no library module: {unexpected}"
     stale = sorted(set(UNREFERENCED_ALLOWED) - unreferenced)
     assert not stale, f"allowed but referenced or gone: {stale}"
+
+
+# Parameter defaults that every library call site passes, or none does,
+# each with why it stays.
+DEFAULTS_ALLOWED: dict[str, str] = {
+    "cli.py:main(argv)": "console entry point: None reads sys.argv",
+    "harness.py:run_single(out_dir)": "a run without output files; the "
+                                      "acceptance gates run this way",
+    "harness.py:run_batch(out_dir)": "a run without output files; the "
+                                     "acceptance gates run this way",
+    "harness.py:compare_optimizers(out_dir)": "a run without output files; "
+                                              "the acceptance gates run "
+                                              "this way",
+}
+
+
+def defaulted_definitions(tree: ast.Module):
+    """(callee name, parameters a call binds by position, defaulted
+    parameter names) of every def with a default; an `__init__` is called
+    by its class name, and a method's first parameter is bound by the
+    instance."""
+    def visit(body, cls):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from visit(node.body, node)
+            elif isinstance(node, ast.FunctionDef):
+                args = node.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                defaulted = positional[len(positional) - len(args.defaults):]
+                defaulted += [a.arg for a, d in zip(args.kwonlyargs,
+                                                    args.kw_defaults)
+                              if d is not None]
+                static = any(isinstance(d, ast.Name)
+                             and d.id == "staticmethod"
+                             for d in node.decorator_list)
+                if cls is not None and not static:
+                    positional = positional[1:]
+                name = (cls.name if cls is not None
+                        and node.name == "__init__" else node.name)
+                if defaulted:
+                    yield name, positional, defaulted
+                yield from visit(node.body, None)
+    return visit(tree.body, None)
+
+
+def call_sites(tree: ast.Module) -> dict[str, list[ast.Call]]:
+    sites: dict[str, list[ast.Call]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name) else func.attr
+                    if isinstance(func, ast.Attribute) else None)
+            if name is not None:
+                sites.setdefault(name, []).append(node)
+    return sites
+
+
+def test_no_default_the_library_never_varies():
+    """A default is an option: it stands only where some library call
+    passes the parameter and some call leaves it out."""
+    names = [path.relative_to(SRC).as_posix() for path in SRC.rglob("*.py")]
+    modules = {name: parse(name) for name in names}
+    sites: dict[str, list[ast.Call]] = {}
+    for name, tree in modules.items():
+        if not name.endswith("__init__.py"):
+            for callee, calls in call_sites(tree).items():
+                sites.setdefault(callee, []).extend(calls)
+    never_varied = set()
+    for module, tree in modules.items():
+        for callee, positional, defaulted in defaulted_definitions(tree):
+            calls = sites.get(callee, [])
+            if not calls or any(
+                    isinstance(arg, ast.Starred) for call in calls
+                    for arg in call.args) or any(
+                    keyword.arg is None for call in calls
+                    for keyword in call.keywords):
+                continue
+            for parameter in defaulted:
+                passed = [
+                    parameter in {k.arg for k in call.keywords}
+                    or (parameter in positional
+                        and positional.index(parameter) < len(call.args))
+                    for call in calls]
+                if all(passed) or not any(passed):
+                    never_varied.add(f"{module}:{callee}({parameter})")
+    unexpected = sorted(never_varied - set(DEFAULTS_ALLOWED))
+    assert not unexpected, f"defaults no library call varies: {unexpected}"
+    stale = sorted(set(DEFAULTS_ALLOWED) - never_varied)
+    assert not stale, f"allowed but varied or gone: {stale}"

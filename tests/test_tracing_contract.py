@@ -54,7 +54,7 @@ def test_surrogate_generation_scans_once_per_candidate_and_fits_stale_sets(
     settings = mm.default_surrogate_settings(n)
     archive = mm.TrainingArchive(n)
     for z in rng.uniform(-2, 2, (300, n)):
-        archive.add(z, fn(z))
+        archive.add(z.tobytes(), fn(z))
     genomes = np.array([rng.uniform(-1, 1, n) for _ in range(lam)])
     dist = SearchDistribution(mean=np.zeros(n), step_size=1.0,
                               covariance=np.eye(n), path_sigma=np.zeros(n),
@@ -97,8 +97,8 @@ def test_surrogate_generation_scans_once_per_candidate_and_fits_stale_sets(
     monkeypatch.setattr(mm, "fit_local_model", counted_fit)
     monkeypatch.setattr(mm, "rank_population", counted_rank)
     _, _, _, _, evaluated_flags = mm.approximate_ranking_step(
-        genomes, archive, dist, default_strategy_params(n, lam), settings,
-        true_eval)
+        genomes, archive, dist, default_strategy_params(n, lam, 100),
+        settings, true_eval, [0.0] * lam)
     # The last ranking orders the returned lists after the cycle loop and
     # follows no prediction pass.
     predictions, stale, predicted = [], [], {}

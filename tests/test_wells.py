@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import warnings
 
@@ -9,21 +10,29 @@ from hypothesis import strategies as st
 
 from wellopt.harness import load_bundled_grid
 from wellopt.wells import (FEET_PER_METER, INJECTOR, PRODUCER, Branch,
-                           EconomicParams, GeometryVerdict, ProductionProfile,
-                           ProxyParams, ReservoirGrid, WellGeometry,
-                           WellLayout, WellPlacementProblem, check_geometry,
-                           decode_well, drainable_oil_barrels, drilling_cost,
+                           EconomicParams, ProductionProfile, ProxyParams,
+                           ReservoirGrid, WellGeometry, WellLayout,
+                           WellPlacementProblem, check_geometry, decode_well,
+                           drainable_oil_barrels, drilling_cost,
                            generate_synthetic_grid, genome_dimension, npv,
                            productivity_index, simulate)
 from wellopt.wells.economics import _bore_cost
 from wellopt.wells.geometry import _point_at_arclength
 from wellopt.wells.problem import GEOMETRY_PENALTY_BASE
-from wellopt.wells.proxy import BARRELS_PER_M3, _midpoint, _segment_pieces
+from wellopt.wells.proxy import (BARRELS_PER_M3, _midpoint, _segment_pieces,
+                                 well_terms)
 
 
 def straight_well(start, end):
     return WellGeometry(mainbore=np.array([start, end], dtype=float),
                         branches=[])
+
+
+def simulate_wells(wells, grid, econ, params=None):
+    """`simulate` with each well's `well_terms` worked out here."""
+    params = params or ProxyParams()
+    return simulate(wells, econ, params,
+                    [well_terms(w, role, grid, params) for w, role in wells])
 
 
 # Views over the library's private forms and an inverse of decode_well,
@@ -86,7 +95,6 @@ def _step_to_spherical(step: np.ndarray) -> np.ndarray:
 class TestGenomeDimension:
     def test_reference_unilateral_pair(self):
         assert genome_dimension(1, 0) == 6
-        assert genome_dimension(1, 0, n_wells=2) == 12
 
     def test_heel_only(self):
         assert genome_dimension(0, 0) == 3
@@ -209,37 +217,21 @@ class TestCheckGeometry:
 
     def test_inside_and_short_is_feasible(self):
         well = straight_well([10, 10, 10], [60, 10, 10])
-        verdict = check_geometry(well, self.EXTENT, max_length=100.0)
-        assert verdict.feasible
-        assert verdict.length_excess == 0.0
-        assert verdict.out_of_bounds_distance == 0.0
+        assert check_geometry(well, self.EXTENT) == 0.0
 
     def test_heel_outside_is_infeasible(self):
         well = straight_well([-10, 10, 10], [60, 10, 10])
-        verdict = check_geometry(well, self.EXTENT, max_length=1000.0)
-        assert not verdict.feasible
-        assert verdict.out_of_bounds_distance == pytest.approx(10.0)
-
-    def test_overlong_well_infeasible(self):
-        well = straight_well([0, 10, 10], [90, 10, 10])
-        verdict = check_geometry(well, self.EXTENT, max_length=80.0)
-        assert not verdict.feasible
-        assert verdict.length_excess == pytest.approx(10.0)
+        assert check_geometry(well, self.EXTENT) == pytest.approx(10.0)
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             points = rng.uniform(-20, 120, (3, 3))
             well = WellGeometry(mainbore=points, branches=[])
-            max_length = float(rng.uniform(10, 300))
-            verdict = check_geometry(well, self.EXTENT, max_length)
-            # oracle: explicit point-in-box check plus summed segment norms
-            length = 0.0
-            for a, b in zip(points[:-1], points[1:]):
-                length += math.sqrt(sum((bi - ai) ** 2 for ai, bi in zip(a, b)))
+            # oracle: explicit point-in-box check
             inside = all(
                 0 <= p[k] <= self.EXTENT[k] for p in points for k in range(3))
-            assert verdict.feasible == (inside and length < max_length)
+            assert (check_geometry(well, self.EXTENT) == 0.0) == inside
 
 
 class TestDrillingCost:
@@ -736,7 +728,16 @@ def numpy_decode_well(genome_slice, n_deviations, n_branches):
     return WellGeometry(mainbore=points, branches=branches)
 
 
+@dataclasses.dataclass
+class GeometryVerdict:
+    feasible: bool
+    length_excess: float
+    out_of_bounds_distance: float
+
+
 def numpy_check_geometry(geometry, extent, max_length):
+    """The grid and length check as numpy arithmetic, in the verdict form
+    `check_geometry` returned when it also judged the length."""
     extent = np.asarray(extent, dtype=float)
     points = defining_points(geometry)
     clamped = np.clip(points, 0.0, extent)
@@ -848,12 +849,9 @@ class TestGeometryMatchesNumpyVersions:
         econ = EconomicParams()
         assert bits(drilling_cost([well], econ)) == bits(
             numpy_drilling_cost([well], econ))
+        want = numpy_check_geometry(well, BUNDLED.extent, max_length)
         for extent in (BUNDLED.extent, BUNDLED.invariants.extent):
-            got = check_geometry(well, extent, max_length)
-            want = numpy_check_geometry(well, BUNDLED.extent, max_length)
-            assert got.feasible == want.feasible
-            assert bits(got.length_excess) == bits(want.length_excess)
-            assert bits(got.out_of_bounds_distance) == bits(
+            assert bits(check_geometry(well, extent)) == bits(
                 want.out_of_bounds_distance)
 
     def test_long_sums_keep_the_pairwise_order(self):
@@ -975,7 +973,7 @@ class TestProxyMatchesLoopVersion:
         wells, params, econ, cost = case
         # a near-zero step overflows the plane crossings in both versions
         with np.errstate(over="ignore", invalid="ignore"):
-            got = simulate(wells, BUNDLED, econ, params)
+            got = simulate_wells(wells, BUNDLED, econ, params)
             want = reference_simulate(wells, BUNDLED, econ, params)
         for phase in ("oil", "gas", "water"):
             assert bits(getattr(got, phase)) == bits(getattr(want, phase))
@@ -1004,8 +1002,8 @@ class TestProxy:
         econ = EconomicParams()
         producer = straight_well([100, 100, 50], [100, 100, 50])
         injector = straight_well([500, 500, 50], [900, 500, 50])
-        profile = simulate([(injector, INJECTOR), (producer, PRODUCER)],
-                           grid, econ)
+        profile = simulate_wells([(injector, INJECTOR),
+                                  (producer, PRODUCER)], grid, econ)
         assert productivity_index(producer, grid) == 0.0
         assert np.all(profile.oil == 0.0)
         assert np.all(profile.water == 0.0)
@@ -1013,7 +1011,7 @@ class TestProxy:
     def test_missing_role_rejected(self, grid):
         well = straight_well([100, 100, 50], [500, 100, 50])
         with pytest.raises(ValueError):
-            simulate([(well, PRODUCER)], grid, EconomicParams())
+            simulate_wells([(well, PRODUCER)], grid, EconomicParams())
 
     def test_doubling_saturation_doubles_first_period_oil(self):
         dims, cell = (6, 6, 3), (100.0, 100.0, 20.0)
@@ -1027,8 +1025,8 @@ class TestProxy:
         producer = straight_well([50, 50, 30], [450, 50, 30])
         injector = straight_well([50, 450, 30], [450, 450, 30])
         wells = [(injector, INJECTOR), (producer, PRODUCER)]
-        q1_a = simulate(wells, grid_a, econ).oil[1]
-        q1_b = simulate(wells, grid_b, econ).oil[1]
+        q1_a = simulate_wells(wells, grid_a, econ).oil[1]
+        q1_b = simulate_wells(wells, grid_b, econ).oil[1]
         assert q1_b == pytest.approx(2.0 * q1_a, rel=1e-12)
 
     def test_rich_region_outproduces_poor_region(self, grid):
@@ -1036,18 +1034,18 @@ class TestProxy:
         injector = straight_well([1700, 2520, 60], [1700, 2820, 60])
         rich_producer = straight_well([700, 3300, 50], [1150, 3700, 55])
         poor_producer = straight_well([2800, 400, 50], [3250, 260, 55])
-        rich = simulate([(injector, INJECTOR), (rich_producer, PRODUCER)],
-                        grid, econ)
-        poor = simulate([(injector, INJECTOR), (poor_producer, PRODUCER)],
-                        grid, econ)
+        rich = simulate_wells([(injector, INJECTOR),
+                               (rich_producer, PRODUCER)], grid, econ)
+        poor = simulate_wells([(injector, INJECTOR),
+                               (poor_producer, PRODUCER)], grid, econ)
         assert rich.cumulative_oil > 2.0 * poor.cumulative_oil
 
     def test_water_cut_rises_with_recovery(self, grid):
         econ = EconomicParams()
         injector = straight_well([1700, 2520, 60], [1700, 2820, 60])
         producer = straight_well([700, 3300, 50], [1150, 3700, 55])
-        profile = simulate([(injector, INJECTOR), (producer, PRODUCER)],
-                           grid, econ)
+        profile = simulate_wells([(injector, INJECTOR),
+                                  (producer, PRODUCER)], grid, econ)
         cut = profile.water[1:] / (profile.water[1:] + profile.oil[1:])
         assert np.all(np.diff(cut) > 0)
         assert np.all(cut < ProxyParams().water_cut_max)
@@ -1057,8 +1055,8 @@ class TestProxy:
         injector = straight_well([1700, 2520, 60], [1700, 2820, 60])
         producer = straight_well([700, 3300, 50], [1150, 3700, 55])
         wells = [(injector, INJECTOR), (producer, PRODUCER)]
-        a = simulate(wells, grid, econ)
-        b = simulate(wells, grid, econ)
+        a = simulate_wells(wells, grid, econ)
+        b = simulate_wells(wells, grid, econ)
         assert np.array_equal(a.oil, b.oil)
         assert np.array_equal(a.water, b.water)
 
@@ -1185,6 +1183,34 @@ class TestWellPlacementProblem:
         assert all(w["feasible"] for w in detail["wells"])
         assert detail["npv"] == pytest.approx(-detail["objective"])
         assert detail["production"]["cumulative_oil_bbl"] > 0
+
+    # in the grid; the injector's heel out of it; the injector 1,000 m long
+    @pytest.mark.parametrize("genome, feasible", [
+        (GOOD_GENOME, [True, True]),
+        (np.concatenate([[-500.0], GOOD_GENOME[1:]]), [False, True]),
+        (np.concatenate([GOOD_GENOME[:3], [1000.0], GOOD_GENOME[4:]]),
+         [False, True]),
+    ])
+    def test_evaluate_json_keeps_the_verdict(self, genome, feasible,
+                                             capsys):
+        """`wellopt evaluate` prints each well's feasibility, length excess
+        and out-of-bounds distance as the verdict form gave them, and the
+        rest of its JSON unchanged."""
+        from wellopt.cli import main
+
+        values = ",".join(map(repr, genome.tolist()))
+        assert main(["evaluate", f"--genome={values}"]) == 0
+        out = capsys.readouterr().out
+        detail = json.loads(out)
+        max_length = EconomicParams().max_well_length_m
+        for well, block in zip(detail["wells"], (genome[:6], genome[6:])):
+            verdict = numpy_check_geometry(decode_well(block, 1, 0),
+                                           BUNDLED.extent, max_length)
+            well.update(feasible=verdict.feasible,
+                        length_excess_m=verdict.length_excess,
+                        out_of_bounds_m=verdict.out_of_bounds_distance)
+        assert out == json.dumps(detail, indent=2) + "\n"
+        assert [w["feasible"] for w in detail["wells"]] == feasible
 
     def test_objective_reaches_traced_names(self, monkeypatch):
         """The benchmark's span tracing (perfbench/tracing.py) wraps these

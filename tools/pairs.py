@@ -15,8 +15,10 @@ speed falls on both sides alike. For every end-to-end metric that
 BENCHMARK.json declares, one table row gives the parent median (IQR),
 the change median (IQR), the change of the medians in percent and the
 number of pairs in which the change read lower. The lines after the
-table give each side's `golden:` results and its summed `failed` count;
-the exit status is 1 when any run failed.
+table give each side's `golden:` results and its summed `failed` count,
+then each side's line count of `src/wellopt` (every `.py` file), the
+measure of ROADMAP's north-star 2; the exit status is 1 when any run
+failed.
 """
 
 from __future__ import annotations
@@ -58,6 +60,12 @@ def run_once(root: Path, workload: str, seconds: float) -> dict:
                              for line in lines
                              if line.strip().startswith("golden:")), "absent")
     return result
+
+
+def source_lines(root: Path) -> int:
+    """Lines in the `.py` files under `root/src/wellopt`."""
+    return sum(len(path.read_text().splitlines())
+               for path in (root / "src" / "wellopt").rglob("*.py"))
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -129,6 +137,9 @@ def main(argv=None) -> int:
                 notes.append(f"{workload} {side}: golden: " + ", ".join(
                     f"{value} ({count})" for value, count in golden.items())
                     + f"; failed {sum(r['failed'] for r in results)}")
+        notes.append(f"src/wellopt lines: parent "
+                     f"{source_lines(parent_root):,}, change "
+                     f"{source_lines(change_root):,}")
     print("\n".join(rows + [""] + notes))
     return 1 if failed else 0
 
