@@ -12,9 +12,12 @@ from .benchmarks import DEFAULT_BOUNDS
 from .constraints import SumConstraint
 from .metamodel import SurrogateSettings
 from .wells.economics import EconomicParams
-from .wells.problem import DEFAULT_LAYOUT, MIN_STEP_M, TILT_RANGE, WellLayout
-from .wells.proxy import ProxyParams
+from .wells.problem import WellLayout
+from .wells.proxy import INJECTOR, PRODUCER, ProxyParams
 
+MIN_STEP_M = 50.0    # default lower bound of a bore step's length
+TILT_RANGE = 0.15    # default polar-angle half-range about pi/2
+DEFAULT_LAYOUT = (WellLayout(INJECTOR, 1, 0), WellLayout(PRODUCER, 1, 0))
 OPTIMIZERS = ("cma", "cma+surrogate", "ga")
 PROBLEM_KEYS = {"sphere": {"kind", "dimension", "center", "bounds"},
                 "rosenbrock": {"kind", "dimension", "bounds"},
@@ -89,12 +92,11 @@ def _well_kwargs(problem: dict) -> dict:
     wells = _items(problem.get("wells") or (), "wells")
     for well in wells:
         _check_keys(well, {"role", "deviations", "branches"}, "wells entry")
-    if wells:
-        kwargs["layout"] = tuple(WellLayout(
-            w.get("role"),
-            _number(w.get("deviations", 1), "wells.deviations", True),
-            _number(w.get("branches", 0), "wells.branches", True))
-            for w in wells)
+    kwargs["layout"] = tuple(WellLayout(
+        w.get("role"),
+        _number(w.get("deviations", 1), "wells.deviations", True),
+        _number(w.get("branches", 0), "wells.branches", True))
+        for w in wells) or DEFAULT_LAYOUT
     if not 0.0 < kwargs["min_step_m"] < kwargs["econ"].max_well_length_m:
         raise ValueError("problem.min_step_m must lie in (0, "
                          "economics.max_well_length_m); got "
@@ -143,7 +145,7 @@ class RunConfig:
     output_dir: str = "runs"
     targets: list[float] | None = None
     # what build_problem needs besides the grid, worked out on construction:
-    # the WellPlacementProblem keyword arguments, or {"bounds": [(lo, hi)]}
+    # the WellPlacementProblem keyword arguments, or "bounds" and "center"
     problem_args: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -162,8 +164,7 @@ class RunConfig:
                     self.problem[key], f"problem.{key}", key == "dimension")
         if kind == "well_placement":
             self.problem_args = _well_kwargs(self.problem)
-            dim = sum(w.dim for w in self.problem_args.get(
-                "layout", DEFAULT_LAYOUT))
+            dim = sum(w.dim for w in self.problem_args["layout"])
         else:
             dim = self.problem.get("dimension")
             if dim is None:
@@ -171,7 +172,8 @@ class RunConfig:
             if dim < 1:
                 raise ValueError(f"problem.dimension must be >= 1; got {dim}")
             self.problem_args = {
-                "bounds": _benchmark_bounds(self.problem, dim)}
+                "bounds": _benchmark_bounds(self.problem, dim),
+                "center": self.problem.get("center", 0.0)}
 
         if self.optimizer not in (None, *OPTIMIZERS):
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")

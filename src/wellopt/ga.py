@@ -39,8 +39,8 @@ class NoFeasiblePointError(RuntimeError):
 class GaParams:
     population_size: int
     bounds: np.ndarray
-    crossprob: float = 0.7
-    mutprob: float = 0.1
+    crossprob: float
+    mutprob: float
 
     def __post_init__(self):
         self.bounds = np.asarray(self.bounds, dtype=float)

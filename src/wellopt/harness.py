@@ -86,6 +86,10 @@ class BuiltProblem:
     constraints: list[SumConstraint]
     well_problem: WellPlacementProblem | None = None
 
+    def simulation_failures(self) -> int:
+        """Proxy runs scored with the failure sentinel so far."""
+        return getattr(self.well_problem, "simulation_failures", 0)
+
 
 def load_bundled_grid() -> ReservoirGrid:
     data = resources.files("wellopt").joinpath("data/default_grid.json")
@@ -93,22 +97,21 @@ def load_bundled_grid() -> ReservoirGrid:
 
 
 def build_problem(config: RunConfig) -> BuiltProblem:
-    problem, kind = config.problem, config.problem["kind"]
+    kind, grid_file = config.problem["kind"], config.problem.get("grid_file")
     if kind == "well_placement":
-        grid = (ReservoirGrid.load_json(problem["grid_file"])
-                if problem.get("grid_file") else load_bundled_grid())
+        grid = (ReservoirGrid.load_json(grid_file) if grid_file
+                else load_bundled_grid())
         well = WellPlacementProblem(grid, **config.problem_args)
         return BuiltProblem(name=kind, dim=well.dim, bounds=well.bounds(),
                             raw_objective=well.raw_objective,
                             constraints=well.constraints() + config.constraints,
                             well_problem=well)
-    dim = problem["dimension"]
-    center = problem.get("center", 0.0)
+    bounds = np.array(config.problem_args["bounds"])
+    center = config.problem_args["center"]
     # `sphere` is looked up at call time, where tracing and tests wrap it.
     objective = (rosenbrock if kind == "rosenbrock"
                  else lambda x: sphere(x, center))
-    return BuiltProblem(name=kind, dim=dim,
-                        bounds=np.array(config.problem_args["bounds"]),
+    return BuiltProblem(name=kind, dim=len(bounds), bounds=bounds,
                         raw_objective=objective,
                         constraints=list(config.constraints))
 
@@ -138,11 +141,11 @@ class RunRecord:
     n_constraints: int
     rows: list[RunRow]
     termination_reason: str
+    simulation_failures: int   # proxy runs scored with the sentinel
+    nonfinite_evaluations: int   # true evaluations that were NaN or inf
     final_mean: np.ndarray | None = None
     archive: TrainingArchive | None = None
     covariance_repairs: int = 0
-    simulation_failures: int = 0   # proxy runs scored with the sentinel
-    nonfinite_evaluations: int = 0   # true evaluations that were NaN or inf
     # candidates kept after MAX_RESAMPLES redraws with a rejected draw
     rejection_exhaustions: int = 0
 
@@ -206,6 +209,7 @@ def evaluations_to_target(record: RunRecord, target: float) -> int | None:
 def run_cma(problem: BuiltProblem, config: RunConfig, seed: int,
             use_surrogate: bool) -> RunRecord:
     rng = np.random.default_rng(seed)
+    failures = problem.simulation_failures()   # the problem may be reused
     dim = problem.dim
     lower, upper = problem.bounds[:, 0], problem.bounds[:, 1]
     ranges = upper - lower
@@ -301,12 +305,15 @@ def run_cma(problem: BuiltProblem, config: RunConfig, seed: int,
                      termination_reason=reason, final_mean=dist.mean.copy(),
                      archive=archive,
                      covariance_repairs=dist.repairs,
+                     simulation_failures=problem.simulation_failures()
+                     - failures,
                      nonfinite_evaluations=evaluator.nonfinite,
                      rejection_exhaustions=exhaustions)
 
 
 def run_ga(problem: BuiltProblem, config: RunConfig, seed: int) -> RunRecord:
     rng = np.random.default_rng(seed)
+    failures = problem.simulation_failures()   # the problem may be reused
     params = GaParams(population_size=config.population_size,
                       bounds=problem.bounds,
                       crossprob=config.crossprob, mutprob=config.mutprob)
@@ -317,10 +324,13 @@ def run_ga(problem: BuiltProblem, config: RunConfig, seed: int) -> RunRecord:
     zeros = np.zeros(len(problem.constraints))
 
     def snapshot(generation: int) -> RunRow:
+        best = optimizer.best_fitness
+        # before a finite value: the reported genome's own recorded value
+        raw = best if math.isfinite(best) else evaluator.archive.lookup(
+            optimizer.best_genome.tobytes())
         return RunRow(generation=generation,
                       true_evaluations=evaluator.count,
-                      best_objective=optimizer.best_fitness,
-                      best_raw_objective=optimizer.best_fitness,
+                      best_objective=best, best_raw_objective=raw,
                       resampled=0, n_ic=0, gammas=zeros.copy(),
                       best_genome=optimizer.best_genome.copy())
 
@@ -331,6 +341,8 @@ def run_ga(problem: BuiltProblem, config: RunConfig, seed: int) -> RunRecord:
     return RunRecord(seed=seed, optimizer="ga", problem=problem.name,
                      dim=problem.dim, n_constraints=len(problem.constraints),
                      rows=rows, termination_reason="max_generations",
+                     simulation_failures=problem.simulation_failures()
+                     - failures,
                      nonfinite_evaluations=evaluator.nonfinite)
 
 
@@ -345,8 +357,6 @@ def run_single(config: RunConfig, seed: int,
     else:
         record = run_cma(problem, config, seed,
                          use_surrogate=config.optimizer == "cma+surrogate")
-    if problem.well_problem is not None:
-        record.simulation_failures = problem.well_problem.simulation_failures
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         record.write_csv(os.path.join(out_dir, f"run_{seed}.csv"))

@@ -142,7 +142,7 @@ class LocalQuadraticModel:
     beta: np.ndarray
     center: np.ndarray
     bandwidth: float
-    scale: float = 1.0
+    scale: float
 
 
 class MahalanobisMetric:

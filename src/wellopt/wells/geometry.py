@@ -107,8 +107,11 @@ def decode_well(genome_slice: np.ndarray, n_deviations: int,
     coords = g.tolist()
     # numpy's float64 trig, not the math module's: numpy may use its own
     # SIMD routines, whose bits can differ from the C library's
-    sines = np.sin(g).tolist()
-    cosines = np.cos(g).tolist()
+    try:
+        sines, cosines = np.sin(g).tolist(), np.cos(g).tolist()
+    except FloatingPointError:   # a caller's np.errstate on a subnormal
+        with np.errstate(under="ignore"):   # as by default
+            sines, cosines = np.sin(g).tolist(), np.cos(g).tolist()
 
     def step(at: int) -> tuple[float, float, float]:
         """The Cartesian step of the (r, theta, phi) at coords[at]."""

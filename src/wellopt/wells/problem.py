@@ -42,15 +42,13 @@ from .proxy import INJECTOR, PRODUCER, ProxyParams, simulate, well_terms
 GEOMETRY_PENALTY_BASE = 1.0e9
 GEOMETRY_PENALTY_SLOPE = 1.0e6   # per length unit of out-of-bounds distance
 WELL_MEMO_SIZE = 128
-MIN_STEP_M = 50.0    # default lower bound of a bore step's length
-TILT_RANGE = 0.15    # default polar-angle half-range about pi/2
 
 
 @dataclass(frozen=True)
 class WellLayout:
     role: str
-    n_deviations: int = 1
-    n_branches: int = 0
+    n_deviations: int
+    n_branches: int
 
     def __post_init__(self):
         if self.role not in (INJECTOR, PRODUCER):
@@ -61,9 +59,6 @@ class WellLayout:
     @property
     def dim(self) -> int:
         return genome_dimension(self.n_deviations, self.n_branches)
-
-
-DEFAULT_LAYOUT = (WellLayout(INJECTOR, 1, 0), WellLayout(PRODUCER, 1, 0))
 
 
 def _well_memo(well: WellLayout, grid: ReservoirGrid, proxy: ProxyParams):
@@ -97,15 +92,12 @@ class WellPlacementProblem:
     problem's life: its per-well memo holds values derived from them.
     """
 
-    def __init__(self, grid: ReservoirGrid,
-                 econ: EconomicParams | None = None,
-                 proxy: ProxyParams | None = None,
-                 layout: tuple[WellLayout, ...] = DEFAULT_LAYOUT,
-                 min_step_m: float = MIN_STEP_M,
-                 tilt_range: float = TILT_RANGE):
+    def __init__(self, grid: ReservoirGrid, econ: EconomicParams,
+                 proxy: ProxyParams, layout: tuple[WellLayout, ...],
+                 min_step_m: float, tilt_range: float):
         self.grid = grid
-        self.econ = econ or EconomicParams()
-        self.proxy = proxy or ProxyParams()
+        self.econ = econ
+        self.proxy = proxy
         self.layout = tuple(layout)
         if not any(w.role == PRODUCER for w in self.layout):
             raise ValueError("layout needs at least one producer")

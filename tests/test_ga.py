@@ -38,14 +38,22 @@ def bounds(n, lo=-5.0, hi=5.0):
     return np.tile([lo, hi], (n, 1))
 
 
+def ga_params(pop, box, **rates):
+    """GaParams with the run configuration's default rates but for the
+    `rates` given."""
+    return GaParams(population_size=pop, bounds=box,
+                    **{"crossprob": RunConfig.crossprob,
+                       "mutprob": RunConfig.mutprob, **rates})
+
+
 class TestGaParams:
     def test_validation(self):
         with pytest.raises(ValueError):
-            GaParams(population_size=1, bounds=bounds(2))
+            ga_params(1, bounds(2))
         with pytest.raises(ValueError):
-            GaParams(population_size=4, bounds=np.array([[1.0, 1.0]]))
+            ga_params(4, np.array([[1.0, 1.0]]))
         with pytest.raises(ValueError):
-            GaParams(population_size=4, bounds=bounds(2), crossprob=1.5)
+            ga_params(4, bounds(2), crossprob=1.5)
 
 
 class TestSelection:
@@ -241,7 +249,7 @@ def sphere(x):
 
 class TestGaGeneration:
     def _params(self, n=3, pop=10, **kwargs):
-        return GaParams(population_size=pop, bounds=bounds(n), **kwargs)
+        return ga_params(pop, bounds(n), **kwargs)
 
     def test_population_size_preserved(self):
         rng = np.random.default_rng(12)

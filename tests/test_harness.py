@@ -8,7 +8,7 @@ import pytest
 import wellopt.harness as harness
 from wellopt.harness import (Evaluator, RunConfig, build_problem,
                              compare_optimizers, evaluations_to_target,
-                             run_batch, run_cma, run_single)
+                             run_batch, run_cma, run_ga, run_single)
 from wellopt.constraints import MAX_RESAMPLES, SumConstraint
 from wellopt.metamodel import SurrogateSettings, TrainingArchive
 from reference_forms import archive_csv, load_archive_csv
@@ -600,6 +600,36 @@ class TestRunBatch:
         seed_2 = next(line for line in lines if "seed 2:" in line)
         assert seed_1.endswith("(max_generations), simulation_failures 1")
         assert seed_2.endswith("(max_generations)")
+
+    @pytest.mark.parametrize("optimizer", ["cma", "ga"])
+    def test_each_run_counts_its_own_simulation_failures(self, monkeypatch,
+                                                         optimizer):
+        """Two runs of one seed on one problem whose proxy fails on one
+        genome, the first it simulates: each record counts that failure
+        once, as its run returns it."""
+        import wellopt.wells.problem as problem_module
+
+        original = problem_module.simulate
+        failing, raised = [], []
+
+        def fails_on_one_genome(wells, *args):
+            genome = b"".join(g.mainbore.tobytes() for g, _ in wells)
+            failing[:] = failing or [genome]
+            if genome == failing[0]:
+                raised.append(genome)
+                raise ValueError("forced")
+            return original(wells, *args)
+
+        monkeypatch.setattr(problem_module, "simulate", fails_on_one_genome)
+        config = RunConfig.from_dict({
+            "problem": {"kind": "well_placement"}, "optimizer": optimizer,
+            "population_size": 8, "max_generations": 3})
+        problem = build_problem(config)
+        records = [run_ga(problem, config, 1) if optimizer == "ga"
+                   else run_cma(problem, config, 1, use_surrogate=False)
+                   for _ in range(2)]
+        assert len(raised) == 2
+        assert [r.simulation_failures for r in records] == [1, 1]
 
     def test_summary_reports_rejection_exhaustions(self):
         result = run_batch(sphere_config(**FAR_INTERVAL))

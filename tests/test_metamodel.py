@@ -341,7 +341,7 @@ class TestPredict:
     def test_constant_only_beta(self):
         model = LocalQuadraticModel(
             beta=np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1.0]),
-            center=np.zeros(2), bandwidth=1.0)
+            center=np.zeros(2), bandwidth=1.0, scale=1.0)
         for z in np.random.default_rng(12).standard_normal((10, 2)):
             assert predict(model, z) == 1.0
 
@@ -349,7 +349,7 @@ class TestPredict:
         # f(z) = z1^2 + 2 z1 z2 + 3 at z = (1, 2) -> 1 + 4 + 3 = 8
         beta = np.array([1.0, 0.0, 2.0, 0.0, 0.0, 3.0])
         model = LocalQuadraticModel(beta=beta, center=np.zeros(2),
-                                    bandwidth=1.0)
+                                    bandwidth=1.0, scale=1.0)
         assert predict(model, np.array([1.0, 2.0])) == pytest.approx(8.0)
 
     def test_matches_term_by_term_oracle(self):
@@ -357,7 +357,7 @@ class TestPredict:
         for n in (2, 3, 4):
             beta = rng.standard_normal(basis_size(n))
             model = LocalQuadraticModel(beta=beta, center=np.zeros(n),
-                                        bandwidth=1.0)
+                                        bandwidth=1.0, scale=1.0)
             z = rng.standard_normal(n)
             expected = 0.0
             pos = 0

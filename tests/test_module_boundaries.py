@@ -15,9 +15,9 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "wellopt"
-CONFIG_NAMES = {"OPTIMIZERS", "PROBLEM_KEYS", "_check_keys", "_number",
-                "_items", "_section", "_well_kwargs", "_benchmark_bounds",
-                "RunConfig"}
+CONFIG_NAMES = {"MIN_STEP_M", "TILT_RANGE", "DEFAULT_LAYOUT", "OPTIMIZERS",
+                "PROBLEM_KEYS", "_check_keys", "_number", "_items",
+                "_section", "_well_kwargs", "_benchmark_bounds", "RunConfig"}
 # Public names no library module references, each with why it stays.
 UNREFERENCED_ALLOWED: dict[str, str] = {}
 
@@ -62,8 +62,10 @@ def test_config_imports_no_module_that_runs_it():
 
 def test_config_names_are_defined_in_config_only():
     assert CONFIG_NAMES <= top_level_names(parse("config.py"))
-    for name in ("harness.py", "cli.py"):
-        assert not CONFIG_NAMES & top_level_names(parse(name)), name
+    for path in SRC.rglob("*.py"):
+        name = path.relative_to(SRC).as_posix()
+        if name != "config.py":
+            assert not CONFIG_NAMES & top_level_names(parse(name)), name
 
 
 def test_harness_reads_no_private_config_attribute():
@@ -148,9 +150,7 @@ def defaulted_definitions(tree: ast.Module):
                 defaulted += [a.arg for a, d in zip(args.kwonlyargs,
                                                     args.kw_defaults)
                               if d is not None]
-                static = any(isinstance(d, ast.Name)
-                             and d.id == "staticmethod"
-                             for d in node.decorator_list)
+                static = "staticmethod" in decorator_names(node)
                 if cls is not None and not static:
                     positional = positional[1:]
                 name = (cls.name if cls is not None
@@ -161,21 +161,78 @@ def defaulted_definitions(tree: ast.Module):
     return visit(tree.body, None)
 
 
-def call_sites(tree: ast.Module) -> dict[str, list[ast.Call]]:
-    sites: dict[str, list[ast.Call]] = {}
+def decorator_names(node) -> set[str]:
+    """Names of a def's or class's decorators: `dataclass` for both
+    `@dataclass` and `@dataclass(frozen=True)`."""
+    names = set()
+    for decorator in node.decorator_list:
+        if isinstance(decorator, ast.Call):
+            decorator = decorator.func
+        if isinstance(decorator, ast.Name):
+            names.add(decorator.id)
+    return names
+
+
+def defaulted_fields(tree: ast.Module):
+    """(class name, init fields in order, defaulted init fields) of every
+    `@dataclass`; `field(default=...)` and `default_factory` are defaults,
+    and a `field(init=False)` is no parameter."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
+        if not (isinstance(node, ast.ClassDef)
+                and "dataclass" in decorator_names(node)):
+            continue
+        fields, defaulted = [], []
+        for item in node.body:
+            if not (isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)):
+                continue
+            value, has_default = item.value, item.value is not None
+            if (isinstance(value, ast.Call)
+                    and isinstance(value.func, ast.Name)
+                    and value.func.id == "field"):
+                options = {k.arg: k.value for k in value.keywords}
+                init = options.get("init")
+                if isinstance(init, ast.Constant) and init.value is False:
+                    continue
+                has_default = bool({"default", "default_factory"}
+                                   & set(options))
+            fields.append(item.target.id)
+            if has_default:
+                defaulted.append(item.target.id)
+        if defaulted:
+            yield node.name, fields, defaulted
+
+
+def call_sites(tree: ast.Module) -> dict[str, list[ast.Call]]:
+    """Calls by callee name; a `cls(...)` in a classmethod calls its
+    class."""
+    sites: dict[str, list[ast.Call]] = {}
+
+    def visit(node, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, ast.FunctionDef) and cls is not None:
+            if "classmethod" not in decorator_names(node):
+                cls = None
+        elif isinstance(node, ast.Call):
             func = node.func
             name = (func.id if isinstance(func, ast.Name) else func.attr
                     if isinstance(func, ast.Attribute) else None)
+            if name == "cls" and cls is not None:
+                name = cls
             if name is not None:
                 sites.setdefault(name, []).append(node)
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls)
+
+    visit(tree, None)
     return sites
 
 
 def test_no_default_the_library_never_varies():
     """A default is an option: it stands only where some library call
-    passes the parameter and some call leaves it out."""
+    passes the parameter and some call leaves it out. Dataclass fields
+    are the parameters of their class."""
     names = [path.relative_to(SRC).as_posix() for path in SRC.rglob("*.py")]
     modules = {name: parse(name) for name in names}
     sites: dict[str, list[ast.Call]] = {}
@@ -185,7 +242,8 @@ def test_no_default_the_library_never_varies():
                 sites.setdefault(callee, []).extend(calls)
     never_varied = set()
     for module, tree in modules.items():
-        for callee, positional, defaulted in defaulted_definitions(tree):
+        for callee, positional, defaulted in [
+                *defaulted_definitions(tree), *defaulted_fields(tree)]:
             calls = sites.get(callee, [])
             if not calls or any(
                     isinstance(arg, ast.Starred) for call in calls

@@ -1,15 +1,17 @@
 """Run-level properties over small random runs.
 
-Each example is one small CMA-ES run on a sphere or Rosenbrock with
-random bounds (some nearly degenerate), random sum constraints (some
-with a tiny feasible volume), sometimes a constraint index past the
-dimension, sometimes an objective that is NaN or +-inf on a random slab,
-and the surrogate on or off. A run either fails with a ValueError before
-its first true evaluation or keeps every run-level promise: best-so-far
-never rises, true evaluations are the archive size plus the non-finite
-ones, each surrogate generation spends 1 + n_ic <= lambda evaluations,
-the reported genome re-evaluates to the reported value, and a rerun
-with the same seed writes the same CSV bytes.
+Each example is one small CMA-ES (surrogate on or off) or GA run on a
+sphere or Rosenbrock with random bounds (some nearly degenerate), random
+sum constraints (some with a tiny feasible volume), sometimes a
+constraint index past the dimension, and sometimes an objective that is
+NaN or +-inf on a random slab. A run either fails with a ValueError (or,
+for the GA, a NoFeasiblePointError) before its first true evaluation or
+keeps every run-level promise: best-so-far never rises, true evaluations
+never fall and count every objective call, a generation spends at most
+lambda evaluations (a surrogate one 1 + n_ic), the reported genome
+re-evaluates to the reported value, and a rerun with the same seed
+writes the same CSV bytes. A CMA-ES run's true evaluations are also the
+archive size plus the non-finite ones.
 """
 
 import dataclasses
@@ -18,10 +20,11 @@ import os
 import tempfile
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wellopt.harness import RunConfig, build_problem, run_cma
+from wellopt.ga import NoFeasiblePointError
+from wellopt.harness import RunConfig, build_problem, run_cma, run_ga
 from wellopt.metamodel import basis_size
 
 NONFINITE = (math.nan, math.inf, -math.inf)
@@ -54,15 +57,15 @@ def small_runs(draw):
     if draw(st.booleans()) and draw(st.booleans()):
         constraints.append({"indices": [draw(st.integers(n, n + 2))],
                             "lower": 0.0, "upper": 1.0})
-    surrogate = draw(st.booleans())
+    optimizer = draw(st.sampled_from(["cma", "cma+surrogate", "ga"]))
     data = {"problem": {"kind": draw(st.sampled_from(["sphere",
                                                       "rosenbrock"])),
                         "dimension": n, "bounds": bounds},
-            "optimizer": "cma+surrogate" if surrogate else "cma",
+            "optimizer": optimizer,
             "population_size": draw(st.integers(4, 8)),
             "max_generations": draw(st.integers(2, 12)),
             "constraints": constraints}
-    if surrogate:
+    if optimizer == "cma+surrogate":
         k = basis_size(n) + draw(st.integers(0, 3))
         data["surrogate"] = {"k": k, "min_archive_size": k}
     region = None
@@ -97,7 +100,8 @@ class Objective:
 
 def run(data, region, seed, csv_path):
     """(record, objective) of one run, or (None, objective) when it raised
-    a ValueError; objective is None when the config did not load."""
+    a ValueError or NoFeasiblePointError; objective is None when the
+    config did not load."""
     try:
         config = RunConfig.from_dict(data)
     except ValueError:
@@ -106,9 +110,12 @@ def run(data, region, seed, csv_path):
     objective = Objective(problem.raw_objective, region)
     problem = dataclasses.replace(problem, raw_objective=objective)
     try:
-        record = run_cma(problem, config, seed,
-                         use_surrogate=data["optimizer"] == "cma+surrogate")
-    except ValueError:
+        if data["optimizer"] == "ga":
+            record = run_ga(problem, config, seed)
+        else:
+            record = run_cma(problem, config, seed, use_surrogate=data[
+                "optimizer"] == "cma+surrogate")
+    except (ValueError, NoFeasiblePointError):
         return None, objective
     record.write_csv(csv_path)
     return record, objective
@@ -118,8 +125,17 @@ def bits(value):
     return np.float64(math.nan if math.isnan(value) else value).tobytes()
 
 
+# a GA whose every value is NaN reports its genome with that value
+ALL_NAN_GA = ({"problem": {"kind": "sphere", "dimension": 2,
+                           "bounds": [[0.0, 1.0], [0.0, 1.0]]},
+               "optimizer": "ga", "population_size": 4,
+               "max_generations": 2, "constraints": []},
+              (0, 0.0, 1.0, math.nan), 0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=small_runs())
+@example(case=ALL_NAN_GA)
 def test_small_runs_keep_their_promises(case):
     data, region, seed = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -135,10 +151,13 @@ def test_small_runs_keep_their_promises(case):
     rows = record.rows
     best = record.best_so_far()
     assert all(b <= a for a, b in zip(best, best[1:]))
+    evaluations = record.true_evaluations()
+    assert all(b >= a for a, b in zip(evaluations, evaluations[1:]))
     final = rows[-1]
     assert final.true_evaluations == len(objective.values)
-    assert (final.true_evaluations
-            == len(record.archive) + record.nonfinite_evaluations)
+    if data["optimizer"] != "ga":
+        assert (final.true_evaluations
+                == len(record.archive) + record.nonfinite_evaluations)
     lam = data["population_size"]
     previous = 0
     for row in rows:

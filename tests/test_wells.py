@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wellopt.harness import load_bundled_grid
+from wellopt.harness import RunConfig, load_bundled_grid
 from wellopt.wells import (FEET_PER_METER, INJECTOR, PRODUCER, Branch,
                            EconomicParams, ProductionProfile, ProxyParams,
                            ReservoirGrid, WellGeometry, WellLayout,
@@ -559,6 +559,13 @@ def loop_drainable_oil_barrels(producer, grid, params):
 BUNDLED = load_bundled_grid()
 
 
+def well_problem(**args) -> WellPlacementProblem:
+    """A well problem on the bundled grid with the run configuration's
+    defaults, but for the keyword `args` given."""
+    defaults = RunConfig(problem={"kind": "well_placement"}).problem_args
+    return WellPlacementProblem(BUNDLED, **{**defaults, **args})
+
+
 def grid_coordinate(axis):
     """A coordinate inside or around the bundled grid, often exactly on a
     face or an interior grid plane."""
@@ -1073,7 +1080,7 @@ BAD_GENOME = np.array([
 
 @pytest.fixture(scope="module")
 def problem():
-    return WellPlacementProblem(load_bundled_grid())
+    return well_problem()
 
 
 class TestWellPlacementProblem:
@@ -1116,7 +1123,7 @@ class TestWellPlacementProblem:
     def test_nan_coordinate_scores_nan_without_the_proxy(self, index):
         # under the RuntimeWarning filter: the proxy must not cast NaN
         # midpoints to cell indices
-        problem = WellPlacementProblem(load_bundled_grid())
+        problem = well_problem()
         genome = GOOD_GENOME.copy()
         genome[index] = math.nan
         assert math.isnan(problem.raw_objective(genome))
@@ -1130,8 +1137,7 @@ class TestWellPlacementProblem:
         """Under np.errstate(all="raise") a producer whose step ends at a
         subnormal coordinate is scored, not counted as a simulation
         failure: the drainage and the well midpoints underflow silently,
-        with the bits of numpy's default. (A subnormal genome coordinate
-        cannot give this step: np.sin in decoding underflows first.)"""
+        with the bits of numpy's default."""
         import wellopt.wells.problem as problem_module
 
         tiny = straight_well([100.0, 0.0, 50.0], [900.0, 1e-310, 50.0])
@@ -1149,14 +1155,28 @@ class TestWellPlacementProblem:
             return decode(genome_slice, n_deviations, n_branches)
 
         monkeypatch.setattr(problem_module, "decode_well", producer_as_tiny)
-        scored = WellPlacementProblem(load_bundled_grid())
+        scored = well_problem()
         expected = scored.raw_objective(GOOD_GENOME)
-        raised = WellPlacementProblem(load_bundled_grid())
+        raised = well_problem()
         with np.errstate(all="raise"):
             value = raised.raw_objective(GOOD_GENOME)
         assert raised.simulation_failures == 0
         assert bits(value) == bits(expected)
         assert value < 0.0   # a producing pattern, not the sentinel
+
+    def test_subnormal_coordinate_is_decoded_as_by_default(self):
+        """Under np.errstate(all="raise") a genome with a subnormal
+        coordinate is decoded and scored with the bits of numpy's
+        default, and counts no simulation failure."""
+        genome = np.array([200.0, 1500.0, 54.0, 700.0, math.pi / 2, 0.0,
+                           700.0, 1e-310, 54.0, 700.0, math.pi / 2, 0.0])
+        expected = well_problem().raw_objective(genome)
+        raised = well_problem()   # empty memo
+        with np.errstate(all="raise"):
+            value = raised.raw_objective(genome)
+        assert bits(value) == bits(expected)
+        assert raised.simulation_failures == 0
+        assert value == pytest.approx(-1.3235e8, rel=1e-4)
 
     def test_npv_sign_convention(self, problem):
         detail = problem.evaluate_detail(GOOD_GENOME)
@@ -1165,7 +1185,7 @@ class TestWellPlacementProblem:
     def test_evaluate_detail_reports_feasible_wells(self, monkeypatch):
         import wellopt.wells.problem as problem_module
 
-        problem = WellPlacementProblem(load_bundled_grid())   # empty memo
+        problem = well_problem()   # empty memo
 
         calls = {"simulate": 0, "check_geometry": 0}
         for name in calls:
@@ -1218,7 +1238,7 @@ class TestWellPlacementProblem:
         import wellopt.wells.problem as problem_module
         import wellopt.wells.proxy as proxy_module
 
-        problem = WellPlacementProblem(load_bundled_grid())   # empty memo
+        problem = well_problem()   # empty memo
         calls = {}
         for module, name in ((proxy_module, "productivity_index"),
                              (proxy_module, "drainable_oil_barrels"),
@@ -1254,13 +1274,12 @@ class TestWellPlacementProblem:
 
     def test_layout_requires_both_roles(self):
         with pytest.raises(ValueError):
-            WellPlacementProblem(load_bundled_grid(),
-                                 layout=(WellLayout(PRODUCER, 1, 0),))
+            well_problem(layout=(WellLayout(PRODUCER, 1, 0),))
 
     def test_simulation_failure_maps_to_sentinel(self, monkeypatch):
         import wellopt.wells.problem as problem_module
 
-        fresh = WellPlacementProblem(load_bundled_grid())
+        fresh = well_problem()
 
         def exploding(*args, **kwargs):
             raise FloatingPointError("forced")
@@ -1277,7 +1296,7 @@ class TestWellPlacementProblem:
 
 
 MEMO_LAYOUT = (WellLayout(INJECTOR, 1, 0), WellLayout(PRODUCER, 1, 1))
-MEMO_BOUNDS = WellPlacementProblem(BUNDLED, layout=MEMO_LAYOUT).bounds()
+MEMO_BOUNDS = well_problem(layout=MEMO_LAYOUT).bounds()
 # GOOD_GENOME with a branch on the producer: both wells in the grid
 MEMO_GENOME = np.concatenate([GOOD_GENOME,
                               [300.0, 300.0, math.pi / 2, -0.8]])
@@ -1338,13 +1357,13 @@ class TestWellMemo:
                 raise FloatingPointError("forced")
             return original(producer, grid, params)
 
-        memoized = WellPlacementProblem(BUNDLED, layout=MEMO_LAYOUT)
+        memoized = well_problem(layout=MEMO_LAYOUT)
         fresh_failures = 0
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(proxy_module, "drainable_oil_barrels",
                           fails_on_some_producers)
             for genome in genomes:
-                fresh = WellPlacementProblem(BUNDLED, layout=MEMO_LAYOUT)
+                fresh = well_problem(layout=MEMO_LAYOUT)
                 assert bits(memoized.raw_objective(genome)) == bits(
                     fresh.raw_objective(genome))
                 fresh_failures += fresh.simulation_failures
@@ -1354,7 +1373,7 @@ class TestWellMemo:
             self, monkeypatch):
         import wellopt.wells.problem as problem_module
 
-        problem = WellPlacementProblem(BUNDLED)
+        problem = well_problem()
         original = problem_module.simulate
 
         def exploding(*args, **kwargs):
@@ -1364,13 +1383,13 @@ class TestWellMemo:
         assert problem.raw_objective(GOOD_GENOME) == 10.0 * GEOMETRY_PENALTY_BASE
         monkeypatch.setattr(problem_module, "simulate", original)
         assert bits(problem.raw_objective(GOOD_GENOME)) == bits(
-            WellPlacementProblem(BUNDLED).raw_objective(GOOD_GENOME))
+            well_problem().raw_objective(GOOD_GENOME))
         assert problem.simulation_failures == 1
 
     def test_raising_terms_are_not_cached(self, monkeypatch):
         import wellopt.wells.proxy as proxy_module
 
-        problem = WellPlacementProblem(BUNDLED)
+        problem = well_problem()
         calls = []
 
         def failing(*args):
@@ -1389,7 +1408,7 @@ class TestWellMemo:
         import wellopt.wells.problem as problem_module
         from wellopt.wells.problem import WELL_MEMO_SIZE
 
-        problem = WellPlacementProblem(BUNDLED)
+        problem = well_problem()
         decoded = []
         original = problem_module.decode_well
         monkeypatch.setattr(problem_module, "decode_well", lambda *args: (
@@ -1413,7 +1432,7 @@ class TestWellMemo:
         assert len(decoded) == 2 * (2 * WELL_MEMO_SIZE + 6)
 
     def test_cached_geometry_is_read_only(self):
-        problem = WellPlacementProblem(BUNDLED, layout=MEMO_LAYOUT)
+        problem = well_problem(layout=MEMO_LAYOUT)
         genome = MEMO_GENOME
         assert problem.raw_objective(genome) < 0.0   # in the grid, scored
         wells = problem._score(genome)[1]
@@ -1432,7 +1451,7 @@ class TestWellMemo:
     def test_evaluate_detail_takes_pi_from_the_memo(self, monkeypatch):
         import wellopt.wells.proxy as proxy_module
 
-        problem = WellPlacementProblem(BUNDLED)
+        problem = well_problem()
         calls = []
         pi = proxy_module.productivity_index
         monkeypatch.setattr(proxy_module, "productivity_index",

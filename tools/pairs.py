@@ -13,12 +13,12 @@ when they do not (a committed one). Each pair runs
 odd pairs and change first in even ones, so a drift of the machine's
 speed falls on both sides alike. For every end-to-end metric that
 BENCHMARK.json declares, one table row gives the parent median (IQR),
-the change median (IQR), the change of the medians in percent and the
-number of pairs in which the change read lower. The lines after the
-table give each side's `golden:` results and its summed `failed` count,
-then each side's line count of `src/wellopt` (every `.py` file), the
-measure of ROADMAP's north-star 2; the exit status is 1 when any run
-failed.
+the change median (IQR), the change of the medians in percent, the
+number of pairs in which the change read lower, and a verdict (see
+`verdict`). The lines after the table give each side's `golden:`
+results and its summed `failed` count, then each side's line count of
+`src/wellopt` (every `.py` file), the measure of ROADMAP's north-star 2;
+the exit status is 1 when any run failed.
 """
 
 from __future__ import annotations
@@ -76,6 +76,37 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q2, q3 - q1
 
 
+def verdict(before: list[float], after: list[float], better: str,
+            bound: float) -> str:
+    """One metric's paired runs judged as `gain`, `worse`, `unresolved`
+    or `level`, the first that holds:
+
+    - gain: the change is better in at least 9 of 10 pairs (a tie counts
+      for neither side), and its median is better than the parent's by
+      more than the parent's IQR;
+    - worse: the change median is worse than the parent's by more than
+      `bound` (relative);
+    - unresolved: the parent's IQR exceeds `bound` of its median, and not
+      every change run is better than every parent run.
+
+    `better` is "lower" or "higher", as in BENCHMARK.json."""
+    sign = 1.0 if better == "lower" else -1.0
+
+    def beats(a: float, b: float) -> bool:
+        return sign * (a - b) < 0.0
+
+    (p_med, p_iqr), (c_med, _) = quartiles(before), quartiles(after)
+    wins = sum(beats(a, b) for a, b in zip(after, before))
+    if 10 * wins >= 9 * len(before) and sign * (p_med - c_med) > p_iqr:
+        return "gain"
+    if sign * (c_med - p_med) > bound * abs(p_med):
+        return "worse"
+    if p_iqr > bound * abs(p_med) and not all(
+            beats(a, b) for a in after for b in before):
+        return "unresolved"
+    return "level"
+
+
 def fmt(value: float) -> str:
     return f"{value:.4g}"
 
@@ -90,10 +121,11 @@ def table(workload: str, metrics: list[dict], parent: list[dict],
         (p_med, p_iqr), (c_med, c_iqr) = quartiles(before), quartiles(after)
         pct = (c_med - p_med) / p_med * 100.0 if p_med else float("nan")
         lower = sum(a < b for a, b in zip(after, before))
+        judged = verdict(before, after, metric["better"], metric["bound"])
         lines.append(f"| `{workload}` | {len(before)} | `{name}` | "
                      f"{fmt(p_med)} {unit} ({fmt(p_iqr)}) | "
                      f"{fmt(c_med)} {unit} ({fmt(c_iqr)}) | {pct:+.1f}% | "
-                     f"{lower}/{len(before)} |")
+                     f"{lower}/{len(before)} | {judged} |")
     return lines
 
 
@@ -115,8 +147,8 @@ def main(argv=None) -> int:
         change_root = Path.cwd()
         spec = json.loads((change_root / "BENCHMARK.json").read_text())
         rows = ["| workload | pairs | metric | parent median (IQR) | "
-                "change median (IQR) | change | change lower in |",
-                "|---|---|---|---|---|---|---|"]
+                "change median (IQR) | change | change lower in | verdict |",
+                "|---|---|---|---|---|---|---|---|"]
         notes, failed = [], 0
         for workload in args.workload:
             sides = {"parent": [], "change": []}
