@@ -166,15 +166,15 @@ def ga_generation(genomes: list[np.ndarray], fitnesses: list[float],
 
 
 class GaOptimizer:
-    """Drives the GA over an objective, tracking the best feasible point.
-    A generation is ranked once, in `_track_best`, and bred from `order`."""
+    """Drives the GA; a generation is ranked once, in `_track_best`, and
+    bred from `order`. `best_genome` is repair's reference, the best
+    feasible point so far; the run's incumbent is the harness's."""
 
     def __init__(self, params: GaParams, objective,
-                 constraints: list[SumConstraint] | None,
-                 rng: np.random.Generator):
+                 constraints: list[SumConstraint], rng: np.random.Generator):
         self.params = params
         self.objective = objective
-        self.constraints = constraints or []
+        self.constraints = constraints
         self.rng = rng
         self.genomes: list[np.ndarray] = []
         self.fitnesses: list[float] = []

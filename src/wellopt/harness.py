@@ -143,11 +143,11 @@ class RunRecord:
     termination_reason: str
     simulation_failures: int   # proxy runs scored with the sentinel
     nonfinite_evaluations: int   # true evaluations that were NaN or inf
-    final_mean: np.ndarray | None = None
-    archive: TrainingArchive | None = None
-    covariance_repairs: int = 0
+    final_mean: np.ndarray | None   # None for the GA
+    archive: TrainingArchive | None   # None for the GA
+    covariance_repairs: int
     # candidates kept after MAX_RESAMPLES redraws with a rejected draw
-    rejection_exhaustions: int = 0
+    rejection_exhaustions: int
 
     @property
     def final(self) -> RunRow:
@@ -206,10 +206,55 @@ def evaluations_to_target(record: RunRecord, target: float) -> int | None:
 # Optimizer loops
 
 
+class _Recorder:
+    """A run's seeded generator, memoized objective, incumbent, rows and
+    record, alike for every optimizer. A generation's best-ranked candidate
+    replaces the incumbent when its value is finite and below the best so
+    far; until one does, the rows report the first generation's with inf.
+    """
+
+    def __init__(self, problem: BuiltProblem, seed: int):
+        self.problem, self.seed = problem, seed
+        self.rng = np.random.default_rng(seed)
+        self.failures = problem.simulation_failures()   # may be reused
+        self.evaluator = Evaluator(problem.raw_objective,
+                                   TrainingArchive(problem.dim))
+        self.rows: list[RunRow] = []
+        self.best_history: list[float] = []
+        self.best = math.inf
+
+    def end_generation(self, generation: int, genomes, values, raw, order,
+                       resampled: int, n_ic: int, gammas: np.ndarray):
+        i = order[0]
+        value = float(values[i]) if math.isfinite(values[i]) else math.inf
+        if value < self.best or not self.rows:
+            self.best = value
+            self.best_raw, self.best_genome = float(raw[i]), genomes[i].copy()
+        self.best_history.append(self.best)
+        self.rows.append(RunRow(
+            generation=generation, true_evaluations=self.evaluator.count,
+            best_objective=self.best, best_raw_objective=self.best_raw,
+            resampled=resampled, n_ic=n_ic, gammas=gammas,
+            best_genome=self.best_genome))   # shared until replaced
+
+    def record(self, optimizer: str, reason: str, final_mean, archive,
+               covariance_repairs: int, exhaustions: int) -> RunRecord:
+        problem = self.problem
+        return RunRecord(
+            seed=self.seed, optimizer=optimizer, problem=problem.name,
+            dim=problem.dim, n_constraints=len(problem.constraints),
+            rows=self.rows, termination_reason=reason,
+            simulation_failures=problem.simulation_failures() - self.failures,
+            nonfinite_evaluations=self.evaluator.nonfinite,
+            final_mean=final_mean, archive=archive,
+            covariance_repairs=covariance_repairs,
+            rejection_exhaustions=exhaustions)
+
+
 def run_cma(problem: BuiltProblem, config: RunConfig, seed: int,
             use_surrogate: bool) -> RunRecord:
-    rng = np.random.default_rng(seed)
-    failures = problem.simulation_failures()   # the problem may be reused
+    run = _Recorder(problem, seed)
+    rng, evaluator, archive = run.rng, run.evaluator, run.evaluator.archive
     dim = problem.dim
     lower, upper = problem.bounds[:, 0], problem.bounds[:, 1]
     ranges = upper - lower
@@ -228,21 +273,16 @@ def run_cma(problem: BuiltProblem, config: RunConfig, seed: int,
     constraints = problem.constraints
     state = PenaltyState(n_constraints=len(constraints), dim=dim,
                          lam=params.lam)
-    archive = TrainingArchive(dim)
-    evaluator = Evaluator(problem.raw_objective, archive)
     # a configured surrogate was checked against the dimension at load
     settings = config.surrogate or default_surrogate_settings(dim)
 
-    rows: list[RunRow] = []
-    best_history: list[float] = []
-    best = math.inf
     last_gamma_change = -10 ** 9
     exhaustions = 0
 
     while True:
         stationary = dist.generation - last_gamma_change > STAGNATION_WINDOW
-        reason = check_termination(dist, params, best_history, stationary)
-        if reason and not rows:
+        reason = check_termination(dist, params, run.best_history, stationary)
+        if reason and not run.rows:
             raise ValueError(f"stopped before the first generation: {reason}")
         if reason:
             break
@@ -279,71 +319,35 @@ def run_cma(problem: BuiltProblem, config: RunConfig, seed: int,
             order, n_ic = rank_population(values), 0
 
         state.record_generation(raw)
-
         # The best-ranked candidate is always a true evaluation: the
-        # approximate ranking stops only on a best it has evaluated. The
-        # first one is reported even when no value is below inf.
-        i = order[0]
-        if values[i] < best or not rows:
-            best = min(best, float(values[i]))
-            best_raw, best_genome = float(raw[i]), genomes[i].copy()
-        best_history.append(best)
-        rows.append(RunRow(generation=dist.generation,
-                           true_evaluations=evaluator.count,
-                           best_objective=best, best_raw_objective=best_raw,
-                           resampled=resamples, n_ic=n_ic,
-                           gammas=state.gammas.copy(),
-                           best_genome=best_genome))   # shared until replaced
+        # approximate ranking stops only on a best it has evaluated.
+        run.end_generation(dist.generation, genomes, values, raw, order,
+                           resamples, n_ic, state.gammas.copy())
 
         old_mean = dist.mean
         dist.mean = update_mean(dist, params, genomes, order)
         dist = update_strategy_state(dist, params, genomes, order, old_mean)
 
-    optimizer = "cma+surrogate" if use_surrogate else "cma"
-    return RunRecord(seed=seed, optimizer=optimizer, problem=problem.name,
-                     dim=dim, n_constraints=len(constraints), rows=rows,
-                     termination_reason=reason, final_mean=dist.mean.copy(),
-                     archive=archive,
-                     covariance_repairs=dist.repairs,
-                     simulation_failures=problem.simulation_failures()
-                     - failures,
-                     nonfinite_evaluations=evaluator.nonfinite,
-                     rejection_exhaustions=exhaustions)
+    return run.record("cma+surrogate" if use_surrogate else "cma", reason,
+                      dist.mean.copy(), archive, dist.repairs, exhaustions)
 
 
 def run_ga(problem: BuiltProblem, config: RunConfig, seed: int) -> RunRecord:
-    rng = np.random.default_rng(seed)
-    failures = problem.simulation_failures()   # the problem may be reused
+    run = _Recorder(problem, seed)
     params = GaParams(population_size=config.population_size,
                       bounds=problem.bounds,
                       crossprob=config.crossprob, mutprob=config.mutprob)
-    evaluator = Evaluator(problem.raw_objective,
-                          TrainingArchive(problem.dim))
-    optimizer = GaOptimizer(params, evaluator, problem.constraints, rng)
+    optimizer = GaOptimizer(params, run.evaluator, problem.constraints,
+                            run.rng)
     optimizer.initialize()
-    zeros = np.zeros(len(problem.constraints))
-
-    def snapshot(generation: int) -> RunRow:
-        best = optimizer.best_fitness
-        # before a finite value: the reported genome's own recorded value
-        raw = best if math.isfinite(best) else evaluator.archive.lookup(
-            optimizer.best_genome.tobytes())
-        return RunRow(generation=generation,
-                      true_evaluations=evaluator.count,
-                      best_objective=best, best_raw_objective=raw,
-                      resampled=0, n_ic=0, gammas=zeros.copy(),
-                      best_genome=optimizer.best_genome.copy())
-
-    rows = [snapshot(0)]
-    for generation in range(1, config.max_generations):
-        optimizer.step()
-        rows.append(snapshot(generation))
-    return RunRecord(seed=seed, optimizer="ga", problem=problem.name,
-                     dim=problem.dim, n_constraints=len(problem.constraints),
-                     rows=rows, termination_reason="max_generations",
-                     simulation_failures=problem.simulation_failures()
-                     - failures,
-                     nonfinite_evaluations=evaluator.nonfinite)
+    for generation in range(config.max_generations):
+        if generation:
+            optimizer.step()
+        run.end_generation(generation, optimizer.genomes, optimizer.fitnesses,
+                           optimizer.fitnesses, optimizer.order, 0, 0,
+                           np.zeros(len(problem.constraints)))
+    return run.record("ga", "max_generations", final_mean=None, archive=None,
+                      covariance_repairs=0, exhaustions=0)
 
 
 def run_single(config: RunConfig, seed: int,

@@ -103,7 +103,11 @@ def _segment_pieces(start: np.ndarray, end: np.ndarray,
     ex, ey, ez = end.tolist()
     dx, dy, dz = d = [ex - sx, ey - sy, ez - sz]
     direction = np.array(d)
-    length = math.sqrt(direction.dot(direction))   # np.linalg.norm's bits
+    try:
+        length = math.sqrt(direction.dot(direction))   # np.linalg.norm's bits
+    except FloatingPointError:   # a caller's np.errstate on a subnormal
+        with np.errstate(under="ignore"):   # as by default
+            length = math.sqrt(direction.dot(direction))
     if length == 0.0:
         return []
     t_lo, t_hi = 0.0, 1.0

@@ -442,8 +442,10 @@ def old_ga_generation(genomes, fitnesses, params, objective, constraints,
 
 
 def old_track_best(self):
-    """GaOptimizer._track_best before ranking on Python floats, verbatim."""
-    idx = rank_population(self.fitnesses)[0]
+    """GaOptimizer._track_best before ranking on Python floats, verbatim,
+    but keeping its ranking as `order`, which the run's rows read."""
+    self.order = rank_population(self.fitnesses)
+    idx = self.order[0]
     value = float(self.fitnesses[idx])
     if math.isfinite(value) and value < self.best_fitness:
         self.best_fitness = value

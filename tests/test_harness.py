@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
+import wellopt.ga as ga
 import wellopt.harness as harness
 from wellopt.harness import (Evaluator, RunConfig, build_problem,
                              compare_optimizers, evaluations_to_target,
@@ -293,6 +295,67 @@ class TestNonfiniteEvaluations:
         assert swapped.nonfinite_evaluations == 2
         # the count is not a CSV column, and NaN and +inf rank alike
         assert first_csv == again_csv == swapped_csv
+
+
+@pytest.mark.parametrize("optimizer", ["cma", "ga"])
+def test_minus_inf_is_never_the_incumbent(monkeypatch, optimizer):
+    # The four true evaluations of generation 0 return -inf, which ranks
+    # last: every optimizer reports (inf, -inf) for that generation, then
+    # the lowest finite value evaluated so far, never -inf again.
+    original = harness.sphere
+    values = []
+
+    def minus_inf_first(x, center):
+        values.append(-math.inf if len(values) < 4 else original(x, center))
+        return values[-1]
+
+    monkeypatch.setattr(harness, "sphere", minus_inf_first)
+    config = sphere_config(optimizer=optimizer, population_size=4,
+                           max_generations=6,
+                           problem={"kind": "sphere", "dimension": 2})
+    record = run_single(config, 1)
+    assert len(record.rows) == 6
+    assert record.nonfinite_evaluations == 4
+    first = record.rows[0]
+    assert (first.best_objective, first.best_raw_objective) == (math.inf,
+                                                                -math.inf)
+    for row in record.rows[1:]:
+        best = min(values[4:row.true_evaluations])
+        assert row.best_objective == row.best_raw_objective == best
+
+
+@pytest.mark.parametrize("optimizer", ["cma", "cma+surrogate", "ga"])
+def test_one_row_built_as_each_generation_ends(monkeypatch, optimizer):
+    # A row is built once per generation, after its last true evaluation;
+    # the GA ranks each generation once, and its row reads that ranking.
+    original, row_type = harness.sphere, harness.RunRow
+    evaluations, rows, rankings = [], [], []
+
+    def counted(x, center):
+        evaluations.append(None)
+        return original(x, center)
+
+    def row(**fields):
+        rows.append((fields["true_evaluations"], len(evaluations)))
+        return row_type(**fields)
+
+    monkeypatch.setattr(harness, "sphere", counted)
+    monkeypatch.setattr(harness, "RunRow", row)
+    for module in (harness, ga):
+        def ranked(values, _rank=module.rank_population):
+            rankings.append(None)
+            return _rank(values)
+        monkeypatch.setattr(module, "rank_population", ranked)
+    config = sphere_config(optimizer=optimizer, max_generations=15)
+    problem = build_problem(config)
+    record = (run_ga(problem, config, 1) if optimizer == "ga" else
+              run_cma(problem, config, 1, optimizer == "cma+surrogate"))
+    assert len(rows) == len(record.rows) == 15
+    assert all(reported == made for reported, made in rows)
+    if optimizer == "cma+surrogate":   # the surrogate ranked some
+        assert record.final.true_evaluations < 8 * 15
+    if optimizer == "ga":
+        assert len(rankings) == 15
 
 
 def test_gammas_wait_for_a_finite_objective_spread(monkeypatch):

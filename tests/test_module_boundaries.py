@@ -263,3 +263,45 @@ def test_no_default_the_library_never_varies():
     assert not unexpected, f"defaults no library call varies: {unexpected}"
     stale = sorted(set(DEFAULTS_ALLOWED) - never_varied)
     assert not stale, f"allowed but varied or gone: {stale}"
+
+
+def optional_annotation(annotation) -> bool:
+    """Whether an annotation reads `X | None` (or `None | X`)."""
+    return (isinstance(annotation, ast.BinOp)
+            and isinstance(annotation.op, ast.BitOr)
+            and any(isinstance(side, ast.Constant) and side.value is None
+                    for side in (annotation.left, annotation.right)))
+
+
+def or_filled_parameters(tree: ast.Module):
+    """`callee(parameter)` of every parameter annotated `... | None` that
+    its def's body fills with `parameter or ...`; an `__init__` is named
+    by its class."""
+    def visit(body, cls):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from visit(node.body, node)
+            elif isinstance(node, ast.FunctionDef):
+                args = node.args
+                optional = {a.arg for a in [*args.posonlyargs, *args.args,
+                                            *args.kwonlyargs]
+                            if optional_annotation(a.annotation)}
+                filled = {sub.values[0].id for sub in ast.walk(node)
+                          if isinstance(sub, ast.BoolOp)
+                          and isinstance(sub.op, ast.Or)
+                          and isinstance(sub.values[0], ast.Name)}
+                name = (cls.name if cls is not None
+                        and node.name == "__init__" else node.name)
+                yield from (f"{name}({parameter})"
+                            for parameter in sorted(optional & filled))
+                yield from visit(node.body, None)
+    return visit(tree.body, None)
+
+
+def test_no_optional_parameter_filled_with_or():
+    """A `| None` parameter that its body fills with `parameter or ...` is
+    a default spelled twice: the callers pass the filled value instead."""
+    names = [path.relative_to(SRC).as_posix() for path in SRC.rglob("*.py")]
+    filled = sorted(f"{name}:{parameter}" for name in names
+                    for parameter in or_filled_parameters(parse(name)))
+    assert not filled, f"`| None` parameters filled with `or`: {filled}"

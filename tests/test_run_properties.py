@@ -6,11 +6,12 @@ sum constraints (some with a tiny feasible volume), sometimes a
 constraint index past the dimension, and sometimes an objective that is
 NaN or +-inf on a random slab. A run either fails with a ValueError (or,
 for the GA, a NoFeasiblePointError) before its first true evaluation or
-keeps every run-level promise: best-so-far never rises, true evaluations
-never fall and count every objective call, a generation spends at most
-lambda evaluations (a surrogate one 1 + n_ic), the reported genome
-re-evaluates to the reported value, and a rerun with the same seed
-writes the same CSV bytes. A CMA-ES run's true evaluations are also the
+keeps every run-level promise: best-so-far is finite (inf before the
+first finite value) and never rises, true evaluations never fall and
+count every objective call, a generation spends at most lambda
+evaluations (a surrogate one 1 + n_ic), the reported genome re-evaluates
+to the reported value, and a rerun with the same seed writes the same
+CSV bytes. A CMA-ES run's true evaluations are also the
 archive size plus the non-finite ones.
 """
 
@@ -131,11 +132,16 @@ ALL_NAN_GA = ({"problem": {"kind": "sphere", "dimension": 2,
                "optimizer": "ga", "population_size": 4,
                "max_generations": 2, "constraints": []},
               (0, 0.0, 1.0, math.nan), 0)
+# a CMA-ES run that is -inf inside the box reports inf for its first two
+# generations, which sample nothing else, and then a finite value
+MINUS_INF_CMA = ({**ALL_NAN_GA[0], "optimizer": "cma", "max_generations": 3},
+                 (0, 0.0, 1.0, -math.inf), 1)
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=small_runs())
 @example(case=ALL_NAN_GA)
+@example(case=MINUS_INF_CMA)
 def test_small_runs_keep_their_promises(case):
     data, region, seed = case
     with tempfile.TemporaryDirectory() as tmp:
@@ -150,6 +156,7 @@ def test_small_runs_keep_their_promises(case):
 
     rows = record.rows
     best = record.best_so_far()
+    assert all(math.isfinite(b) or b == math.inf for b in best)
     assert all(b <= a for a, b in zip(best, best[1:]))
     evaluations = record.true_evaluations()
     assert all(b >= a for a, b in zip(evaluations, evaluations[1:]))

@@ -1178,6 +1178,21 @@ class TestWellPlacementProblem:
         assert raised.simulation_failures == 0
         assert value == pytest.approx(-1.3235e8, rel=1e-4)
 
+    def test_subnormal_segment_length_is_scored_as_by_default(self):
+        """Under np.errstate(all="raise") a producer whose first segment
+        has subnormal components underflows in the squared segment length
+        of the productivity index: it is scored with the bits of numpy's
+        default, not as a simulation failure."""
+        genome = np.array([200.0, 1500.0, 54.0, 700.0, math.pi / 2, 0.0,
+                           700.0, 5e-308, 30.0, 60.0, 1e-300, -8.317e-10])
+        expected = well_problem().raw_objective(genome)
+        raised = well_problem()   # empty memo
+        with np.errstate(all="raise"):
+            value = raised.raw_objective(genome)
+        assert bits(value) == bits(expected)
+        assert raised.simulation_failures == 0
+        assert value == -1106036.5154107017
+
     def test_npv_sign_convention(self, problem):
         detail = problem.evaluate_detail(GOOD_GENOME)
         assert detail["npv"] == -problem.raw_objective(GOOD_GENOME)
