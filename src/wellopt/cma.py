@@ -41,7 +41,7 @@ class StrategyParams:
 
     Use `default_strategy_params` rather than filling these in by hand;
     it derives every learning rate from (dimension, lambda) using the
-    conventional defaults.
+    conventional defaults, and nothing checks a hand-filled set.
     """
 
     lam: int
@@ -56,21 +56,6 @@ class StrategyParams:
     chi_n: float
     max_generations: int
 
-    def __post_init__(self):
-        if self.lam < 2:
-            raise ValueError("population size lambda must be >= 2")
-        if not 1 <= self.mu <= self.lam:
-            raise ValueError("mu must lie in [1, lambda]")
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.weights.shape != (self.mu,):
-            raise ValueError("need exactly mu weights")
-        if np.any(self.weights <= 0):
-            raise ValueError("weights must be strictly positive")
-        if not np.isclose(self.weights.sum(), 1.0, rtol=0, atol=1e-12):
-            raise ValueError("weights must sum to 1")
-        if np.any(np.diff(self.weights) > 0):
-            raise ValueError("weights must be non-increasing")
-
 
 def default_strategy_params(dim: int, lam: int,
                             max_generations: int) -> StrategyParams:
@@ -80,8 +65,6 @@ def default_strategy_params(dim: int, lam: int,
     w_i proportional to ln(mu + 1) - ln(i), normalized to sum 1.
     """
     n = int(dim)
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
     mu = lam // 2
     raw = np.log(mu + 1) - np.log(np.arange(1, mu + 1))
     weights = raw / raw.sum()
@@ -120,13 +103,8 @@ class SearchDistribution:
         self.covariance = np.asarray(self.covariance, dtype=float)
         self.path_sigma = np.asarray(self.path_sigma, dtype=float)
         self.path_c = np.asarray(self.path_c, dtype=float)
-        n = self.mean.shape[0]
-        if self.covariance.shape != (n, n):
-            raise ValueError("covariance shape must match mean dimension")
         if not self.step_size > 0:
             raise ValueError("step_size must be positive")
-        if self.generation < 0:
-            raise ValueError("generation must be non-negative")
 
     @property
     def dim(self) -> int:
@@ -196,8 +174,6 @@ def rank_population(values: Sequence[float]) -> list[int]:
 def update_mean(dist: SearchDistribution, params: StrategyParams,
                 genomes: np.ndarray, order: list[int]) -> np.ndarray:
     """Weighted recombination of the mu best rows of `genomes`."""
-    if params.mu > len(genomes):
-        raise ValueError("mu exceeds population size")
     return params.weights @ genomes[order[:params.mu]]
 
 

@@ -97,6 +97,9 @@ def _well_kwargs(problem: dict) -> dict:
         _number(w.get("deviations", 1), "wells.deviations", True),
         _number(w.get("branches", 0), "wells.branches", True))
         for w in wells) or DEFAULT_LAYOUT
+    if {w.role for w in kwargs["layout"]} != {INJECTOR, PRODUCER}:
+        raise ValueError("wells must hold at least one producer and one "
+                         f"injector; got {[w.get('role') for w in wells]}")
     if not 0.0 < kwargs["min_step_m"] < kwargs["econ"].max_well_length_m:
         raise ValueError("problem.min_step_m must lie in (0, "
                          "economics.max_well_length_m); got "

@@ -102,8 +102,6 @@ class PenaltyState:
     fitness_history: deque = field(init=False)
 
     def __post_init__(self):
-        if self.n_constraints < 0:
-            raise ValueError("n_constraints must be non-negative")
         self.gammas = np.zeros(self.n_constraints)
         self.history_capacity = max(1, math.ceil((20 + 3 * self.dim) / self.lam))
         self.fitness_history = deque(maxlen=self.history_capacity)
@@ -122,8 +120,6 @@ class PenaltyState:
             if len(values) > 1 else 0.0)
 
     def median_iqr(self) -> float:
-        if not self.fitness_history:
-            raise ValueError("no objective-spread history recorded yet")
         return float(np.median(list(self.fitness_history)))
 
 
@@ -278,8 +274,6 @@ def sample_with_rejection(draw, count: int, constraints: list[SumConstraint],
     candidates kept at the cap with a draw the rule rejects. With no
     constraints the first block is returned untouched.
     """
-    if not rejection_fraction > 0:
-        raise ValueError("rejection_fraction must be positive")
     if not constraints:
         return draw(count), np.empty((0, count)), 0, 0
     rows, coordinates, multi, (lower, upper) = _screen_plan(tuple(constraints))

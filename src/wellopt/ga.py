@@ -37,23 +37,12 @@ class NoFeasiblePointError(RuntimeError):
 
 @dataclass
 class GaParams:
+    """`RunConfig`'s size and rates; the problem's (n, 2) bounds, lo < hi."""
+
     population_size: int
     bounds: np.ndarray
     crossprob: float
     mutprob: float
-
-    def __post_init__(self):
-        self.bounds = np.asarray(self.bounds, dtype=float)
-        if self.bounds.ndim != 2 or self.bounds.shape[1] != 2:
-            raise ValueError("bounds must be an (n, 2) array")
-        if np.any(self.bounds[:, 0] >= self.bounds[:, 1]):
-            raise ValueError("every coordinate needs min < max")
-        for name in ("crossprob", "mutprob"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
-        if self.population_size < 2:
-            raise ValueError("population_size must be >= 2")
 
 
 @cache

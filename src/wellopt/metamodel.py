@@ -164,13 +164,11 @@ class MahalanobisMetric:
 def select_neighbors(archive: TrainingArchive, q: np.ndarray,
                      metric: MahalanobisMetric, k: int
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The k archive entries nearest to q; ties keep insertion order.
+    """The k entries nearest to q of an archive that holds at least k;
+    ties keep insertion order.
 
     Returns (genomes, objectives, distances), sorted by distance.
     """
-    if len(archive) < k:
-        raise SurrogateUnavailable(
-            f"archive holds {len(archive)} points, need {k}")
     points, values = archive.as_arrays()
     distances = metric.distances_to(points, q)
     chosen = np.argsort(distances, kind="stable")[:k]
@@ -309,6 +307,7 @@ def approximate_ranking_step(genomes: np.ndarray,
                                         list[float], list[bool]]:
     """Rank one generation, spending true evaluations only until stable.
 
+    The archive holds at least `settings.min_archive_size` (>= k) entries.
     Procedure: predict all lambda candidates (the rows of `genomes`),
     record the mu-best set and the best candidate, and truly evaluate the
     predicted best. Then cycle: re-predict every still-unevaluated
@@ -336,8 +335,6 @@ def approximate_ranking_step(genomes: np.ndarray,
     evaluation.
     """
     lam = len(genomes)
-    if len(archive) < settings.min_archive_size:
-        raise ValueError("archive below min_archive_size; evaluate truly")
     metric = MahalanobisMetric(dist.covariance)
 
     raw = [math.nan] * lam

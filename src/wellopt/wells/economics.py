@@ -55,17 +55,11 @@ class ProductionProfile:
         phases = [np.asarray(a, dtype=float)
                   for a in (self.oil, self.gas, self.water)]
         self.oil, self.gas, self.water = phases
-        if not (self.oil.shape == self.gas.shape == self.water.shape):
-            raise ValueError("phase arrays must share one shape")
         # one pass over all phases; fmin skips NaN, which is not negative
         if np.fmin.reduce(phases, axis=None, initial=0.0) < 0.0:
             name = next(name for name, arr in zip(("oil", "gas", "water"),
                                                   phases) if np.any(arr < 0))
             raise ValueError(f"{name} volumes must be non-negative")
-
-    @property
-    def n_periods(self) -> int:
-        return self.oil.shape[0]
 
     @property
     def cumulative_oil(self) -> float:
@@ -103,9 +97,7 @@ def _discount(rate: float, periods: int) -> np.ndarray:
 
 def npv(profile: ProductionProfile, econ: EconomicParams,
         cost: float) -> float:
-    """Discounted phase revenues minus the drilling cost."""
-    if profile.n_periods != econ.periods + 1:
-        raise ValueError(f"profile must cover periods 0..{econ.periods}")
+    """Discounted phase revenues of periods 0..Y minus the drilling cost."""
     discount = _discount(econ.annual_discount_rate, econ.periods)
     revenue = (profile.oil * econ.oil_price
                + profile.gas * econ.gas_price

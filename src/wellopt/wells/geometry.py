@@ -21,8 +21,6 @@ from ..floats import pairwise_sum
 
 def genome_dimension(n_deviations: int, n_branches: int) -> int:
     """Coordinates of one well's genome block."""
-    if min(n_deviations, n_branches) < 0:
-        raise ValueError("counts must be non-negative")
     return 3 * (1 + n_deviations) + 4 * n_branches
 
 
@@ -98,12 +96,8 @@ def _point_at_arclength(points: list[list[float]],
 
 def decode_well(genome_slice: np.ndarray, n_deviations: int,
                 n_branches: int) -> WellGeometry:
-    """Turn one well's genome slice into Cartesian geometry."""
+    """Turn one well's `genome_dimension` slice into Cartesian geometry."""
     g = np.asarray(genome_slice, dtype=float)
-    expected = genome_dimension(n_deviations, n_branches)
-    if g.shape != (expected,):
-        raise ValueError(f"expected genome slice of length {expected}, "
-                         f"got {g.shape}")
     coords = g.tolist()
     # numpy's float64 trig, not the math module's: numpy may use its own
     # SIMD routines, whose bits can differ from the C library's

@@ -12,6 +12,7 @@ read-only copies, so the values derived from it once (`extent`,
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -68,6 +69,12 @@ class ReservoirGrid:
 
         store("dims", tuple(int(d) for d in self.dims))
         store("cell_size", tuple(float(s) for s in self.cell_size))
+        if len(self.dims) != 3 or min(self.dims) < 1:
+            raise ValueError(f"dims must be 3 values >= 1; got {self.dims}")
+        if not all(0.0 < d * s < math.inf   # dims >= 1: s > 0, finite extent
+                   for d, s in zip(self.dims, self.cell_size)):
+            raise ValueError("cell_size must be positive with a finite "
+                             f"extent dims * cell_size; got {self.cell_size}")
         shape = self.dims
         for name in ("porosity", "oil_saturation", "permeability"):
             arr = _read_only(np.array(getattr(self, name), dtype=float))

@@ -84,11 +84,12 @@ def _well_memo(well: WellLayout, grid: ReservoirGrid, proxy: ProxyParams):
 class WellPlacementProblem:
     """One injector/producer pattern on a reservoir grid.
 
-    The genome concatenates one block per well in layout order. Bounds
-    keep heels inside the grid, bore lengths within (min_step_m,
-    max_well_length_m), bores near-horizontal (polar angle within
-    tilt_range of pi/2, matching a thin reservoir), and azimuths in
-    (-pi, pi). The grid and proxy parameters stay fixed for the
+    The layout holds both roles, as `RunConfig` checks, and the genome
+    concatenates one block per well in layout order, `dim` coordinates
+    in all. Bounds keep heels inside the grid, bore lengths within
+    (min_step_m, max_well_length_m), bores near-horizontal (polar angle
+    within tilt_range of pi/2, matching a thin reservoir), and azimuths
+    in (-pi, pi). The grid and proxy parameters stay fixed for the
     problem's life: its per-well memo holds values derived from them.
     """
 
@@ -99,10 +100,6 @@ class WellPlacementProblem:
         self.econ = econ
         self.proxy = proxy
         self.layout = tuple(layout)
-        if not any(w.role == PRODUCER for w in self.layout):
-            raise ValueError("layout needs at least one producer")
-        if not any(w.role == INJECTOR for w in self.layout):
-            raise ValueError("layout needs at least one injector")
         self.min_step_m = min_step_m
         self.tilt_range = tilt_range
         self.simulation_failures = 0
@@ -173,8 +170,6 @@ class WellPlacementProblem:
         terms, profile, drilling cost); the last three are None unless the
         proxy ran successfully."""
         genome = np.asarray(genome, dtype=float)
-        if genome.shape != (self.dim,):
-            raise ValueError(f"genome must have length {self.dim}")
         keys = [genome[start:stop].tobytes()   # bit-exact: -0.0 != 0.0
                 for start, stop, _, _ in self._memo]
         wells = [decoded(key) for key, (_, _, decoded, _)

@@ -248,15 +248,13 @@ def simulate(wells: list[tuple[WellGeometry, str]], econ: EconomicParams,
              ) -> ProductionProfile:
     """Run the proxy for one producer/injector pattern.
 
-    `wells` pairs each geometry with its role ("injector" or
-    "producer"), and `terms` holds each well's `well_terms`, in `wells`
-    order. Multiple wells per role aggregate by summed PI, summed
+    `wells` pairs each geometry with its role, at least one "injector"
+    and one "producer", and `terms` holds each well's `well_terms`, in
+    `wells` order. Multiple wells per role aggregate by summed PI, summed
     drainable oil, and the minimum injector-producer midpoint distance.
     """
     producers = [w for w, role in wells if role == PRODUCER]
     injectors = [w for w, role in wells if role == INJECTOR]
-    if not producers or not injectors:
-        raise ValueError("need at least one producer and one injector")
 
     pi_prod = sum(pi for (pi, _), (_, role) in zip(terms, wells)
                   if role == PRODUCER)

@@ -54,16 +54,6 @@ class TestStrategyParams:
             assert np.all(np.diff(p.weights) <= 0)
             assert np.isclose(p.mu_eff, 1.0 / np.sum(p.weights ** 2))
 
-    def test_invalid_weights_rejected(self):
-        with pytest.raises(ValueError):
-            StrategyParams(lam=4, mu=2, weights=np.array([0.3, 0.3]),
-                           mu_eff=1.0, c_sigma=0.1, d_sigma=1.0, c_c=0.1,
-                           c_1=0.01, c_mu=0.01, chi_n=1.0, max_generations=10)
-        with pytest.raises(ValueError):
-            StrategyParams(lam=4, mu=2, weights=np.array([0.3, 0.7]),
-                           mu_eff=1.0, c_sigma=0.1, d_sigma=1.0, c_c=0.1,
-                           c_1=0.01, c_mu=0.01, chi_n=1.0, max_generations=10)
-
 
 class TestSampling:
     def test_identity_case_shapes_and_mean(self):

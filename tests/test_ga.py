@@ -48,12 +48,14 @@ def ga_params(pop, box, **rates):
 
 class TestGaParams:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ga_params(1, bounds(2))
-        with pytest.raises(ValueError):
-            ga_params(4, np.array([[1.0, 1.0]]))
-        with pytest.raises(ValueError):
-            ga_params(4, bounds(2), crossprob=1.5)
+        """`RunConfig` checks the size, rates and bounds GaParams takes."""
+        sphere = {"kind": "sphere", "dimension": 2}
+        with pytest.raises(ValueError, match="population_size"):
+            RunConfig(sphere, population_size=1)
+        with pytest.raises(ValueError, match="problem.bounds"):
+            RunConfig({**sphere, "bounds": [[1.0, 1.0], [0.0, 1.0]]})
+        with pytest.raises(ValueError, match="ga.crossprob"):
+            RunConfig(sphere, crossprob=1.5)
 
 
 class TestSelection:

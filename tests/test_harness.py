@@ -150,6 +150,9 @@ class TestConfig:
             ({"constraints": 5}, "constraints"),
             # a full quadratic in 2 dimensions needs 6 neighbours
             ({"surrogate": {"k": 3, "min_archive_size": 10}}, "surrogate.k"),
+            # a layout needs a producer and an injector
+            ({"problem": {"kind": "well_placement",
+                          "wells": [{"role": "producer"}]}}, "wells"),
         ])])
     def test_out_of_range_values_rejected_at_load(self, overrides, key,
                                                   copied):

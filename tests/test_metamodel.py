@@ -154,12 +154,6 @@ class TestSelectNeighbors:
         assert np.array_equal(genomes[0], q)
         assert distances[0] == 0.0
 
-    def test_small_archive_signals_unavailable(self):
-        archive = TrainingArchive(1)
-        archive.add(key(np.array([0.0])), 1.0)
-        with pytest.raises(SurrogateUnavailable):
-            select_neighbors(archive, np.zeros(1), euclidean(1), 5)
-
     def test_matches_full_sort_oracle(self):
         rng = np.random.default_rng(4)
         archive = TrainingArchive(3)
@@ -584,16 +578,6 @@ class TestApproximateRanking:
         assert all(evaluated)
         truth = sorted(range(lam), key=lambda i: (fn(genomes[i]), i))
         assert order == truth
-
-    def test_archive_below_threshold_is_callers_problem(self):
-        fn = lambda z: float(z[0] ** 2)
-        genomes, archive, params, settings = seeded_setup(4, fn)
-        small = TrainingArchive(1)
-        small.add(key(np.array([0.0])), 0.0)
-        with pytest.raises(ValueError):
-            approximate_ranking_step(genomes, small, make_dist(1), params,
-                                     settings, lambda g: fn(g),
-                                     [0.0] * len(genomes))
 
     def test_penalty_applied_to_predictions_and_truth(self):
         fn = lambda z: float(z[0] ** 2)

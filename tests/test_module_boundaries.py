@@ -9,6 +9,10 @@ Every public function, class, method and property is run by the library
 itself: a name that only tests or the package `__init__` re-exports
 reach is a second API to keep in step, so the tests keep such forms as
 their own references instead.
+
+A value is checked once, where it enters the program: every
+`ValueError` outside `config.py` names the outside input it checks or
+the run outcome it reports.
 """
 
 import ast
@@ -305,3 +309,62 @@ def test_no_optional_parameter_filled_with_or():
     filled = sorted(f"{name}:{parameter}" for name in names
                     for parameter in or_filled_parameters(parse(name)))
     assert not filled, f"`| None` parameters filled with `or`: {filled}"
+
+
+# Every `raise ValueError` outside config.py, by where it is raised: the
+# outside input it checks, or the run outcome it reports. A value that a
+# door (RunConfig, the grid loader, the CLI) already checked, or that the
+# library built itself, is not checked again.
+RAISES_ALLOWED: dict[str, str] = {
+    "cma.py:SearchDistribution.__post_init__":
+        "sigma0 from the config, and an updated sigma that is not shown "
+        "to stay positive",
+    "constraints.py:SumConstraint.__post_init__":
+        "the config's `constraints` entries",
+    "metamodel.py:SurrogateSettings.validate":
+        "the config's `surrogate` section against the dimension",
+    "harness.py:run_cma":
+        "run outcome: stopped before the first generation",
+    "harness.py:run_single": "a config without `optimizer` for one run",
+    "harness.py:run_batch": "a config with too few seeds for a batch",
+    "harness.py:compare_optimizers":
+        "a config without the `optimizers` pair to compare",
+    "wells/grid.py:ReservoirGrid.__post_init__": "a grid file",
+    "wells/economics.py:EconomicParams.__post_init__":
+        "the config's `economics` section",
+    "wells/economics.py:ProductionProfile.__post_init__":
+        "run outcome: a negative volume from the depletion recurrence, "
+        "scored as a simulation failure",
+    "wells/problem.py:WellLayout.__post_init__":
+        "the config's `wells` entries",
+    "wells/proxy.py:ProxyParams.__post_init__":
+        "the config's `proxy` section",
+}
+
+
+def value_error_raises(tree: ast.Module):
+    """`Class.method` or `function` (nested scopes joined by dots) of
+    every `raise ValueError(...)` or `raise ValueError`."""
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = [*scope, node.name]
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                yield ".".join(scope) or "<module>"
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, scope)
+    return visit(tree, [])
+
+
+def test_every_value_error_is_raised_where_input_enters():
+    """A value is checked once, where it enters the program: config.py
+    checks the config JSON, so a library `ValueError` stands only where
+    RAISES_ALLOWED says what outside input or run outcome it reports."""
+    names = [path.relative_to(SRC).as_posix() for path in SRC.rglob("*.py")]
+    raised = {f"{name}:{where}" for name in names if name != "config.py"
+              for where in value_error_raises(parse(name))}
+    unexpected = sorted(raised - set(RAISES_ALLOWED))
+    assert not unexpected, f"ValueErrors no outside input needs: {unexpected}"
+    stale = sorted(set(RAISES_ALLOWED) - raised)
+    assert not stale, f"allowed but raised nowhere: {stale}"

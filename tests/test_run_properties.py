@@ -4,7 +4,9 @@ Each example is one small CMA-ES (surrogate on or off) or GA run on a
 sphere or Rosenbrock with random bounds (some nearly degenerate), random
 sum constraints (some with a tiny feasible volume), sometimes a
 constraint index past the dimension, and sometimes an objective that is
-NaN or +-inf on a random slab. A run either fails with a ValueError (or,
+NaN or +-inf on a random slab; or one small CMA-ES or GA run on the
+well-placement problem with a random layout of one or two wells per
+role, each with up to two deviations and a branch. A run either fails with a ValueError (or,
 for the GA, a NoFeasiblePointError) before its first true evaluation or
 keeps every run-level promise: best-so-far is finite (inf before the
 first finite value) and never rises, true evaluations never fall and
@@ -138,12 +140,47 @@ MINUS_INF_CMA = ({**ALL_NAN_GA[0], "optimizer": "cma", "max_generations": 3},
                  (0, 0.0, 1.0, -math.inf), 1)
 
 
+@st.composite
+def well_runs(draw):
+    """A well-placement run; the surrogate's k is out of reach at these
+    budgets, so only plain CMA-ES and the GA."""
+    wells = [{"role": role, "deviations": draw(st.integers(0, 2)),
+              "branches": draw(st.integers(0, 1))}
+             for role in ("injector", "producer")
+             for _ in range(draw(st.integers(1, 2)))]
+    data = {"problem": {"kind": "well_placement", "wells": wells},
+            "optimizer": draw(st.sampled_from(["cma", "ga"])),
+            "population_size": draw(st.integers(4, 8)),
+            "max_generations": draw(st.integers(2, 6))}
+    return data, None, draw(st.integers(0, 2 ** 16))
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=small_runs())
 @example(case=ALL_NAN_GA)
 @example(case=MINUS_INF_CMA)
 def test_small_runs_keep_their_promises(case):
-    data, region, seed = case
+    keeps_its_promises(*case)
+
+
+# a CMA-ES run with a branched producer beside a straight injector
+BRANCHED_PRODUCER = ({"problem": {"kind": "well_placement", "wells": [
+                          {"role": "injector", "deviations": 1},
+                          {"role": "producer", "deviations": 2,
+                           "branches": 1}]},
+                      "optimizer": "cma", "population_size": 6,
+                      "max_generations": 4}, None, 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=well_runs())
+@example(case=BRANCHED_PRODUCER)
+def test_well_runs_keep_their_promises(case):
+    keeps_its_promises(*case)
+
+
+def keeps_its_promises(data, region, seed):
+    """Run a case twice and check every run-level promise above."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = [os.path.join(tmp, f"run_{i}.csv") for i in (1, 2)]
         record, objective = run(data, region, seed, paths[0])

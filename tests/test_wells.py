@@ -103,8 +103,11 @@ class TestGenomeDimension:
         assert genome_dimension(2, 1) == 3 * 3 + 4
 
     def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError):
-            genome_dimension(-1, 0)
+        with pytest.raises(ValueError, match="non-negative"):
+            WellLayout(PRODUCER, -1, 0)
+        with pytest.raises(ValueError, match="non-negative"):
+            RunConfig({"kind": "well_placement", "wells": [
+                {"role": "injector"}, {"role": "producer", "branches": -1}]})
 
 
 class TestDecode:
@@ -148,10 +151,6 @@ class TestDecode:
         assert np.allclose(branch.start, [4.0, 0.0, 0.0], atol=1e-12)
         assert np.allclose(branch.end, [4.0, 5.0, 0.0], atol=1e-12)
         assert well.total_length == pytest.approx(15.0)
-
-    def test_wrong_slice_length_raises(self):
-        with pytest.raises(ValueError):
-            decode_well(np.zeros(5), 1, 0)
 
     def test_encode_decode_round_trip(self):
         rng = np.random.default_rng(1)
@@ -315,13 +314,6 @@ class TestNpv:
         assert npv(more_oil, econ, 0.0) > value
         assert npv(more_water, econ, 0.0) < value
 
-    def test_wrong_profile_length_rejected(self):
-        econ = EconomicParams(periods=3)
-        profile = ProductionProfile(oil=np.zeros(2), gas=np.zeros(2),
-                                    water=np.zeros(2))
-        with pytest.raises(ValueError):
-            npv(profile, econ, 0.0)
-
     def test_negative_volumes_rejected(self):
         with pytest.raises(ValueError):
             ProductionProfile(oil=np.array([-1.0]), gas=np.zeros(1),
@@ -359,6 +351,27 @@ class TestGrid:
                           oil_saturation=np.full((2, 2, 1), 0.5),
                           permeability=np.ones((2, 2, 1)),
                           top_elevation=np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("change", [
+        {"cell_size": [180.0, 180.0, 0.0]},
+        {"cell_size": [180.0, 180.0, math.nan]},
+        {"cell_size": [180.0, 180.0, math.inf]},
+        {"cell_size": [180.0, -180.0, 24.0]},
+        {"cell_size": [1e307, 180.0, 24.0]},   # an extent of 1.9e308
+        {"dims": [0, 2, 2], "porosity": [], "oil_saturation": [],
+         "permeability": [], "top_elevation": []},
+        {"dims": [2, 2], "cell_size": [180.0, 180.0],
+         "porosity": [0.2] * 4, "oil_saturation": [0.5] * 4,
+         "permeability": [1.0] * 4, "top_elevation": [0.0] * 4},
+    ], ids=["zero", "nan", "inf", "negative", "extent-overflow",
+            "zero-dims", "two-dims"])
+    def test_bad_cell_size_or_dims_rejected_at_load(self, tmp_path, grid,
+                                                    change):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({**grid.to_json_dict(), **change}))
+        name = "dims" if "dims" in change else "cell_size"
+        with pytest.raises(ValueError, match=name):
+            ReservoirGrid.load_json(path)
 
     def test_fields_are_read_only_copies(self):
         dims = (2, 2, 1)
@@ -926,9 +939,9 @@ def reference_simulate(wells: list[tuple[WellGeometry, str]],
 
 
 def reference_npv(profile, econ, cost):
-    if profile.n_periods != econ.periods + 1:
+    if profile.oil.shape[0] != econ.periods + 1:
         raise ValueError(f"profile must cover periods 0..{econ.periods}")
-    periods = np.arange(profile.n_periods)
+    periods = np.arange(profile.oil.shape[0])
     discount = (1.0 + econ.annual_discount_rate) ** (-periods)
     revenue = (profile.oil * econ.oil_price
                + profile.gas * econ.gas_price
@@ -1015,10 +1028,11 @@ class TestProxy:
         assert np.all(profile.oil == 0.0)
         assert np.all(profile.water == 0.0)
 
-    def test_missing_role_rejected(self, grid):
-        well = straight_well([100, 100, 50], [500, 100, 50])
-        with pytest.raises(ValueError):
-            simulate_wells([(well, PRODUCER)], grid, EconomicParams())
+    def test_missing_role_rejected(self):
+        """`simulate` needs both roles; the config's layout has them."""
+        with pytest.raises(ValueError, match="wells"):
+            RunConfig({"kind": "well_placement",
+                       "wells": [{"role": "injector", "deviations": 2}]})
 
     def test_doubling_saturation_doubles_first_period_oil(self):
         dims, cell = (6, 6, 3), (100.0, 100.0, 20.0)
@@ -1288,8 +1302,9 @@ class TestWellPlacementProblem:
         assert np.all(GOOD_GENOME <= bounds[:, 1] + 1e-9)
 
     def test_layout_requires_both_roles(self):
-        with pytest.raises(ValueError):
-            well_problem(layout=(WellLayout(PRODUCER, 1, 0),))
+        with pytest.raises(ValueError, match="producer and one injector"):
+            RunConfig({"kind": "well_placement",
+                       "wells": [{"role": "producer"}]})
 
     def test_simulation_failure_maps_to_sentinel(self, monkeypatch):
         import wellopt.wells.problem as problem_module
