@@ -3,9 +3,9 @@
 Generational GA with elitism: rank-biased parent selection, single-index
 arithmetic blend crossover, single-index uniform-reset mutation, and a
 repair step that pulls constraint-violating children back into the
-feasible region by bisecting toward the best feasible solution found so
-far (a deliberately simple stand-in for library-grade co-evolutionary
-repair schemes).
+feasible region by bisecting toward the elite, the population's
+best-ranked genome (a deliberately simple stand-in for library-grade
+co-evolutionary repair schemes).
 
 Parents are drawn by bisection on cached cumulative weights and fitnesses
 ranked as Python floats, with the bits and draws of the numpy forms.
@@ -13,7 +13,6 @@ ranked as Python floats, with the bits and draws of the numpy forms.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
@@ -99,12 +98,13 @@ def repair(individual: np.ndarray, constraints: list[SumConstraint],
            reference: np.ndarray | None) -> np.ndarray:
     """Move an unfeasible individual to feasibility.
 
-    Bisects along the segment toward a feasible reference individual
-    (the best feasible solution known) for BISECTION_STEPS halvings and
-    returns the feasible end. Without a usable reference, uniform points
-    within the bounds are drawn until one is feasible. Feasible inputs
-    are returned unchanged; the repaired genome always replaces the
-    original.
+    Bisects along the segment toward a reference individual (the elite,
+    or genome 0 while the population is drawn) for BISECTION_STEPS
+    halvings and returns the feasible end; if no midpoint is feasible,
+    that end is the reference's, which is not shown to be feasible.
+    Without a usable reference, uniform points within the bounds are
+    drawn until one is feasible. Feasible inputs are returned unchanged;
+    the repaired genome always replaces the original.
     """
     if is_feasible(individual, constraints):
         return individual
@@ -127,15 +127,14 @@ def repair(individual: np.ndarray, constraints: list[SumConstraint],
 def ga_generation(genomes: list[np.ndarray], fitnesses: list[float],
                   order: list[int], params: GaParams, objective,
                   constraints: list[SumConstraint],
-                  rng: np.random.Generator,
-                  feasible_reference: np.ndarray | None
+                  rng: np.random.Generator
                   ) -> tuple[list[np.ndarray], list[float]]:
     """Produce the next generation's (genomes, fitnesses): elite copy plus
     bred children. `order` is `rank_population(fitnesses)`.
 
-    Children go through select -> crossover -> mutate -> repair ->
-    evaluate; the elite is copied verbatim (and is thereby exempt from
-    mutation). Population size is preserved.
+    Children go through select -> crossover -> mutate -> repair toward
+    the elite -> evaluate; the elite is copied verbatim (and is thereby
+    exempt from mutation). Population size is preserved.
     """
     elites = order[:ELITISM_COUNT]
     next_genomes = [genomes[i].copy() for i in elites]
@@ -148,16 +147,16 @@ def ga_generation(genomes: list[np.ndarray], fitnesses: list[float],
                 break
             child = mutate(child, params.mutprob, params.bounds, rng)
             child = repair(child, constraints, params.bounds, rng,
-                           feasible_reference)
+                           genomes[order[0]])
             next_genomes.append(child)
             next_fitnesses.append(float(objective(child)))
     return next_genomes, next_fitnesses
 
 
 class GaOptimizer:
-    """Drives the GA; a generation is ranked once, in `_track_best`, and
-    bred from `order`. `best_genome` is repair's reference, the best
-    feasible point so far; the run's incumbent is the harness's."""
+    """Drives the GA. Its state is `genomes`, `fitnesses` and their ranking
+    `order`; the elite `genomes[order[0]]` is repair's reference. The
+    run's incumbent is the harness's."""
 
     def __init__(self, params: GaParams, objective,
                  constraints: list[SumConstraint], rng: np.random.Generator):
@@ -168,36 +167,20 @@ class GaOptimizer:
         self.genomes: list[np.ndarray] = []
         self.fitnesses: list[float] = []
         self.order: list[int] = []
-        self.best_genome: np.ndarray | None = None
-        self.best_fitness = np.inf
 
     def initialize(self):
         bounds = self.params.bounds
         self.genomes = []
         for _ in range(self.params.population_size):
             x = self.rng.uniform(bounds[:, 0], bounds[:, 1])
-            x = repair(x, self.constraints, bounds, self.rng,
-                       self.best_genome)
-            self.genomes.append(x)
-            self._note_feasible(x)
+            self.genomes.append(repair(
+                x, self.constraints, bounds, self.rng,
+                self.genomes[0] if self.genomes else None))
         self.fitnesses = [float(self.objective(x)) for x in self.genomes]
-        self._track_best()
-
-    def _note_feasible(self, x: np.ndarray):
-        if self.best_genome is None and is_feasible(x, self.constraints):
-            self.best_genome = x.copy()
-
-    def _track_best(self):
-        # non-finite values rank last and never become the best
         self.order = rank_population(self.fitnesses)
-        idx = self.order[0]
-        value = self.fitnesses[idx]
-        if math.isfinite(value) and value < self.best_fitness:
-            self.best_fitness = value
-            self.best_genome = self.genomes[idx].copy()
 
     def step(self):
         self.genomes, self.fitnesses = ga_generation(
             self.genomes, self.fitnesses, self.order, self.params,
-            self.objective, self.constraints, self.rng, self.best_genome)
-        self._track_best()
+            self.objective, self.constraints, self.rng)
+        self.order = rank_population(self.fitnesses)

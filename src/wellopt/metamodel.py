@@ -390,10 +390,7 @@ def approximate_ranking_step(genomes: np.ndarray,
             if not ranking_continues(cycle, lam, set_cur != set_prev,
                                      elt_cur != elt_prev):
                 break
-            target = next((i for i in order if not evaluated[i]), None)
-            if target is None:
-                break
-            eval_true(target)
+            eval_true(next(i for i in order if not evaluated[i]))
             n_ic = cycle
             set_prev, elt_prev = set_cur, elt_cur
     except SurrogateUnavailable:

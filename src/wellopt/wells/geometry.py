@@ -96,16 +96,13 @@ def _point_at_arclength(points: list[list[float]],
 
 def decode_well(genome_slice: np.ndarray, n_deviations: int,
                 n_branches: int) -> WellGeometry:
-    """Turn one well's `genome_dimension` slice into Cartesian geometry."""
+    """Turn one well's `genome_dimension` slice into Cartesian geometry.
+    Underflow follows the objective's policy (`wells/problem.py`)."""
     g = np.asarray(genome_slice, dtype=float)
     coords = g.tolist()
     # numpy's float64 trig, not the math module's: numpy may use its own
     # SIMD routines, whose bits can differ from the C library's
-    try:
-        sines, cosines = np.sin(g).tolist(), np.cos(g).tolist()
-    except FloatingPointError:   # a caller's np.errstate on a subnormal
-        with np.errstate(under="ignore"):   # as by default
-            sines, cosines = np.sin(g).tolist(), np.cos(g).tolist()
+    sines, cosines = np.sin(g).tolist(), np.cos(g).tolist()
 
     def step(at: int) -> tuple[float, float, float]:
         """The Cartesian step of the (r, theta, phi) at coords[at]."""

@@ -33,14 +33,14 @@ class GridInvariants:
     a grid. The drainage kernels read read-only arrays; the cell
     intersections read tuples of Python numbers."""
 
-    __slots__ = ("centers", "center_columns", "oil_in_place", "permeability",
+    __slots__ = ("center_columns", "oil_in_place", "permeability",
                  "cell_size", "max_index", "strides", "extent", "planes")
 
     def __init__(self, grid: "ReservoirGrid"):
         nx, ny, nz = grid.dims
-        self.centers = _read_only(grid.cell_centers())   # (n_cells, 3)
+        centers = grid.cell_centers()   # (n_cells, 3)
         self.center_columns = tuple(
-            _read_only(np.ascontiguousarray(self.centers[:, axis]))
+            _read_only(np.ascontiguousarray(centers[:, axis]))
             for axis in range(3))
         self.oil_in_place = _read_only(grid.oil_in_place_per_cell())
         self.permeability = tuple(grid.permeability.ravel().tolist())
@@ -71,10 +71,11 @@ class ReservoirGrid:
         store("cell_size", tuple(float(s) for s in self.cell_size))
         if len(self.dims) != 3 or min(self.dims) < 1:
             raise ValueError(f"dims must be 3 values >= 1; got {self.dims}")
-        if not all(0.0 < d * s < math.inf   # dims >= 1: s > 0, finite extent
-                   for d, s in zip(self.dims, self.cell_size)):
-            raise ValueError("cell_size must be positive with a finite "
-                             f"extent dims * cell_size; got {self.cell_size}")
+        sizes = self.cell_size   # dims >= 1: each s > 0, a finite extent
+        if len(sizes) != 3 or not all(0.0 < d * s < math.inf
+                                      for d, s in zip(self.dims, sizes)):
+            raise ValueError("cell_size must be 3 positive values with a "
+                             f"finite extent dims * cell_size; got {sizes}")
         shape = self.dims
         for name in ("porosity", "oil_saturation", "permeability"):
             arr = _read_only(np.array(getattr(self, name), dtype=float))
@@ -140,6 +141,10 @@ class ReservoirGrid:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ReservoirGrid":
+        keys = ("dims", "cell_size", "porosity", "oil_saturation",
+                "permeability", "top_elevation")
+        if not (isinstance(data, dict) and data.keys() >= set(keys)):
+            raise ValueError(f"a grid file is a JSON object with keys {keys}")
         dims = tuple(data["dims"])
         def cube(name):
             return np.array(data[name], dtype=float).reshape(dims)

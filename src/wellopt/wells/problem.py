@@ -165,10 +165,12 @@ class WellPlacementProblem:
         """
         return self._score(genome)[0]
 
+    @np.errstate(under="ignore")   # as by default, whatever the caller set
     def _score(self, genome: np.ndarray):
         """(objective, each well's (geometry, out-of-bounds distance),
         terms, profile, drilling cost); the last three are None unless the
-        proxy ran successfully."""
+        proxy ran successfully. The proxy's one underflow policy: scored as
+        by numpy's default; any other raised floating-point error fails."""
         genome = np.asarray(genome, dtype=float)
         keys = [genome[start:stop].tobytes()   # bit-exact: -0.0 != 0.0
                 for start, stop, _, _ in self._memo]

@@ -32,7 +32,8 @@ numpy loop; decoding and the geometry check (`wells/geometry.py`) work
 on Python floats whose bits must match their numpy forms; the depletion
 recurrence runs on Python floats and the water cut is one array pass,
 bit for bit the per-period numpy loop; tests/test_wells.py keeps the
-loop and numpy versions as the reference.
+loop and numpy versions as the reference. Underflow follows the
+objective's one policy (`WellPlacementProblem._score`).
 
 Per-well terms: a well's PI and a producer's drainable oil depend on
 that well's geometry alone. `well_terms` computes them, a caller keeps
@@ -103,11 +104,7 @@ def _segment_pieces(start: np.ndarray, end: np.ndarray,
     ex, ey, ez = end.tolist()
     dx, dy, dz = d = [ex - sx, ey - sy, ez - sz]
     direction = np.array(d)
-    try:
-        length = math.sqrt(direction.dot(direction))   # np.linalg.norm's bits
-    except FloatingPointError:   # a caller's np.errstate on a subnormal
-        with np.errstate(under="ignore"):   # as by default
-            length = math.sqrt(direction.dot(direction))
+    length = math.sqrt(direction.dot(direction))   # np.linalg.norm's bits
     if length == 0.0:
         return []
     t_lo, t_hi = 0.0, 1.0
@@ -177,7 +174,7 @@ def _segment_distance(inv: GridInvariants, start: np.ndarray,
         # one product of row-major (N, 3) offsets as in a row-wise projection
         # (BLAS may fuse multiply-adds), filled by column: numpy runs
         # `centers - start` as one short loop per row
-        offsets = np.empty(inv.centers.shape)
+        offsets = np.empty((len(cx), 3))
         for axis, (c, s) in enumerate(((cx, sx), (cy, sy), (cz, sz))):
             np.subtract(c, s, out=offsets[:, axis])
         t = offsets @ d
@@ -207,7 +204,6 @@ def _distance_to_polyline(inv: GridInvariants,
     return best
 
 
-@np.errstate(under="ignore")   # as by default, whatever the caller set
 def drainable_oil_barrels(producer: WellGeometry, grid: ReservoirGrid,
                           params: ProxyParams) -> float:
     """phi * S_o volume in the producer's decaying drainage neighborhood."""

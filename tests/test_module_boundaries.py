@@ -330,6 +330,7 @@ RAISES_ALLOWED: dict[str, str] = {
     "harness.py:compare_optimizers":
         "a config without the `optimizers` pair to compare",
     "wells/grid.py:ReservoirGrid.__post_init__": "a grid file",
+    "wells/grid.py:ReservoirGrid.from_json_dict": "a grid file",
     "wells/economics.py:EconomicParams.__post_init__":
         "the config's `economics` section",
     "wells/economics.py:ProductionProfile.__post_init__":

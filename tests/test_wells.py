@@ -352,24 +352,32 @@ class TestGrid:
                           permeability=np.ones((2, 2, 1)),
                           top_elevation=np.zeros((2, 2)))
 
-    @pytest.mark.parametrize("change", [
-        {"cell_size": [180.0, 180.0, 0.0]},
-        {"cell_size": [180.0, 180.0, math.nan]},
-        {"cell_size": [180.0, 180.0, math.inf]},
-        {"cell_size": [180.0, -180.0, 24.0]},
-        {"cell_size": [1e307, 180.0, 24.0]},   # an extent of 1.9e308
-        {"dims": [0, 2, 2], "porosity": [], "oil_saturation": [],
-         "permeability": [], "top_elevation": []},
-        {"dims": [2, 2], "cell_size": [180.0, 180.0],
-         "porosity": [0.2] * 4, "oil_saturation": [0.5] * 4,
-         "permeability": [1.0] * 4, "top_elevation": [0.0] * 4},
+    @pytest.mark.parametrize("change, name", [
+        ({"cell_size": [180.0, 180.0, 0.0]}, "cell_size"),
+        ({"cell_size": [180.0, 180.0, math.nan]}, "cell_size"),
+        ({"cell_size": [180.0, 180.0, math.inf]}, "cell_size"),
+        ({"cell_size": [180.0, -180.0, 24.0]}, "cell_size"),
+        ({"cell_size": [1e307, 180.0, 24.0]}, "cell_size"),   # extent 1.9e308
+        ({"dims": [0, 2, 2], "porosity": [], "oil_saturation": [],
+          "permeability": [], "top_elevation": []}, "dims"),
+        ({"dims": [2, 2], "cell_size": [180.0, 180.0],
+          "porosity": [0.2] * 4, "oil_saturation": [0.5] * 4,
+          "permeability": [1.0] * 4, "top_elevation": [0.0] * 4}, "dims"),
+        ({"cell_size": [180.0, 180.0]}, "cell_size"),
+        ({"porosity": None}, "porosity"),   # None: the key is left out
+        (None, "porosity"),                 # the object inside a JSON list
     ], ids=["zero", "nan", "inf", "negative", "extent-overflow",
-            "zero-dims", "two-dims"])
+            "zero-dims", "two-dims", "two-cell-sizes", "no-porosity",
+            "list"])
     def test_bad_cell_size_or_dims_rejected_at_load(self, tmp_path, grid,
-                                                    change):
+                                                    change, name):
+        """A malformed grid file fails at load with a ValueError that
+        names the field at fault."""
+        document = {key: value for key, value
+                    in {**grid.to_json_dict(), **(change or {})}.items()
+                    if value is not None}
         path = tmp_path / "grid.json"
-        path.write_text(json.dumps({**grid.to_json_dict(), **change}))
-        name = "dims" if "dims" in change else "cell_size"
+        path.write_text(json.dumps(document if change else [document]))
         with pytest.raises(ValueError, match=name):
             ReservoirGrid.load_json(path)
 
@@ -405,7 +413,6 @@ class TestGrid:
         assert np.array_equal(inv_b.oil_in_place,
                               grid_b.oil_in_place_per_cell())
         assert not np.array_equal(inv_a.oil_in_place, inv_b.oil_in_place)
-        assert np.array_equal(inv_a.centers, grid_a.cell_centers())
         for axis in range(3):
             assert np.array_equal(inv_a.center_columns[axis],
                                   grid_a.cell_centers()[:, axis])
@@ -1150,17 +1157,11 @@ class TestWellPlacementProblem:
     def test_subnormal_step_is_no_simulation_failure(self, monkeypatch):
         """Under np.errstate(all="raise") a producer whose step ends at a
         subnormal coordinate is scored, not counted as a simulation
-        failure: the drainage and the well midpoints underflow silently,
-        with the bits of numpy's default."""
+        failure: the objective lets the drainage and the well midpoints
+        underflow with the bits of numpy's default."""
         import wellopt.wells.problem as problem_module
 
         tiny = straight_well([100.0, 0.0, 50.0], [900.0, 1e-310, 50.0])
-        params = ProxyParams()
-        with np.errstate(all="raise"):
-            drained = drainable_oil_barrels(tiny, BUNDLED, params)
-        assert bits(drained) == bits(drainable_oil_barrels(tiny, BUNDLED,
-                                                           params))
-
         decode = problem_module.decode_well
 
         def producer_as_tiny(genome_slice, n_deviations, n_branches):
@@ -1206,6 +1207,33 @@ class TestWellPlacementProblem:
         assert bits(value) == bits(expected)
         assert raised.simulation_failures == 0
         assert value == -1106036.5154107017
+
+    @pytest.mark.parametrize("operation, failures", [
+        (lambda: np.array([1e-300]) * 1e-300, 0),
+        (lambda: np.array([1e300]) * 1e300, 1),
+        (lambda: np.array([0.0]) / 0.0, 1),
+        (lambda: np.array([1.0]) / 0.0, 1),
+    ], ids=["underflow", "overflow", "invalid", "divide"])
+    def test_objective_lets_only_underflow_pass(self, monkeypatch,
+                                                operation, failures):
+        """The objective sets the proxy's one underflow policy: under
+        np.errstate(all="raise") an underflow in the proxy is scored as
+        numpy's default scores it, and any other floating-point error is
+        a simulation failure."""
+        import wellopt.wells.problem as problem_module
+
+        shipped = problem_module.simulate
+
+        def simulate(*args):
+            operation()
+            return shipped(*args)
+
+        monkeypatch.setattr(problem_module, "simulate", simulate)
+        problem = well_problem()
+        with np.errstate(all="raise"):
+            value = problem.raw_objective(GOOD_GENOME)
+        assert problem.simulation_failures == failures
+        assert (value == 10.0 * GEOMETRY_PENALTY_BASE) == bool(failures)
 
     def test_npv_sign_convention(self, problem):
         detail = problem.evaluate_detail(GOOD_GENOME)
