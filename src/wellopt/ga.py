@@ -7,8 +7,10 @@ feasible region by bisecting toward the elite, the population's
 best-ranked genome (a deliberately simple stand-in for library-grade
 co-evolutionary repair schemes).
 
-Parents are drawn by bisection on cached cumulative weights and fitnesses
-ranked as Python floats, with the bits and draws of the numpy forms.
+Every scalar draw is `Generator.random()` (numpy's `uniform(lo, hi)` is
+`lo + (hi - lo) * random()` of the same draw); parents are picked by
+bisection on cached weights, and blends, resets and ranks use Python
+floats, with the bits and draws of the numpy forms.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ def select_parent(order: list[int], rng: np.random.Generator) -> int:
     """
     n = len(order)
     cumulative = _rank_cumulative_weights(n)
-    u = rng.uniform(0.0, cumulative[-1])
+    u = cumulative[-1] * rng.random()
     return order[min(bisect_right(cumulative, u), n - 1)]
 
 
@@ -70,11 +72,11 @@ def crossover(parent1: np.ndarray, parent2: np.ndarray, crossprob: float,
     conserves the coordinate sum. All other coordinates are copied.
     """
     child1, child2 = parent1.copy(), parent2.copy()
-    if rng.uniform() < crossprob:
+    if rng.random() < crossprob:
         i = int(rng.integers(0, len(parent1)))
-        c = rng.uniform()
-        child1[i] = c * parent1[i] + (1 - c) * parent2[i]
-        child2[i] = c * parent2[i] + (1 - c) * parent1[i]
+        c = rng.random()
+        a, b = parent1.item(i), parent2.item(i)
+        child1[i], child2[i] = c * a + (1 - c) * b, c * b + (1 - c) * a
     return child1, child2
 
 
@@ -85,11 +87,12 @@ def mutate(individual: np.ndarray, mutprob: float, bounds: np.ndarray,
     The input is never written; it is returned when nothing is reset. The
     caller keeps the elite individual out of this operator.
     """
-    if not rng.uniform() < mutprob:
+    if not rng.random() < mutprob:
         return individual
     i = int(rng.integers(0, len(individual)))
     out = individual.copy()
-    out[i] = bounds[i, 0] + rng.uniform() * (bounds[i, 1] - bounds[i, 0])
+    lo, hi = bounds[i].tolist()
+    out[i] = lo + rng.random() * (hi - lo)
     return out
 
 

@@ -15,6 +15,7 @@ from functools import cache
 
 import numpy as np
 
+from ..floats import pairwise_sum
 from .geometry import WellGeometry
 
 FEET_PER_METER = 3.28084
@@ -45,21 +46,17 @@ class EconomicParams:
 
 @dataclass
 class ProductionProfile:
-    """Per-period phase volumes in barrels, periods 0..Y inclusive."""
+    """Per-period phase volumes in barrels, periods 0..Y inclusive; the
+    proxy gives lists of Python floats, which `npv` reads as they are."""
 
-    oil: np.ndarray
-    gas: np.ndarray
-    water: np.ndarray
+    oil: list[float]
+    gas: list[float]
+    water: list[float]
 
     def __post_init__(self):
-        phases = [np.asarray(a, dtype=float)
-                  for a in (self.oil, self.gas, self.water)]
-        self.oil, self.gas, self.water = phases
-        # one pass over all phases; fmin skips NaN, which is not negative
-        if np.fmin.reduce(phases, axis=None, initial=0.0) < 0.0:
-            name = next(name for name, arr in zip(("oil", "gas", "water"),
-                                                  phases) if np.any(arr < 0))
-            raise ValueError(f"{name} volumes must be non-negative")
+        for name in ("oil", "gas", "water"):   # NaN is not negative
+            if any(v < 0.0 for v in getattr(self, name)):
+                raise ValueError(f"{name} volumes must be non-negative")
 
     @property
     def cumulative_oil(self) -> float:
@@ -88,18 +85,17 @@ def drilling_cost(wells: list[WellGeometry], econ: EconomicParams) -> float:
 
 
 @cache
-def _discount(rate: float, periods: int) -> np.ndarray:
-    """Discount factors (1 + rate)^-t of periods t = 0..periods, read-only."""
-    discount = (1.0 + rate) ** (-np.arange(periods + 1))
-    discount.flags.writeable = False
-    return discount
+def _discount(rate: float, periods: int) -> tuple[float, ...]:
+    """Discount factors (1 + rate)^-t of periods t = 0..periods."""
+    return tuple(((1.0 + rate) ** (-np.arange(periods + 1))).tolist())
 
 
 def npv(profile: ProductionProfile, econ: EconomicParams,
         cost: float) -> float:
-    """Discounted phase revenues of periods 0..Y minus the drilling cost."""
+    """Discounted phase revenues of periods 0..Y minus the drilling cost,
+    on Python floats summed in np.sum's order."""
     discount = _discount(econ.annual_discount_rate, econ.periods)
-    revenue = (profile.oil * econ.oil_price
-               + profile.gas * econ.gas_price
-               + profile.water * econ.water_cost)
-    return float(np.sum(discount * revenue) - cost)
+    return pairwise_sum([
+        d * (o * econ.oil_price + g * econ.gas_price + w * econ.water_cost)
+        for d, o, g, w in zip(discount, profile.oil, profile.gas,
+                              profile.water, strict=True)]) - cost

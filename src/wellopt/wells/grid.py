@@ -145,6 +145,14 @@ class ReservoirGrid:
                 "permeability", "top_elevation")
         if not (isinstance(data, dict) and data.keys() >= set(keys)):
             raise ValueError(f"a grid file is a JSON object with keys {keys}")
+        for name, kinds, what in (("dims", int, "integers"),
+                                  ("cell_size", (int, float), "numbers")):
+            values = data[name]
+            if not (isinstance(values, list) and all(
+                    isinstance(v, kinds) and not isinstance(v, bool)
+                    for v in values)):
+                raise ValueError(f"{name} must be a list of {what}; "
+                                 f"got {values!r}")
         dims = tuple(data["dims"])
         def cube(name):
             return np.array(data[name], dtype=float).reshape(dims)

@@ -222,9 +222,9 @@ class WellPlacementProblem:
         detail = {"wells": details, "objective": objective}
         if profile is not None:
             detail["production"] = {
-                "oil_bbl": profile.oil.tolist(),
-                "gas_bbl": profile.gas.tolist(),
-                "water_bbl": profile.water.tolist(),
+                "oil_bbl": list(profile.oil),
+                "gas_bbl": list(profile.gas),
+                "water_bbl": list(profile.water),
                 "cumulative_oil_bbl": profile.cumulative_oil,
             }
             detail["drilling_cost"] = cost

@@ -29,11 +29,12 @@ A segment crosses a few cells only, so its cell intersections are one
 loop on Python floats (numpy's per-call cost on arrays of 2 to 50
 elements made a numpy form slower) whose bits must match the per-piece
 numpy loop; decoding and the geometry check (`wells/geometry.py`) work
-on Python floats whose bits must match their numpy forms; the depletion
-recurrence runs on Python floats and the water cut is one array pass,
-bit for bit the per-period numpy loop; tests/test_wells.py keeps the
-loop and numpy versions as the reference. Underflow follows the
-objective's one policy (`WellPlacementProblem._score`).
+on Python floats whose bits must match their numpy forms; `simulate`'s
+tail (spacing, depletion recurrence, water cut) runs on Python floats with
+one np.exp for both spacing terms and one for the water cuts, bit for bit
+the per-period numpy loop; tests/test_wells.py keeps the loop and numpy
+versions as the reference. Underflow follows the objective's one policy
+(`WellPlacementProblem._score`).
 
 Per-well terms: a well's PI and a producer's drainable oil depend on
 that well's geometry alone. `well_terms` computes them, a caller keeps
@@ -260,39 +261,35 @@ def simulate(wells: list[tuple[WellGeometry, str]], econ: EconomicParams,
                     if role == PRODUCER)
 
     n = econ.periods + 1
-    oil = np.zeros(n)
-    gas = np.zeros(n)
-    water = np.zeros(n)
     if pi_prod <= 0.0 or drainable <= 0.0:
-        return ProductionProfile(oil=oil, gas=gas, water=water)
+        return ProductionProfile(oil=[0.0] * n, gas=[0.0] * n,
+                                 water=[0.0] * n)
 
     spacing = min(_distance(_midpoint(p), _midpoint(i))
                   for p in producers for i in injectors)
+    # np.exp of a list: math.exp differs in the last bit on some arguments
+    connectivity, breakthrough = np.exp(
+        [-spacing / params.connectivity_length_m,
+         -spacing / params.breakthrough_length_m]).tolist()
     deliverability = pi_prod / (pi_prod + params.pi_half)
-    injector_strength = (pi_inj / (pi_inj + params.pi_half)
-                         * np.exp(-spacing / params.connectivity_length_m))
+    injector_strength = pi_inj / (pi_inj + params.pi_half) * connectivity
     support = (params.primary_recovery_floor
                + (1.0 - params.primary_recovery_floor) * injector_strength)
-    eta = float(params.base_depletion_rate * deliverability * support)
+    eta = params.base_depletion_rate * deliverability * support
+    breakthrough_half = (params.breakthrough_half_min + (1.0 - breakthrough)
+                         * params.breakthrough_half_span)
 
-    breakthrough_half = (params.breakthrough_half_min
-                         + params.breakthrough_half_span
-                         * (1.0 - np.exp(-spacing / params.breakthrough_length_m)))
-
-    # the recurrence of periods 1..Y on Python floats, then the water cut
-    # of all periods at once (np.exp: math.exp differs in the last bit on
-    # some arguments)
-    q_oil, recovery = [], []
+    oil, exponents = [0.0], []
     cumulative = 0.0
     for _ in range(1, n):
         q = eta * (drainable - cumulative)
-        q_oil.append(q)
-        recovery.append(cumulative / drainable)
+        oil.append(q)
+        exponents.append(-params.water_cut_steepness
+                         * (cumulative / drainable - breakthrough_half))
         cumulative += q
-    q_oil, recovery = np.array(q_oil), np.array(recovery)
-    wc = params.water_cut_max / (1.0 + np.exp(
-        -params.water_cut_steepness * (recovery - breakthrough_half)))
-    oil[1:] = q_oil
-    water[1:] = q_oil * wc / (1.0 - wc)
-    gas[1:] = params.gas_oil_ratio * q_oil
+    water = [0.0]
+    for q, e in zip(oil[1:], np.exp(exponents).tolist()):
+        wc = params.water_cut_max / (1.0 + e)
+        water.append(q * wc / (1.0 - wc))
+    gas = [0.0, *(params.gas_oil_ratio * q for q in oil[1:])]
     return ProductionProfile(oil=oil, gas=gas, water=water)

@@ -32,6 +32,9 @@ class FakeRng:
         value = self._uniforms.pop(0)
         return low + value * (high - low)
 
+    def random(self):
+        return self._uniforms.pop(0)
+
     def integers(self, low, high):
         return self._integers.pop(0)
 
@@ -211,6 +214,54 @@ class TestMutation:
         ks = max(np.max(np.abs(grid - sorted_u)),
                  np.max(np.abs(sorted_u - (grid - 1.0 / n))))
         assert ks < 1.63 / np.sqrt(n)
+
+
+def old_crossover(parent1, parent2, crossprob, rng):
+    """crossover before it drew through Generator.random(), verbatim."""
+    child1, child2 = parent1.copy(), parent2.copy()
+    if rng.uniform() < crossprob:
+        i = int(rng.integers(0, len(parent1)))
+        c = rng.uniform()
+        child1[i] = c * parent1[i] + (1 - c) * parent2[i]
+        child2[i] = c * parent2[i] + (1 - c) * parent1[i]
+    return child1, child2
+
+
+def old_mutate(individual, mutprob, bounds, rng):
+    """mutate before it drew through Generator.random(), verbatim."""
+    if not rng.uniform() < mutprob:
+        return individual
+    i = int(rng.integers(0, len(individual)))
+    out = individual.copy()
+    out[i] = bounds[i, 0] + rng.uniform() * (bounds[i, 1] - bounds[i, 0])
+    return out
+
+
+class TestOperatorsMatchOldVersions:
+    """Generator.random() is uniform()'s draw: numpy computes uniform(lo,
+    hi) as lo + (hi - lo) * next_double, so the operators keep every
+    child's bits and every draw of the generator."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+           crossprob=st.floats(0.0, 1.0), mutprob=st.floats(0.0, 1.0),
+           steps=st.integers(1, 60))
+    def test_same_children_and_draws(self, seed, n, crossprob, mutprob,
+                                     steps):
+        box = np.random.default_rng(n).uniform(-1e3, 1e3, (n, 2))
+        box.sort(axis=1)
+        new_rng = np.random.default_rng(seed)
+        old_rng = np.random.default_rng(seed)
+        parents = new_rng.uniform(box[:, 0], box[:, 1], (2, n))
+        old_rng.uniform(box[:, 0], box[:, 1], (2, n))
+        for _ in range(steps):
+            new = crossover(*parents, crossprob, new_rng)
+            old = old_crossover(*parents, crossprob, old_rng)
+            new = [mutate(child, mutprob, box, new_rng) for child in new]
+            old = [old_mutate(child, mutprob, box, old_rng) for child in old]
+            assert [c.tobytes() for c in new] == [c.tobytes() for c in old]
+            parents = new
+        assert new_rng.bit_generator.state == old_rng.bit_generator.state
 
 
 class TestRepair:

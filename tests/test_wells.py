@@ -366,9 +366,14 @@ class TestGrid:
         ({"cell_size": [180.0, 180.0]}, "cell_size"),
         ({"porosity": None}, "porosity"),   # None: the key is left out
         (None, "porosity"),                 # the object inside a JSON list
+        ({"dims": 5}, "dims"),
+        ({"cell_size": 5}, "cell_size"),
+        ({"dims": [19, 28, "x"]}, "dims"),
+        ({"cell_size": [180, "a", 24]}, "cell_size"),
     ], ids=["zero", "nan", "inf", "negative", "extent-overflow",
             "zero-dims", "two-dims", "two-cell-sizes", "no-porosity",
-            "list"])
+            "list", "scalar-dims", "scalar-cell-size", "string-in-dims",
+            "string-in-cell-size"])
     def test_bad_cell_size_or_dims_rejected_at_load(self, tmp_path, grid,
                                                     change, name):
         """A malformed grid file fails at load with a ValueError that
@@ -1032,8 +1037,7 @@ class TestProxy:
         profile = simulate_wells([(injector, INJECTOR),
                                   (producer, PRODUCER)], grid, econ)
         assert productivity_index(producer, grid) == 0.0
-        assert np.all(profile.oil == 0.0)
-        assert np.all(profile.water == 0.0)
+        assert profile.oil == profile.water == [0.0] * (econ.periods + 1)
 
     def test_missing_role_rejected(self):
         """`simulate` needs both roles; the config's layout has them."""
@@ -1074,7 +1078,8 @@ class TestProxy:
         producer = straight_well([700, 3300, 50], [1150, 3700, 55])
         profile = simulate_wells([(injector, INJECTOR),
                                   (producer, PRODUCER)], grid, econ)
-        cut = profile.water[1:] / (profile.water[1:] + profile.oil[1:])
+        water, oil = np.array(profile.water[1:]), np.array(profile.oil[1:])
+        cut = water / (water + oil)
         assert np.all(np.diff(cut) > 0)
         assert np.all(cut < ProxyParams().water_cut_max)
 

@@ -9,16 +9,17 @@ The change is the working tree. The parent is a revision exported with
 `git archive` into a temporary directory: `--parent`, or by default HEAD
 when tracked files differ from HEAD (an uncommitted change) and HEAD~1
 when they do not (a committed one). Each pair runs
-`perfbench/run.py --seed 1 --trace 0` once on each side, parent first in
-odd pairs and change first in even ones, so a drift of the machine's
-speed falls on both sides alike. For every end-to-end metric that
-BENCHMARK.json declares, one table row gives the parent median (IQR),
-the change median (IQR), the change of the medians in percent, the
-number of pairs in which the change read lower, and a verdict (see
-`verdict`). The lines after the table give each side's `golden:`
-results and its summed `failed` count, then each side's line count of
-`src/wellopt` (every `.py` file), the measure of ROADMAP's north-star 2;
-the exit status is 1 when any run failed.
+`perfbench/run.py --seed N --trace 0` once on each side (N from `--seed`,
+default 1), parent first in odd pairs and change first in even ones, so
+a drift of the machine's speed falls on both sides alike. A claim should
+also hold at a seed not used while the change was written. For every
+end-to-end metric that BENCHMARK.json declares, one table row gives the
+parent median (IQR), the change median (IQR), the change of the medians
+in percent, the number of pairs in which the change read lower, and a
+verdict (see `verdict`). The lines after the table give each side's
+`golden:` results and its summed `failed` count, the workload seed, and
+each side's line count of `src/wellopt` (every `.py` file), the measure
+of ROADMAP's north-star 2; the exit status is 1 when any run failed.
 """
 
 from __future__ import annotations
@@ -48,11 +49,11 @@ def default_parent() -> str:
     return "HEAD" if dirty else "HEAD~1"
 
 
-def run_once(root: Path, workload: str, seconds: float) -> dict:
+def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run: its result line plus its `golden:` line."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", "1", "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=root, check=True, capture_output=True, text=True).stdout
     lines = out.strip().splitlines()
     result = json.loads(lines[-1])
@@ -133,6 +134,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1,
+                        help="workload seed of every run (default 1)")
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--parent", default=None,
                         help="a revision; default: HEAD with an uncommitted "
@@ -157,7 +160,7 @@ def main(argv=None) -> int:
                                                                  "parent")
                 for side in order:
                     root = parent_root if side == "parent" else change_root
-                    sides[side].append(run_once(root, workload,
+                    sides[side].append(run_once(root, workload, args.seed,
                                                 args.seconds))
                 print(f"{workload}: pair {i + 1}/{args.pairs} done",
                       file=sys.stderr, flush=True)
@@ -169,6 +172,7 @@ def main(argv=None) -> int:
                 notes.append(f"{workload} {side}: golden: " + ", ".join(
                     f"{value} ({count})" for value, count in golden.items())
                     + f"; failed {sum(r['failed'] for r in results)}")
+        notes.append(f"workload seed {args.seed}")
         notes.append(f"src/wellopt lines: parent "
                      f"{source_lines(parent_root):,}, change "
                      f"{source_lines(change_root):,}")
