@@ -11,12 +11,11 @@ from .floats import sum_of_squares
 def sphere(x: np.ndarray, center: float) -> float:
     """Sum of squared deviations from `center` in every coordinate;
     global minimum 0."""
-    return sum_of_squares(np.asarray(x, dtype=float).tolist(), center)
+    return sum_of_squares(x.tolist(), center)
 
 
 def rosenbrock(x: np.ndarray) -> float:
     """Classic banana valley; global minimum 0 at (1, ..., 1)."""
-    x = np.asarray(x, dtype=float)
     return float((100.0 * (x[1:] - x[:-1] ** 2) ** 2
                   + (1.0 - x[:-1]) ** 2).sum())
 

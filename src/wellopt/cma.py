@@ -99,10 +99,6 @@ class SearchDistribution:
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float)
-        self.covariance = np.asarray(self.covariance, dtype=float)
-        self.path_sigma = np.asarray(self.path_sigma, dtype=float)
-        self.path_c = np.asarray(self.path_c, dtype=float)
         if not self.step_size > 0:
             raise ValueError("step_size must be positive")
 
@@ -171,8 +167,8 @@ def rank_population(values: Sequence[float]) -> list[int]:
     return finite + [i for i, v in enumerate(values) if not math.isfinite(v)]
 
 
-def update_mean(dist: SearchDistribution, params: StrategyParams,
-                genomes: np.ndarray, order: list[int]) -> np.ndarray:
+def update_mean(params: StrategyParams, genomes: np.ndarray,
+                order: list[int]) -> np.ndarray:
     """Weighted recombination of the mu best rows of `genomes`."""
     return params.weights @ genomes[order[:params.mu]]
 
@@ -220,7 +216,7 @@ def update_strategy_state(dist: SearchDistribution, params: StrategyParams,
     # inf without numpy's overflow warnings: Python floats overflow silently
     exponent = (params.c_sigma / params.d_sigma) * (norm_p / params.chi_n - 1)
     growth = math.inf if exponent > EXP_LIMIT else np.exp(exponent).item()
-    sigma_new = float(sigma) * growth
+    sigma_new = sigma * growth
     return SearchDistribution(mean=dist.mean, step_size=sigma_new,
                               covariance=C, path_sigma=p_sigma, path_c=p_c,
                               generation=gen,

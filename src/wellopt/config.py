@@ -60,11 +60,15 @@ def _items(value, name: str) -> tuple:
 
 
 def _section(data: dict, cls, key: str, required: bool = False):
-    """The config object `key` as a `cls` dataclass of numbers."""
+    """The config object `key` as a `cls` dataclass of finite numbers."""
     integer = {f.name: f.type in ("int", int) for f in fields(cls)}
     _check_keys(data, set(integer), key, required)
-    return cls(**{k: _number(v, f"{key}.{k}", integer[k])
-                  for k, v in data.items()})
+    values = {k: _number(v, f"{key}.{k}", integer[k])
+              for k, v in data.items()}
+    for k, v in values.items():
+        if not math.isfinite(v):
+            raise ValueError(f"{key}.{k} must be finite; got {v!r}")
+    return cls(**values)
 
 
 def _constraint(entry: dict) -> SumConstraint:

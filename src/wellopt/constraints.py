@@ -63,7 +63,7 @@ def constraint_violation(x: np.ndarray, constraint: SumConstraint
     single -0.0 sums to 0.0, and the clamp returns q itself when q is NaN
     or equals a bound, as min and max do (lower < upper holds).
     """
-    values = np.asarray(x, dtype=float).tolist()
+    values = x.tolist()
     q = pairwise_sum([values[i] for i in constraint.indices])
     lower, upper = constraint.lower, constraint.upper
     q_feas = lower if q < lower else upper if q > upper else q
@@ -185,7 +185,7 @@ def increase_trigger_threshold(dist: SearchDistribution, params: StrategyParams,
 def maybe_increase_gammas(state: PenaltyState, dist: SearchDistribution,
                           constraints: list[SumConstraint],
                           params: StrategyParams,
-                          population_q_means: np.ndarray) -> None:
+                          population_q_means: list[float]) -> None:
     """Grow gamma_j where the population mean of q_j sits far out of bounds.
 
     `population_q_means[j]` is the mean of q_j over the lambda candidates
@@ -198,7 +198,7 @@ def maybe_increase_gammas(state: PenaltyState, dist: SearchDistribution,
     exponent = max(1.0, params.mu_eff / (10.0 * dist.dim))
     factor = 1.1 ** exponent
     for j, constraint in enumerate(constraints):
-        m_j = float(population_q_means[j])
+        m_j = population_q_means[j]
         out_by = max(0.0, m_j - constraint.upper) + max(0.0, constraint.lower - m_j)
         if out_by > increase_trigger_threshold(dist, params, constraint):
             state.gammas[j] *= factor

@@ -152,7 +152,7 @@ def ga_generation(genomes: list[np.ndarray], fitnesses: list[float],
             child = repair(child, constraints, params.bounds, rng,
                            genomes[order[0]])
             next_genomes.append(child)
-            next_fitnesses.append(float(objective(child)))
+            next_fitnesses.append(objective(child))
     return next_genomes, next_fitnesses
 
 
@@ -179,7 +179,7 @@ class GaOptimizer:
             self.genomes.append(repair(
                 x, self.constraints, bounds, self.rng,
                 self.genomes[0] if self.genomes else None))
-        self.fitnesses = [float(self.objective(x)) for x in self.genomes]
+        self.fitnesses = [self.objective(x) for x in self.genomes]
         self.order = rank_population(self.fitnesses)
 
     def step(self):

@@ -65,7 +65,6 @@ class Evaluator:
         self.nonfinite = 0
 
     def __call__(self, genome: np.ndarray) -> float:
-        genome = np.asarray(genome, dtype=float)
         key = genome.tobytes()
         value = self.archive.lookup(key)
         if value is None:
@@ -226,10 +225,10 @@ class _Recorder:
     def end_generation(self, generation: int, genomes, values, raw, order,
                        resampled: int, n_ic: int, gammas: np.ndarray):
         i = order[0]
-        value = float(values[i]) if math.isfinite(values[i]) else math.inf
+        value = values[i] if math.isfinite(values[i]) else math.inf
         if value < self.best or not self.rows:
             self.best = value
-            self.best_raw, self.best_genome = float(raw[i]), genomes[i].copy()
+            self.best_raw, self.best_genome = raw[i], genomes[i].copy()
         self.best_history.append(self.best)
         self.rows.append(RunRow(
             generation=generation, true_evaluations=self.evaluator.count,
@@ -325,7 +324,7 @@ def run_cma(problem: BuiltProblem, config: RunConfig, seed: int,
                            resamples, n_ic, state.gammas.copy())
 
         old_mean = dist.mean
-        dist.mean = update_mean(dist, params, genomes, order)
+        dist.mean = update_mean(params, genomes, order)
         dist = update_strategy_state(dist, params, genomes, order, old_mean)
 
     return run.record("cma+surrogate" if use_surrogate else "cma", reason,

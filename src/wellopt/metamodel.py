@@ -87,7 +87,6 @@ class TrainingArchive:
         data (False for duplicates and non-finite values)."""
         if key in self._index:
             return False
-        value = float(value)
         self._index[key] = value
         if not math.isfinite(value):
             return False
@@ -149,15 +148,13 @@ class MahalanobisMetric:
     """Distances d(z, q) = sqrt((z-q)^T C^{-1} (z-q)) for a fixed SPD C."""
 
     def __init__(self, covariance: np.ndarray):
-        C = np.asarray(covariance, dtype=float)
-        chol = np.linalg.cholesky(0.5 * (C + C.T))
+        chol = np.linalg.cholesky(0.5 * (covariance + covariance.T))
         # inv(L) applied by matmul beats a triangular solve per query at
         # these sizes; C is floored SPD upstream so L is well-conditioned.
         self._inv_chol_t = np.linalg.inv(chol).T
 
     def distances_to(self, points: np.ndarray, q: np.ndarray) -> np.ndarray:
-        diff = np.asarray(points, dtype=float) - np.asarray(q, dtype=float)
-        v = diff @ self._inv_chol_t
+        v = (points - q) @ self._inv_chol_t
         return np.sqrt(np.sum(v * v, axis=1))
 
 
@@ -221,8 +218,7 @@ def fit_local_model(neighbor_genomes: np.ndarray, neighbor_values: np.ndarray,
     product gives the weighted normal equations A beta = b, solved by
     Cholesky with a trace-scaled ridge (intercept excluded) as fallback.
     """
-    X = np.asarray(neighbor_genomes, dtype=float)
-    d = np.asarray(neighbor_distances, dtype=float)
+    X, d = neighbor_genomes, neighbor_distances
     k, n = X.shape
     p = basis_size(n)
     h = float(d[-1])

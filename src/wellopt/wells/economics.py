@@ -9,7 +9,6 @@ cost per lateral junction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -39,8 +38,8 @@ class EconomicParams:
         if self.wellbore_diameter_m <= 0:
             raise ValueError("wellbore diameter must be positive")
         # above 1 m, the lower end of each well's length constraint
-        if not 1.0 < self.max_well_length_m < math.inf:
-            raise ValueError("max_well_length_m must be finite and > 1; "
+        if not self.max_well_length_m > 1.0:
+            raise ValueError("max_well_length_m must be > 1; "
                              f"got {self.max_well_length_m!r}")
 
 

@@ -11,16 +11,17 @@ a large additive penalty sloped by the out-of-bounds distance.
 The proxy is separable per well, so each layout well has a memo: two
 `functools.lru_cache` functions of its genome block's bytes, pure given
 the problem's fixed grid and proxy parameters. `decoded` gives the
-geometry (read-only arrays) and its `check_geometry` out-of-bounds
-distance; `terms` gives the well's `proxy.well_terms`, asked for only
-once the whole genome is in the grid. `lru_cache` never stores a call that
-raised, so a block whose terms fail fails, and is counted, on every
-evaluation. Drilling cost and well spacing are recomputed each time, so
-every sum keeps its order and its bits. A GA child changes one
-coordinate of a parent and often keeps a parent's block (on `well_ga`
-about half the PI and drainage computations repeat one); CMA-ES never
-repeats a block and only pays the misses. Each cache holds the
-WELL_MEMO_SIZE most recently used blocks: a GA's parents are the
+geometry (frozen, so a cached well cannot change) and its
+`check_geometry` out-of-bounds distance; `terms` gives the well's
+`proxy.well_terms`, asked for only once the whole genome is in the grid.
+`lru_cache` never stores a call that raised, so a block whose terms fail
+fails, and is counted, on every evaluation. Drilling cost and well
+spacing are recomputed each time, from the lengths a decoded well
+computes once, so every sum keeps its order and its bits. A GA child
+changes one coordinate of a parent and often keeps a parent's block (on
+`well_ga` about half the PI and drainage computations repeat one);
+CMA-ES never repeats a block and only pays the misses. Each cache holds
+the WELL_MEMO_SIZE most recently used blocks: a GA's parents are the
 previous population, so 128 compute as few terms as an unbounded memo,
 while 4,096 raise the benchmark's peak RSS from 62 to 69 MB.
 """
@@ -68,10 +69,6 @@ def _well_memo(well: WellLayout, grid: ReservoirGrid, proxy: ProxyParams):
     def decoded(key: bytes):
         geometry = decode_well(np.frombuffer(key), well.n_deviations,
                                well.n_branches)
-        geometry.mainbore.setflags(write=False)
-        for branch in geometry.branches:
-            branch.start.setflags(write=False)
-            branch.end.setflags(write=False)
         return geometry, check_geometry(geometry, grid.invariants.extent)
 
     @functools.lru_cache(WELL_MEMO_SIZE)
@@ -171,7 +168,6 @@ class WellPlacementProblem:
         terms, profile, drilling cost); the last three are None unless the
         proxy ran successfully. The proxy's one underflow policy: scored as
         by numpy's default; any other raised floating-point error fails."""
-        genome = np.asarray(genome, dtype=float)
         keys = [genome[start:stop].tobytes()   # bit-exact: -0.0 != 0.0
                 for start, stop, _, _ in self._memo]
         wells = [decoded(key) for key, (_, _, decoded, _)
@@ -211,8 +207,8 @@ class WellPlacementProblem:
             length = geometry.total_length
             details.append({
                 "role": well.role,
-                "heel": geometry.heel.tolist(),
-                "toe": geometry.toe.tolist(),
+                "heel": list(geometry.heel),
+                "toe": list(geometry.toe),
                 "total_length_m": length,
                 "productivity_index": pi,
                 "feasible": out_of_bounds == 0.0 and length < max_length,

@@ -29,7 +29,10 @@ A segment crosses a few cells only, so its cell intersections are one
 loop on Python floats (numpy's per-call cost on arrays of 2 to 50
 elements made a numpy form slower) whose bits must match the per-piece
 numpy loop; decoding and the geometry check (`wells/geometry.py`) work
-on Python floats whose bits must match their numpy forms; `simulate`'s
+on Python floats whose bits must match their numpy forms, and the readers
+here unpack a decoded well's Python-float points as they are;
+`geometry.dot_norm` is the one 3-vector length with numpy's BLAS bits (a
+branch, a segment, the well spacing); `simulate`'s
 tail (spacing, depletion recurrence, water cut) runs on Python floats with
 one np.exp for both spacing terms and one for the water cuts, bit for bit
 the per-period numpy loop; tests/test_wells.py keeps the loop and numpy
@@ -44,13 +47,12 @@ them per well (`wells/problem.py` memoizes them per genome block), and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .economics import EconomicParams, ProductionProfile
-from .geometry import WellGeometry
+from .geometry import Point, WellGeometry, dot_norm
 from .grid import GridInvariants, ReservoirGrid
 
 BARRELS_PER_M3 = 6.2898
@@ -76,9 +78,8 @@ class ProxyParams:
     def __post_init__(self):
         for name in ("drainage_radius_m", "pi_half", "connectivity_length_m",
                      "breakthrough_length_m"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive")
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         for name in ("base_depletion_rate", "primary_recovery_floor"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
@@ -88,7 +89,7 @@ class ProxyParams:
             raise ValueError("gas_oil_ratio must be non-negative")
 
 
-def _segment_pieces(start: np.ndarray, end: np.ndarray,
+def _segment_pieces(start: Point, end: Point,
                     inv: GridInvariants) -> list[tuple[int, float]]:
     """Flat index of each cell one segment crosses and the segment's
     length inside it, in order along the segment.
@@ -101,15 +102,14 @@ def _segment_pieces(start: np.ndarray, end: np.ndarray,
     midpoint coordinate (from a NaN or infinite endpoint) takes index 0
     on its axis.
     """
-    sx, sy, sz = s = start.tolist()
-    ex, ey, ez = end.tolist()
-    dx, dy, dz = d = [ex - sx, ey - sy, ez - sz]
-    direction = np.array(d)
-    length = math.sqrt(direction.dot(direction))   # np.linalg.norm's bits
+    sx, sy, sz = start
+    ex, ey, ez = end
+    dx, dy, dz = d = (ex - sx, ey - sy, ez - sz)
+    length = dot_norm(start, end)
     if length == 0.0:
         return []
     t_lo, t_hi = 0.0, 1.0
-    for sa, da, size in zip(s, d, inv.extent):
+    for sa, da, size in zip(start, d, inv.extent):
         if da == 0.0:
             if not 0.0 <= sa <= size:
                 return []
@@ -121,7 +121,7 @@ def _segment_pieces(start: np.ndarray, end: np.ndarray,
     if t_lo >= t_hi:
         return []
     cuts = [t_lo, t_hi]
-    for sa, da, planes in zip(s, d, inv.planes):
+    for sa, da, planes in zip(start, d, inv.planes):
         if da != 0.0:
             cuts += [t for p in planes
                      if t_lo < (t := (p - sa) / da) < t_hi]
@@ -158,17 +158,18 @@ def productivity_index(well: WellGeometry, grid: ReservoirGrid) -> float:
     return total
 
 
-def _segment_distance(inv: GridInvariants, start: np.ndarray,
-                      end: np.ndarray) -> np.ndarray:
+def _segment_distance(inv: GridInvariants, start: Point,
+                      end: Point) -> np.ndarray:
     """Distance of every cell centre to one segment.
 
     Works column by column; the squared norm is summed as
     (ex^2 + ey^2) + ez^2, the order of a row-wise norm of (n, 3) rows.
     """
     cx, cy, cz = inv.center_columns
-    d = end - start
+    sx, sy, sz = start
+    dx, dy, dz = end[0] - sx, end[1] - sy, end[2] - sz
+    d = np.array([dx, dy, dz])
     denom = float(d @ d)
-    sx, sy, sz = start.tolist()
     if denom == 0.0:
         ex, ey, ez = cx - sx, cy - sy, cz - sz
     else:
@@ -181,7 +182,6 @@ def _segment_distance(inv: GridInvariants, start: np.ndarray,
         t = offsets @ d
         t /= denom
         np.clip(t, 0.0, 1.0, out=t)
-        dx, dy, dz = d.tolist()
         ex, ey, ez = t * dx, t * dy, t * dz
         for e, c, s in ((ex, cx, sx), (ey, cy, sy), (ez, cz, sz)):
             e += s
@@ -217,16 +217,10 @@ def drainable_oil_barrels(producer: WellGeometry, grid: ReservoirGrid,
     return weights.sum().item() * BARRELS_PER_M3
 
 
-def _midpoint(well: WellGeometry) -> np.ndarray:
+def _midpoint(well: WellGeometry) -> Point:
     """0.5 * (heel + toe) on Python floats, whose underflow is silent."""
-    (hx, hy, hz), (tx, ty, tz) = well.heel.tolist(), well.toe.tolist()
-    return np.array([0.5 * (hx + tx), 0.5 * (hy + ty), 0.5 * (hz + tz)])
-
-
-def _distance(a: np.ndarray, b: np.ndarray) -> float:
-    """|a - b|, the bits of np.linalg.norm of the 1-D difference."""
-    v = a - b
-    return math.sqrt(v.dot(v))
+    (hx, hy, hz), (tx, ty, tz) = well.heel, well.toe
+    return (0.5 * (hx + tx), 0.5 * (hy + ty), 0.5 * (hz + tz))
 
 
 def well_terms(well: WellGeometry, role: str, grid: ReservoirGrid,
@@ -265,7 +259,7 @@ def simulate(wells: list[tuple[WellGeometry, str]], econ: EconomicParams,
         return ProductionProfile(oil=[0.0] * n, gas=[0.0] * n,
                                  water=[0.0] * n)
 
-    spacing = min(_distance(_midpoint(p), _midpoint(i))
+    spacing = min(dot_norm(_midpoint(i), _midpoint(p))
                   for p in producers for i in injectors)
     # np.exp of a list: math.exp differs in the last bit on some arguments
     connectivity, breakthrough = np.exp(

@@ -276,4 +276,4 @@ def sample_with_rejection(draw, count: int, constraints: list[SumConstraint],
 
 def midpoint(well: WellGeometry) -> np.ndarray:
     """`proxy._midpoint` as numpy arithmetic."""
-    return 0.5 * (well.heel + well.toe)
+    return 0.5 * (np.array(well.heel) + np.array(well.toe))

@@ -378,8 +378,7 @@ class TestCriterion8Economics:
         from wellopt.wells import WellGeometry, drilling_cost
         length_m = math.e / FEET_PER_METER
         well = WellGeometry(
-            mainbore=np.array([[0.0, 0.0, 0.0], [length_m, 0.0, 0.0]]),
-            branches=[])
+            mainbore=((0.0, 0.0, 0.0), (length_m, 0.0, 0.0)), branches=())
         cost = drilling_cost([well], EconomicParams())
         expected = 1000.0 * 0.328084 * math.e
         passed = abs(cost - expected) <= 1e-6 * expected
@@ -390,11 +389,11 @@ class TestCriterion8Economics:
     def test_junction_cost_fixture(self):
         from wellopt.wells import Branch, WellGeometry, drilling_cost
         econ = EconomicParams()
-        mainbore = np.array([[0.0, 0.0, 0.0], [100.0, 0.0, 0.0]])
-        plain = WellGeometry(mainbore=mainbore.copy(), branches=[])
-        lateral = WellGeometry(mainbore=mainbore.copy(), branches=[
-            Branch(start_arclength=50.0, start=np.array([50.0, 0.0, 0.0]),
-                   end=np.array([50.0, 30.0, 0.0]))])
+        mainbore = ((0.0, 0.0, 0.0), (100.0, 0.0, 0.0))
+        plain = WellGeometry(mainbore=mainbore, branches=())
+        lateral = WellGeometry(mainbore=mainbore, branches=(
+            Branch(start_arclength=50.0, start=(50.0, 0.0, 0.0),
+                   end=(50.0, 30.0, 0.0)),))
         delta = drilling_cost([lateral], econ) - drilling_cost([plain], econ)
         length_ft = 30.0 * FEET_PER_METER
         bore = (1000.0 * 0.1 * FEET_PER_METER * math.log(length_ft)

@@ -40,7 +40,7 @@ def draw_and_update(dist, params):
     genomes = draw_genomes(dist, params, np.random.default_rng(0))
     order = rank_population([float(i) for i in range(len(genomes))])
     old_mean = dist.mean
-    dist.mean = update_mean(dist, params, genomes, order)
+    dist.mean = update_mean(params, genomes, order)
     return update_strategy_state(dist, params, genomes, order, old_mean)
 
 
@@ -174,15 +174,12 @@ class TestRanking:
 
 
 class TestMeanUpdate:
-    def _dist(self, n):
-        return initial_distribution(np.zeros(n), 1.0)
-
     def test_mu_one_returns_best(self):
         params = default_strategy_params(2, 2, 100)
         assert params.mu == 1
         genomes = np.array([[5.0, 5.0], [1.0, 2.0]])
         order = rank_population([2.0, 1.0])
-        mean = update_mean(self._dist(2), params, genomes, order)
+        mean = update_mean(params, genomes, order)
         assert np.array_equal(mean, np.array([1.0, 2.0]))
 
     def test_equal_weights_midpoint(self):
@@ -193,7 +190,7 @@ class TestMeanUpdate:
                                 c_1=params.c_1, c_mu=params.c_mu,
                                 chi_n=params.chi_n, max_generations=100)
         genomes = np.array([[0.0, 0.0], [2.0, 2.0], [9.0, 9.0], [8.0, 8.0]])
-        mean = update_mean(self._dist(2), params, genomes,
+        mean = update_mean(params, genomes,
                            rank_population([0.0, 1.0, 9.0, 8.0]))
         assert np.allclose(mean, [1.0, 1.0])
 
@@ -204,7 +201,7 @@ class TestMeanUpdate:
                  for _ in range(12)]
         genomes = np.array([genome for genome, _ in pairs])
         order = rank_population([value for _, value in pairs])
-        mean = update_mean(self._dist(4), params, genomes, order)
+        mean = update_mean(params, genomes, order)
         expected = np.zeros(4)
         for i in range(params.mu):
             expected += params.weights[i] * genomes[order[i]]
@@ -217,7 +214,7 @@ class TestMeanUpdate:
                  for _ in range(10)]
         genomes = np.array([genome for genome, _ in pairs])
         order = rank_population([value for _, value in pairs])
-        mean = update_mean(self._dist(3), params, genomes, order)
+        mean = update_mean(params, genomes, order)
         parents = genomes[order[:params.mu]]
         assert np.all(mean >= parents.min(axis=0) - 1e-12)
         assert np.all(mean <= parents.max(axis=0) + 1e-12)
@@ -228,7 +225,7 @@ def evolve_once(dist, params, rng, objective):
     values = [objective(genome) for genome in genomes]
     order = rank_population(values)
     old_mean = dist.mean
-    dist.mean = update_mean(dist, params, genomes, order)
+    dist.mean = update_mean(params, genomes, order)
     return (update_strategy_state(dist, params, genomes, order, old_mean),
             values)
 
@@ -299,7 +296,7 @@ class TestStrategyUpdate:
             genomes = draw_genomes(dist, params, rng)
             order = data.draw(st.permutations(range(lam)))
             old_mean = dist.mean
-            dist.mean = update_mean(dist, params, genomes, order)
+            dist.mean = update_mean(params, genomes, order)
             dist = update_strategy_state(dist, params, genomes, order,
                                          old_mean)
             C = dist.covariance
@@ -317,7 +314,7 @@ class TestStrategyUpdate:
         assert dist.generation == 1
 
 
-def per_row_update_mean(dist, params, rows, order):
+def per_row_update_mean(params, rows, order):
     """`update_mean` as it was on one genome per candidate: the reference
     the block form must match bit for bit."""
     if params.mu > len(rows):
@@ -383,8 +380,8 @@ def test_block_updates_have_the_bits_of_the_per_row_forms(n, lam, seed, data):
     rows = list(genomes)
     order = data.draw(st.permutations(range(lam)))
     old_mean = dist.mean
-    mean = update_mean(dist, params, genomes, order)
-    assert mean.tobytes() == per_row_update_mean(dist, params, rows,
+    mean = update_mean(params, genomes, order)
+    assert mean.tobytes() == per_row_update_mean(params, rows,
                                                  order).tobytes()
     dist.mean = mean
     got = update_strategy_state(dist, params, genomes, order, old_mean)
@@ -433,7 +430,7 @@ class TestTermination:
         genomes = np.array([[1.3], [0.5]])
         order = [0, 1]
         old_mean = dist.mean
-        dist.mean = update_mean(dist, params, genomes, order)
+        dist.mean = update_mean(params, genomes, order)
         assert dist.mean.tolist() == [1.3]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)

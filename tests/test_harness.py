@@ -679,7 +679,8 @@ class TestRunBatch:
         failing, raised = [], []
 
         def fails_on_one_genome(wells, *args):
-            genome = b"".join(g.mainbore.tobytes() for g, _ in wells)
+            genome = b"".join(np.array(g.mainbore).tobytes()
+                              for g, _ in wells)
             failing[:] = failing or [genome]
             if genome == failing[0]:
                 raised.append(genome)
@@ -824,6 +825,22 @@ class TestBuildProblem:
           "economics": {"max_well_length_m": float("inf")}},
          "max_well_length_m"),
         ({"kind": "well_placement", "tilt_range": 0}, "problem.tilt_range"),
+        ({"kind": "well_placement",
+          "proxy": {"gas_oil_ratio": float("inf")}}, "proxy.gas_oil_ratio"),
+        ({"kind": "well_placement", "economics": {"oil_price": float("inf")}},
+         "economics.oil_price"),
+        ({"kind": "well_placement",
+          "economics": {"wellbore_diameter_m": float("nan")}},
+         "economics.wellbore_diameter_m"),
+        ({"kind": "well_placement",
+          "economics": {"annual_discount_rate": float("nan")}},
+         "economics.annual_discount_rate"),
+        ({"kind": "well_placement",
+          "proxy": {"water_cut_steepness": float("inf")}},
+         "proxy.water_cut_steepness"),
+        ({"kind": "well_placement",
+          "proxy": {"drainage_radius_m": float("-inf")}},
+         "proxy.drainage_radius_m"),
     ])
     def test_problem_numbers_checked_at_load(self, problem, key):
         with pytest.raises(ValueError, match=key):

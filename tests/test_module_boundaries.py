@@ -369,3 +369,76 @@ def test_every_value_error_is_raised_where_input_enters():
     assert not unexpected, f"ValueErrors no outside input needs: {unexpected}"
     stale = sorted(set(RAISES_ALLOWED) - raised)
     assert not stale, f"allowed but raised nowhere: {stale}"
+
+
+# `np.asarray` calls in the library, by where they are made, each with why
+# the value is converted there. A value is converted once, where it enters
+# the program: a genome is the float64 array that the sampler, the GA or
+# the CLI made, and a decoded well is Python floats, so the library does
+# not coerce what it built itself.
+ASARRAY_ALLOWED: dict[str, str] = {
+    "metamodel.py:TrainingArchive.as_arrays":
+        "the archive's value list becomes the regression array",
+}
+
+
+def scoped_calls(tree: ast.Module, module: str, attribute: str):
+    """`Class.method` or `function` (nested scopes joined by dots) of
+    every call of `<module>.<attribute>(...)`."""
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = [*scope, node.name]
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == attribute
+              and isinstance(node.func.value, ast.Name)
+              and node.func.value.id == module):
+            yield ".".join(scope) or "<module>"
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, scope)
+    return visit(tree, [])
+
+
+def test_np_asarray_only_where_a_value_enters():
+    names = [path.relative_to(SRC).as_posix() for path in SRC.rglob("*.py")]
+    calls = [f"{name}:{where}" for name in names
+             for where in scoped_calls(parse(name), "np", "asarray")]
+    unexpected = sorted(set(calls) - set(ASARRAY_ALLOWED))
+    assert not unexpected, f"np.asarray of built values: {unexpected}"
+    stale = sorted(set(ASARRAY_ALLOWED) - set(calls))
+    assert not stale, f"allowed but called nowhere: {stale}"
+
+
+def unread_parameters(tree: ast.Module):
+    """`Class.method(parameter)` or `function(parameter)` of every
+    parameter its def's body never reads; a method's `self` or `cls`
+    is not counted."""
+    def visit(body, scope, cls):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from visit(node.body, [*scope, node.name], True)
+            elif isinstance(node, ast.FunctionDef):
+                args = node.args
+                parameters = [a.arg for a in [*args.posonlyargs, *args.args,
+                                              *args.kwonlyargs]]
+                parameters += [a.arg for a in (args.vararg, args.kwarg) if a]
+                static = "staticmethod" in decorator_names(node)
+                if cls and not static:
+                    parameters = parameters[1:]
+                read = {sub.id for statement in node.body
+                        for sub in ast.walk(statement)
+                        if isinstance(sub, ast.Name)}
+                name = ".".join([*scope, node.name])
+                yield from (f"{name}({parameter})" for parameter in parameters
+                            if parameter not in read)
+                yield from visit(node.body, [*scope, node.name], False)
+    return visit(tree.body, [], False)
+
+
+def test_every_parameter_is_read():
+    """A parameter that its function never reads is an input no caller
+    can vary: every call site passes it for nothing."""
+    names = [path.relative_to(SRC).as_posix() for path in SRC.rglob("*.py")]
+    unread = sorted(f"{name}:{parameter}" for name in names
+                    for parameter in unread_parameters(parse(name)))
+    assert not unread, f"parameters never read: {unread}"

@@ -8,6 +8,8 @@ reached, and tracing must leave the run CSVs byte for byte as they are."""
 import dataclasses
 import importlib
 import importlib.util
+import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,8 @@ import wellopt.metamodel as mm
 from wellopt.cma import SearchDistribution, default_strategy_params
 from wellopt.harness import Evaluator, RunConfig, run_single
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def load_tracing():
@@ -166,8 +169,7 @@ def test_traced_well_run_keeps_csv_bytes_and_times_every_proxy_layer(
     # install_tracing: the CSV bytes stay the same, and each proxy span the
     # benchmark's per-layer `wells.*_us` metrics read is reached.
     config = dataclasses.replace(
-        RunConfig.load(Path(__file__).resolve().parents[1] / "configs"
-                       / "well_cma_vs_ga.json"),
+        RunConfig.load(ROOT / "configs" / "well_cma_vs_ga.json"),
         optimizer="cma", population_size=8, max_generations=3)
     run_single(config, 1, tmp_path / "plain")
     tracing = load_tracing()
@@ -182,6 +184,60 @@ def test_traced_well_run_keeps_csv_bytes_and_times_every_proxy_layer(
                  "wells.simulate", "wells.npv", "wells.decode_well",
                  "wells.check_geometry"):
         assert table.count(span) > 0, span
+
+
+def test_layer_metrics_gives_every_declared_name_of_traced_runs():
+    # `layer_metrics` reads a run record's `covariance_repairs`, `archive`,
+    # `rows` and each row's `n_ic`. A constrained CMA run, a surrogate run
+    # past min_archive_size (24 points for n = 2: from generation 3 on), a
+    # GA run and a short well-placement CMA run, each traced as the
+    # benchmark traces it: every per-layer name BENCHMARK.json declares
+    # comes out finite, but the three the benchmark script adds itself.
+    declared = {metric["name"] for metric in json.loads(
+        (ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    declared -= {"metamodel.break_even_ms", "trace.overhead_ratio",
+                 "trace.self_coverage"}
+    sphere = {"kind": "sphere", "dimension": 2, "center": 2.0}
+    constraint = [{"indices": [0, 1], "lower": -1.0, "upper": 1.0}]
+    configs = [RunConfig.from_dict({
+        "problem": sphere, "population_size": 8, "max_generations": 6,
+        **overrides}) for overrides in (
+            {"optimizer": "cma", "constraints": constraint},
+            {"optimizer": "cma+surrogate"},
+            {"optimizer": "ga", "constraints": constraint})]
+    configs.append(dataclasses.replace(
+        RunConfig.load(ROOT / "configs" / "well_cma_vs_ga.json"),
+        optimizer="cma", population_size=8, max_generations=3))
+    tracing = load_tracing()
+
+    def run_once(problem, config):
+        if config.optimizer == "ga":
+            return harness.run_ga(problem, config, 1)
+        return harness.run_cma(problem, config, 1,
+                               config.optimizer == "cma+surrogate")
+
+    for config in configs:
+        problem = harness.build_problem(config)
+        tracer = tracing.Tracer()
+        traced_problem = dataclasses.replace(
+            problem, raw_objective=tracer.wrap(
+                tracing.objective_span(problem.well_problem is not None),
+                problem.raw_objective))
+        with tracing.Patcher() as patcher:
+            tracing.install_tracing(patcher, tracer)
+            record = tracer.wrap(tracing.RUN_SPAN, run_once)(traced_problem,
+                                                             config)
+        metrics = tracing.layer_metrics(
+            tracing.SpanTable(tracer), tracer.counts, problem, config,
+            config.optimizer, [record], 1.0, record.simulation_failures)
+        assert declared <= set(metrics), declared - set(metrics)
+        assert all(math.isfinite(metrics[name][0]) for name in declared), {
+            name: metrics[name][0] for name in declared}
+        if config.optimizer == "cma+surrogate":
+            assert metrics["metamodel.fits_per_gen"][0] > 0
+            assert metrics["metamodel.archive_size"][0] > 0
+        if problem.well_problem is not None:
+            assert metrics["wells.eval_us_p50"][0] > 0
 
 
 def test_penalty_amount_is_reached_once_per_candidate_and_returns_floats():
@@ -224,8 +280,7 @@ def test_constrained_cma_generation_reaches_each_hook_point_at_its_rate(
     # eigendecompositions per generation (`cma.eigh_per_gen` 2.0), one
     # penalty amount per candidate, one sampler call per draw round and
     # one `RunRow` per generation, each through the name it wraps.
-    config = RunConfig.load(Path(__file__).resolve().parents[1]
-                            / "configs" / "constrained_sphere.json")
+    config = RunConfig.load(ROOT / "configs" / "constrained_sphere.json")
     config = dataclasses.replace(config, max_generations=40)
     calls = {"eigh": 0, "penalty_amount": 0, "sample_individual": 0,
              "RunRow": 0, "draw": 0}

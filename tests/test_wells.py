@@ -23,9 +23,18 @@ from wellopt.wells.proxy import (BARRELS_PER_M3, _midpoint, _segment_pieces,
                                  well_terms)
 
 
+def point(xyz) -> tuple[float, float, float]:
+    """A coordinate triple as the library's Point: a tuple of floats."""
+    return tuple(np.asarray(xyz, dtype=float).tolist())
+
+
+def points(rows) -> tuple:
+    """Rows of coordinates as a tuple of Points."""
+    return tuple(map(point, rows))
+
+
 def straight_well(start, end):
-    return WellGeometry(mainbore=np.array([start, end], dtype=float),
-                        branches=[])
+    return WellGeometry(mainbore=points([start, end]), branches=())
 
 
 def simulate_wells(wells, grid, econ, params=None):
@@ -43,8 +52,7 @@ def segment_cell_intersections(start: np.ndarray, end: np.ndarray,
     """Cells crossed by one segment, with the length inside each cell."""
     inv = grid.invariants
     kx, ky, _ = inv.strides
-    pieces = _segment_pieces(np.asarray(start, dtype=float),
-                             np.asarray(end, dtype=float), inv)
+    pieces = _segment_pieces(point(start), point(end), inv)
     return [((flat // kx, flat % kx // ky, flat % ky), piece)
             for flat, piece in pieces]
 
@@ -73,13 +81,14 @@ def encode_well(geometry: WellGeometry) -> np.ndarray:
     theta lands in [0, pi] and phi in (-pi, pi], so decoding then
     re-encoding a genome written in those ranges round-trips.
     """
-    parts = [geometry.heel]
-    for i in range(len(geometry.mainbore) - 1):
-        parts.append(_step_to_spherical(geometry.mainbore[i + 1]
-                                        - geometry.mainbore[i]))
+    mainbore = np.array(geometry.mainbore)
+    parts = [mainbore[0]]
+    for i in range(len(mainbore) - 1):
+        parts.append(_step_to_spherical(mainbore[i + 1] - mainbore[i]))
     for branch in geometry.branches:
         parts.append([branch.start_arclength])
-        parts.append(_step_to_spherical(branch.end - branch.start))
+        parts.append(_step_to_spherical(np.subtract(branch.end,
+                                                    branch.start)))
     return np.concatenate([np.atleast_1d(np.asarray(p, float)) for p in parts])
 
 
@@ -137,7 +146,8 @@ class TestDecode:
             well = decode_well(g, n_dev, 0)
             # oracle: recompute length from decoded points
             recomputed = sum(
-                float(np.linalg.norm(well.mainbore[i + 1] - well.mainbore[i]))
+                float(np.linalg.norm(np.subtract(well.mainbore[i + 1],
+                                                 well.mainbore[i])))
                 for i in range(n_dev))
             assert well.mainbore_length == pytest.approx(sum(radii), rel=1e-12)
             assert well.mainbore_length == pytest.approx(recomputed, rel=1e-12)
@@ -211,6 +221,47 @@ class TestDecode:
         assert np.allclose(point_at_arclength(mainbore, 10.0), [10, 0, 0])
 
 
+def assert_frozen_floats(geometry):
+    """A decoded well's form: tuples of Points, each three Python floats."""
+    assert type(geometry.mainbore) is tuple
+    assert type(geometry.branches) is tuple
+    ends = [p for b in geometry.branches for p in (b.start, b.end)]
+    for p in [*geometry.mainbore, *ends]:
+        assert type(p) is tuple and len(p) == 3
+        assert all(type(v) is float for v in p), p
+    assert all(type(b.start_arclength) is float for b in geometry.branches)
+
+
+class TestDecodedWellType:
+    @pytest.mark.parametrize("n_dev, n_br", [(0, 0), (1, 0), (2, 1), (3, 2)])
+    def test_decode_well_returns_frozen_python_floats(self, n_dev, n_br):
+        rng = np.random.default_rng(10 * n_dev + n_br)
+        genome = rng.uniform(0.1, 3.0, genome_dimension(n_dev, n_br))
+        well = decode_well(genome, n_dev, n_br)
+        assert_frozen_floats(well)
+        for name in ("mainbore", "branches"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(well, name, ())
+        for branch in well.branches:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                branch.start = branch.end
+        lengths = [well.mainbore_length, well.total_length,
+                   *(b.length for b in well.branches)]
+        assert all(type(length) is float for length in lengths)
+
+    def test_lengths_are_computed_once(self, monkeypatch):
+        import wellopt.wells.geometry as geometry_module
+
+        well = decode_well(np.array([0.0, 0.0, 0.0, 10.0, 1.0, 0.5,
+                                     4.0, 5.0, 1.5, 1.5]), 1, 1)
+        first = (well.mainbore_length, well.total_length,
+                 well.branches[0].length)
+        monkeypatch.setattr(geometry_module, "pairwise_sum", None)
+        monkeypatch.setattr(geometry_module, "dot_norm", None)
+        assert (well.mainbore_length, well.total_length,
+                well.branches[0].length) == first
+
+
 class TestCheckGeometry:
     EXTENT = np.array([100.0, 100.0, 50.0])
 
@@ -225,11 +276,11 @@ class TestCheckGeometry:
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
-            points = rng.uniform(-20, 120, (3, 3))
-            well = WellGeometry(mainbore=points, branches=[])
+            rows = rng.uniform(-20, 120, (3, 3))
+            well = WellGeometry(mainbore=points(rows), branches=())
             # oracle: explicit point-in-box check
             inside = all(
-                0 <= p[k] <= self.EXTENT[k] for p in points for k in range(3))
+                0 <= p[k] <= self.EXTENT[k] for p in rows for k in range(3))
             assert (check_geometry(well, self.EXTENT) == 0.0) == inside
 
 
@@ -251,11 +302,9 @@ class TestDrillingCost:
     def test_branch_adds_exactly_one_junction_cost(self):
         econ = EconomicParams()
         plain = straight_well([0, 0, 0], [100.0, 0, 0])
-        branch = Branch(start_arclength=50.0,
-                        start=np.array([50.0, 0.0, 0.0]),
-                        end=np.array([50.0, 40.0, 0.0]))
-        lateral = WellGeometry(mainbore=plain.mainbore.copy(),
-                               branches=[branch])
+        branch = Branch(start_arclength=50.0, start=(50.0, 0.0, 0.0),
+                        end=(50.0, 40.0, 0.0))
+        lateral = WellGeometry(mainbore=plain.mainbore, branches=(branch,))
         base = drilling_cost([plain], econ)
         with_branch = drilling_cost([lateral], econ)
         length_ft = 40.0 * FEET_PER_METER
@@ -562,6 +611,7 @@ def loop_productivity_index(well, grid):
 def loop_distance_to_polyline(points, well):
     best = np.full(points.shape[0], np.inf)
     for start, end in well.segments():
+        start, end = np.array(start), np.array(end)
         d = end - start
         denom = float(d @ d)
         if denom == 0.0:
@@ -692,8 +742,7 @@ class TestKernelsMatchLoopVersions:
             loop_drainable_oil_barrels(well, BUNDLED, params))
 
     def test_heel_only_well_drains_nothing(self):
-        well = WellGeometry(mainbore=np.array([[900.0, 900.0, 60.0]]),
-                            branches=[])
+        well = WellGeometry(mainbore=((900.0, 900.0, 60.0),), branches=())
         params = ProxyParams()
         assert drainable_oil_barrels(well, BUNDLED, params) == 0.0
         assert loop_drainable_oil_barrels(well, BUNDLED, params) == 0.0
@@ -703,7 +752,7 @@ class TestKernelsMatchLoopVersions:
 # The numpy versions of the geometry routines, kept verbatim as the
 # reference the Python-float ones must match bit for bit.
 def numpy_mainbore_length(well):
-    steps = np.diff(well.mainbore, axis=0)
+    steps = np.diff(np.array(well.mainbore), axis=0)
     return float(np.sum(np.linalg.norm(steps, axis=1)))
 
 
@@ -850,10 +899,8 @@ def point_wells(draw):
         start = draw(point)
         end = start if draw(st.booleans()) else draw(point)
         branches.append(Branch(start_arclength=draw(st.floats(0.0, 100.0)),
-                               start=np.array(start, dtype=float),
-                               end=np.array(end, dtype=float)))
-    return WellGeometry(mainbore=np.array(mainbore, dtype=float),
-                        branches=branches)
+                               start=start, end=end))
+    return WellGeometry(mainbore=tuple(mainbore), branches=tuple(branches))
 
 
 class TestGeometryMatchesNumpyVersions:
@@ -872,7 +919,7 @@ class TestGeometryMatchesNumpyVersions:
             self.assert_same_checks(well, max_length)
             arclength = float(np.linalg.norm(well.mainbore[-1]))
             assert bits(point_at_arclength(well.mainbore, arclength)) == bits(
-                numpy_point_at_arclength(well.mainbore, arclength))
+                numpy_point_at_arclength(np.array(well.mainbore), arclength))
 
     @staticmethod
     def assert_same_checks(well, max_length):
@@ -897,7 +944,7 @@ class TestGeometryMatchesNumpyVersions:
         assert float(np.sum(lengths)) != ordered
         mainbore = np.zeros((len(lengths) + 1, 3))
         mainbore[1:, 0] = np.cumsum(lengths)
-        well = WellGeometry(mainbore=mainbore, branches=[])
+        well = WellGeometry(mainbore=points(mainbore), branches=())
         assert bits(well.mainbore_length) == bits(numpy_mainbore_length(well))
 
 
@@ -923,7 +970,8 @@ def reference_simulate(wells: list[tuple[WellGeometry, str]],
     if pi_prod <= 0.0 or drainable <= 0.0:
         return ProductionProfile(oil=oil, gas=gas, water=water)
 
-    spacing = min(float(np.linalg.norm(_midpoint(p) - _midpoint(i)))
+    spacing = min(float(np.linalg.norm(np.subtract(_midpoint(p),
+                                                   _midpoint(i))))
                   for p in producers for i in injectors)
     deliverability = pi_prod / (pi_prod + params.pi_half)
     injector_strength = (pi_inj / (pi_inj + params.pi_half)
@@ -1501,15 +1549,15 @@ class TestWellMemo:
         wells = problem._score(genome)[1]
         assert len(wells) == 2 and wells[1][0].branches
         for geometry, _ in wells:
-            arrays = [geometry.mainbore] + [a for b in geometry.branches
-                                            for a in (b.start, b.end)]
-            for array in arrays:
-                assert not array.flags.writeable
-                with pytest.raises(ValueError):
-                    array[0] = 0.0
+            assert_frozen_floats(geometry)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                geometry.mainbore = ()
+            for branch in geometry.branches:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    branch.end = branch.start
         detail = problem.evaluate_detail(genome)   # still reads them
         assert [w["heel"] for w in detail["wells"]] == [
-            geometry.heel.tolist() for geometry, _ in wells]
+            list(geometry.heel) for geometry, _ in wells]
 
     def test_evaluate_detail_takes_pi_from_the_memo(self, monkeypatch):
         import wellopt.wells.proxy as proxy_module
