@@ -205,13 +205,13 @@ def maybe_increase_gammas(state: PenaltyState, dist: SearchDistribution,
 
 
 def xi_factors(dist: SearchDistribution,
-               constraints: list[SumConstraint]) -> np.ndarray:
+               constraints: list[SumConstraint]) -> list[float]:
     """Per-constraint scale xi_j comparing the sampling log-variance over
     the constraint's coordinate subset with the overall log-variance."""
     logs = np.log(dist.variances).tolist()
     overall = pairwise_sum(logs) / len(logs)
-    return np.array([math.exp(0.9 * (_subset_mean(logs, c.indices) - overall))
-                     for c in constraints])
+    return [math.exp(0.9 * (_subset_mean(logs, c.indices) - overall))
+            for c in constraints]
 
 
 def penalty_amount(q: list[float], gammas: list[float],

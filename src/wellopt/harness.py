@@ -53,25 +53,28 @@ class Evaluator:
     """Counting wrapper around the true objective, memoized by the archive.
 
     The archive remembers every true evaluation, finite or not, so a
-    genome is evaluated and counted at most once. Each finite counted
-    value becomes one regression entry, which keeps reported totals
-    reconcilable with archive growth; `nonfinite` counts the others.
+    genome is evaluated at most once. Its memo is the one record of them:
+    `count` is its keys, `nonfinite` those whose value was NaN or inf and
+    so became no regression entry. A run's archive starts empty.
     """
 
     def __init__(self, fn, archive: TrainingArchive):
         self._fn = fn
         self.archive = archive
-        self.count = 0
-        self.nonfinite = 0
+
+    @property
+    def count(self) -> int:
+        return self.archive.evaluations
+
+    @property
+    def nonfinite(self) -> int:
+        return self.archive.evaluations - len(self.archive)
 
     def __call__(self, genome: np.ndarray) -> float:
         key = genome.tobytes()
         value = self.archive.lookup(key)
         if value is None:
             value = float(self._fn(genome))
-            self.count += 1
-            if not math.isfinite(value):
-                self.nonfinite += 1
             self.archive.add(key, value)
         return value
 
@@ -305,7 +308,7 @@ def run_cma(problem: BuiltProblem, config: RunConfig, seed: int,
             gammas = state.gammas.tolist()
             if gammas != gammas_before:
                 last_gamma_change = dist.generation
-            xis = xi_factors(dist, constraints).tolist()
+            xis = xi_factors(dist, constraints)
             amounts = [penalty_amount(q, gammas, constraints, xis)
                        for q in sums.T.tolist()]
 
@@ -402,7 +405,8 @@ class BatchResult:
 
 
 def default_targets(records: list[RunRecord]) -> list[float]:
-    """Ten evenly spaced quantiles of the pooled best-so-far samples.
+    """Ten evenly spaced quantiles of the pooled finite best-so-far
+    samples (a run reports inf until its first finite value), or none.
 
     Targets run from easy (high objective) to hard (low); because
     best-so-far trajectories spend generations where progress is slow,
@@ -410,6 +414,9 @@ def default_targets(records: list[RunRecord]) -> list[float]:
     spend their time.
     """
     pooled = np.concatenate([r.best_so_far() for r in records])
+    pooled = pooled[np.isfinite(pooled)]
+    if not len(pooled):
+        return []
     quantiles = np.quantile(pooled, np.arange(1, 11) / 11.0)
     return sorted(set(float(q) for q in quantiles), reverse=True)
 

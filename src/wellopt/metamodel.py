@@ -18,10 +18,10 @@ archive is folded into the held neighbour sets in place
 (`admit_newest`), and only the candidates whose set it joined are
 refitted.
 
-The fits solve their normal equations with LAPACK's Cholesky routines
-from scipy. scipy is imported on the first fit, not with this module, so
-runs that never fit a local model (plain CMA-ES, the GA, evaluating a
-genome) start without it.
+Each fit solves its normal equations with one call of LAPACK's Cholesky
+solver from scipy. scipy is imported on the first fit, not with this
+module, so runs that never fit a local model (plain CMA-ES, the GA,
+evaluating a genome) start without it.
 """
 
 from __future__ import annotations
@@ -65,11 +65,10 @@ class TrainingArchive:
     kept as its key: the bytes of its float64 array (`tobytes()`).
 
     The archive is also the memo of true evaluations: `lookup` answers
-    for every key ever added, finite or not. Only finite pairs become
-    regression data (`len`, `as_arrays`), and exact-duplicate genomes are
-    skipped, so the regression data stay clean. The store is unbounded.
-    `select_neighbors` scans it; the ranking step does so once per
-    candidate and generation and then follows growth through `newest`.
+    for every key ever added, finite or not, and `evaluations` counts
+    those keys. Only finite pairs become regression data (`len`,
+    `as_arrays`), and exact-duplicate genomes are skipped, so the
+    regression data stay clean. The store is unbounded.
     """
 
     def __init__(self, dim: int):
@@ -77,10 +76,15 @@ class TrainingArchive:
         self._keys: list[bytes] = []
         self._values: list[float] = []
         self._index: dict[bytes, float] = {}
-        self._matrix: np.ndarray | None = None
+        self._arrays: tuple[np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self._keys)
+
+    @property
+    def evaluations(self) -> int:
+        """Keys in the memo: every genome added, finite or not."""
+        return len(self._index)
 
     def add(self, key: bytes, value: float) -> bool:
         """Record one evaluation; returns True when it became regression
@@ -92,7 +96,7 @@ class TrainingArchive:
             return False
         self._keys.append(key)
         self._values.append(value)
-        self._matrix = None
+        self._arrays = None
         return True
 
     def newest(self) -> tuple[np.ndarray, float]:
@@ -105,10 +109,13 @@ class TrainingArchive:
         return self._index.get(key)
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._matrix is None:
-            self._matrix = np.frombuffer(b"".join(self._keys)).reshape(
-                len(self._keys), self.dim)
-        return self._matrix, np.asarray(self._values, dtype=float)
+        """Regression genomes (rows) and objectives, built once per growth."""
+        if self._arrays is None:
+            values = np.asarray(self._values, dtype=float)
+            values.flags.writeable = False
+            self._arrays = (np.frombuffer(b"".join(self._keys)).reshape(
+                len(self._keys), self.dim), values)
+        return self._arrays
 
 
 @dataclass(frozen=True)
@@ -224,7 +231,7 @@ def fit_local_model(neighbor_genomes: np.ndarray, neighbor_values: np.ndarray,
     h = float(d[-1])
     if not h > 0:
         raise SurrogateUnavailable("zero bandwidth: neighbors coincide with q")
-    weights = kernel(np.minimum(d / h, 1.0))
+    weights = kernel(d / h)
 
     center = np.array(q, dtype=float)
     i_idx, j_idx = _cross_indices(n)
@@ -249,20 +256,16 @@ def fit_local_model(neighbor_genomes: np.ndarray, neighbor_values: np.ndarray,
 
 @lru_cache(maxsize=None)
 def _lapack():
-    """LAPACK's (dpotrf, dpotrs), imported once, on the first fit."""
-    from scipy.linalg.lapack import dpotrf, dpotrs
-    return dpotrf, dpotrs
+    """LAPACK's dposv, imported once, on the first fit."""
+    from scipy.linalg.lapack import dposv
+    return dposv
 
 
 def _cholesky_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """x with A x = b by LAPACK potrf/potrs; None unless A is SPD, x finite."""
-    dpotrf, dpotrs = _lapack()
-    factor, info = dpotrf(A, lower=1, clean=0)
-    if info == 0:
-        x, info = dpotrs(factor, b, lower=1)
-        if info == 0 and np.isfinite(x).all():
-            return x
-    return None
+    """x with A x = b by one LAPACK posv call, which factors A = L L^T and
+    solves; None unless A is SPD and x finite."""
+    _, x, info = _lapack()(A, b, lower=1)
+    return x if info == 0 and np.isfinite(x).all() else None
 
 
 def _solve_normal_equations(A: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -304,17 +307,11 @@ def approximate_ranking_step(genomes: np.ndarray,
     """Rank one generation, spending true evaluations only until stable.
 
     The archive holds at least `settings.min_archive_size` (>= k) entries.
-    Procedure: predict all lambda candidates (the rows of `genomes`),
-    record the mu-best set and the best candidate, and truly evaluate the
-    predicted best. Then cycle: re-predict every still-unevaluated
-    candidate against the grown archive, recompute set/best, and check
-    acceptance. The first cycle always evaluates (there is no
-    like-for-like baseline before the initial evaluation has fed back
-    through the models); afterwards, while fewer than a quarter of the
-    population is truly evaluated the procedure continues only if the
-    mu-best set or the best changed, and beyond a quarter only if the best
-    changed. Each continuing cycle truly evaluates the best
-    not-yet-evaluated candidate.
+    Predict all lambda candidates (the rows of `genomes`) and truly
+    evaluate the predicted best. Then, each cycle, re-predict the
+    unevaluated candidates against the grown archive and, while
+    `ranking_continues` on the changes of the mu-best set and the best,
+    truly evaluate the best unevaluated candidate.
 
     `true_eval(genome) -> raw objective` must insert into `archive` as a
     side effect, at most one entry per call (the shared evaluation wrapper

@@ -8,12 +8,3 @@ from .grid import ReservoirGrid, generate_synthetic_grid
 from .problem import WellLayout, WellPlacementProblem
 from .proxy import (INJECTOR, PRODUCER, ProxyParams, drainable_oil_barrels,
                     productivity_index, simulate)
-
-__all__ = [
-    "FEET_PER_METER", "EconomicParams", "ProductionProfile", "drilling_cost",
-    "npv", "Branch", "WellGeometry", "check_geometry",
-    "decode_well", "genome_dimension", "ReservoirGrid",
-    "generate_synthetic_grid", "WellLayout", "WellPlacementProblem",
-    "INJECTOR", "PRODUCER", "ProxyParams", "drainable_oil_barrels",
-    "productivity_index", "simulate",
-]

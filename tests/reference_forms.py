@@ -7,10 +7,12 @@ reader. The tests still check fits against full quadratics, start
 distributions at C = I and read dumped archives back, with these.
 
 The second part holds the earlier forms of bodies that now run on Python
-floats or keep less; the library's forms must give the same bits.
+floats or keep less, and the last the local fit's solve as it made two
+LAPACK calls; the library's forms must give the same bits.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,7 +20,8 @@ from wellopt.cma import SearchDistribution, StrategyParams
 from wellopt.constraints import (MAX_RESAMPLES, PenaltyState, SumConstraint,
                                  is_feasible)
 from wellopt.harness import fmt
-from wellopt.metamodel import (LocalQuadraticModel, TrainingArchive,
+from wellopt.metamodel import (RIDGE_SCALE, LocalQuadraticModel,
+                               SurrogateUnavailable, TrainingArchive,
                                _cross_indices)
 from wellopt.wells.geometry import WellGeometry
 
@@ -277,3 +280,35 @@ def sample_with_rejection(draw, count: int, constraints: list[SumConstraint],
 def midpoint(well: WellGeometry) -> np.ndarray:
     """`proxy._midpoint` as numpy arithmetic."""
     return 0.5 * (np.array(well.heel) + np.array(well.toe))
+
+
+# ---------------------------------------------------------------------------
+# The local fit's solve as two LAPACK calls, factor then solve, for the
+# bit tests in `test_solve_bits.py`.
+
+@lru_cache(maxsize=None)
+def _lapack():
+    """LAPACK's (dpotrf, dpotrs), imported once, on the first fit."""
+    from scipy.linalg.lapack import dpotrf, dpotrs
+    return dpotrf, dpotrs
+
+
+def _cholesky_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """x with A x = b by LAPACK potrf/potrs; None unless A is SPD, x finite."""
+    dpotrf, dpotrs = _lapack()
+    factor, info = dpotrf(A, lower=1, clean=0)
+    if info == 0:
+        x, info = dpotrs(factor, b, lower=1)
+        if info == 0 and np.isfinite(x).all():
+            return x
+    return None
+
+
+def _solve_normal_equations(A: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    beta = _cholesky_solve(A, b)
+    if beta is None:
+        ridge = RIDGE_SCALE * max(np.trace(A), np.finfo(float).tiny) / p
+        beta = _cholesky_solve(A + ridge * np.diag([1.0] * (p - 1) + [0.0]), b)
+    if beta is None:
+        raise SurrogateUnavailable("degenerate local design matrix")
+    return beta

@@ -159,7 +159,7 @@ class TestCriterion3PenaltyIdentities:
             sums = [constraint_violation(x, c)[0] for c in constraints]
             got = penalized(raw, penalty_amount(
                 sums, state.gammas.tolist(), constraints,
-                xi_factors(dist, constraints).tolist()))
+                xi_factors(dist, constraints)))
             if feasible:
                 assert got == raw
                 checked_feasible += 1

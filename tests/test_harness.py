@@ -633,6 +633,42 @@ class TestRunBatch:
             float(q) for q in np.quantile(pooled, np.arange(1, 11) / 11.0)),
             reverse=True)
 
+    TARGETS_HEADER = ("schema_version,target_objective,runs_reached,"
+                      "total_runs,mean_evaluations_to_target\n")
+
+    def test_no_targets_without_a_finite_value(self, tmp_path):
+        # every sample of sigma0 = 1e200 overflows the sphere to inf
+        config = sphere_config(problem={"kind": "sphere", "dimension": 3},
+                               sigma0=1e200, max_generations=5)
+        result = run_batch(config, tmp_path)
+        assert all(math.isinf(row.best_objective)
+                   for record in result.records for row in record.rows)
+        assert result.targets == []
+        assert (tmp_path / "targets.csv").read_text() == self.TARGETS_HEADER
+
+    def test_an_all_inf_run_adds_no_target(self, monkeypatch, tmp_path):
+        """Seed 2's objective is inf everywhere: the targets are those of
+        seed 1 alone, and every one is finite."""
+        original_sphere, original_run = harness.sphere, harness.run_single
+        seed = []
+
+        def run_single(config, run_seed, out_dir):
+            seed[:] = [run_seed]
+            return original_run(config, run_seed, out_dir)
+
+        monkeypatch.setattr(harness, "run_single", run_single)
+        monkeypatch.setattr(harness, "sphere", lambda x, center: (
+            math.inf if seed == [2] else original_sphere(x, center)))
+        result = run_batch(sphere_config(max_generations=5), tmp_path)
+        assert all(math.isinf(row.best_objective)
+                   for row in result.records[1].rows)
+        assert result.targets
+        assert all(map(math.isfinite, result.targets))
+        assert result.targets == harness.default_targets(result.records[:1])
+        rows = (tmp_path / "targets.csv").read_text().splitlines()[1:]
+        assert len(rows) == len(result.targets)
+        assert not any("nan" in row for row in rows)
+
     def test_evaluations_to_target(self):
         config = sphere_config()
         result = run_batch(config)

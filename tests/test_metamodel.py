@@ -294,15 +294,14 @@ class TestKernelAndFit:
         # every neighbor shares q's second coordinate, so the z2 terms of
         # the design vanish and the plain Cholesky factorization fails
         factorizations = []
-        real_dpotrf, real_dpotrs = mm._lapack()
+        real_dposv = mm._lapack()
 
-        def counting_dpotrf(*args, **kwargs):
-            factor, info = real_dpotrf(*args, **kwargs)
+        def counting_dposv(*args, **kwargs):
+            factor, x, info = real_dposv(*args, **kwargs)
             factorizations.append(info)
-            return factor, info
+            return factor, x, info
 
-        monkeypatch.setattr(mm, "_lapack",
-                            lambda: (counting_dpotrf, real_dpotrs))
+        monkeypatch.setattr(mm, "_lapack", lambda: counting_dposv)
         rng = np.random.default_rng(16)
         q = np.array([0.1, 0.4])
         points = np.column_stack([rng.uniform(-1, 1, 12), np.full(12, 0.4)])

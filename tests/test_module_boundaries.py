@@ -442,3 +442,30 @@ def test_every_parameter_is_read():
     unread = sorted(f"{name}:{parameter}" for name in names
                     for parameter in unread_parameters(parse(name)))
     assert not unread, f"parameters never read: {unread}"
+
+
+def scipy_imports(tree: ast.Module):
+    """`Class.method` or `function` (nested scopes joined by dots), or
+    `<module>`, of every import statement that loads scipy."""
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = [*scope, node.name]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = ([alias.name for alias in node.names]
+                       if isinstance(node, ast.Import)
+                       else [node.module or ""] if node.level == 0 else [])
+            if any(m.partition(".")[0] == "scipy" for m in modules):
+                yield ".".join(scope) or "<module>"
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, scope)
+    return visit(tree, [])
+
+
+def test_scipy_is_imported_only_where_a_fit_needs_it():
+    """scipy loads on the first local fit, not with the package
+    (`test_startup.py`), so its one import stands in the fit's LAPACK
+    loader."""
+    names = [path.relative_to(SRC).as_posix() for path in SRC.rglob("*.py")]
+    importers = sorted(f"{name}:{where}" for name in names
+                       for where in scipy_imports(parse(name)))
+    assert importers == ["metamodel.py:_lapack"]
