@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -39,6 +39,7 @@ class SumConstraint:
     indices: tuple[int, ...]
     lower: float
     upper: float
+    index_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
@@ -88,23 +89,21 @@ def _linear_percentile(ordered: list[float], fraction: float) -> float:
 class PenaltyState:
     """Per-run adaptive penalty weights and the objective-spread history.
 
-    `history_capacity` follows the (20 + 3n)/lambda generation window;
-    one interquartile range of the unpenalized objectives is stored per
-    generation.
+    `gammas` is replaced when a weight takes a different value, at
+    generation `last_change` (0 until then); the history keeps one
+    objective IQR per generation over the (20 + 3n)/lambda window.
     """
 
-    n_constraints: int
-    dim: int
-    lam: int
-    gammas: np.ndarray = field(init=False)
-    gammas_initialized: bool = field(init=False, default=False)
-    history_capacity: int = field(init=False)
+    n_constraints: InitVar[int]
+    dim: InitVar[int]
+    lam: InitVar[int]
+    gammas: tuple[float, ...] = field(init=False)
+    last_change: int = field(init=False, default=0)
     fitness_history: deque = field(init=False)
 
-    def __post_init__(self):
-        self.gammas = np.zeros(self.n_constraints)
-        self.history_capacity = max(1, math.ceil((20 + 3 * self.dim) / self.lam))
-        self.fitness_history = deque(maxlen=self.history_capacity)
+    def __post_init__(self, n_constraints: int, dim: int, lam: int):
+        self.gammas = (0.0,) * n_constraints
+        self.fitness_history = deque(maxlen=math.ceil((20 + 3 * dim) / lam))
 
     def record_generation(self, raw_objectives: list[float]):
         """Store this generation's IQR of its finite unpenalized objectives.
@@ -153,16 +152,14 @@ def maybe_set_gammas(state: PenaltyState, dist: SearchDistribution,
                      constraints: list[SumConstraint]) -> None:
     """One-time gamma initialization, from the second generation onward.
 
-    If the distribution mean is unfeasible for any constraint and the
-    weights are not set yet, every gamma becomes
-    2 * delta_fit / (sigma^2 * mean(diag(C))), where delta_fit is the
-    median of the stored per-generation objective IQRs. A value that is
-    not finite and positive carries no scale (a plateau gives 0), so gamma
-    stays 0 and uninitialized until a generation yields one; until then
-    `maybe_increase_gammas` would only ever multiply 0.
+    If the distribution mean is unfeasible for any constraint and every
+    weight is still 0, every gamma becomes 2 * delta_fit / (sigma^2 *
+    mean(diag(C))), where delta_fit is the median of the stored
+    per-generation objective IQRs. Only a finite positive value carries a
+    scale (a plateau gives 0): until one comes, gamma stays 0, which
+    `maybe_increase_gammas` would only ever multiply.
     """
-    if (dist.generation < 1 or state.gammas_initialized or not constraints
-            or not state.fitness_history):
+    if dist.generation < 1 or any(state.gammas) or not state.fitness_history:
         return
     if is_feasible(dist.mean, constraints):
         return
@@ -170,8 +167,8 @@ def maybe_set_gammas(state: PenaltyState, dist: SearchDistribution,
     mean_diag = pairwise_sum(dist.variances) / dist.dim
     value = 2.0 * delta_fit / (dist.step_size ** 2 * mean_diag)
     if math.isfinite(value) and value > 0.0:
-        state.gammas[:] = value
-        state.gammas_initialized = True
+        state.gammas = (value,) * len(state.gammas)
+        state.last_change = dist.generation
 
 
 def increase_trigger_threshold(dist: SearchDistribution, params: StrategyParams,
@@ -193,15 +190,18 @@ def maybe_increase_gammas(state: PenaltyState, dist: SearchDistribution,
     than `increase_trigger_threshold` gets gamma_j *= 1.1^max(1,
     mu_eff/(10 n)); the others are left unchanged.
     """
-    if not state.gammas_initialized:
+    if not any(state.gammas):
         return
     exponent = max(1.0, params.mu_eff / (10.0 * dist.dim))
     factor = 1.1 ** exponent
+    gammas = list(state.gammas)
     for j, constraint in enumerate(constraints):
         m_j = population_q_means[j]
         out_by = max(0.0, m_j - constraint.upper) + max(0.0, constraint.lower - m_j)
         if out_by > increase_trigger_threshold(dist, params, constraint):
-            state.gammas[j] *= factor
+            gammas[j] *= factor
+    if gammas != list(state.gammas):
+        state.gammas, state.last_change = tuple(gammas), dist.generation
 
 
 def xi_factors(dist: SearchDistribution,
@@ -214,7 +214,7 @@ def xi_factors(dist: SearchDistribution,
             for c in constraints]
 
 
-def penalty_amount(q: list[float], gammas: list[float],
+def penalty_amount(q: list[float], gammas: tuple[float, ...],
                    constraints: list[SumConstraint],
                    xis: list[float]) -> float:
     """Mean over constraints of gamma_j * distance_j^2 / xi_j for one

@@ -130,7 +130,7 @@ class RunRow:
     best_raw_objective: float
     resampled: int
     n_ic: int
-    gammas: np.ndarray
+    gammas: tuple[float, ...]
     best_genome: np.ndarray
 
 
@@ -226,7 +226,7 @@ class _Recorder:
         self.best = math.inf
 
     def end_generation(self, generation: int, genomes, values, raw, order,
-                       resampled: int, n_ic: int, gammas: np.ndarray):
+                       resampled: int, n_ic: int, gammas: tuple):
         i = order[0]
         value = values[i] if math.isfinite(values[i]) else math.inf
         if value < self.best or not self.rows:
@@ -278,11 +278,10 @@ def run_cma(problem: BuiltProblem, config: RunConfig, seed: int,
     # a configured surrogate was checked against the dimension at load
     settings = config.surrogate or default_surrogate_settings(dim)
 
-    last_gamma_change = -10 ** 9
     exhaustions = 0
 
     while True:
-        stationary = dist.generation - last_gamma_change > STAGNATION_WINDOW
+        stationary = dist.generation - state.last_change > STAGNATION_WINDOW
         reason = check_termination(dist, params, run.best_history, stationary)
         if reason and not run.rows:
             raise ValueError(f"stopped before the first generation: {reason}")
@@ -299,17 +298,13 @@ def run_cma(problem: BuiltProblem, config: RunConfig, seed: int,
 
         amounts = [0.0] * params.lam
         if constraints:
-            gammas_before = state.gammas.tolist()
             maybe_set_gammas(state, dist, constraints)
             q_means = row_means(sums)
             maybe_increase_gammas(state, dist, constraints, params, q_means)
             # gamma and xi are frozen for the generation: one amount per
             # candidate, from its row of constraint sums.
-            gammas = state.gammas.tolist()
-            if gammas != gammas_before:
-                last_gamma_change = dist.generation
             xis = xi_factors(dist, constraints)
-            amounts = [penalty_amount(q, gammas, constraints, xis)
+            amounts = [penalty_amount(q, state.gammas, constraints, xis)
                        for q in sums.T.tolist()]
 
         if use_surrogate and len(archive) >= settings.min_archive_size:
@@ -324,7 +319,7 @@ def run_cma(problem: BuiltProblem, config: RunConfig, seed: int,
         # The best-ranked candidate is always a true evaluation: the
         # approximate ranking stops only on a best it has evaluated.
         run.end_generation(dist.generation, genomes, values, raw, order,
-                           resamples, n_ic, state.gammas.copy())
+                           resamples, n_ic, state.gammas)
 
         old_mean = dist.mean
         dist.mean = update_mean(params, genomes, order)
@@ -342,12 +337,12 @@ def run_ga(problem: BuiltProblem, config: RunConfig, seed: int) -> RunRecord:
     optimizer = GaOptimizer(params, run.evaluator, problem.constraints,
                             run.rng)
     optimizer.initialize()
+    gammas = (0.0,) * len(problem.constraints)
     for generation in range(config.max_generations):
         if generation:
             optimizer.step()
         run.end_generation(generation, optimizer.genomes, optimizer.fitnesses,
-                           optimizer.fitnesses, optimizer.order, 0, 0,
-                           np.zeros(len(problem.constraints)))
+                           optimizer.fitnesses, optimizer.order, 0, 0, gammas)
     return run.record("ga", "max_generations", final_mean=None, archive=None,
                       covariance_repairs=0, exhaustions=0)
 
@@ -443,13 +438,17 @@ def _write_batch_outputs(result: BatchResult, out_dir):
              "mean_best_objective,std_best_objective"]
     for g in range(best.shape[1]):
         lines.append(f"{SCHEMA_VERSION},{g},{fmt(np.mean(evals[:, g]))},"
-                     f"{fmt(np.mean(best[:, g]))},"
-                     f"{fmt(np.std(best[:, g], ddof=1))}")
+                     f"{fmt(np.mean(best[:, g]))},{fmt(_std(best[:, g]))}")
     _atomic_write(os.path.join(out_dir, "summary.csv"), "\n".join(lines) + "\n")
     _atomic_write(os.path.join(out_dir, "targets.csv"),
                   _targets_table(result.records, result.targets))
     _atomic_write(os.path.join(out_dir, "summary.txt"),
                   batch_summary_text(result))
+
+
+def _std(values: np.ndarray) -> float:
+    """Sample standard deviation; nan, by rule, when a value is not finite."""
+    return np.std(values, ddof=1) if np.isfinite(values).all() else math.nan
 
 
 def _reached(records: list[RunRecord], target: float) -> list[int]:
@@ -477,7 +476,7 @@ def batch_summary_text(result: BatchResult) -> str:
         f"runs: {len(result.records)} "
         f"(seeds {[r.seed for r in result.records]})",
         f"final best objective: median {fmt(np.median(finals))}, "
-        f"mean {fmt(np.mean(finals))}, std {fmt(np.std(finals, ddof=1))}",
+        f"mean {fmt(np.mean(finals))}, std {fmt(_std(finals))}",
     ]
     if result.problem == "well_placement":
         npvs = -np.array([r.final.best_raw_objective for r in result.records])
@@ -510,7 +509,7 @@ class ComparisonResult:
 def improvement_pct(record: RunRecord) -> float:
     first = record.rows[0].best_objective
     final = record.final.best_objective
-    if abs(first) < np.finfo(float).tiny:
+    if not math.isfinite(first) or abs(first) < np.finfo(float).tiny:
         return math.nan
     return (first - final) / abs(first) * 100.0
 

@@ -12,6 +12,7 @@ LAPACK calls; the library's forms must give the same bits.
 """
 
 import math
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -160,7 +161,19 @@ def mean_1d(values: np.ndarray) -> float:
     return values.sum().item() / len(values)
 
 
-def maybe_set_gammas(state: PenaltyState, dist: SearchDistribution,
+@dataclass
+class FlaggedPenaltyState(PenaltyState):
+    """`PenaltyState` as `maybe_set_gammas` below kept it: the weights an
+    ndarray changed in place, and a flag that they are set."""
+
+    gammas_initialized: bool = field(init=False, default=False)
+
+    def __post_init__(self, n_constraints: int, dim: int, lam: int):
+        super().__post_init__(n_constraints, dim, lam)
+        self.gammas = np.zeros(n_constraints)
+
+
+def maybe_set_gammas(state: FlaggedPenaltyState, dist: SearchDistribution,
                      constraints: list[SumConstraint]) -> None:
     """One-time gamma initialization, from the second generation onward.
 

@@ -137,7 +137,7 @@ class TestCriterion3PenaltyIdentities:
                                       covariance=C, path_sigma=np.zeros(n),
                                       path_c=np.zeros(n))
             state = PenaltyState(n_constraints=m, dim=n, lam=8)
-            state.gammas[:] = rng.uniform(0.0, 50.0, m)
+            state.gammas = tuple(rng.uniform(0.0, 50.0, m).tolist())
             x = rng.uniform(-4, 4, n)
             raw = float(rng.standard_normal())
 
@@ -158,7 +158,7 @@ class TestCriterion3PenaltyIdentities:
             # the run loop's path: the amount from the candidate's sums
             sums = [constraint_violation(x, c)[0] for c in constraints]
             got = penalized(raw, penalty_amount(
-                sums, state.gammas.tolist(), constraints,
+                sums, state.gammas, constraints,
                 xi_factors(dist, constraints)))
             if feasible:
                 assert got == raw

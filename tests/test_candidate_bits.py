@@ -174,14 +174,16 @@ def test_gamma_threshold_and_xi_keep_the_bits():
             assert bits(increase_trigger_threshold(dist, params, c)) == bits(
                 ref.increase_trigger_threshold(dist, params, c))
         history = rng.uniform(0.0, 10.0, 3).tolist()
-        got, want = (PenaltyState(len(constraints), n, 10) for _ in range(2))
+        got = PenaltyState(len(constraints), n, 10)
+        want = ref.FlaggedPenaltyState(len(constraints), n, 10)
         got.fitness_history.extend(history)
         want.fitness_history.extend(history)
         dist.mean[:] = 5.0   # outside every (-1, 1)
         maybe_set_gammas(got, dist, constraints)
         ref.maybe_set_gammas(want, dist, constraints)
         assert bits(got.gammas) == bits(want.gammas)
-        assert got.gammas_initialized == want.gammas_initialized
+        # the weights are set exactly when one is nonzero
+        assert any(got.gammas) == want.gammas_initialized
 
 
 def test_variances_are_read_once_per_distribution():

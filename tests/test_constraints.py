@@ -354,8 +354,8 @@ class TestGammaInitialization:
         state.record_generation(np.array([1.0, 2.0, 3.0, 4.0]))
         dist = make_dist(2, generation=3)   # mean zero -> feasible
         maybe_set_gammas(state, dist, [c])
-        assert not state.gammas_initialized
-        assert np.all(state.gammas == 0.0)
+        assert state.gammas == (0.0,)
+        assert state.last_change == 0
 
     def test_formula_arithmetic(self):
         # delta_fit = 10, sigma = 2, mean diag C = 1 -> gamma = 2*10/4 = 5
@@ -365,8 +365,8 @@ class TestGammaInitialization:
         dist = make_dist(3, sigma=2.0, generation=2)
         dist.mean = np.array([5.0, 0.0, 0.0])   # q=5 unfeasible
         maybe_set_gammas(state, dist, [c])
-        assert state.gammas_initialized
         assert state.gammas[0] == pytest.approx(5.0, rel=1e-14)
+        assert state.last_change == 2
 
     def test_first_generation_never_initializes(self):
         c = SumConstraint(indices=(0,), lower=-1.0, upper=1.0)
@@ -375,7 +375,7 @@ class TestGammaInitialization:
         dist = make_dist(2, generation=0)
         dist.mean = np.array([5.0, 0.0])
         maybe_set_gammas(state, dist, [c])
-        assert not state.gammas_initialized
+        assert state.gammas == (0.0,)
 
     def test_one_time_initialization(self):
         c = SumConstraint(indices=(0,), lower=-1.0, upper=1.0)
@@ -384,16 +384,18 @@ class TestGammaInitialization:
         dist = make_dist(2, generation=2)
         dist.mean = np.array([5.0, 0.0])
         maybe_set_gammas(state, dist, [c])
-        first = state.gammas.copy()
+        first = state.gammas
         state.fitness_history.append(400.0)
+        dist.generation = 3
         maybe_set_gammas(state, dist, [c])
-        assert np.array_equal(state.gammas, first)
+        assert state.gammas is first
+        assert state.last_change == 2
 
     def test_median_of_stored_iqrs_with_independent_oracle(self):
         # store raw per-generation objective batches, recompute IQRs and
         # the median without numpy's percentile machinery
         state = PenaltyState(n_constraints=2, dim=12, lam=4)
-        assert state.history_capacity == math.ceil((20 + 3 * 12) / 4)
+        assert state.fitness_history.maxlen == math.ceil((20 + 3 * 12) / 4)
         rng = np.random.default_rng(0)
         batches = [rng.uniform(0, s, 21) for s in (1.0, 3.0, 100.0)]
 
@@ -449,19 +451,18 @@ class TestGammaInitialization:
         dist = make_dist(2, generation=1)
         dist.mean = np.array([5.0, 0.0])   # q=5 unfeasible
         maybe_set_gammas(state, dist, [c])
-        assert not state.gammas_initialized
-        assert np.all(state.gammas == 0.0)
+        assert state.gammas == (0.0,)
         for _ in range(2):
             state.record_generation([1.0, 2.0, 3.0, 4.0])
         dist.generation = 3
         maybe_set_gammas(state, dist, [c])
-        assert state.gammas_initialized
         assert state.gammas[0] == pytest.approx(2.0 * 1.5, rel=1e-14)
+        assert state.last_change == 3
 
     def test_history_ring_buffer_capacity(self):
         state = PenaltyState(n_constraints=1, dim=5, lam=20)
         cap = math.ceil((20 + 15) / 20)
-        assert state.history_capacity == cap
+        assert state.fitness_history.maxlen == cap
         for i in range(10):
             state.record_generation(np.arange(4.0) * (i + 1))
         assert len(state.fitness_history) == cap
@@ -471,12 +472,12 @@ class TestGammaIncrease:
     def test_in_bounds_mean_unchanged(self):
         c = SumConstraint(indices=(0, 1), lower=-1.0, upper=1.0)
         state = PenaltyState(n_constraints=1, dim=4, lam=4)
-        state.gammas[:] = 2.0
-        state.gammas_initialized = True
+        state.gammas = (2.0,)
         params = make_params(4, 2, [0.5, 0.5])
-        maybe_increase_gammas(state, make_dist(4), [c], params,
+        maybe_increase_gammas(state, make_dist(4, generation=5), [c], params,
                               np.array([0.0]))
-        assert state.gammas[0] == 2.0
+        assert state.gammas == (2.0,)
+        assert state.last_change == 0
 
     def test_hand_evaluated_threshold_and_factor(self):
         # C = I, sigma = 1, card(P)=2, n=4, mu_eff=2:
@@ -484,25 +485,26 @@ class TestGammaIncrease:
         # mu_eff/(10n) = 0.05 <= 1 -> multiplier exactly 1.1
         c = SumConstraint(indices=(0, 1), lower=-1.0, upper=1.0)
         state = PenaltyState(n_constraints=1, dim=4, lam=4)
-        state.gammas[:] = 3.0
-        state.gammas_initialized = True
+        state.gammas = (3.0,)
         params = make_params(4, 2, [0.5, 0.5])
         assert params.mu_eff == pytest.approx(2.0)
 
-        dist = make_dist(4)
+        dist = make_dist(4, generation=7)
         maybe_increase_gammas(state, dist, [c], params, np.array([2.5]))
         assert state.gammas[0] == pytest.approx(3.0 * 1.1, rel=1e-14)
+        assert state.last_change == 7
         # out of bounds by less than the threshold: no change
-        state.gammas[:] = 3.0
+        state.gammas = (3.0,)
+        dist.generation = 8
         maybe_increase_gammas(state, dist, [c], params, np.array([1.5]))
-        assert state.gammas[0] == 3.0
+        assert state.gammas == (3.0,)
+        assert state.last_change == 7
 
     def test_large_mu_eff_exponent_branch(self):
         # mu_eff/(10n) > 1 raises the growth factor above 1.1
         c = SumConstraint(indices=(0,), lower=-1.0, upper=1.0)
         state = PenaltyState(n_constraints=1, dim=1, lam=64)
-        state.gammas[:] = 1.0
-        state.gammas_initialized = True
+        state.gammas = (1.0,)
         weights = np.full(32, 1.0 / 32)
         params = make_params(64, 32, weights)
         assert params.mu_eff / 10.0 > 1.0
@@ -515,8 +517,7 @@ class TestGammaIncrease:
         c1 = SumConstraint(indices=(0,), lower=-1.0, upper=1.0)
         c2 = SumConstraint(indices=(1,), lower=-1.0, upper=1.0)
         state = PenaltyState(n_constraints=2, dim=2, lam=4)
-        state.gammas[:] = 1.0
-        state.gammas_initialized = True
+        state.gammas = (1.0, 1.0)
         params = make_params(4, 2, [0.5, 0.5])
         maybe_increase_gammas(state, make_dist(2), [c1, c2], params,
                               np.array([50.0, 0.0]))
@@ -527,9 +528,23 @@ class TestGammaIncrease:
         c = SumConstraint(indices=(0,), lower=-1.0, upper=1.0)
         state = PenaltyState(n_constraints=1, dim=1, lam=4)
         params = make_params(4, 2, [0.5, 0.5])
-        maybe_increase_gammas(state, make_dist(1), [c], params,
+        maybe_increase_gammas(state, make_dist(1, generation=4), [c], params,
                               np.array([50.0]))
-        assert np.all(state.gammas == 0.0)
+        assert state.gammas == (0.0,)
+        assert state.last_change == 0
+
+    @pytest.mark.parametrize("gamma", [math.inf, 5e-324])
+    def test_a_weight_that_rounds_back_is_no_change(self, gamma):
+        # inf * 1.1 is inf, and 1.1 times the smallest subnormal rounds
+        # back to it: the weight keeps its value, so it has not changed.
+        c = SumConstraint(indices=(0,), lower=-1.0, upper=1.0)
+        state = PenaltyState(n_constraints=1, dim=4, lam=4)
+        state.gammas = (gamma,)
+        params = make_params(4, 2, [0.5, 0.5])
+        maybe_increase_gammas(state, make_dist(4, generation=9), [c], params,
+                              np.array([50.0]))
+        assert state.gammas == (gamma,)
+        assert state.last_change == 0
 
 
 def eq8_oracle(x, raw, gammas, constraints, C):
@@ -630,7 +645,7 @@ class TestPenalize:
     def test_feasible_returns_raw_exactly(self):
         c = SumConstraint(indices=(0, 1), lower=-1.0, upper=1.0)
         state = PenaltyState(n_constraints=1, dim=2, lam=4)
-        state.gammas[:] = 123.0
+        state.gammas = (123.0,)
         raw = 0.7071067811865476
         out = penalize([c], state.gammas, xi_factors(make_dist(2), [c]),
                        np.array([0.2, 0.3]), raw)
@@ -640,7 +655,7 @@ class TestPenalize:
         # xi = exp(0.9*(0-0)) = 1; gamma=5, distance=2 -> raw + 5*4/1
         c = SumConstraint(indices=(0,), lower=-1.0, upper=1.0)
         state = PenaltyState(n_constraints=1, dim=3, lam=4)
-        state.gammas[:] = 5.0
+        state.gammas = (5.0,)
         out = penalize([c], state.gammas, xi_factors(make_dist(3), [c]),
                        np.array([3.0, 0.0, 0.0]), 1.5)
         assert out == pytest.approx(1.5 + 20.0, rel=1e-14)
@@ -660,7 +675,7 @@ class TestPenalize:
             C = np.diag(rng.uniform(0.1, 10.0, n))
             dist = make_dist(n, covariance=C)
             state = PenaltyState(n_constraints=m, dim=n, lam=8)
-            state.gammas[:] = rng.uniform(0, 50, m)
+            state.gammas = tuple(rng.uniform(0, 50, m).tolist())
             x = rng.uniform(-4, 4, n)
             raw = float(rng.standard_normal())
             expected = eq8_oracle(x, raw, state.gammas, constraints, C)
@@ -685,7 +700,7 @@ class TestPenalize:
     def test_penalty_positive_outside_and_monotone_in_distance(self):
         c = SumConstraint(indices=(0,), lower=-1.0, upper=1.0)
         state = PenaltyState(n_constraints=1, dim=1, lam=4)
-        state.gammas[:] = 2.0
+        state.gammas = (2.0,)
         xis = xi_factors(make_dist(1), [c])
         previous = 0.0
         for q in np.linspace(1.01, 6.0, 25):

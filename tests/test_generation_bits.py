@@ -210,7 +210,8 @@ def test_generation_keeps_the_bits_of_the_numpy_forms(generation):
             numpy_increase_trigger_threshold(floored, numpy_params.mu_eff, c))
 
     state = PenaltyState(len(constraints), n, lam)
-    state.fitness_history.extend(map(abs, history[:state.history_capacity]))
+    state.fitness_history.extend(
+        map(abs, history[:state.fitness_history.maxlen]))
     if state.fitness_history:
         # a mean whose first constraint sum is 2 lies outside (-1, 1)
         floored.mean = np.zeros(n)
@@ -220,7 +221,7 @@ def test_generation_keeps_the_bits_of_the_numpy_forms(generation):
         if math.isfinite(value) and value > 0.0:
             assert bits(state.gammas) == bits([value] * len(constraints))
         else:
-            assert not state.gammas_initialized
+            assert state.gammas == (0.0,) * len(constraints)
 
     old_mean = dist.mean.copy()
     dist.mean = params.weights @ genomes[order[:params.mu]]

@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import os
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ import wellopt.harness as harness
 from wellopt.harness import (Evaluator, RunConfig, build_problem,
                              compare_optimizers, evaluations_to_target,
                              run_batch, run_cma, run_ga, run_single)
+from wellopt.cma import STAGNATION_WINDOW
 from wellopt.constraints import MAX_RESAMPLES, SumConstraint
 from wellopt.metamodel import SurrogateSettings, TrainingArchive
 from reference_forms import archive_csv, load_archive_csv
@@ -402,6 +405,27 @@ def test_gammas_set_once_the_run_leaves_a_plateau(monkeypatch):
     assert record.final.gammas[0] > 0.0
 
 
+def test_a_stagnation_stop_waits_for_the_weights_to_settle():
+    # The shipped constrained sphere at the benchmark's 32 seeds: without
+    # the gate, the best-so-far test alone would stop every run by
+    # generation 64, while its weights still grow. A run may stop on
+    # `stagnation` only more than STAGNATION_WINDOW generations after a
+    # weight last changed.
+    config = RunConfig.load(Path(__file__).resolve().parents[1] / "configs"
+                            / "constrained_sphere.json")
+    stagnated = 0
+    for seed in range(1000, 1032):
+        record = run_single(config, seed)
+        if record.termination_reason != "stagnation":
+            continue
+        stagnated += 1
+        last_change = max((row.generation for before, row
+                           in zip(record.rows, record.rows[1:])
+                           if row.gammas != before.gammas), default=0)
+        assert len(record.rows) - last_change > STAGNATION_WINDOW
+    assert stagnated
+
+
 class TestRunSingle:
     def test_best_so_far_non_increasing_and_csv_written(self, tmp_path):
         record = run_single(sphere_config(), 1, tmp_path)
@@ -636,15 +660,28 @@ class TestRunBatch:
     TARGETS_HEADER = ("schema_version,target_objective,runs_reached,"
                       "total_runs,mean_evaluations_to_target\n")
 
+    def assert_std_nan_by_rule(self, tmp_path, generations):
+        """A column or final with an inf value has std nan, and says so
+        without a numpy warning (the batch runs with warnings as errors)."""
+        rows = (tmp_path / "summary.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[3:] for row in rows] == [["inf", "nan"]] * (
+            generations)
+        assert ", std nan\n" in (tmp_path / "summary.txt").read_text()
+
     def test_no_targets_without_a_finite_value(self, tmp_path):
         # every sample of sigma0 = 1e200 overflows the sphere to inf
         config = sphere_config(problem={"kind": "sphere", "dimension": 3},
                                sigma0=1e200, max_generations=5)
-        result = run_batch(config, tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_batch(config, tmp_path)
+            assert all(math.isnan(harness.improvement_pct(r))
+                       for r in result.records)
         assert all(math.isinf(row.best_objective)
                    for record in result.records for row in record.rows)
         assert result.targets == []
         assert (tmp_path / "targets.csv").read_text() == self.TARGETS_HEADER
+        self.assert_std_nan_by_rule(tmp_path, 5)
 
     def test_an_all_inf_run_adds_no_target(self, monkeypatch, tmp_path):
         """Seed 2's objective is inf everywhere: the targets are those of
@@ -659,9 +696,12 @@ class TestRunBatch:
         monkeypatch.setattr(harness, "run_single", run_single)
         monkeypatch.setattr(harness, "sphere", lambda x, center: (
             math.inf if seed == [2] else original_sphere(x, center)))
-        result = run_batch(sphere_config(max_generations=5), tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_batch(sphere_config(max_generations=5), tmp_path)
         assert all(math.isinf(row.best_objective)
                    for row in result.records[1].rows)
+        self.assert_std_nan_by_rule(tmp_path, 5)
         assert result.targets
         assert all(map(math.isfinite, result.targets))
         assert result.targets == harness.default_targets(result.records[:1])

@@ -8,7 +8,8 @@ re-exports `RunConfig` and reads no private attribute of it.
 Every public function, class, method and property is run by the library
 itself: a name that only tests or the package `__init__` re-exports
 reach is a second API to keep in step, so the tests keep such forms as
-their own references instead.
+their own references instead. Likewise every dataclass field is read by
+the library: state that nothing reads is kept in step for nothing.
 
 A value is checked once, where it enters the program: every
 `ValueError` outside `config.py` names the outside input it checks or
@@ -122,6 +123,81 @@ def test_every_public_name_is_run_by_the_library():
     assert not unexpected, f"run by no library module: {unexpected}"
     stale = sorted(set(UNREFERENCED_ALLOWED) - unreferenced)
     assert not stale, f"allowed but referenced or gone: {stale}"
+
+
+# Dataclass fields no library module reads, each with its reader.
+UNREAD_FIELDS_ALLOWED: dict[str, str] = {
+    "harness.py:RunRecord.final_mean":
+        "acceptance criterion 2 measures the final mean's distance from "
+        "the constrained sphere's boundary optimum",
+    "metamodel.py:LocalQuadraticModel.center":
+        "the tests' full-basis `predict` (tests/reference_forms.py)",
+    "metamodel.py:LocalQuadraticModel.scale":
+        "the tests' full-basis `predict` (tests/reference_forms.py)",
+    "metamodel.py:LocalQuadraticModel.bandwidth":
+        "tests/test_metamodel.py checks the kernel bandwidth of a fit",
+    "wells/geometry.py:Branch.start_arclength":
+        "the tests' genome encoder (tests/test_wells.py)",
+}
+
+
+def dataclass_fields(tree: ast.Module):
+    """`Class.field` of every field of every `@dataclass`; an `InitVar`
+    or `ClassVar` annotation is no field."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ClassDef)
+                and "dataclass" in decorator_names(node)):
+            continue
+        for item in node.body:
+            if not (isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)):
+                continue
+            annotation = item.annotation
+            if isinstance(annotation, ast.Subscript):
+                annotation = annotation.value
+            if not (isinstance(annotation, ast.Name)
+                    and annotation.id in {"InitVar", "ClassVar"}):
+                yield f"{node.name}.{item.target.id}"
+
+
+def read_attributes(tree: ast.Module) -> set[str]:
+    """Attribute names a module reads: `x.name` loaded, `getattr(x,
+    "name")`, and `getattr(x, name)` in a `for name in (...)` loop over
+    string constants."""
+    looped: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.For) and isinstance(node.target, ast.Name)
+                and isinstance(node.iter, (ast.Tuple, ast.List))):
+            looped.setdefault(node.target.id, set()).update(
+                e.value for e in node.iter.elts
+                if isinstance(e, ast.Constant) and isinstance(e.value, str))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) > 1):
+            name = node.args[1]
+            if isinstance(name, ast.Constant):
+                names.add(name.value)
+            elif isinstance(name, ast.Name):
+                names.update(looped.get(name.id, ()))
+    return names
+
+
+def test_every_dataclass_field_is_read_by_the_library():
+    names = [path.relative_to(SRC).as_posix() for path in SRC.rglob("*.py")]
+    modules = {name: parse(name) for name in names}
+    read = set().union(*(read_attributes(tree)
+                         for name, tree in modules.items()
+                         if not name.endswith("__init__.py")))
+    unread = {f"{name}:{field}" for name, tree in modules.items()
+              for field in dataclass_fields(tree)
+              if field.split(".")[-1] not in read}
+    unexpected = sorted(unread - set(UNREAD_FIELDS_ALLOWED))
+    assert not unexpected, f"fields no library module reads: {unexpected}"
+    stale = sorted(set(UNREAD_FIELDS_ALLOWED) - unread)
+    assert not stale, f"allowed but read or gone: {stale}"
 
 
 # Parameter defaults that every library call site passes, or none does,
