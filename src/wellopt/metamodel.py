@@ -12,11 +12,11 @@ evaluations instead of lambda.
 A generation arrives as the (lambda, n) genome block the sampler draws,
 with one penalty amount per candidate, and leaves as per-candidate lists
 of raw objectives, ranking values and true-evaluation flags, ordered by
-`cma.rank_population`. It scans the archive once per candidate, in its
-first prediction pass. After that, each true evaluation that grows the
-archive is folded into the held neighbour sets in place
-(`admit_newest`), and only the candidates whose set it joined are
-refitted.
+`cma.rank_population`. One cycle loop ranks it. Cycle 0 scans the archive
+once per candidate, fits every candidate and evaluates the predicted best.
+Each true evaluation that grows the archive is folded into the held
+neighbour sets in place (`admit_newest`), and the candidates whose set it
+joined become stale: only those are refitted and re-valued.
 
 Each fit solves its normal equations with one call of LAPACK's Cholesky
 solver from scipy. scipy is imported on the first fit, not with this
@@ -100,7 +100,10 @@ class TrainingArchive:
         return True
 
     def newest(self) -> tuple[np.ndarray, float]:
-        """The regression entry added last (the highest index)."""
+        """The regression entry added last (the highest index). The ranking
+        step folds it, not the candidate it evaluated, into the held
+        neighbour sets: an evaluation may archive another genome (a
+        projected one) or none, and the sets must match the archive."""
         return np.frombuffer(self._keys[-1]), self._values[-1]
 
     def lookup(self, key: bytes) -> float | None:
@@ -282,14 +285,13 @@ def ranking_continues(cycle: int, lam: int, set_changed: bool,
                       elt_changed: bool) -> bool:
     """Acceptance check of one approximate-ranking cycle.
 
-    The first cycle always continues: its comparison baseline predates
-    the initial true evaluation, so stability cannot be observed yet.
-    While fewer than `lam * MAX_CYCLE_FRACTION` individuals are truly
-    evaluated (the count after this cycle's evaluation would be
-    cycle + 1), any change of the mu-best set or of the best individual
-    keeps the procedure going; past that fraction only the best matters.
+    Cycles 0 and 1 always continue: until a ranking made after the first
+    true evaluation is compared, stability cannot be observed. While fewer
+    than `lam * MAX_CYCLE_FRACTION` individuals are truly evaluated (cycle
+    + 1 after this cycle's evaluation), any change of the mu-best set or
+    of the best keeps the procedure going; past that only the best matters.
     """
-    if cycle == 1:
+    if cycle <= 1:
         return True
     if (cycle + 1) < lam * MAX_CYCLE_FRACTION:
         return set_changed or elt_changed
@@ -307,11 +309,10 @@ def approximate_ranking_step(genomes: np.ndarray,
     """Rank one generation, spending true evaluations only until stable.
 
     The archive holds at least `settings.min_archive_size` (>= k) entries.
-    Predict all lambda candidates (the rows of `genomes`) and truly
-    evaluate the predicted best. Then, each cycle, re-predict the
-    unevaluated candidates against the grown archive and, while
+    Each cycle refits the stale candidates (the rows of `genomes`; in
+    cycle 0 all of them), ranks the generation and, while
     `ranking_continues` on the changes of the mu-best set and the best,
-    truly evaluate the best unevaluated candidate.
+    truly evaluates the best unevaluated candidate.
 
     `true_eval(genome) -> raw objective` must insert into `archive` as a
     side effect, at most one entry per call (the shared evaluation wrapper
@@ -333,61 +334,48 @@ def approximate_ranking_step(genomes: np.ndarray,
     raw = [math.nan] * lam
     values = [math.nan] * lam
     evaluated = [False] * lam
-    # Per unevaluated candidate: its k-NN set, scanned once in the first
-    # prediction pass and then kept current by `admit_newest`, and its
-    # prediction, dropped when a new archive point joins the set. Refitting
-    # on an unchanged set would give the same bits.
+    # Per unevaluated candidate: its k-NN set, scanned once in cycle 0 and
+    # then kept current by `admit_newest`. A candidate is stale until it is
+    # fitted on its current set; refitting an unchanged set would give the
+    # same bits, so `raw[i]` is the prediction cache.
     neighbor_sets: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    predictions: dict[int, float] = {}
+    stale = set(range(lam))
 
-    def eval_true(i: int):
+    def evaluate(i: int):
         size = len(archive)
         raw[i] = true_eval(genomes[i])
         values[i] = penalized(raw[i], amounts[i])
         evaluated[i] = True
         neighbor_sets.pop(i, None)
-        predictions.pop(i, None)
         # A duplicate or non-finite value leaves the archive, and so every
         # set and prediction, as it was.
         if neighbor_sets and len(archive) > size:
-            for j in admit_newest(archive, metric, genomes, neighbor_sets):
-                predictions.pop(j, None)
+            stale.update(admit_newest(archive, metric, genomes, neighbor_sets))
 
-    def predict_unevaluated():
-        for i in range(lam):
-            if evaluated[i]:
-                continue
-            genome = genomes[i]
-            if i not in predictions:
+    n_ic = 0
+    set_prev = elt_prev = None
+    try:
+        for cycle in range(lam):
+            for i in sorted(stale):
+                genome = genomes[i]
                 if i not in neighbor_sets:
                     neighbor_sets[i] = select_neighbors(
                         archive, genome, metric, settings.k)
                 model = fit_local_model(*neighbor_sets[i], genome)
-                predictions[i] = float(model.beta[-1])
-            raw[i] = predictions[i]
-            values[i] = penalized(raw[i], amounts[i])
-
-    n_ic = 0
-    try:
-        predict_unevaluated()
-        order = rank_population(values)
-        set_prev = frozenset(order[:params.mu])
-        elt_prev = order[0]
-        eval_true(elt_prev)
-
-        for cycle in range(1, lam):
-            predict_unevaluated()
+                raw[i] = float(model.beta[-1])
+                values[i] = penalized(raw[i], amounts[i])
+            stale.clear()
             order = rank_population(values)
             set_cur = frozenset(order[:params.mu])
             elt_cur = order[0]
             if not ranking_continues(cycle, lam, set_cur != set_prev,
                                      elt_cur != elt_prev):
                 break
-            eval_true(next(i for i in order if not evaluated[i]))
+            evaluate(next(i for i in order if not evaluated[i]))
             n_ic = cycle
             set_prev, elt_prev = set_cur, elt_cur
     except SurrogateUnavailable:
         for i in range(lam):
             if not evaluated[i]:
-                eval_true(i)
+                evaluate(i)
     return rank_population(values), n_ic, raw, values, evaluated

@@ -496,7 +496,9 @@ class TestApproximateRanking:
         # cycle 2 gives 3 < 3 -> already the elt-only criterion
         assert ranking_continues(2, 12, set_changed=True,
                                  elt_changed=False) is False
-        # the first cycle always continues
+        # cycles 0 and 1 always continue
+        assert ranking_continues(0, 40, set_changed=False,
+                                 elt_changed=False) is True
         assert ranking_continues(1, 40, set_changed=False,
                                  elt_changed=False) is True
 
@@ -740,7 +742,10 @@ def rescanning_ranking_step(genomes, archive, dist, params, settings,
         cached.pop(i, None)
         if cached:
             held = list(cached)
-            distances = metric.distances_to(genomes[held], genomes[i])
+            # the last regression entry: the evaluation may have archived
+            # another genome than the candidate, or none
+            distances = metric.distances_to(genomes[held],
+                                            archive.as_arrays()[0][-1])
             for j, distance in zip(held, distances):
                 if distance < cached[j][1]:
                     del cached[j]
@@ -871,3 +876,59 @@ class TestIncrementalStep:
         assert len(archive) == size
         assert sum(evaluated) == 2
         assert events == ["fit"] * lam + ["true", "true"]
+
+    @pytest.mark.parametrize("seed", [3, 6, 7])
+    def test_admits_the_archived_entry_not_the_candidate(self, monkeypatch,
+                                                         seed):
+        # The evaluation archives the candidate clipped to a box, as a
+        # projection onto the feasible set would: the entry that joins the
+        # held neighbour sets is then not the genome that was evaluated.
+        n, lam = 2, 24
+        rng = np.random.default_rng(seed)
+        settings = default_surrogate_settings(n)
+        params = default_strategy_params(n, lam, 100)
+
+        def fn(z):
+            return float(z @ z + np.sin(3.0 * z).sum())
+
+        archive = TrainingArchive(n)
+        fill_archive(archive, rng.uniform(-2, 2, (settings.min_archive_size,
+                                                  n)), fn)
+        genomes = rng.uniform(-2, 2, (lam, n))
+        # the box excludes fn's minimum, near -0.5 in each coordinate
+        amounts = [0.1 * float(np.abs(g - np.clip(g, 0.0, 2.0)).sum())
+                   for g in genomes]
+
+        def clipped(archive_):
+            evaluator = harness.Evaluator(fn, archive_)
+            return lambda genome: evaluator(np.clip(genome, 0.0, 2.0))
+
+        admit, moved = mm.admit_newest, []
+
+        def checked_admit(archive_, metric, queries, sets):
+            joined = admit(archive_, metric, queries, sets)
+            entry = archive_.newest()[0]
+            moved.append(bool(joined) and not any(
+                np.array_equal(entry, q) for q in queries))
+            for j, held in sets.items():
+                assert same_bits(held, select_neighbors(
+                    archive_, queries[j], metric, settings.k))
+            return joined
+
+        twin = copy.deepcopy(archive)
+        expected = rescanning_ranking_step(genomes.copy(), twin, make_dist(n),
+                                           params, settings, clipped(twin),
+                                           amounts)
+        monkeypatch.setattr(mm, "admit_newest", checked_admit)
+        order, n_ic, raw, values, evaluated = approximate_ranking_step(
+            genomes, archive, make_dist(n), params, settings,
+            clipped(archive), amounts)
+        assert (order, n_ic, evaluated) == (expected[0], expected[1],
+                                            expected[4])
+        assert list(map(float_bits, raw)) == list(map(float_bits,
+                                                      expected[2]))
+        assert list(map(float_bits, values)) == list(map(float_bits,
+                                                         expected[3]))
+        assert same_bits(archive.as_arrays(), twin.as_arrays())
+        assert sum(evaluated) >= 3
+        assert any(moved)

@@ -63,3 +63,15 @@ def test_unresolved_when_the_parent_spreads_beyond_the_bound():
     # every change run beats every parent run, by less than the IQR
     assert verdict(wide, [1.9] * 10, "lower", 0.25) == "level"
     assert verdict(wide, [5.6] * 10, "lower", 2.0) == "level"
+
+
+def test_golden_moved_only_against_a_matching_parent():
+    golden_moved = load_pairs().golden_moved
+    match, changed = "match (16 runs)", "CHANGED for 1 of 16 runs: ['1003']"
+    assert golden_moved([match] * 3, [match, changed, match])
+    assert golden_moved([match], ["absent"])
+    assert not golden_moved([match] * 3, [match] * 3)
+    # a parent that does not match is no baseline to judge by
+    for parent in ("no golden file", "not comparable: fingerprint differs "
+                   "in ['blas']", changed, "absent"):
+        assert not golden_moved([match, parent], [changed] * 2)

@@ -19,7 +19,9 @@ in percent, the number of pairs in which the change read lower, and a
 verdict (see `verdict`). The lines after the table give each side's
 `golden:` results and its summed `failed` count, the workload seed, and
 each side's line count of `src/wellopt` (every `.py` file), the measure
-of ROADMAP's north-star 2; the exit status is 1 when any run failed.
+of ROADMAP's north-star 2. The exit status is 1 when any run failed, or
+when a workload's golden digests moved: every parent run reads
+`golden: match` and some change run does not (see `golden_moved`).
 """
 
 from __future__ import annotations
@@ -108,6 +110,15 @@ def verdict(before: list[float], after: list[float], better: str,
     return "level"
 
 
+def golden_moved(parent: list[str], change: list[str]) -> bool:
+    """Whether a change moved the golden digests: every parent run's
+    `golden:` result is a match and some change run's is not. A parent
+    that does not match (no golden file, another fingerprint, moved
+    digests) judges nothing."""
+    return (all(g.startswith("match") for g in parent)
+            and not all(g.startswith("match") for g in change))
+
+
 def fmt(value: float) -> str:
     return f"{value:.4g}"
 
@@ -152,7 +163,7 @@ def main(argv=None) -> int:
         rows = ["| workload | pairs | metric | parent median (IQR) | "
                 "change median (IQR) | change | change lower in | verdict |",
                 "|---|---|---|---|---|---|---|---|"]
-        notes, failed = [], 0
+        notes, failed, moved = [], 0, []
         for workload in args.workload:
             sides = {"parent": [], "change": []}
             for i in range(args.pairs):
@@ -166,6 +177,9 @@ def main(argv=None) -> int:
                       file=sys.stderr, flush=True)
             rows.extend(table(workload, spec["end_to_end"], sides["parent"],
                               sides["change"]))
+            if golden_moved([r["golden"] for r in sides["parent"]],
+                            [r["golden"] for r in sides["change"]]):
+                moved.append(workload)
             for side, results in sides.items():
                 golden = Counter(r["golden"] for r in results)
                 failed += sum(r["failed"] for r in results)
@@ -173,11 +187,13 @@ def main(argv=None) -> int:
                     f"{value} ({count})" for value, count in golden.items())
                     + f"; failed {sum(r['failed'] for r in results)}")
         notes.append(f"workload seed {args.seed}")
+        if moved:
+            notes.append("golden digests moved: " + ", ".join(moved))
         notes.append(f"src/wellopt lines: parent "
                      f"{source_lines(parent_root):,}, change "
                      f"{source_lines(change_root):,}")
     print("\n".join(rows + [""] + notes))
-    return 1 if failed else 0
+    return 1 if failed or moved else 0
 
 
 if __name__ == "__main__":
