@@ -8,9 +8,8 @@ from .constraints import (PenaltyState, SumConstraint, constraint_violation,
                           maybe_increase_gammas, maybe_set_gammas, penalized,
                           sample_with_rejection)
 from .ga import GaOptimizer, GaParams
-from .harness import (BatchResult, ComparisonResult, Evaluator, RunConfig,
-                      RunRecord, build_problem, compare_optimizers,
-                      run_batch, run_single)
+from .harness import (Evaluator, RunConfig, RunRecord, build_problem,
+                      compare_optimizers, run_batch, run_single)
 from .metamodel import (LocalQuadraticModel, MahalanobisMetric,
                         SurrogateSettings, TrainingArchive,
                         approximate_ranking_step, default_surrogate_settings,

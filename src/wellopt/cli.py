@@ -5,13 +5,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig
-from .harness import (BUNDLED_GRID_SEED, batch_summary_text, build_problem,
-                      comparison_report_text, compare_optimizers, run_batch,
-                      run_line, run_single)
+from .harness import (BUNDLED_GRID_SEED, build_problem, compare_optimizers,
+                      run_batch, run_line, run_single)
 from .wells.grid import generate_synthetic_grid
 
 
@@ -21,8 +21,8 @@ def _cmd_optimize(args) -> int:
     if args.seed is not None:
         print(run_line(run_single(config, args.seed, out_dir)))
     else:
-        result = run_batch(config, out_dir)
-        print(batch_summary_text(result), end="")
+        run_batch(config, out_dir)
+        print(Path(out_dir, "summary.txt").read_text(), end="")
     print(f"outputs written to {out_dir}")
     return 0
 
@@ -30,8 +30,8 @@ def _cmd_optimize(args) -> int:
 def _cmd_compare(args) -> int:
     config = RunConfig.load(args.config)
     out_dir = args.out or config.output_dir
-    result = compare_optimizers(config, out_dir)
-    print(comparison_report_text(result), end="")
+    compare_optimizers(config, out_dir)
+    print(Path(out_dir, "report.txt").read_text(), end="")
     print(f"outputs written to {out_dir}")
     return 0
 

@@ -224,6 +224,9 @@ class RunConfig:
         if self.targets is not None:
             self.targets = [_number(t, "targets")
                             for t in _items(self.targets, "targets")]
+            if not self.targets:
+                raise ValueError("targets must not be empty; leave the key "
+                                 "out for the default targets")
             if not all(map(math.isfinite, self.targets)):
                 raise ValueError("targets must be finite")
         if not isinstance(self.output_dir, (str, os.PathLike)):

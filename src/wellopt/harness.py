@@ -2,9 +2,11 @@
 
 A run couples one problem (benchmark function or well placement) with
 one optimizer (cma, cma+surrogate, ga) and one seed, and logs one row
-per generation. Batches repeat runs over seeds and report per-generation
-means, standard deviations, and an evaluations-to-target table;
-comparisons run two optimizers on matched seeds.
+per generation. A batch repeats runs over seeds and is the list of their
+records; a comparison runs two optimizers on matched seeds and maps each
+label to its batch. Their report files (per-generation means and standard
+deviations, an evaluations-to-target table, the text summaries) are
+written from those records, each by one function.
 
 All randomness of a run flows from a single seeded generator in a fixed
 draw order (initial mean or population first, then per-generation
@@ -139,8 +141,6 @@ class RunRecord:
     seed: int
     optimizer: str
     problem: str
-    dim: int
-    n_constraints: int
     rows: list[RunRow]
     termination_reason: str
     simulation_failures: int   # proxy runs scored with the sentinel
@@ -161,23 +161,26 @@ class RunRecord:
     def true_evaluations(self) -> np.ndarray:
         return np.array([row.true_evaluations for row in self.rows])
 
-    def csv_header(self) -> list[str]:
-        return (["schema_version", "generation", "true_evaluations",
-                 "best_objective", "best_raw_objective", "resampled", "n_ic"]
-                + [f"gamma_{j}" for j in range(self.n_constraints)]
-                + [f"genome_{i}" for i in range(self.dim)])
-
     def write_csv(self, path):
-        lines = [",".join(self.csv_header())]
-        for row in self.rows:
-            cells = [str(SCHEMA_VERSION), str(row.generation),
-                     str(row.true_evaluations), fmt(row.best_objective),
-                     fmt(row.best_raw_objective), str(row.resampled),
-                     str(row.n_ic)]
-            cells.extend(fmt(g) for g in row.gammas)
-            cells.extend(fmt(x) for x in row.best_genome)
-            lines.append(",".join(cells))
-        _atomic_write(path, "\n".join(lines) + "\n")
+        final = self.final
+        header = (["generation", "true_evaluations", "best_objective",
+                   "best_raw_objective", "resampled", "n_ic"]
+                  + [f"gamma_{j}" for j in range(len(final.gammas))]
+                  + [f"genome_{i}" for i in range(len(final.best_genome))])
+        _atomic_write(path, _csv(header, (
+            [str(row.generation), str(row.true_evaluations),
+             fmt(row.best_objective), fmt(row.best_raw_objective),
+             str(row.resampled), str(row.n_ic),
+             *map(fmt, row.gammas), *map(fmt, row.best_genome)]
+            for row in self.rows)))
+
+
+def _csv(header: list[str], rows) -> str:
+    """`schema_version`, then the header's columns; one LF-terminated
+    line per row of cells."""
+    lines = [",".join(["schema_version", *header])]
+    lines.extend(",".join([str(SCHEMA_VERSION), *cells]) for cells in rows)
+    return "\n".join(lines) + "\n"
 
 
 def _atomic_write(path, text: str):
@@ -244,7 +247,6 @@ class _Recorder:
         problem = self.problem
         return RunRecord(
             seed=self.seed, optimizer=optimizer, problem=problem.name,
-            dim=problem.dim, n_constraints=len(problem.constraints),
             rows=self.rows, termination_reason=reason,
             simulation_failures=problem.simulation_failures() - self.failures,
             nonfinite_evaluations=self.evaluator.nonfinite,
@@ -377,26 +379,7 @@ def _archive_csv(archive: TrainingArchive) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Batches and comparisons
-
-
-@dataclass
-class BatchResult:
-    optimizer: str
-    problem: str
-    records: list[RunRecord]
-    targets: list[float]
-
-    def aligned(self, series) -> np.ndarray:
-        """(n_runs, max_generations) of `series(record)`, each run padded
-        with its final value (e.g. `RunRecord.best_so_far`)."""
-        width = max(len(r.rows) for r in self.records)
-        out = np.empty((len(self.records), width))
-        for i, record in enumerate(self.records):
-            values = series(record)
-            out[i, :len(values)] = values
-            out[i, len(values):] = values[-1]
-        return out
+# Batches and comparisons: lists of run records, and the files they make
 
 
 def default_targets(records: list[RunRecord]) -> list[float]:
@@ -416,34 +399,44 @@ def default_targets(records: list[RunRecord]) -> list[float]:
     return sorted(set(float(q) for q in quantiles), reverse=True)
 
 
-def run_batch(config: RunConfig, out_dir=None) -> BatchResult:
-    """Run every configured seed, then write per-run and summary CSVs."""
+def run_batch(config: RunConfig, out_dir=None) -> list[RunRecord]:
+    """Run every configured seed; with `out_dir`, write the per-run CSVs,
+    `summary.csv`, `targets.csv` and `summary.txt`."""
     if len(config.seeds) < 2:
         raise ValueError("run_batch needs at least 2 seeds")
     records = [run_single(config, seed, out_dir) for seed in config.seeds]
-    targets = config.targets or default_targets(records)
-    result = BatchResult(optimizer=config.optimizer,
-                         problem=records[0].problem, records=records,
-                         targets=targets)
-    if out_dir is not None:
-        _write_batch_outputs(result, out_dir)
-    return result
-
-
-def _write_batch_outputs(result: BatchResult, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
-    best = result.aligned(RunRecord.best_so_far)
-    evals = result.aligned(RunRecord.true_evaluations)
-    lines = ["schema_version,generation,mean_true_evaluations,"
-             "mean_best_objective,std_best_objective"]
-    for g in range(best.shape[1]):
-        lines.append(f"{SCHEMA_VERSION},{g},{fmt(np.mean(evals[:, g]))},"
-                     f"{fmt(np.mean(best[:, g]))},{fmt(_std(best[:, g]))}")
-    _atomic_write(os.path.join(out_dir, "summary.csv"), "\n".join(lines) + "\n")
-    _atomic_write(os.path.join(out_dir, "targets.csv"),
-                  _targets_table(result.records, result.targets))
+    if out_dir is None:
+        return records
+    best = _aligned(records, RunRecord.best_so_far)
+    evals = _aligned(records, RunRecord.true_evaluations)
+    _atomic_write(os.path.join(out_dir, "summary.csv"), _csv(
+        ["generation", "mean_true_evaluations", "mean_best_objective",
+         "std_best_objective"],
+        ([str(g), fmt(np.mean(evals[:, g])), fmt(np.mean(best[:, g])),
+          fmt(_std(best[:, g]))] for g in range(best.shape[1]))))
+    rows = []
+    for target in config.targets or default_targets(records):
+        reached = _reached(records, target)
+        rows.append([fmt(target), str(len(reached)), str(len(records)),
+                     fmt(np.mean(reached)) if reached else "not reached"])
+    _atomic_write(os.path.join(out_dir, "targets.csv"), _csv(
+        ["target_objective", "runs_reached", "total_runs",
+         "mean_evaluations_to_target"], rows))
     _atomic_write(os.path.join(out_dir, "summary.txt"),
-                  batch_summary_text(result))
+                  _summary_text(records))
+    return records
+
+
+def _aligned(records: list[RunRecord], series) -> np.ndarray:
+    """(n_runs, max_generations) of `series(record)`, each run padded
+    with its final value (e.g. `RunRecord.best_so_far`)."""
+    width = max(len(r.rows) for r in records)
+    out = np.empty((len(records), width))
+    for i, record in enumerate(records):
+        values = series(record)
+        out[i, :len(values)] = values
+        out[i, len(values):] = values[-1]
+    return out
 
 
 def _std(values: np.ndarray) -> float:
@@ -457,32 +450,25 @@ def _reached(records: list[RunRecord], target: float) -> list[int]:
     return [e for e in evals if e is not None]
 
 
-def _targets_table(records: list[RunRecord], targets: list[float]) -> str:
-    lines = ["schema_version,target_objective,runs_reached,total_runs,"
-             "mean_evaluations_to_target"]
-    for target in targets:
-        reached = _reached(records, target)
-        mean = fmt(np.mean(reached)) if reached else "not reached"
-        lines.append(f"{SCHEMA_VERSION},{fmt(target)},{len(reached)},"
-                     f"{len(records)},{mean}")
-    return "\n".join(lines) + "\n"
+def _npvs(records: list[RunRecord]) -> np.ndarray:
+    """Each well run's final best NPV: its negated raw objective."""
+    return -np.array([r.final.best_raw_objective for r in records])
 
 
-def batch_summary_text(result: BatchResult) -> str:
-    finals = np.array([r.final.best_objective for r in result.records])
+def _summary_text(records: list[RunRecord]) -> str:
+    finals = np.array([r.final.best_objective for r in records])
     lines = [
-        f"problem: {result.problem}",
-        f"optimizer: {result.optimizer}",
-        f"runs: {len(result.records)} "
-        f"(seeds {[r.seed for r in result.records]})",
+        f"problem: {records[0].problem}",
+        f"optimizer: {records[0].optimizer}",
+        f"runs: {len(records)} (seeds {[r.seed for r in records]})",
         f"final best objective: median {fmt(np.median(finals))}, "
         f"mean {fmt(np.mean(finals))}, std {fmt(_std(finals))}",
     ]
-    if result.problem == "well_placement":
-        npvs = -np.array([r.final.best_raw_objective for r in result.records])
+    if records[0].problem == "well_placement":
+        npvs = _npvs(records)
         lines.append(f"final best NPV: median {fmt(np.median(npvs))}, "
                      f"mean {fmt(np.mean(npvs))}")
-    lines.extend("  " + run_line(record) for record in result.records)
+    lines.extend("  " + run_line(record) for record in records)
     return "\n".join(lines) + "\n"
 
 
@@ -500,12 +486,6 @@ def run_line(record: RunRecord) -> str:
     return line
 
 
-@dataclass
-class ComparisonResult:
-    batches: dict[str, BatchResult]
-    targets: list[float]
-
-
 def improvement_pct(record: RunRecord) -> float:
     first = record.rows[0].best_objective
     final = record.final.best_objective
@@ -514,8 +494,11 @@ def improvement_pct(record: RunRecord) -> float:
     return (first - final) / abs(first) * 100.0
 
 
-def compare_optimizers(config: RunConfig, out_dir=None) -> ComparisonResult:
-    """Matched-seed batches of two optimizers plus a comparison report.
+def compare_optimizers(config: RunConfig,
+                       out_dir=None) -> dict[str, list[RunRecord]]:
+    """Matched-seed batches of two optimizers, by label; with `out_dir`,
+    each batch's files in a subdirectory, `comparison.csv` and
+    `report.txt`.
 
     Comparing an optimizer against itself is allowed (a sanity check);
     the second batch is then labeled with a `#2` suffix.
@@ -526,64 +509,49 @@ def compare_optimizers(config: RunConfig, out_dir=None) -> ComparisonResult:
     labels = [first, second if second != first else f"{second}#2"]
     batches = {}
     for label, name in zip(labels, config.optimizers):
-        sub_config = replace(config, optimizer=name)
         sub_dir = (os.path.join(out_dir,
                                 label.replace("+", "_").replace("#", "_"))
                    if out_dir is not None else None)
-        batches[label] = run_batch(sub_config, sub_dir)
-    all_records = [r for b in batches.values() for r in b.records]
-    targets = config.targets or default_targets(all_records)
-    result = ComparisonResult(batches=batches, targets=targets)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        _atomic_write(os.path.join(out_dir, "comparison.csv"),
-                      _comparison_csv(result))
-        _atomic_write(os.path.join(out_dir, "report.txt"),
-                      comparison_report_text(result))
-    return result
+        batches[label] = run_batch(replace(config, optimizer=name), sub_dir)
+    if out_dir is None:
+        return batches
+    dim = len(batches[first][0].final.best_genome)
+    _atomic_write(os.path.join(out_dir, "comparison.csv"), _csv(
+        ["optimizer", "seed", "first_generation_best", "final_best",
+         "improvement_pct"] + [f"genome_{i}" for i in range(dim)],
+        ([label, str(r.seed), fmt(r.rows[0].best_objective),
+          fmt(r.final.best_objective), fmt(improvement_pct(r)),
+          *map(fmt, r.final.best_genome)]
+         for label, records in batches.items() for r in records)))
+    targets = config.targets or default_targets(
+        [r for records in batches.values() for r in records])
+    _atomic_write(os.path.join(out_dir, "report.txt"),
+                  _report_text(batches, targets))
+    return batches
 
 
-def _comparison_csv(result: ComparisonResult) -> str:
-    dim = next(iter(result.batches.values())).records[0].dim
-    header = (["schema_version", "optimizer", "seed", "first_generation_best",
-               "final_best", "improvement_pct"]
-              + [f"genome_{i}" for i in range(dim)])
-    lines = [",".join(header)]
-    for name, batch in result.batches.items():
-        for record in batch.records:
-            cells = [str(SCHEMA_VERSION), name, str(record.seed),
-                     fmt(record.rows[0].best_objective),
-                     fmt(record.final.best_objective),
-                     fmt(improvement_pct(record))]
-            cells.extend(fmt(x) for x in record.final.best_genome)
-            lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def comparison_report_text(result: ComparisonResult) -> str:
-    names = list(result.batches)
-    is_well = result.batches[names[0]].problem == "well_placement"
-    lines = [f"comparison on {result.batches[names[0]].problem} "
-             f"({len(result.batches[names[0]].records)} matched seeds)"]
-    for name in names:
-        batch = result.batches[name]
-        finals = np.array([r.final.best_objective for r in batch.records])
-        improvements = [improvement_pct(r) for r in batch.records]
-        lines.append(f"{name}: median final objective {fmt(np.median(finals))}, "
+def _report_text(batches: dict[str, list[RunRecord]],
+                 targets: list[float]) -> str:
+    first = next(iter(batches.values()))
+    lines = [f"comparison on {first[0].problem} "
+             f"({len(first)} matched seeds)"]
+    for label, records in batches.items():
+        finals = np.array([r.final.best_objective for r in records])
+        improvements = [improvement_pct(r) for r in records]
+        lines.append(f"{label}: median final objective "
+                     f"{fmt(np.median(finals))}, "
                      f"median improvement over first generation "
                      f"{np.median(improvements):.1f}%")
-        if is_well:
-            npvs = -np.array([r.final.best_raw_objective
-                              for r in batch.records])
-            lines.append(f"{name}: median final NPV {fmt(np.median(npvs))}")
+        if records[0].problem == "well_placement":
+            lines.append(f"{label}: median final NPV "
+                         f"{fmt(np.median(_npvs(records)))}")
     lines.append("")
     lines.append("evaluations to reach target (mean over runs that reached it)")
-    header = "target".ljust(24) + "".join(n.ljust(18) for n in names)
-    lines.append(header)
-    for target in result.targets:
+    lines.append("target".ljust(24) + "".join(n.ljust(18) for n in batches))
+    for target in targets:
         row = fmt(round(target, 6)).ljust(24)
-        for name in names:
-            reached = _reached(result.batches[name].records, target)
+        for records in batches.values():
+            reached = _reached(records, target)
             cell = (f"{np.mean(reached):.1f} ({len(reached)})"
                     if reached else "not reached")
             row += cell.ljust(18)

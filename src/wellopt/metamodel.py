@@ -326,7 +326,7 @@ def approximate_ranking_step(genomes: np.ndarray,
     raw objective (true or predicted), its ranking value, and whether it
     was truly evaluated. `sum(evaluated)` is 1 + n_ic. If model fitting
     degenerates mid-step, the whole generation falls back to true
-    evaluation.
+    evaluation, and n_ic is then lam - 1.
     """
     lam = len(genomes)
     metric = MahalanobisMetric(dist.covariance)
@@ -375,7 +375,11 @@ def approximate_ranking_step(genomes: np.ndarray,
             n_ic = cycle
             set_prev, elt_prev = set_cur, elt_cur
     except SurrogateUnavailable:
+        # no prediction is read again: the held sets go, and every
+        # candidate left is evaluated
+        neighbor_sets.clear()
         for i in range(lam):
             if not evaluated[i]:
                 evaluate(i)
+        n_ic = lam - 1
     return rank_population(values), n_ic, raw, values, evaluated

@@ -145,6 +145,11 @@ class ReservoirGrid:
                 "permeability", "top_elevation")
         if not (isinstance(data, dict) and data.keys() >= set(keys)):
             raise ValueError(f"a grid file is a JSON object with keys {keys}")
+        # a document without the key (a hand-written one) is this version
+        version = data.get("schema_version", GRID_SCHEMA_VERSION)
+        if version != GRID_SCHEMA_VERSION:
+            raise ValueError(f"grid schema_version must be "
+                             f"{GRID_SCHEMA_VERSION}; got {version!r}")
         for name, kinds, what in (("dims", int, "integers"),
                                   ("cell_size", (int, float), "numbers")):
             values = data[name]

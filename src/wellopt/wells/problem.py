@@ -110,7 +110,7 @@ class WellPlacementProblem:
         self.dim = offset
 
     def bounds(self) -> np.ndarray:
-        extent = self.grid.extent
+        extent = self.grid.invariants.extent
         z_margin = min(0.15 * extent[2], 20.0)
         r_hi = self.econ.max_well_length_m
         lo_t, hi_t = math.pi / 2 - self.tilt_range, math.pi / 2 + self.tilt_range
@@ -132,7 +132,7 @@ class WellPlacementProblem:
 
     def constraints(self) -> list[SumConstraint]:
         """Heel box limits (one coordinate each) and per-well length."""
-        extent = self.grid.extent
+        extent = self.grid.invariants.extent
         out = []
         offset = 0
         for well in self.layout:

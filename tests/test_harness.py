@@ -66,6 +66,13 @@ class TestConfig:
             RunConfig.from_dict({"problem": {"kind": "sphere", "dimension": 2},
                                  "optimizer": "sgd"})
 
+    def test_empty_targets_rejected(self):
+        # an empty list would otherwise read as "no targets given" and
+        # become the ten default quantiles
+        with pytest.raises(ValueError, match="targets must not be empty; "
+                                             "leave the key out"):
+            sphere_config(targets=[])
+
     def test_missing_dimension_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
             RunConfig.from_dict({"problem": {"kind": "rosenbrock"}})
@@ -649,16 +656,26 @@ class TestRunBatch:
         assert rows[0].endswith("not reached")
         assert ",0,2," in rows[0]
 
-    def test_default_targets_are_pooled_quantiles(self):
+    def test_default_targets_are_pooled_quantiles(self, tmp_path):
         config = sphere_config()
-        result = run_batch(config)
-        pooled = np.concatenate([r.best_so_far() for r in result.records])
-        assert result.targets == sorted(set(
+        records = run_batch(config, tmp_path)
+        pooled = np.concatenate([r.best_so_far() for r in records])
+        assert self.targets(tmp_path) == sorted(set(
             float(q) for q in np.quantile(pooled, np.arange(1, 11) / 11.0)),
             reverse=True)
 
     TARGETS_HEADER = ("schema_version,target_objective,runs_reached,"
                       "total_runs,mean_evaluations_to_target\n")
+
+    @staticmethod
+    def targets(out_dir) -> list[float]:
+        """The target column of a batch's `targets.csv`."""
+        rows = (out_dir / "targets.csv").read_text().splitlines()[1:]
+        return [float(row.split(",")[1]) for row in rows]
+
+    @staticmethod
+    def run_lines(out_dir) -> list[str]:
+        return (out_dir / "summary.txt").read_text().splitlines()
 
     def assert_std_nan_by_rule(self, tmp_path, generations):
         """A column or final with an inf value has std nan, and says so
@@ -674,12 +691,12 @@ class TestRunBatch:
                                sigma0=1e200, max_generations=5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = run_batch(config, tmp_path)
+            records = run_batch(config, tmp_path)
             assert all(math.isnan(harness.improvement_pct(r))
-                       for r in result.records)
+                       for r in records)
         assert all(math.isinf(row.best_objective)
-                   for record in result.records for row in record.rows)
-        assert result.targets == []
+                   for record in records for row in record.rows)
+        assert self.targets(tmp_path) == []
         assert (tmp_path / "targets.csv").read_text() == self.TARGETS_HEADER
         self.assert_std_nan_by_rule(tmp_path, 5)
 
@@ -698,27 +715,28 @@ class TestRunBatch:
             math.inf if seed == [2] else original_sphere(x, center)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = run_batch(sphere_config(max_generations=5), tmp_path)
+            records = run_batch(sphere_config(max_generations=5), tmp_path)
         assert all(math.isinf(row.best_objective)
-                   for row in result.records[1].rows)
+                   for row in records[1].rows)
         self.assert_std_nan_by_rule(tmp_path, 5)
-        assert result.targets
-        assert all(map(math.isfinite, result.targets))
-        assert result.targets == harness.default_targets(result.records[:1])
+        targets = self.targets(tmp_path)
+        assert targets
+        assert all(map(math.isfinite, targets))
+        assert targets == harness.default_targets(records[:1])
         rows = (tmp_path / "targets.csv").read_text().splitlines()[1:]
-        assert len(rows) == len(result.targets)
+        assert len(rows) == len(targets)
         assert not any("nan" in row for row in rows)
 
     def test_evaluations_to_target(self):
         config = sphere_config()
-        result = run_batch(config)
-        record = result.records[0]
+        record = run_batch(config)[0]
         target = record.rows[10].best_objective
         evals = evaluations_to_target(record, target)
         assert evals is not None
         assert evals <= record.rows[10].true_evaluations
 
-    def test_summary_reports_repairs_and_failures(self, monkeypatch):
+    def test_summary_reports_repairs_and_failures(self, monkeypatch,
+                                                  tmp_path):
         import wellopt.wells.problem as problem_module
 
         original = problem_module.simulate
@@ -734,10 +752,10 @@ class TestRunBatch:
         config = RunConfig.from_dict({
             "problem": {"kind": "well_placement"}, "optimizer": "cma",
             "population_size": 8, "max_generations": 3, "seeds": [1, 2]})
-        result = run_batch(config)
-        assert [r.simulation_failures for r in result.records] == [1, 0]
-        assert [r.covariance_repairs for r in result.records] == [0, 0]
-        lines = harness.batch_summary_text(result).splitlines()
+        records = run_batch(config, tmp_path)
+        assert [r.simulation_failures for r in records] == [1, 0]
+        assert [r.covariance_repairs for r in records] == [0, 0]
+        lines = self.run_lines(tmp_path)
         seed_1 = next(line for line in lines if "seed 1:" in line)
         seed_2 = next(line for line in lines if "seed 2:" in line)
         assert seed_1.endswith("(max_generations), simulation_failures 1")
@@ -774,14 +792,15 @@ class TestRunBatch:
         assert len(raised) == 2
         assert [r.simulation_failures for r in records] == [1, 1]
 
-    def test_summary_reports_rejection_exhaustions(self):
-        result = run_batch(sphere_config(**FAR_INTERVAL))
-        lines = harness.batch_summary_text(result).splitlines()
+    def test_summary_reports_rejection_exhaustions(self, tmp_path):
+        run_batch(sphere_config(**FAR_INTERVAL), tmp_path)
+        lines = self.run_lines(tmp_path)
         for seed in (1, 2):
             line = next(line for line in lines if f"seed {seed}:" in line)
             assert line.endswith("(max_generations), rejection_exhaustions 12")
 
-    def test_summary_reports_nonfinite_evaluations(self, monkeypatch):
+    def test_summary_reports_nonfinite_evaluations(self, monkeypatch,
+                                                   tmp_path):
         original = harness.sphere
         calls = []
 
@@ -792,9 +811,9 @@ class TestRunBatch:
             return original(x, center)
 
         monkeypatch.setattr(harness, "sphere", nan_every_fifth)
-        result = run_batch(sphere_config(max_generations=4))
-        assert [r.nonfinite_evaluations for r in result.records] == [6, 6]
-        lines = harness.batch_summary_text(result).splitlines()
+        records = run_batch(sphere_config(max_generations=4), tmp_path)
+        assert [r.nonfinite_evaluations for r in records] == [6, 6]
+        lines = self.run_lines(tmp_path)
         for seed in (1, 2):
             line = next(line for line in lines if f"seed {seed}:" in line)
             assert line.endswith("(max_generations), nonfinite_evaluations 6")
@@ -807,18 +826,16 @@ class TestRunBatch:
 class TestCompare:
     def test_same_optimizer_statistically_indistinguishable(self):
         config = sphere_config(optimizers=["cma", "cma"])
-        result = compare_optimizers(config)
-        assert set(result.batches) == {"cma", "cma#2"}
-        finals_a = [r.final.best_objective
-                    for r in result.batches["cma"].records]
-        finals_b = [r.final.best_objective
-                    for r in result.batches["cma#2"].records]
+        batches = compare_optimizers(config)
+        assert set(batches) == {"cma", "cma#2"}
+        finals_a = [r.final.best_objective for r in batches["cma"]]
+        finals_b = [r.final.best_objective for r in batches["cma#2"]]
         assert finals_a == finals_b
         assert np.median(finals_a) == np.median(finals_b)
 
     def test_compare_outputs_and_genomes(self, tmp_path):
         config = sphere_config(optimizers=["cma", "ga"], max_generations=20)
-        result = compare_optimizers(config, tmp_path)
+        batches = compare_optimizers(config, tmp_path)
         assert (tmp_path / "comparison.csv").exists()
         assert (tmp_path / "report.txt").exists()
         assert (tmp_path / "cma" / "run_1.csv").exists()
@@ -827,7 +844,7 @@ class TestCompare:
         assert lines[0].endswith(",genome_4")
         assert len(lines) == 1 + 2 * len(config.seeds)
         for name in ("cma", "ga"):
-            records = result.batches[name].records
+            records = batches[name]
             finals = [r.final.best_objective for r in records]
             assert np.median(finals) <= records[0].rows[0].best_objective
 
@@ -858,7 +875,7 @@ class TestCompare:
                             lambda config: built.append(1) or original(config))
         config = sphere_config(optimizer="cma+surrogate", max_generations=3,
                                surrogate={"k": 21, "min_archive_size": 21})
-        assert len(run_batch(config).records) == len(built) == 2
+        assert len(run_batch(config)) == len(built) == 2
 
 
 class TestBuildProblem:

@@ -544,12 +544,13 @@ class TestApproximateRanking:
             return fit_local_model(*args)
 
         with mock.patch.object(mm, "fit_local_model", failing_fit):
-            order, _, _, _, evaluated = approximate_ranking_step(
+            order, n_ic, _, _, evaluated = approximate_ranking_step(
                 genomes, archive, make_dist(n),
                 default_strategy_params(n, lam, 100), settings,
                 harness.Evaluator(fn, archive),
                 amounts if data.draw(st.booleans()) else [0.0] * lam)
         assert evaluated[order[0]]
+        assert sum(evaluated) == 1 + n_ic
 
     def test_fallback_to_full_evaluation(self, monkeypatch):
         fn = lambda z: float(z[0] ** 2)
@@ -577,6 +578,40 @@ class TestApproximateRanking:
             [0.0] * len(genomes))
         assert sum(evaluated) == lam
         assert all(evaluated)
+        truth = sorted(range(lam), key=lambda i: (fn(genomes[i]), i))
+        assert order == truth
+
+    def test_a_fit_failing_mid_step_evaluates_the_rest(self, monkeypatch):
+        """The 11th fit raises, after the first true evaluation: every
+        candidate left is then evaluated, n_ic counts them all, and no
+        held neighbour set is updated once the fit has failed."""
+        fn = lambda z: float(z[0] ** 2)
+        lam = 8
+        genomes, archive, params, settings = seeded_setup(lam, fn)
+        fits, admitted = [], []
+
+        def failing_fit(*args):
+            fits.append(None)
+            if len(fits) == 11:
+                raise SurrogateUnavailable("forced")
+            return fit_local_model(*args)
+
+        admit = mm.admit_newest
+
+        def counted_admit(*args):
+            admitted.append(len(fits))
+            return admit(*args)
+
+        monkeypatch.setattr(mm, "fit_local_model", failing_fit)
+        monkeypatch.setattr(mm, "admit_newest", counted_admit)
+        evaluator = harness.Evaluator(fn, archive)
+        order, n_ic, _, _, evaluated = approximate_ranking_step(
+            genomes, archive, make_dist(1), params, settings, evaluator,
+            [0.0] * lam)
+        assert len(fits) == 11
+        assert all(evaluated)
+        assert sum(evaluated) == 1 + n_ic == lam
+        assert admitted and max(admitted) < 11
         truth = sorted(range(lam), key=lambda i: (fn(genomes[i]), i))
         assert order == truth
 
@@ -793,9 +828,11 @@ def rescanning_ranking_step(genomes, archive, dist, params, settings,
             n_ic = cycle
             set_prev, elt_prev = set_cur, elt_cur
     except SurrogateUnavailable:
+        cached.clear()
         for i in range(lam):
             if not evaluated[i]:
                 eval_true(i)
+        n_ic = lam - 1
     return current_order(), n_ic, raw, values, evaluated
 
 

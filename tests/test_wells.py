@@ -435,6 +435,19 @@ class TestGrid:
         with pytest.raises(ValueError, match=name):
             ReservoirGrid.load_json(path)
 
+    @pytest.mark.parametrize("version", [2, 0, "1", None])
+    def test_other_schema_version_rejected_at_load(self, grid, version):
+        document = {**grid.to_json_dict(), "schema_version": version}
+        with pytest.raises(ValueError, match="schema_version must be 1"):
+            ReservoirGrid.from_json_dict(document)
+
+    def test_document_without_schema_version_loads(self, grid):
+        document = grid.to_json_dict()
+        assert document.pop("schema_version") == 1
+        loaded = ReservoirGrid.from_json_dict(document)
+        assert loaded.dims == grid.dims
+        assert np.array_equal(loaded.porosity, grid.porosity)
+
     def test_fields_are_read_only_copies(self):
         dims = (2, 2, 1)
         porosity = np.full(dims, 0.2)
@@ -1168,6 +1181,14 @@ class TestWellPlacementProblem:
         lengths = [c for c in constraints if len(c.indices) > 0
                    and c.upper == problem.econ.max_well_length_m]
         assert len(lengths) == 2
+
+    def test_constraint_bounds_are_python_floats(self, problem):
+        """The penalty, `is_feasible` and the gamma growth read the
+        bounds as Python floats, not as numpy scalars."""
+        bounds = [bound for c in problem.constraints()
+                  for bound in (c.lower, c.upper)]
+        assert len(bounds) == 16
+        assert all(type(bound) is float for bound in bounds)
 
     def test_good_beats_bad_frozen_fixture(self, problem):
         good = problem.raw_objective(GOOD_GENOME)
