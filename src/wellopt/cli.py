@@ -44,11 +44,12 @@ def _cmd_evaluate(args) -> int:
         return 2
     problem = build_problem(config).well_problem
     genome = np.array([float(v) for v in args.genome.split(",")])
-    if genome.shape != (problem.dim,):
-        print(f"genome must have {problem.dim} comma-separated values",
-              file=sys.stderr)
+    if genome.shape != (problem.dim,) or not np.isfinite(genome).all():
+        print(f"--genome must be {problem.dim} comma-separated finite "
+              "values", file=sys.stderr)
         return 2
-    print(json.dumps(problem.evaluate_detail(genome), indent=2))
+    print(json.dumps(problem.evaluate_detail(genome), indent=2,
+                     allow_nan=False))
     return 0
 
 

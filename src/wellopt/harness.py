@@ -405,8 +405,13 @@ def run_batch(config: RunConfig, out_dir=None) -> list[RunRecord]:
     if len(config.seeds) < 2:
         raise ValueError("run_batch needs at least 2 seeds")
     records = [run_single(config, seed, out_dir) for seed in config.seeds]
-    if out_dir is None:
-        return records
+    if out_dir is not None:
+        _write_batch(records, config.targets or default_targets(records),
+                     out_dir)
+    return records
+
+
+def _write_batch(records: list[RunRecord], targets: list[float], out_dir):
     best = _aligned(records, RunRecord.best_so_far)
     evals = _aligned(records, RunRecord.true_evaluations)
     _atomic_write(os.path.join(out_dir, "summary.csv"), _csv(
@@ -415,7 +420,7 @@ def run_batch(config: RunConfig, out_dir=None) -> list[RunRecord]:
         ([str(g), fmt(np.mean(evals[:, g])), fmt(np.mean(best[:, g])),
           fmt(_std(best[:, g]))] for g in range(best.shape[1]))))
     rows = []
-    for target in config.targets or default_targets(records):
+    for target in targets:
         reached = _reached(records, target)
         rows.append([fmt(target), str(len(reached)), str(len(records)),
                      fmt(np.mean(reached)) if reached else "not reached"])
@@ -424,7 +429,6 @@ def run_batch(config: RunConfig, out_dir=None) -> list[RunRecord]:
          "mean_evaluations_to_target"], rows))
     _atomic_write(os.path.join(out_dir, "summary.txt"),
                   _summary_text(records))
-    return records
 
 
 def _aligned(records: list[RunRecord], series) -> np.ndarray:
@@ -498,23 +502,29 @@ def compare_optimizers(config: RunConfig,
                        out_dir=None) -> dict[str, list[RunRecord]]:
     """Matched-seed batches of two optimizers, by label; with `out_dir`,
     each batch's files in a subdirectory, `comparison.csv` and
-    `report.txt`.
+    `report.txt`, every target table with the same targets.
 
     Comparing an optimizer against itself is allowed (a sanity check);
     the second batch is then labeled with a `#2` suffix.
     """
-    if not config.optimizers:
-        raise ValueError("config must set 'optimizers' (a pair) to compare")
+    if not config.optimizers or len(config.seeds) < 2:
+        raise ValueError("config must set 'optimizers' (a pair) and at "
+                         "least 2 seeds to compare")
     first, second = config.optimizers
     labels = [first, second if second != first else f"{second}#2"]
-    batches = {}
+    batches, sub_dirs = {}, {}
     for label, name in zip(labels, config.optimizers):
-        sub_dir = (os.path.join(out_dir,
-                                label.replace("+", "_").replace("#", "_"))
-                   if out_dir is not None else None)
-        batches[label] = run_batch(replace(config, optimizer=name), sub_dir)
+        sub_dirs[label] = (os.path.join(
+            out_dir, label.replace("+", "_").replace("#", "_"))
+            if out_dir is not None else None)
+        batches[label] = [run_single(replace(config, optimizer=name), seed,
+                                     sub_dirs[label]) for seed in config.seeds]
     if out_dir is None:
         return batches
+    targets = config.targets or default_targets(
+        [r for records in batches.values() for r in records])
+    for label, records in batches.items():
+        _write_batch(records, targets, sub_dirs[label])
     dim = len(batches[first][0].final.best_genome)
     _atomic_write(os.path.join(out_dir, "comparison.csv"), _csv(
         ["optimizer", "seed", "first_generation_best", "final_best",
@@ -523,8 +533,6 @@ def compare_optimizers(config: RunConfig,
           fmt(r.final.best_objective), fmt(improvement_pct(r)),
           *map(fmt, r.final.best_genome)]
          for label, records in batches.items() for r in records)))
-    targets = config.targets or default_targets(
-        [r for records in batches.values() for r in records])
     _atomic_write(os.path.join(out_dir, "report.txt"),
                   _report_text(batches, targets))
     return batches
@@ -549,7 +557,7 @@ def _report_text(batches: dict[str, list[RunRecord]],
     lines.append("evaluations to reach target (mean over runs that reached it)")
     lines.append("target".ljust(24) + "".join(n.ljust(18) for n in batches))
     for target in targets:
-        row = fmt(round(target, 6)).ljust(24)
+        row = fmt(target).ljust(23) + " "   # a repr may be 24 long
         for records in batches.values():
             reached = _reached(records, target)
             cell = (f"{np.mean(reached):.1f} ({len(reached)})"

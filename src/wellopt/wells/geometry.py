@@ -25,11 +25,6 @@ from ..floats import pairwise_sum
 Point = tuple[float, float, float]
 
 
-def genome_dimension(n_deviations: int, n_branches: int) -> int:
-    """Coordinates of one well's genome block."""
-    return 3 * (1 + n_deviations) + 4 * n_branches
-
-
 def _norm(dx: float, dy: float, dz: float) -> float:
     """One row of np.linalg.norm(rows, axis=1), with its bits: the squares
     are added as (dx^2 + dy^2) + dz^2."""
@@ -106,9 +101,15 @@ def _point_at_arclength(points: Sequence[Point], arclength: float) -> Point:
     return points[-1]
 
 
+def block_coordinates(n_deviations: int, n_branches: int) -> tuple[str, ...]:
+    """Each coordinate's name in a well's block, in `decode_well`'s order."""
+    return (("x", "y", "z") + ("r", "theta", "phi") * n_deviations
+            + ("l", "r", "theta", "phi") * n_branches)
+
+
 def decode_well(genome_slice: np.ndarray, n_deviations: int,
                 n_branches: int) -> WellGeometry:
-    """Turn one well's `genome_dimension` slice, a float64 array, into
+    """Turn one well's `block_coordinates` slice, a float64 array, into
     Cartesian geometry. Underflow follows the objective's policy
     (`wells/problem.py`)."""
     coords = genome_slice.tolist()

@@ -5,8 +5,8 @@ generated from a fixed seed with two high-porosity, high-oil-saturation
 lobes, so repository runs are reproducible from the data file alone.
 
 A grid is immutable: its fields cannot be rebound and its arrays are
-read-only copies, so the values derived from it once (`extent`,
-`invariants`) cannot go stale.
+read-only copies, so the values derived from it once (`invariants`)
+cannot go stale.
 """
 
 from __future__ import annotations
@@ -38,17 +38,20 @@ class GridInvariants:
 
     def __init__(self, grid: "ReservoirGrid"):
         nx, ny, nz = grid.dims
-        centers = grid.cell_centers()   # (n_cells, 3)
-        self.center_columns = tuple(
-            _read_only(np.ascontiguousarray(centers[:, axis]))
-            for axis in range(3))
-        self.oil_in_place = _read_only(grid.oil_in_place_per_cell())
+        cells = np.indices(grid.dims).reshape(3, -1)   # per axis, C order
+        self.center_columns = tuple(   # each cell's centre, per axis
+            _read_only((index + 0.5) * size)
+            for index, size in zip(cells, grid.cell_size))
+        self.oil_in_place = _read_only(   # phi * S_o * cell volume
+            (grid.porosity * grid.oil_saturation).ravel()
+            * float(np.prod(grid.cell_size)))
         self.permeability = tuple(grid.permeability.ravel().tolist())
         self.cell_size = grid.cell_size
         # floats, to clamp float cell coordinates without a conversion
         self.max_index = (nx - 1.0, ny - 1.0, nz - 1.0)
         self.strides = (ny * nz, nz, 1)                  # C-order flat index
-        self.extent = tuple(grid.extent.tolist())
+        self.extent = tuple(n * size   # physical box size (Lx, Ly, Lz)
+                            for n, size in zip(grid.dims, grid.cell_size))
         # interior grid planes per axis
         self.planes = tuple(tuple((np.arange(1, n) * size).tolist())
                             for n, size in zip(grid.dims, grid.cell_size))
@@ -96,33 +99,9 @@ class ReservoirGrid:
             raise ValueError("permeability must be positive")
 
     @cached_property
-    def extent(self) -> np.ndarray:
-        """Physical box size (Lx, Ly, Lz) in length units."""
-        return _read_only(np.array(self.dims, dtype=float)
-                          * np.array(self.cell_size))
-
-    @cached_property
     def invariants(self) -> GridInvariants:
         """The proxy's per-grid values, computed on first use."""
         return GridInvariants(self)
-
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.cell_size))
-
-    def cell_centers(self) -> np.ndarray:
-        """(n_cells, 3) array of cell center coordinates, C-order."""
-        nx, ny, nz = self.dims
-        dx, dy, dz = self.cell_size
-        xs = (np.arange(nx) + 0.5) * dx
-        ys = (np.arange(ny) + 0.5) * dy
-        zs = (np.arange(nz) + 0.5) * dz
-        gx, gy, gz = np.meshgrid(xs, ys, zs, indexing="ij")
-        return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
-
-    def oil_in_place_per_cell(self) -> np.ndarray:
-        """phi * S_o * cell volume for every cell, flattened C-order."""
-        return (self.porosity * self.oil_saturation).ravel() * self.cell_volume
 
     def to_json_dict(self) -> dict:
         return {

@@ -36,7 +36,7 @@ import numpy as np
 
 from ..constraints import SumConstraint
 from .economics import EconomicParams, drilling_cost, npv
-from .geometry import check_geometry, decode_well, genome_dimension
+from .geometry import block_coordinates, check_geometry, decode_well
 from .grid import ReservoirGrid
 from .proxy import INJECTOR, PRODUCER, ProxyParams, simulate, well_terms
 
@@ -59,7 +59,7 @@ class WellLayout:
 
     @property
     def dim(self) -> int:
-        return genome_dimension(self.n_deviations, self.n_branches)
+        return len(block_coordinates(self.n_deviations, self.n_branches))
 
 
 def _well_memo(well: WellLayout, grid: ReservoirGrid, proxy: ProxyParams):
@@ -110,47 +110,33 @@ class WellPlacementProblem:
         self.dim = offset
 
     def bounds(self) -> np.ndarray:
-        extent = self.grid.invariants.extent
-        z_margin = min(0.15 * extent[2], 20.0)
+        lx, ly, lz = self.grid.invariants.extent
+        z_margin = min(0.15 * lz, 20.0)
         r_hi = self.econ.max_well_length_m
-        lo_t, hi_t = math.pi / 2 - self.tilt_range, math.pi / 2 + self.tilt_range
-        rows = []
-        for well in self.layout:
-            rows.append((0.0, extent[0]))
-            rows.append((0.0, extent[1]))
-            rows.append((z_margin, extent[2] - z_margin))
-            for _ in range(well.n_deviations):
-                rows.append((self.min_step_m, r_hi))
-                rows.append((lo_t, hi_t))
-                rows.append((-math.pi, math.pi))
-            for _ in range(well.n_branches):
-                rows.append((1.0, r_hi))          # arc-length offset l
-                rows.append((self.min_step_m, r_hi))
-                rows.append((lo_t, hi_t))
-                rows.append((-math.pi, math.pi))
-        return np.array(rows)
+        interval = {"x": (0.0, lx), "y": (0.0, ly),
+                    "z": (z_margin, lz - z_margin),
+                    "r": (self.min_step_m, r_hi), "l": (1.0, r_hi),
+                    "theta": (math.pi / 2 - self.tilt_range,
+                              math.pi / 2 + self.tilt_range),
+                    "phi": (-math.pi, math.pi)}
+        return np.array([interval[name] for well in self.layout
+                         for name in block_coordinates(well.n_deviations,
+                                                       well.n_branches)])
 
     def constraints(self) -> list[SumConstraint]:
         """Heel box limits (one coordinate each) and per-well length."""
-        extent = self.grid.invariants.extent
         out = []
-        offset = 0
-        for well in self.layout:
-            for axis in range(3):
-                out.append(SumConstraint(indices=(offset + axis,),
-                                         lower=0.0, upper=extent[axis]))
-            r_indices = []
-            pos = offset + 3
-            for _ in range(well.n_deviations):
-                r_indices.append(pos)
-                pos += 3
-            for _ in range(well.n_branches):
-                r_indices.append(pos + 1)
-                pos += 4
-            if r_indices:
-                out.append(SumConstraint(indices=tuple(r_indices), lower=1.0,
+        for well, (start, *_) in zip(self.layout, self._memo):
+            at = {}   # each coordinate name's genome indices
+            for index, name in enumerate(block_coordinates(
+                    well.n_deviations, well.n_branches), start):
+                at.setdefault(name, []).append(index)
+            for name, size in zip("xyz", self.grid.invariants.extent):
+                out.append(SumConstraint(indices=at[name], lower=0.0,
+                                         upper=size))
+            if "r" in at:
+                out.append(SumConstraint(indices=at["r"], lower=1.0,
                                          upper=self.econ.max_well_length_m))
-            offset += well.dim
         return out
 
     def raw_objective(self, genome: np.ndarray) -> float:

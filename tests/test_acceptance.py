@@ -22,8 +22,8 @@ from wellopt.metamodel import (MahalanobisMetric, TrainingArchive,
                                approximate_ranking_step, basis_size,
                                default_surrogate_settings, fit_local_model,
                                select_neighbors)
-from wellopt.wells import (FEET_PER_METER, EconomicParams, ProductionProfile,
-                           genome_dimension, npv)
+from wellopt.wells import (FEET_PER_METER, PRODUCER, EconomicParams,
+                           ProductionProfile, WellLayout, npv)
 from reference_forms import initial_distribution, predict, quadratic_basis
 
 
@@ -358,7 +358,7 @@ class TestCriterion7CmaVersusGa:
 
 class TestCriterion8Economics:
     def test_dimension_formula(self):
-        value = 2 * genome_dimension(1, 0)
+        value = 2 * WellLayout(PRODUCER, 1, 0).dim
         passed = value == 12
         report("criterion 8a (dimension formula)", passed,
                f"two unilateral wells -> {value} (expected 6 x 2 = 12)")

@@ -264,6 +264,22 @@ class TestEvaluate:
         assert code == 2
         assert "12" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, value, capsys):
+        code = main(["evaluate",
+                     f"--genome={value},1,1,100,1.5,0,500,500,50,100,1.5,0"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "--genome" in captured.err
+
+    def test_non_finite_result_is_an_error_not_invalid_json(self, capsys):
+        # finite coordinates whose out-of-grid distance overflows to inf
+        code = main(["evaluate", "--genome",
+                     "1e308,1,1,1e308,1.5,0,500,500,50,100,1.5,0"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: ")
+
 
 class TestGenGrid:
     def test_writes_loadable_grid(self, tmp_path, capsys):

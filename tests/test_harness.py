@@ -868,6 +868,12 @@ class TestCompare:
         with pytest.raises(ValueError, match="optimizers"):
             compare_optimizers(sphere_config())
 
+    def test_needs_two_seeds(self, monkeypatch):
+        monkeypatch.setattr(harness, "run_cma", never)
+        with pytest.raises(ValueError, match="2 seeds"):
+            compare_optimizers(sphere_config(optimizers=["cma", "cma"],
+                                             seeds=[1]))
+
     def test_batch_builds_one_problem_per_run(self, monkeypatch):
         built = []
         original = harness.build_problem

@@ -404,7 +404,8 @@ RAISES_ALLOWED: dict[str, str] = {
     "harness.py:run_single": "a config without `optimizer` for one run",
     "harness.py:run_batch": "a config with too few seeds for a batch",
     "harness.py:compare_optimizers":
-        "a config without the `optimizers` pair to compare",
+        "a config without the `optimizers` pair or with too few seeds "
+        "to compare",
     "wells/grid.py:ReservoirGrid.__post_init__": "a grid file",
     "wells/grid.py:ReservoirGrid.from_json_dict": "a grid file",
     "wells/economics.py:EconomicParams.__post_init__":

@@ -20,9 +20,24 @@ rescans the archive and refits every unevaluated candidate, with no
 cache and no held neighbour sets. A local model is the kernel-weighted
 least-squares full quadratic on the k nearest archive entries under the
 Mahalanobis distance of C, with bandwidth the k-th distance.
+
+The adaptive penalty follows Hansen, Niederberger, Guzzella &
+Koumoutsakos, "A Method for Handling Uncertainty in Evolutionary
+Optimization..." (IEEE TEC 13(1), 2009), as `constraints.py` documents
+it: a window of the last (20 + 3n)/lambda generations' objective IQRs;
+gamma started, once the mean is unfeasible, at 2 delta_fit / (sigma^2
+mean diag C), delta_fit the median of the window; gamma_j grown by
+1.1^max(1, mu_eff/(10n)) while the population mean of q_j lies further
+out than sigma sqrt(mean_{S_j} C_ii) max(1, sqrt(n)/mu_eff); xi_j =
+exp(0.9 (mean_{S_j} log C_ii - mean log C_ii)); and a candidate's
+amount the mean over j of gamma_j distance_j^2 / xi_j. It is replayed on
+the generations of library runs, recorded through the names the run
+loop calls.
 """
 
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -264,3 +279,142 @@ def test_approximate_ranking_matches_lmm_cma():
         n_ics.add(n_ic)
     # the seeds settle after different numbers of cycles
     assert len(n_ics) >= 3
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def recorded_generations(monkeypatch, config, seed):
+    """Run `config` at `seed`, recording every generation's state and
+    what the library made of it, through the names the run loop calls."""
+    generations = []
+
+    def wrap(name, before=None, after=None):
+        original = getattr(harness, name)
+
+        def call(*args):
+            if before:
+                before(*args)
+            result = original(*args)
+            if after:
+                after(result, *args)
+            return result
+
+        monkeypatch.setattr(harness, name, call)
+
+    def sampled(result, *_):
+        generations.append({"genomes": result[0].copy(), "amounts": []})
+
+    def before_start(state, dist, _):
+        generations[-1].update(
+            generation=dist.generation, mean=dist.mean.copy(),
+            sigma=dist.step_size, C=dist.covariance.copy(),
+            gammas_before=state.gammas)
+
+    wrap("sample_with_rejection", after=sampled)
+    wrap("maybe_set_gammas", before=before_start,
+         after=lambda _, state, *a: generations[-1].update(
+             gammas_started=state.gammas))
+    wrap("maybe_increase_gammas",
+         after=lambda _, state, *a: generations[-1].update(
+             gammas=state.gammas))
+    wrap("xi_factors", after=lambda xi, *a: generations[-1].update(xi=xi))
+    wrap("penalty_amount",
+         after=lambda amount, *a: generations[-1]["amounts"].append(amount))
+
+    class RecordingState(harness.PenaltyState):
+        def record_generation(self, raw_objectives):
+            generations[-1]["raw"] = np.array(raw_objectives)
+            super().record_generation(raw_objectives)
+
+    monkeypatch.setattr(harness, "PenaltyState", RecordingState)
+    harness.run_single(config, seed)
+    monkeypatch.undo()
+    return generations
+
+
+def penalty_oracle(generations, constraints, n, lam):
+    """Replay the adaptive penalty on recorded generations: (gammas, xi,
+    amounts) per generation, and the generations where gamma started and
+    where it grew."""
+    mu_eff = 1.0 / np.sum(library_weights(lam) ** 2)
+    window = math.ceil((20 + 3 * n) / lam)
+    subsets = [list(c.indices) for c in constraints]
+    lower = np.array([c.lower for c in constraints])[:, None]
+    upper = np.array([c.upper for c in constraints])[:, None]
+    gamma = np.zeros(len(constraints))
+    history, started, grew, out = [], [], [], []
+    for gen in generations:
+        g, sigma, diag_c = gen["generation"], gen["sigma"], np.diag(gen["C"])
+        mean_q = np.array([[gen["mean"][s].sum()] for s in subsets])
+        if (g >= 1 and not gamma.any() and history
+                and np.any((mean_q < lower) | (mean_q > upper))):
+            value = 2.0 * np.median(history) / (sigma ** 2 * np.mean(diag_c))
+            if np.isfinite(value) and value > 0.0:
+                gamma[:] = value
+                started.append(g)
+        q = np.array([gen["genomes"][:, s].sum(axis=1) for s in subsets])
+        if gamma.any():
+            q_mean = q.mean(axis=1, keepdims=True)
+            out_by = (np.maximum(0.0, q_mean - upper)
+                      + np.maximum(0.0, lower - q_mean))[:, 0]
+            threshold = (sigma * np.sqrt([np.mean(diag_c[s]) for s in subsets])
+                         * max(1.0, np.sqrt(n) / mu_eff))
+            grow = out_by > threshold
+            if grow.any():
+                gamma = np.where(
+                    grow, gamma * 1.1 ** max(1.0, mu_eff / (10.0 * n)), gamma)
+                grew.append(g)
+        log_c = np.log(diag_c)
+        xi = np.exp(0.9 * (np.array([np.mean(log_c[s]) for s in subsets])
+                           - np.mean(log_c)))
+        distance = np.maximum(0.0, q - upper) + np.maximum(0.0, lower - q)
+        amounts = np.mean(gamma[:, None] * distance ** 2 / xi[:, None],
+                          axis=0)
+        out.append((gamma.copy(), xi, amounts))
+        finite = gen["raw"][np.isfinite(gen["raw"])]
+        if len(finite):
+            history.append(np.percentile(finite, 75)
+                           - np.percentile(finite, 25))
+            history = history[-window:]
+    return out, started, grew
+
+
+def library_changes(generations):
+    """The generations where the library started gamma and grew it."""
+    started = [gen["generation"] for gen in generations
+               if gen["gammas_started"] != gen["gammas_before"]]
+    grew = [gen["generation"] for gen in generations
+            if gen["gammas"] != gen["gammas_started"]]
+    return started, grew
+
+
+def test_adaptive_penalty_matches_hansen_2009(monkeypatch):
+    sphere = harness.RunConfig.load(CONFIGS / "constrained_sphere.json")
+    well = dataclasses.replace(
+        harness.RunConfig.load(CONFIGS / "well_cma_vs_ga.json"),
+        optimizer="cma", max_generations=40)
+    # n = 2 and lambda = 100 give mu_eff / (10 n) > 1, the growth's
+    # other exponent
+    wide = dataclasses.replace(
+        sphere, problem={"kind": "sphere", "dimension": 2, "center": 2.0},
+        constraints=[{"indices": [0, 1], "lower": -1.0, "upper": 1.0}],
+        population_size=100, max_generations=60)
+    runs = [(sphere, seed) for seed in (1, 2, 3)] + [(well, 1), (wide, 1)]
+    grown = 0
+    for config, seed in runs:
+        generations = recorded_generations(monkeypatch, config, seed)
+        problem = harness.build_problem(config)
+        want, started, grew = penalty_oracle(
+            generations, problem.constraints, problem.dim,
+            config.population_size)
+        assert library_changes(generations) == (started, grew), seed
+        assert len(started) == 1, seed
+        grown += len(grew)
+        for gen, (gamma, xi, amounts) in zip(generations, want):
+            np.testing.assert_allclose(gen["gammas"], gamma, rtol=RTOL,
+                                       atol=0.0)
+            np.testing.assert_allclose(gen["xi"], xi, rtol=RTOL, atol=0.0)
+            np.testing.assert_allclose(gen["amounts"], amounts, rtol=RTOL,
+                                       atol=0.0)
+    assert grown > 0

@@ -263,14 +263,14 @@ cma#2: median final objective 0.15000000000000002, median improvement over first
 evaluations to reach target (mean over runs that reached it)
 target                  cma               cma#2             
 4.25                    8.0 (2)           8.0 (2)           
-2.818182                12.0 (2)          12.0 (2)          
+2.8181818181818192      12.0 (2)          12.0 (2)          
 2.0                     12.0 (2)          12.0 (2)          
-1.545455                15.5 (2)          15.5 (2)          
-0.333333                15.5 (2)          15.5 (2)          
-0.309091                19.5 (2)          19.5 (2)          
-0.3                     19.5 (2)          19.5 (2)          
-0.190909                15.0 (1)          15.0 (1)          
-0.0                     15.0 (1)          15.0 (1)          
+1.5454545454545459      15.5 (2)          15.5 (2)          
+0.3333333333333333      15.5 (2)          15.5 (2)          
+0.30909090909090914     19.5 (2)          19.5 (2)          
+0.30000000000000004     19.5 (2)          19.5 (2)          
+0.19090909090909097     15.0 (1)          15.0 (1)          
+1e-17                   15.0 (1)          15.0 (1)          
 """
     stdout, files = wellopt(tmp_path, capsys, "compare",
                             {**SPHERE, "optimizers": ["cma", "cma"]})
@@ -280,16 +280,15 @@ target                  cma               cma#2
         "run_2.csv": SPHERE_RUN_2,
         "summary.csv": SPHERE_SUMMARY_CSV,
         "targets.csv": TARGETS_CSV_HEADER + """\
-1,3.4318181818181817,2,2,12.0
-1,2.613636363636364,2,2,12.0
-1,1.8484848484848486,2,2,15.5
-1,1.2424242424242422,2,2,15.5
-1,0.636363636363636,2,2,15.5
-1,0.32727272727272727,2,2,19.5
-1,0.3151515151515152,2,2,19.5
-1,0.3030303030303031,2,2,19.5
-1,0.21818181818181823,1,2,15.0
-1,0.10909090909090913,1,2,15.0
+1,4.25,2,2,8.0
+1,2.8181818181818192,2,2,12.0
+1,2.0,2,2,12.0
+1,1.5454545454545459,2,2,15.5
+1,0.3333333333333333,2,2,15.5
+1,0.30909090909090914,2,2,19.5
+1,0.30000000000000004,2,2,19.5
+1,0.19090909090909097,1,2,15.0
+1,1e-17,1,2,15.0
 """,
         "summary.txt": SPHERE_SUMMARY_TXT,
     }
@@ -305,6 +304,28 @@ schema_version,optimizer,seed,first_generation_best,final_best,improvement_pct,g
 """,
         "report.txt": report_txt,
     }
+    report_targets = [line.split()[0] for line in report_txt.splitlines()[6:]]
+    for label in ("cma", "cma_2"):
+        column = [line.split(",")[1] for line in
+                  files[f"{label}/targets.csv"].splitlines()[1:]]
+        assert column == report_targets
+
+
+def test_report_prints_each_target_exactly(hand_built, tmp_path, capsys):
+    """A target prints as `targets.csv` writes it, however small, and a
+    24-character one keeps a space before the first cell."""
+    _, files = wellopt(tmp_path, capsys, "compare",
+                       {**SPHERE, "optimizers": ["cma", "cma"],
+                        "targets": [2.0000001, 2.0, 4e-7,
+                                    -1.2345678901234567e-100]})
+    assert files["report.txt"].splitlines()[6:] == [
+        "2.0000001               12.0 (2)          12.0 (2)          ",
+        "2.0                     12.0 (2)          12.0 (2)          ",
+        "4e-07                   15.0 (1)          15.0 (1)          ",
+        "-1.2345678901234567e-100 not reached       not reached       "]
+    assert [line.split(",")[1] for line in
+            files["cma/targets.csv"].splitlines()[1:]] == [
+        "2.0000001", "2.0", "4e-07", "-1.2345678901234567e-100"]
 
 
 def test_well_comparison_reports_npv(hand_built, tmp_path, capsys):

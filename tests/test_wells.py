@@ -14,7 +14,7 @@ from wellopt.wells import (FEET_PER_METER, INJECTOR, PRODUCER, Branch,
                            ReservoirGrid, WellGeometry, WellLayout,
                            WellPlacementProblem, check_geometry, decode_well,
                            drainable_oil_barrels, drilling_cost,
-                           generate_synthetic_grid, genome_dimension, npv,
+                           block_coordinates, generate_synthetic_grid, npv,
                            productivity_index, simulate)
 from wellopt.wells.economics import _bore_cost
 from wellopt.wells.geometry import _point_at_arclength
@@ -101,15 +101,44 @@ def _step_to_spherical(step: np.ndarray) -> np.ndarray:
     return np.array([r, theta, phi])
 
 
+# The grid's box, cell centres and oil in place, worked out from its
+# fields as the library's `GridInvariants` does; kept as the tests'
+# references.
+def grid_extent(grid: ReservoirGrid) -> np.ndarray:
+    """Physical box size (Lx, Ly, Lz) in length units."""
+    return np.array(grid.dims, dtype=float) * np.array(grid.cell_size)
+
+
+def cell_centers(grid: ReservoirGrid) -> np.ndarray:
+    """(n_cells, 3) array of cell center coordinates, C-order."""
+    nx, ny, nz = grid.dims
+    dx, dy, dz = grid.cell_size
+    xs = (np.arange(nx) + 0.5) * dx
+    ys = (np.arange(ny) + 0.5) * dy
+    zs = (np.arange(nz) + 0.5) * dz
+    gx, gy, gz = np.meshgrid(xs, ys, zs, indexing="ij")
+    return np.stack([gx.ravel(), gy.ravel(), gz.ravel()], axis=1)
+
+
+def oil_in_place_per_cell(grid: ReservoirGrid) -> np.ndarray:
+    """phi * S_o * cell volume for every cell, flattened C-order."""
+    return ((grid.porosity * grid.oil_saturation).ravel()
+            * float(np.prod(grid.cell_size)))
+
+
 class TestGenomeDimension:
     def test_reference_unilateral_pair(self):
-        assert genome_dimension(1, 0) == 6
+        assert WellLayout(PRODUCER, 1, 0).dim == 6
 
     def test_heel_only(self):
-        assert genome_dimension(0, 0) == 3
+        assert WellLayout(PRODUCER, 0, 0).dim == 3
 
     def test_deviations_and_branches(self):
-        assert genome_dimension(2, 1) == 3 * 3 + 4
+        assert WellLayout(PRODUCER, 2, 1).dim == 3 * 3 + 4
+
+    def test_coordinates_in_decoding_order(self):
+        assert block_coordinates(1, 1) == ("x", "y", "z", "r", "theta",
+                                           "phi", "l", "r", "theta", "phi")
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -236,7 +265,7 @@ class TestDecodedWellType:
     @pytest.mark.parametrize("n_dev, n_br", [(0, 0), (1, 0), (2, 1), (3, 2)])
     def test_decode_well_returns_frozen_python_floats(self, n_dev, n_br):
         rng = np.random.default_rng(10 * n_dev + n_br)
-        genome = rng.uniform(0.1, 3.0, genome_dimension(n_dev, n_br))
+        genome = rng.uniform(0.1, 3.0, WellLayout(PRODUCER, n_dev, n_br).dim)
         well = decode_well(genome, n_dev, n_br)
         assert_frozen_floats(well)
         for name in ("mainbore", "branches"):
@@ -476,13 +505,13 @@ class TestGrid:
         inv_a, inv_b = grid_a.invariants, grid_b.invariants
         assert inv_a is grid_a.invariants
         assert np.array_equal(inv_a.oil_in_place,
-                              grid_a.oil_in_place_per_cell())
+                              oil_in_place_per_cell(grid_a))
         assert np.array_equal(inv_b.oil_in_place,
-                              grid_b.oil_in_place_per_cell())
+                              oil_in_place_per_cell(grid_b))
         assert not np.array_equal(inv_a.oil_in_place, inv_b.oil_in_place)
         for axis in range(3):
             assert np.array_equal(inv_a.center_columns[axis],
-                                  grid_a.cell_centers()[:, axis])
+                                  cell_centers(grid_a)[:, axis])
             assert np.array_equal(inv_a.planes[axis],
                                   np.arange(1, dims[axis]) * cell[axis])
         assert inv_a.extent == (300.0, 200.0, 20.0)
@@ -512,7 +541,7 @@ class TestIntersections:
 
     def test_pieces_sum_to_clipped_length(self, grid):
         rng = np.random.default_rng(4)
-        extent = grid.extent
+        extent = grid_extent(grid)
         for _ in range(50):
             start = rng.uniform(-0.2 * extent, 1.2 * extent)
             end = rng.uniform(-0.2 * extent, 1.2 * extent)
@@ -575,7 +604,7 @@ def loop_segment_cell_intersections(start, end, grid):
     length = float(np.linalg.norm(direction))
     if length == 0.0:
         return []
-    extent = grid.extent
+    extent = grid_extent(grid)
     t_lo, t_hi = 0.0, 1.0
     for axis in range(3):
         d = direction[axis]
@@ -638,10 +667,10 @@ def loop_distance_to_polyline(points, well):
 
 
 def loop_drainable_oil_barrels(producer, grid, params):
-    centers = grid.cell_centers()
+    centers = cell_centers(grid)
     weights = np.exp(-loop_distance_to_polyline(centers, producer)
                      / params.drainage_radius_m)
-    return float(np.sum(grid.oil_in_place_per_cell() * weights)) * BARRELS_PER_M3
+    return float(np.sum(oil_in_place_per_cell(grid) * weights)) * BARRELS_PER_M3
 
 
 BUNDLED = load_bundled_grid()
@@ -657,7 +686,7 @@ def well_problem(**args) -> WellPlacementProblem:
 def grid_coordinate(axis):
     """A coordinate inside or around the bundled grid, often exactly on a
     face or an interior grid plane."""
-    extent = float(BUNDLED.extent[axis])
+    extent = float(grid_extent(BUNDLED)[axis])
     on_plane = st.integers(0, BUNDLED.dims[axis]).map(
         lambda k: k * BUNDLED.cell_size[axis])
     return st.one_of(st.floats(-0.3 * extent, 1.3 * extent), on_plane)
@@ -683,7 +712,7 @@ def grid_segments(draw):
         if draw(st.booleans()):
             start[axis], end[axis] = -draw(beyond), -draw(beyond)
         else:
-            extent = float(BUNDLED.extent[axis])
+            extent = float(grid_extent(BUNDLED)[axis])
             start[axis] = extent + draw(beyond)
             end[axis] = extent + draw(beyond)
     elif kind == "subnormal":
@@ -866,7 +895,7 @@ def assert_same_well(got, want):
 def box_coordinate(axis):
     """A coordinate inside, outside either face of, or exactly on a face
     of the bundled grid's box, or -0.0."""
-    extent = float(BUNDLED.extent[axis])
+    extent = float(grid_extent(BUNDLED)[axis])
     return st.one_of(st.floats(-0.5 * extent, 1.5 * extent),
                      st.sampled_from([0.0, -0.0, extent]),
                      st.floats(-1e-9, 1e-9),
@@ -941,8 +970,8 @@ class TestGeometryMatchesNumpyVersions:
         econ = EconomicParams()
         assert bits(drilling_cost([well], econ)) == bits(
             numpy_drilling_cost([well], econ))
-        want = numpy_check_geometry(well, BUNDLED.extent, max_length)
-        for extent in (BUNDLED.extent, BUNDLED.invariants.extent):
+        want = numpy_check_geometry(well, grid_extent(BUNDLED), max_length)
+        for extent in (grid_extent(BUNDLED), BUNDLED.invariants.extent):
             assert bits(check_geometry(well, extent)) == bits(
                 want.out_of_bounds_distance)
 
@@ -1356,7 +1385,7 @@ class TestWellPlacementProblem:
         max_length = EconomicParams().max_well_length_m
         for well, block in zip(detail["wells"], (genome[:6], genome[6:])):
             verdict = numpy_check_geometry(decode_well(block, 1, 0),
-                                           BUNDLED.extent, max_length)
+                                           grid_extent(BUNDLED), max_length)
             well.update(feasible=verdict.feasible,
                         length_excess_m=verdict.length_excess,
                         out_of_bounds_m=verdict.out_of_bounds_distance)
